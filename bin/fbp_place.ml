@@ -359,34 +359,13 @@ let report_cmd =
     Arg.(value & opt string "report.html"
          & info [ "o"; "output" ] ~doc:"HTML output file." ~docv:"FILE")
   in
-  let trajectory =
-    Arg.(value & opt (some string) None
-         & info [ "trajectory" ]
-           ~doc:"Fold a BENCH_trajectory.json (written by $(b,bench \
-                 trajectory)) into the report as a per-PR performance \
-                 sparkline section." ~docv:"FILE")
-  in
-  let run input out trajectory =
-    let read_trajectory path =
-      let ic = open_in_bin path in
-      let doc =
-        Fun.protect
-          ~finally:(fun () -> close_in ic)
-          (fun () -> really_input_string ic (in_channel_length ic))
-      in
-      match Fbp_obs.Obs.Json.parse doc with
-      | Ok j -> Some j
-      | Error msg ->
-        Printf.eprintf "warning: cannot parse trajectory %s: %s\n" path msg;
-        None
-    in
+  let run input out =
     match Fbp_obs.Recorder.read_file input with
     | Error msg ->
       Printf.eprintf "cannot read run record %s: %s\n" input msg;
       Err.exit_code (Err.Parse_error { file = input; line = 0; msg })
     | Ok rec_ ->
-      let trajectory = Option.bind trajectory read_trajectory in
-      let html = Fbp_viz.Report.render ?trajectory rec_ in
+      let html = Fbp_viz.Report.render rec_ in
       let oc = open_out_bin out in
       output_string oc html;
       close_out oc;
@@ -400,7 +379,7 @@ let report_cmd =
        ~doc:"Render a flight-recorder run record as a self-contained HTML \
              report (convergence curve, phase times, density heatmap, \
              domain utilization, metric tables).")
-    Term.(const run $ input $ out $ trajectory)
+    Term.(const run $ input $ out)
 
 (* -------------------------------------------------------- diff-record *)
 
@@ -570,7 +549,13 @@ let tables_cmd =
   let which =
     Arg.(value & opt (some int) None & info [ "table" ] ~doc:"Only table N (1-7).")
   in
-  let quick = Arg.(value & flag & info [ "quick" ] ~doc:"Small design subset.") in
+  let quick =
+    Arg.(value & flag
+         & info [ "quick" ]
+           ~doc:"Small subset: Table I on rabe, Table II on the quick \
+                 designs, Tables IV/VI on rabe/ashraf/erhard, Table V on \
+                 rabe/ashraf, Table VII on its first two specs.")
+  in
   let run which quick =
     let quick_names = if quick then Some Fbp_workloads.Designs.quick_names else None in
     let want n = match which with None -> true | Some w -> w = n in
@@ -587,18 +572,35 @@ let tables_cmd =
       print_table t
     end;
     (if want 4 || want 6 then begin
-       let t4, rows = Fbp_workloads.Tables.table4 () in
+       let scenarios =
+         if quick then
+           List.filter
+             (fun (s : Fbp_workloads.Mb_gen.scenario) ->
+               List.exists (String.equal s.Fbp_workloads.Mb_gen.design) [ "rabe"; "ashraf"; "erhard" ])
+             Fbp_workloads.Mb_gen.table3_scenarios
+         else Fbp_workloads.Mb_gen.table3_scenarios
+       in
+       let t4, rows = Fbp_workloads.Tables.table4 ~scenarios () in
        if want 4 then print_table t4;
        if want 6 then print_table (Fbp_workloads.Tables.table6 rows)
      end);
     if want 5 then begin
-      let t, _ = Fbp_workloads.Tables.table5 () in
+      let designs = if quick then [ "rabe"; "ashraf" ] else Fbp_workloads.Mb_gen.table5_designs in
+      let t, _ = Fbp_workloads.Tables.table5 ~designs () in
       print_table t
     end;
-    if want 7 then print_table (Fbp_workloads.Tables.table7 ());
+    if want 7 then begin
+      let specs = Array.to_list Fbp_workloads.Ispd.specs in
+      let specs = if quick then List.filteri (fun i _ -> i < 2) specs else specs in
+      print_table (Fbp_workloads.Tables.table7 ~specs ())
+    end;
+    if Option.is_none which then print_table (Fbp_workloads.Tables.ablations ());
     0
   in
-  Cmd.v (Cmd.info "tables" ~doc:"Reproduce the paper's tables.")
+  Cmd.v
+    (Cmd.info "tables"
+       ~doc:"Reproduce the paper's tables; without $(b,--table), also the \
+             ablation table.")
     Term.(const run $ which $ quick)
 
 let () =

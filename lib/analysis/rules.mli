@@ -4,7 +4,7 @@
     and rationale):
 
     - [domain-safety] — mutable state ([ref], [Hashtbl], mutable fields)
-      captured by closures passed to [Fbp_util.Parallel] entry points, and
+      captured by closures passed to [Fbp_util.Pool] entry points, and
       module-level mutable bindings in domain-parallel modules.  Use
       [Atomic], a [Mutex], or restructure so the closure only sees
       immutable snapshots.

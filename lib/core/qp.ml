@@ -15,20 +15,12 @@ type stats = {
   converged : bool;  (* both CG solves (x and y) converged *)
 }
 
-let env_int name default =
-  match Sys.getenv_opt name with
-  | None -> default
-  | Some s -> (
-    match int_of_string_opt (String.trim s) with
-    | Some n when n >= 0 -> n
-    | _ -> default)
-
 (* Below this many variables the two axis solves run sequentially: a CG on
    a small system finishes in less time than a cross-domain wakeup costs,
-   so [fork2] only adds latency (BENCH_pr5: qp_s *rose* from 1 to 4
+   so [fork2] only adds latency (measured: QP time rose going from 1 to 4
    domains on a ~500-cell design).  Results are bit-identical either way —
    the x and y systems are independent. *)
-let qp_seq_vars = env_int "FBP_QP_SEQ_VARS" 4096
+let qp_seq_vars = 4096
 
 let solve_system (cfg : Config.t) (sys : Netmodel.system) (pos : Placement.t) =
   let nv = sys.Netmodel.n_vars in

@@ -50,25 +50,16 @@ type result = {
 
 let eps = 1e-7
 
-let env_int name default =
-  match Sys.getenv_opt name with
-  | None -> default
-  | Some s -> (
-    match int_of_string_opt (String.trim s) with
-    | Some n when n >= 0 -> n
-    | _ -> default)
-
 (* Waves whose total cell count is below this run on the calling domain:
    a handful of tiny transportation problems finishes before a worker
-   wakeup would even land.  Most realization waves are this small — the
-   per-wave fork/join on them is what made PR5 anti-scale. *)
-let seq_wave_cells = env_int "FBP_REAL_SEQ_CELLS" 512
+   wakeup would even land.  Most realization waves are this small — a
+   per-wave fork/join on them makes more domains slower, not faster. *)
+let seq_wave_cells = 512
 
 (* Target cells (not nodes) per parallel chunk.  Nodes are wildly
    heterogeneous — one 300-cell node costs more than fifty 2-cell ones —
-   so chunking by node count (what [Parallel.map_array] did) starves some
-   domains and overloads others. *)
-let wave_grain_cells = env_int "FBP_REAL_GRAIN_CELLS" 128
+   so chunking by node count starves some domains and overloads others. *)
+let wave_grain_cells = 128
 
 let max_wave_chunks = 64
 

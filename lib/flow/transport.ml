@@ -438,6 +438,7 @@ let solve ?max_steps p =
     (fun () ->
       match Fbp_resilience.Inject.fire Fbp_resilience.Inject.Transport with
       | Some (Fbp_resilience.Inject.Raise msg) ->
+        (* fbp-lint: allow error-taxonomy — fires only when the fuzz harness arms the registry, which converts it; CLI runs never arm *)
         raise (Fbp_resilience.Inject.Injected msg)
       | fired ->
         let r = solve_impl ?max_steps p in

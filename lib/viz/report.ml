@@ -327,82 +327,6 @@ let gc_pauses_html (s : Fbp_obs.Profiler.summary) =
   Buffer.add_string b "</div>";
   Buffer.contents b
 
-(* Per-PR performance trajectory (bench trajectory output): a sparkline of
-   global placement time across committed BENCH artifacts plus the table. *)
-let trajectory_html (j : J.t) =
-  let entries =
-    match J.member "entries" j with Some (J.Arr es) -> es | _ -> []
-  in
-  let num k o = match J.member k o with Some (J.Num f) -> Some f | _ -> None in
-  let rows =
-    List.filter_map
-      (fun e ->
-        match num "pr" e with
-        | Some pr ->
-          Some
-            (int_of_float pr, num "qp_s" e, num "realization_s" e,
-             num "global_s" e)
-        | None -> None)
-      entries
-  in
-  if rows = [] then "<p class=\"muted\">no trajectory entries</p>"
-  else begin
-    let b = Buffer.create 2048 in
-    Buffer.add_string b "<div id=\"perf-trajectory\">";
-    (* sparkline over the PRs that have a global time *)
-    let gpts =
-      List.filter_map
-        (fun (pr, _, _, g) -> match g with Some g -> Some (pr, g) | None -> None)
-        rows
-    in
-    if List.length gpts >= 2 then begin
-      let n = List.length gpts in
-      let w = 420.0 and h = 80.0 and ml = 10.0 and mt = 8.0 in
-      let iw = w -. (2.0 *. ml) and ih = h -. (2.0 *. mt) -. 14.0 in
-      let gmax =
-        List.fold_left (fun a (_, g) -> Float.max a g) 1e-9 gpts
-      in
-      let x i = ml +. (iw *. float_of_int i /. float_of_int (n - 1)) in
-      let y g = mt +. (ih *. (1.0 -. (g /. gmax))) in
-      Printf.bprintf b
-        "<svg viewBox=\"0 0 %.0f %.0f\" width=\"%.0f\" height=\"%.0f\" \
-         role=\"img\" aria-label=\"global placement time per PR\">"
-        w h w h;
-      Buffer.add_string b "<polyline class=\"series-line\" points=\"";
-      List.iteri (fun i (_, g) -> Printf.bprintf b "%.1f,%.1f " (x i) (y g)) gpts;
-      Buffer.add_string b "\"/>";
-      List.iteri
-        (fun i (pr, g) ->
-          Printf.bprintf b
-            "<circle cx=\"%.1f\" cy=\"%.1f\" r=\"3\" class=\"series-dot\">\
-             <title>PR %d: global %.3fs</title></circle>"
-            (x i) (y g) pr g;
-          Printf.bprintf b
-            "<text x=\"%.1f\" y=\"%.1f\" class=\"tick\" \
-             text-anchor=\"middle\">pr%d</text>"
-            (x i) (h -. 4.0) pr)
-        gpts;
-      Buffer.add_string b "</svg>"
-    end;
-    Buffer.add_string b
-      "<table class=\"metrics\"><thead><tr><th>PR</th><th>qp</th>\
-       <th>realization</th><th>global</th></tr></thead><tbody>";
-    let cell = function Some v -> fsec v | None -> "&#8212;" in
-    List.iter
-      (fun (pr, q, r, g) ->
-        Printf.bprintf b
-          "<tr><td>pr%d</td><td>%s</td><td>%s</td><td>%s</td></tr>" pr (cell q)
-          (cell r) (cell g))
-      rows;
-    Buffer.add_string b "</tbody></table>";
-    Buffer.add_string b
-      "<p class=\"muted\">times are the committed BENCH artifacts' 1-domain \
-       smoke numbers; machines differ across PRs, so read trends, not \
-       absolutes.</p>";
-    Buffer.add_string b "</div>";
-    Buffer.contents b
-  end
-
 (* -------------------------------------------------------------- tables *)
 
 let levels_table (levels : R.level list) =
@@ -522,7 +446,7 @@ thead th { color: var(--text-secondary); font-weight: 600; }
 table.metrics { max-width: 640px; }
 |css}
 
-let render ?trajectory (t : R.t) =
+let render (t : R.t) =
   let b = Buffer.create 16384 in
   let p = t.R.provenance in
   Buffer.add_string b
@@ -586,11 +510,6 @@ let render ?trajectory (t : R.t) =
      Buffer.add_string b (domain_svg s);
      Buffer.add_string b "<h2>GC pauses</h2>";
      Buffer.add_string b (gc_pauses_html s)
-   | None -> ());
-  (match trajectory with
-   | Some j ->
-     Buffer.add_string b "<h2>Performance trajectory</h2>";
-     Buffer.add_string b (trajectory_html j)
    | None -> ());
   Buffer.add_string b "<h2>Levels</h2>";
   Buffer.add_string b (levels_table t.R.levels);

@@ -6,8 +6,7 @@
     breakdown as stacked bars, the final-placement density heatmap, and
     the per-level / counter / histogram tables.  Records carrying a
     [profile] section additionally get a per-domain utilization lane and a
-    GC-pause breakdown; [?trajectory] (a parsed BENCH_trajectory.json from
-    [bench trajectory]) folds in a per-PR performance sparkline.
+    GC-pause breakdown.
     [fbp_place report run.json -o report.html] is the CLI wrapper. *)
 
-val render : ?trajectory:Fbp_obs.Obs.Json.t -> Fbp_obs.Recorder.t -> string
+val render : Fbp_obs.Recorder.t -> string

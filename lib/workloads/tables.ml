@@ -394,3 +394,95 @@ let table7 ?(specs = Array.to_list Ispd.specs) () =
       "99.4%";
     ];
   t
+
+(* -------------------------------------------------------------- ablations *)
+
+(* The design choices DESIGN.md argues for, each toggled on design [rabe]
+   against the default FBP run.  A variant that fails gets an error row
+   instead of aborting the table. *)
+let ablations () =
+  let t =
+    Table.create
+      ~title:
+        "ABLATIONS (design `rabe`, no movebounds unless stated): design choices from DESIGN.md"
+      ~header:[ "variant"; "HPWL"; "global time"; "notes" ]
+      ~aligns:[ Table.Left; Table.Right; Table.Right; Table.Left ]
+      ()
+  in
+  let d = Designs.instantiate (Option.get (Designs.find_spec "rabe")) in
+  let nl = d.Fbp_netlist.Design.netlist in
+  let inst = Fbp_movebound.Instance.unconstrained d in
+  let hpwl_k v = Printf.sprintf "%.1fk" (v /. 1e3) in
+  let error_row name msg = Table.add_row t [ name; "error: " ^ msg; "-"; "" ] in
+  let fbp_error = Fbp_resilience.Fbp_error.to_string in
+  let run name config notes =
+    match Runner.run_fbp ~config inst with
+    | Error e -> Table.add_row t [ name; "error: " ^ fbp_error e; "-"; notes ]
+    | Ok m ->
+      Table.add_row t
+        [ name; hpwl_k m.Runner.hpwl; Duration.pretty m.Runner.global_time; notes ]
+  in
+  let default = Fbp_core.Config.default in
+  run "fbp (default)" default "local QP on, 1 domain";
+  run "fbp, no local QP" { default with local_qp = false }
+    "realization cost = plain movement penalty";
+  run "fbp, 4 domains" { default with domains = 4 }
+    "deterministic parallel realization";
+  run "fbp, coarse stop" { default with min_window_rows = 10.0 }
+    "refinement stops early";
+  (* BestChoice clustering (the paper's setup: ratio 5): cluster, place the
+     coarse netlist, expand, then refine flat *)
+  (let name = "fbp + BestChoice r=5" in
+   let t0 = Timer.now () in
+   let cl = Fbp_netlist.Clustering.best_choice ~ratio:5.0 nl in
+   let coarse_design =
+     { d with
+       Fbp_netlist.Design.netlist = cl.Fbp_netlist.Clustering.coarse;
+       initial =
+         Fbp_netlist.Clustering.coarse_placement cl nl d.Fbp_netlist.Design.initial }
+   in
+   match Fbp_core.Placer.place (Fbp_movebound.Instance.unconstrained coarse_design) with
+   | Error e -> error_row name (fbp_error e)
+   | Ok coarse_rep ->
+     let expanded = Fbp_netlist.Placement.create (Fbp_netlist.Netlist.n_cells nl) in
+     Fbp_netlist.Clustering.expand cl coarse_rep.Fbp_core.Placer.placement expanded;
+     let flat_design = { d with Fbp_netlist.Design.initial = expanded } in
+     (match Runner.run_fbp (Fbp_movebound.Instance.unconstrained flat_design) with
+      | Error e -> error_row name (fbp_error e)
+      | Ok m ->
+        Table.add_row t
+          [
+            name;
+            hpwl_k m.Runner.hpwl;
+            Duration.pretty (Timer.now () -. t0);
+            Printf.sprintf "%d coarse cells seed the flat pass"
+              (Fbp_netlist.Netlist.n_cells cl.Fbp_netlist.Clustering.coarse);
+          ]));
+  (* Brenner-Vygen-style flow legalizer vs the default Tetris/interval one *)
+  (match Fbp_core.Placer.place inst with
+   | Error e -> error_row "fbp + flow legalizer [6]" (fbp_error e)
+   | Ok rep ->
+     let t0 = Timer.now () in
+     let pos = Fbp_netlist.Placement.copy rep.Fbp_core.Placer.placement in
+     let st = Fbp_legalize.Flow_legalizer.run inst rep.Fbp_core.Placer.regions pos in
+     Table.add_row t
+       [
+         "fbp + flow legalizer [6]";
+         hpwl_k (Fbp_netlist.Hpwl.total nl pos);
+         Duration.pretty (Timer.now () -. t0);
+         Printf.sprintf "avg displacement %.2f rows (Tetris default shown above)"
+           st.Fbp_legalize.Flow_legalizer.avg_displacement;
+       ]);
+  (* recursive-partitioning baseline (global HPWL, pre-legalization) *)
+  (match Fbp_baselines.Recursive.place inst with
+   | Error e -> error_row "recursive 2x2 (old)" e
+   | Ok r ->
+     Table.add_row t
+       [
+         "recursive 2x2 (old)";
+         Printf.sprintf "%s (global)" (hpwl_k r.Fbp_baselines.Recursive.hpwl);
+         Duration.pretty r.Fbp_baselines.Recursive.global_time;
+         Printf.sprintf "%d local capacity overruns (the Section-IV drawback)"
+           r.Fbp_baselines.Recursive.overflow_events;
+       ]);
+  t

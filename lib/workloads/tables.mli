@@ -42,3 +42,9 @@ val table6 : row_mb list -> Table.t
 
 (** Table VII: ISPD-2006-style contest scoring vs the Kraftwerk2 baseline. *)
 val table7 : ?specs:Ispd.spec list -> unit -> Table.t
+
+(** Ablations of the DESIGN.md design choices on design [rabe]: no local
+    QP, 4 domains, an early refinement stop, BestChoice clustering, the
+    flow legalizer and the recursive-partitioning baseline, each beside the
+    default FBP run.  A failing variant gets an error row. *)
+val ablations : unit -> Table.t

@@ -37,7 +37,7 @@ let test_domain_safety () =
   let ds =
     lint
       {|let total = ref 0
-let f xs = Fbp_util.Parallel.map_array (fun x -> total := !total + x; x) xs
+let f xs = Fbp_util.Pool.run_chunks ~n_chunks:4 (fun c -> total := !total + xs.(c))
 |}
   in
   Alcotest.(check bool) "module-level ref flagged" true
@@ -51,19 +51,18 @@ let f xs = Fbp_util.Parallel.map_array (fun x -> total := !total + x; x) xs
   check_finds "module-level Hashtbl in parallel closure" "domain-safety"
     {|let cache = Hashtbl.create 16
 let f xs =
-  Fbp_util.Parallel.iter_array (fun x -> Hashtbl.replace cache x x) xs
+  Fbp_util.Pool.run_chunks ~n_chunks:4 (fun c -> Hashtbl.replace cache xs.(c) c)
 |};
   check_clean "pure closure"
-    {|let f xs = Fbp_util.Parallel.map_array (fun x -> x + 1) xs
+    {|let f xs out = Fbp_util.Pool.run_chunks ~n_chunks:4 (fun c -> out.(c) <- xs.(c) + 1)
 |};
   check_clean "closure mutating its own local state"
-    {|let f xs =
-  Fbp_util.Parallel.map_array
-    (fun x ->
+    {|let f xs out =
+  Fbp_util.Pool.run_chunks ~n_chunks:4
+    (fun c ->
       let acc = ref 0 in
-      acc := x;
-      !acc)
-    xs
+      acc := xs.(c);
+      out.(c) <- !acc)
 |};
   (* the Pool entry points are covered too, across every closure argument *)
   check_finds "capture in Pool.run_chunks closure" "domain-safety"

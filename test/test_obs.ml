@@ -75,11 +75,8 @@ let test_parallel_spans_balance_per_domain () =
   with_obs (fun () ->
       (* probes fire concurrently from realization domains; the validator
          keeps one LIFO stack per tid so the interleaving must still pass *)
-      let arr = Array.init 64 Fun.id in
-      ignore
-        (Fbp_util.Parallel.map_array ~domains:4
-           (fun i -> Obs.span "work" (fun () -> i * 2))
-           arr);
+      Fbp_util.Pool.run_chunks ~domains:4 ~n_chunks:64 (fun _ ->
+          Obs.span "work" (fun () -> ()));
       match Obs.validate_trace (Obs.trace_json ()) with
       | Ok n -> Alcotest.(check int) "all spans balance" 64 n
       | Error e -> Alcotest.fail e)

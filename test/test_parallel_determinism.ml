@@ -8,7 +8,6 @@
 open Fbp_netlist
 open Fbp_core
 module Pool = Fbp_util.Pool
-module Parallel = Fbp_util.Parallel
 module Vec = Fbp_linalg.Vec
 module Csr = Fbp_linalg.Csr
 
@@ -154,6 +153,18 @@ let test_refreeze_rejects_changed_topology () =
 
 exception Boom of int
 
+(* Doubles [0, n) into a fresh array over 4 domains and checks every slot:
+   a smoke test that the pool still runs regions correctly. *)
+let doubled_ok n =
+  let out = Array.make n 0 in
+  let n_chunks = Pool.n_chunks ~grain:64 n in
+  Pool.run_chunks ~domains:4 ~n_chunks (fun c ->
+      let lo, hi = Pool.chunk_bounds ~n ~n_chunks c in
+      for i = lo to hi - 1 do
+        out.(i) <- 2 * i
+      done);
+  Array.for_all Fun.id (Array.mapi (fun i v -> v = 2 * i) out)
+
 let test_pool_exceptions_and_reuse () =
   with_domains 4 (fun () ->
       (* first failure in chunk order wins, even when a later chunk also
@@ -173,10 +184,8 @@ let test_pool_exceptions_and_reuse () =
       | _ -> Alcotest.fail "expected Boom"
       | exception Boom c -> Alcotest.(check int) "fork2 f wins" 1 c);
       (* the pool is immediately reusable after failures *)
-      let a = Array.init 1000 (fun i -> i) in
-      let doubled = Parallel.map_array ~domains:4 (fun v -> 2 * v) a in
       Alcotest.(check bool) "pool reusable after exceptions" true
-        (Array.for_all2 (fun v w -> w = 2 * v) a doubled);
+        (doubled_ok 1000);
       Alcotest.(check bool) "workers were actually spawned" true
         (Pool.n_workers_spawned () >= 1))
 
@@ -224,10 +233,8 @@ let test_lease_reuse_and_errors () =
       | () -> Alcotest.fail "expected Invalid_argument after release"
       | exception Invalid_argument _ -> ());
       Pool.release_lease l;
-      let a = Array.init 100 (fun i -> i) in
-      let doubled = Parallel.map_array ~domains:4 (fun v -> 2 * v) a in
       Alcotest.(check bool) "pool healthy after release" true
-        (Array.for_all2 (fun v w -> w = 2 * v) a doubled))
+        (doubled_ok 100))
 
 (* ---------- realization: compact wave snapshot ---------- *)
 

@@ -179,13 +179,26 @@ let small_instance () =
   Fbp_movebound.Instance.unconstrained d
 
 let test_sanitized_place_succeeds () =
+  let place () =
+    match Fbp_core.Placer.place (small_instance ()) with
+    | Error e -> Alcotest.fail (Err.to_string e)
+    | Ok rep -> rep.Fbp_core.Placer.placement
+  in
+  let was = Sanitize.enabled () in
+  Sanitize.set_enabled false;
+  let off = Fun.protect ~finally:(fun () -> Sanitize.set_enabled was) place in
   with_sanitize (fun () ->
       let before = Sanitize.checks_run () in
-      match Fbp_core.Placer.place (small_instance ()) with
-      | Error e -> Alcotest.fail (Err.to_string e)
-      | Ok _ ->
-        Alcotest.(check bool) "sanitizer actually ran checks" true
-          (Sanitize.checks_run () > before))
+      let on_ = place () in
+      Alcotest.(check bool) "sanitizer actually ran checks" true
+        (Sanitize.checks_run () > before);
+      (* the sanitizer is an observer: its checks only read solver state,
+         so the placement is bit-identical with it off and on *)
+      let bits a = Array.map Int64.bits_of_float a in
+      Alcotest.(check (array int64)) "x bit-identical"
+        (bits off.Fbp_netlist.Placement.x) (bits on_.Fbp_netlist.Placement.x);
+      Alcotest.(check (array int64)) "y bit-identical"
+        (bits off.Fbp_netlist.Placement.y) (bits on_.Fbp_netlist.Placement.y))
 
 let test_corruption_stops_even_graceful_mode () =
   with_sanitize (fun () ->
