@@ -134,7 +134,7 @@ done
 $fbp diff-record "$tmp/prun.json" "$tmp/prun.json" --max-gc-regress 0.5 >/dev/null \
   || { echo "diff-record with GC gate regressed against itself"; exit 1; }
 
-echo "== fuzz smoke (seed-pinned campaign, twice: zero failures + same digest)"
+echo "== fuzz smoke (seed-pinned campaign, twice: zero failures + same digest; then the full corpus)"
 # FBP_FUZZ_SMOKE=1 clamps the campaign to 50 scenarios under a hard
 # wall-clock cap; the matrix crosses each scenario with every fault cell.
 # Two runs must be byte-identical (the digest line folds every outcome), and
@@ -148,6 +148,12 @@ cmp -s "$tmp/fuzz1.txt" "$tmp/fuzz2.txt" \
   || { echo "fuzz campaign is not reproducible:"; diff "$tmp/fuzz1.txt" "$tmp/fuzz2.txt" || true; exit 1; }
 grep -q "failures: none" "$tmp/fuzz1.txt" \
   || { echo "fuzz smoke reported failures"; exit 1; }
+# the full seed-42 corpus (1000 scenarios, ~6 s) runs every flow solve the
+# fuzzer can generate through the MinCostFlow solver once per push
+$fbp fuzz --seed 42 --count 1000 > "$tmp/fuzz-full.txt" \
+  || { echo "fuzz campaign found failures:"; tail -n 40 "$tmp/fuzz-full.txt"; exit 1; }
+grep -q "failures: none" "$tmp/fuzz-full.txt" \
+  || { echo "fuzz campaign reported failures"; exit 1; }
 # a repro artifact written by the campaign must replay to the same outcome
 $fbp fuzz --seed 42 --count 6 --matrix --out "$tmp/fuzz-repros" > /dev/null || true
 repro="$(ls "$tmp"/fuzz-repros/repro-*.json 2>/dev/null | head -n 1 || true)"

@@ -280,122 +280,12 @@ let build ?relax_penalty (inst : Fbp_movebound.Instance.t)
     relaxed = Option.is_some relax_penalty;
   }
 
-(* Cancel directed flow cycles among external arcs: the min-cost solution
-   can route flow around zero-cost external cycles (e.g. the two opposite
-   arcs of a window pair both carrying flow).  Such cycles are pure churn —
-   removing the common amount changes no balance and no cost — and the
-   realization needs the external-arc graph acyclic for its topological
-   order (Section IV-B). *)
-let cancel_external_cycles (t : t) =
-  (* graph on (window, class) with the external arcs *)
-  let tbl = Hashtbl.create 64 in
-  Array.iter
-    (fun (a, kind) ->
-      match kind with
-      | External { m; from_w; to_w; _ } when Graph.flow t.graph a > eps ->
-        Hashtbl.replace tbl (from_w, m) ((to_w, a) :: (try Hashtbl.find tbl (from_w, m) with Not_found -> []))
-      | _ -> ())
-    t.arcs;
-  (* iterative DFS-based cycle elimination *)
-  let rec strip_cycles () =
-    let color = Hashtbl.create 64 in  (* 0 absent = white, 1 = gray, 2 = black *)
-    let found = ref None in
-    let rec dfs node path =
-      if !found = None then begin
-        Hashtbl.replace color node 1;
-        let outs = try Hashtbl.find tbl node with Not_found -> [] in
-        List.iter
-          (fun ((to_w, a) : int * int) ->
-            if !found = None && Graph.flow t.graph a > eps then begin
-              let m = snd node in
-              let nxt = (to_w, m) in
-              match Hashtbl.find_opt color nxt with
-              | Some 1 ->
-                (* cycle: the part of [path] from nxt to node, plus a *)
-                let cycle = ref [ a ] in
-                let rec collect = function
-                  | [] -> ()
-                  | (n, arc) :: rest ->
-                    if n = nxt then () else begin
-                      cycle := arc :: !cycle;
-                      collect rest
-                    end
-                in
-                (* path holds (node, arc-into-node) pairs, most recent first *)
-                let rec collect2 acc = function
-                  | [] -> acc
-                  | (n, arc) :: rest ->
-                    if n = nxt then arc :: acc else collect2 (arc :: acc) rest
-                in
-                ignore collect;
-                cycle := collect2 [ a ] path;
-                found := Some !cycle
-              | Some _ -> ()
-              | None -> dfs nxt ((nxt, a) :: path)
-            end)
-          outs;
-        if !found = None then Hashtbl.replace color node 2
-      end
-    in
-    Hashtbl.iter (fun node _ -> if !found = None && not (Hashtbl.mem color node) then dfs node []) tbl;
-    match !found with
-    | None -> ()
-    | Some cycle_arcs ->
-      let amount =
-        List.fold_left (fun acc a -> Float.min acc (Graph.flow t.graph a)) infinity cycle_arcs
-      in
-      List.iter (fun a -> Graph.push t.graph a (-.amount)) cycle_arcs;
-      strip_cycles ()
-  in
-  strip_cycles ()
-
-(* Greedy local absorption: before the exact flow computation, push each
-   cell group's supply into its *own window's* admissible pieces, cheapest
-   arc first.  Most supply is absorbed where it already sits, leaving the
-   expensive successive-shortest-path phase only the genuine overflow.  The
-   combined flow can be slightly suboptimal (the residual graph acquires
-   negative-reduced-cost twins that the Dijkstra clamps), which is invisible
-   at placement level; [exact] disables the seeding for the ablation bench
-   and the optimality tests. *)
-let greedy_seed (t : t) =
-  let supply = Array.copy t.supply in
-  (* remaining piece capacity, indexed by graph node *)
-  let arcs_of_group = Array.make (Array.length t.groups) [] in
-  Array.iter
-    (fun (a, kind) ->
-      match kind with
-      | Cell_to_piece { group; piece } ->
-        let cost = Graph.cost t.graph a in
-        arcs_of_group.(group) <- (cost, a, piece) :: arcs_of_group.(group)
-      | _ -> ())
-    t.arcs;
-  Array.iteri
-    (fun gi arcs ->
-      let arcs =
-        List.sort
-          (fun (c1, a1, _) (c2, a2, _) ->
-            match Float.compare c1 c2 with 0 -> Int.compare a1 a2 | c -> c)
-          arcs
-      in
-      List.iter
-        (fun (_, a, _) ->
-          let piece_node = Graph.dst t.graph a in
-          let available = -.supply.(piece_node) in
-          let want = supply.(gi) in
-          let push = Float.min want available in
-          if push > eps then begin
-            Graph.push t.graph a push;
-            supply.(gi) <- supply.(gi) -. push;
-            supply.(piece_node) <- supply.(piece_node) +. push
-          end)
-        arcs)
-    arcs_of_group;
-  supply
-
-let solve ?(exact = false) (t : t) =
-  let supply = if exact then t.supply else greedy_seed t in
-  let verdict, mcf_stats = Mcf.solve_stats t.graph ~supply in
-  (match verdict with Mcf.Feasible _ -> cancel_external_cycles t | Mcf.Infeasible _ -> ());
+(* The simplex basis is a spanning tree and the external arcs' capacity
+   (total supply + 1) is never reached, so the flow-carrying external arcs
+   are tree arcs: acyclic, as the realization's topological order needs
+   (Section IV-B). *)
+let solve (t : t) =
+  let verdict, mcf_stats = Mcf.solve_stats t.graph ~supply:t.supply in
   let allot = Array.make (Grid.n_pieces t.grid * t.n_classes) 0.0 in
   let externals = ref [] in
   Array.iter

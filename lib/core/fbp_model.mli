@@ -49,7 +49,7 @@ type external_flow = {
 type solution = {
   model : t;
   verdict : Mcf.result;
-  mcf_rounds : int;  (** Dijkstra rounds the MinCostFlow solve took *)
+  mcf_rounds : int;  (** network simplex pivots of the MinCostFlow solve *)
   allot : float array;
       (** area of class m prescribed to piece p at [p * n_classes + m] *)
   externals : external_flow list;  (** flow-carrying external arcs (a DAG) *)
@@ -64,16 +64,11 @@ val build :
   Fbp_movebound.Instance.t -> Fbp_movebound.Regions.t -> Grid.t ->
   Fbp_netlist.Placement.t -> t
 
-(** Solve; [exact] disables the greedy local-absorption seeding (slower,
-    exactly optimal — the ablation/testing mode).  Zero-cost external
-    cycles are cancelled so [externals] is acyclic per class.  Verdict
-    [Infeasible] certifies (Theorem 3) that no fractional movebounded
-    placement exists. *)
-val solve : ?exact:bool -> t -> solution
+(** Solve exactly with the network simplex.  The flow is a basic solution,
+    so the flow-carrying external arcs lie in the spanning tree and
+    [externals] is acyclic per class.  Verdict [Infeasible] certifies
+    (Theorem 3) that no fractional movebounded placement exists. *)
+val solve : t -> solution
 
 (** Flow prescribed from class [m] into piece [piece]. *)
 val allotment : solution -> piece:int -> m:int -> float
-
-(** Remove zero-cost directed flow cycles among external arcs (already
-    called by [solve]). *)
-val cancel_external_cycles : t -> unit

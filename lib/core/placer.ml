@@ -97,10 +97,9 @@ let log_verbose (cfg : Config.t) fmt =
   else Printf.ifprintf stderr fmt
 
 (* Number of levels: refine while windows stay at least [min_window_rows]
-   rows tall and the flow model stays tractable.  The MinCostFlow size (and
-   the successive-shortest-paths cost) grows with windows x movebound
-   classes, so movebound-heavy instances stop a level earlier than plain
-   ones (the paper's network simplex absorbed finer grids; see DESIGN.md). *)
+   rows tall and keep a floor of cells per window.  The MinCostFlow size
+   grows with windows x movebound classes, so movebound-heavy instances
+   stop a level earlier than plain ones (see DESIGN.md). *)
 let n_levels (cfg : Config.t) (design : Design.t) =
   let chip_h = Rect.height design.Design.chip in
   let nl = design.Design.netlist in

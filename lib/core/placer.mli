@@ -19,7 +19,7 @@ type level_report = {
   cg_residual : float;  (** final CG residual *)
   cg_converged : bool;  (** this level's QP solves converged *)
   mcf_cost : float;  (** MinCostFlow objective ([nan] before level 1) *)
-  mcf_rounds : int;  (** successive-shortest-paths Dijkstra rounds *)
+  mcf_rounds : int;  (** network simplex pivots *)
   realization : Realization.stats;
 }
 

@@ -2,10 +2,10 @@
 
    The MinCostFlow prescribes aggregate movements; the realization decides
    *which* concrete cells follow them.  Flow-carrying external arcs form a
-   DAG over (window, class) nodes after zero-cycle cancellation; processing
-   nodes in topological order guarantees that when (w, M) is handled, every
-   cell that the flow routes into w has already arrived (buffered at w's
-   transit side).  For each node we:
+   DAG over (window, class) nodes (they lie in the network simplex's
+   spanning tree); processing nodes in topological order guarantees that
+   when (w, M) is handled, every cell that the flow routes into w has
+   already arrived (buffered at w's transit side).  For each node we:
 
    1. solve a local QP over the node's cells (everything else fixed) for
       connectivity information;

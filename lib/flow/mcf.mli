@@ -1,9 +1,12 @@
-(** Minimum-cost b-flow by successive shortest paths with potentials.
+(** Minimum-cost b-flow by the primal network simplex.
 
-    The exact solver behind the FBP model (Section IV-A); replaces the
-    paper's network simplex (see DESIGN.md substitution table). Arc costs
-    must be non-negative. After a call the graph holds the computed flow
-    (read per-arc with {!Graph.flow}). *)
+    The exact solver behind the FBP model (Section IV-A), and the paper's
+    algorithm: a strongly feasible spanning-tree basis with block-search
+    pricing.  Arc costs must be non-negative.  The graph is expected to
+    carry no flow; a forward arc's capacity is its residual capacity.
+    After a call the graph holds the computed flow (read per-arc with
+    {!Graph.flow}), and every basic arc is a tree arc, so the flow-carrying
+    arcs below capacity form a forest. *)
 
 type result =
   | Feasible of { cost : float }
@@ -11,9 +14,16 @@ type result =
       (** Total supply that cannot reach any deficit — by Theorem 3 a
           certificate that no fractional placement with movebounds exists. *)
 
-(** Solver effort counters, for the quality flight recorder
-    ({!Fbp_obs.Recorder}) and the Table I instrumentation. *)
-type stats = { rounds : int  (** multi-source Dijkstra rounds *) }
+(** Solver effort and the dual certificate of a run. *)
+type stats = {
+  rounds : int;
+      (** simplex pivots, degenerate ones included (the quality flight
+          recorder's [mcf_rounds] and the [mcf.dijkstra_rounds] histogram,
+          names kept from an earlier solver) *)
+  potentials : float array;
+      (** final node potentials, length [n_nodes + 1]: the last entry is the
+          artificial root.  Empty when fault injection skipped the solve. *)
+}
 
 (** [solve g ~supply] computes a min-cost flow satisfying node balances:
     [supply.(v) > 0] is supply, [< 0] demand. Total supply may be less than
@@ -21,8 +31,16 @@ type stats = { rounds : int  (** multi-source Dijkstra rounds *) }
     length mismatch or negative arc cost. *)
 val solve : Graph.t -> supply:float array -> result
 
-(** {!solve} plus the solver effort counters of the run. *)
+(** {!solve} plus the solver effort counters and potentials of the run. *)
 val solve_stats : Graph.t -> supply:float array -> result * stats
+
+(** The sanitizer's post-solve checks, run by {!solve_stats} when
+    {!Fbp_resilience.Sanitize.enabled}: {!check_flow}, then the
+    potentials' optimality certificate in O(|E|) — every residual arc,
+    including the root's slack and artificial arcs, has reduced cost
+    >= -tol.  Raises [Sanitizer_violation] at site ["mcf.solve"] on
+    failure; does nothing when the sanitizer is off. *)
+val audit : Graph.t -> supply:float array -> result * stats -> unit
 
 (** Audit: does the residual network contain no negative cycle (i.e. is the
     current flow of minimum cost)? Used by property tests. *)

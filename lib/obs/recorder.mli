@@ -44,7 +44,7 @@ type level = {
   cg_residual : float;
   cg_converged : bool;
   mcf_cost : float;  (** [nan] when the verdict was infeasible *)
-  mcf_rounds : int;
+  mcf_rounds : int;  (** network simplex pivots of the level's flow solve *)
   waves : int;
   shipped_cells : int;
   fallback_cells : int;

@@ -1,7 +1,7 @@
 (* Binary min-heap keyed by floats, with a generic payload.
 
-   Used by Dijkstra in the MinCostFlow solver and by the transportation
-   algorithm's per-arc candidate heaps.  Stale entries are handled by the
+   Used by the transportation algorithm's per-arc candidate heaps and by
+   BestChoice clustering.  Stale entries are handled by the
    caller via lazy deletion (pop and discard), which keeps this structure a
    plain heap without decrease-key bookkeeping. *)
 

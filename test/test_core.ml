@@ -216,29 +216,25 @@ let test_fbp_model_infeasible_detected () =
   | Fbp_flow.Mcf.Infeasible _ -> ()
   | Fbp_flow.Mcf.Feasible _ -> Alcotest.fail "expected infeasible (Theorem 3)"
 
-let test_fbp_greedy_vs_exact () =
-  (* the greedy-seeded flow must stay feasible and near the exact optimum,
-     and both must prescribe the same total area *)
+let test_fbp_flow_min_cost () =
+  (* the solved FBP flow is a min-cost flow (no negative residual cycle)
+     and prescribes all movable area *)
   let inst = small_instance ~n_cells:500 ~seed:19 () in
-  let _, _, model_g = build_model ~nx:4 inst in
-  let sol_g = Fbp_model.solve model_g in
-  let _, _, model_e = build_model ~nx:4 inst in
-  let sol_e = Fbp_model.solve ~exact:true model_e in
-  (match (sol_g.Fbp_model.verdict, sol_e.Fbp_model.verdict) with
-   | Fbp_flow.Mcf.Feasible _, Fbp_flow.Mcf.Feasible _ -> ()
-   | _ -> Alcotest.fail "both modes must be feasible");
-  let total a = Array.fold_left ( +. ) 0.0 a in
-  Alcotest.(check (float 0.5)) "same prescribed area"
-    (total sol_e.Fbp_model.allot) (total sol_g.Fbp_model.allot);
-  (* the exact residual graph carries a min-cost flow *)
-  Alcotest.(check bool) "exact mode optimal" true
-    (Fbp_flow.Mcf.check_optimal model_e.Fbp_model.graph)
-
-let test_fbp_externals_acyclic () =
-  let inst = small_instance ~n_cells:800 ~seed:11 () in
-  let _, _, model = build_model ~nx:8 inst in
+  let _, _, model = build_model ~nx:4 inst in
   let sol = Fbp_model.solve model in
-  (* the external flow graph must be a DAG per class *)
+  (match sol.Fbp_model.verdict with
+   | Fbp_flow.Mcf.Feasible _ -> ()
+   | Fbp_flow.Mcf.Infeasible _ -> Alcotest.fail "expected feasible");
+  let movable =
+    Netlist.total_movable_area inst.Fbp_movebound.Instance.design.Design.netlist
+  in
+  Alcotest.(check (float 0.5)) "prescribed area = movable area" movable
+    (Array.fold_left ( +. ) 0.0 sol.Fbp_model.allot);
+  Alcotest.(check bool) "min-cost" true
+    (Fbp_flow.Mcf.check_optimal model.Fbp_model.graph)
+
+(* the external flow graph must be a DAG per class *)
+let check_externals_acyclic (sol : Fbp_model.solution) =
   let edges = Hashtbl.create 64 in
   List.iter
     (fun (e : Fbp_model.external_flow) ->
@@ -257,6 +253,31 @@ let test_fbp_externals_acyclic () =
       Hashtbl.replace state (m, w) `Done
   in
   Hashtbl.iter (fun (m, w) _ -> visit m w) edges
+
+let test_fbp_externals_acyclic () =
+  let inst = small_instance ~n_cells:800 ~seed:11 () in
+  let _, _, model = build_model ~nx:8 inst in
+  check_externals_acyclic (Fbp_model.solve model);
+  (* movebound-heavy: 70% of the cells in nine flattened-hierarchy bounds,
+     so many classes share windows and route through transit nodes *)
+  let spec = Option.get (Fbp_workloads.Designs.find_spec "rabe") in
+  let d = Fbp_workloads.Designs.instantiate ~scale:1.0 spec in
+  let inst =
+    Fbp_workloads.Mb_gen.attach
+      { Fbp_workloads.Mb_gen.design = "rabe";
+        shape = Fbp_workloads.Mb_gen.Flatten 9;
+        coverage = 0.7; max_density = 0.8;
+        kind = Fbp_movebound.Movebound.Inclusive }
+      d
+  in
+  let _, _, model = build_model ~nx:8 inst in
+  let sol = Fbp_model.solve model in
+  (match sol.Fbp_model.verdict with
+   | Fbp_flow.Mcf.Feasible _ -> ()
+   | Fbp_flow.Mcf.Infeasible _ -> Alcotest.fail "movebound model must be feasible");
+  Alcotest.(check bool) "movebound model routes externally" true
+    (sol.Fbp_model.externals <> []);
+  check_externals_acyclic sol
 
 (* ---------- Realization + placer ---------- *)
 
@@ -517,7 +538,7 @@ let suite =
     Alcotest.test_case "fbp model size linear in windows" `Quick test_fbp_model_size_linear;
     Alcotest.test_case "fbp model feasible + conserving" `Quick test_fbp_model_feasible_and_conserving;
     Alcotest.test_case "fbp model detects infeasible" `Quick test_fbp_model_infeasible_detected;
-    Alcotest.test_case "fbp greedy vs exact flow" `Quick test_fbp_greedy_vs_exact;
+    Alcotest.test_case "fbp flow is min-cost" `Quick test_fbp_flow_min_cost;
     Alcotest.test_case "fbp externals acyclic" `Quick test_fbp_externals_acyclic;
     Alcotest.test_case "realization assigns everything" `Quick test_realization_assigns_everything;
     Alcotest.test_case "realization follows flow prescriptions" `Quick

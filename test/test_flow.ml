@@ -212,6 +212,78 @@ let prop_mcf_optimal_and_conserving =
         && !ok_balance
         && Mcf.check_optimal g)
 
+(* Random general instances: up to 8 nodes with supply, deficit and transit
+   nodes, finite capacities, costs from {0..3} (zero-cost arcs and cycles,
+   many ties, so many degenerate pivots), and supply that may exceed or
+   fall short of demand or be cut off from it. *)
+let random_general =
+  QCheck.Gen.(
+    int_range 2 8 >>= fun n ->
+    let node = int_range 0 (n - 1) in
+    let cap = oneof [ int_range 1 9; return 100 ] in
+    let arc = quad node node cap (int_range 0 3) in
+    let balance = frequency [ (2, return 0); (3, int_range (-9) 9) ] in
+    map
+      (fun (arcs, supply) -> (n, arcs, Array.of_list supply))
+      (pair (list_size (int_range 0 24) arc) (list_size (return n) balance)))
+
+let print_general (n, arcs, supply) =
+  Printf.sprintf "n=%d arcs=[%s] supply=[%s]" n
+    (String.concat "; "
+       (List.map (fun (u, v, c, w) -> Printf.sprintf "%d->%d cap %d cost %d" u v c w) arcs))
+    (String.concat "; " (Array.to_list (Array.map string_of_int supply)))
+
+let general_graph (n, arcs, _) =
+  let g = Graph.create n in
+  List.iter
+    (fun (u, v, c, w) ->
+      ignore (Graph.add_edge g ~u ~v ~cap:(float_of_int c) ~cost:(float_of_int w)))
+    arcs;
+  g
+
+let prop_mcf_general_optimal =
+  QCheck.Test.make ~name:"mcf general graphs: optimal, conserving, cost" ~count:500
+    (QCheck.make ~print:print_general random_general)
+    (fun ((_, _, b) as inst) ->
+      let g = general_graph inst in
+      let supply = Array.map float_of_int b in
+      let verdict = Mcf.solve g ~supply in
+      let exact = match verdict with Mcf.Feasible _ -> true | Mcf.Infeasible _ -> false in
+      let recomputed = ref 0.0 in
+      Graph.iter_edges g (fun a -> recomputed := !recomputed +. (Graph.flow g a *. Graph.cost g a));
+      let cost_ok =
+        match verdict with
+        | Mcf.Feasible { cost } -> Float.abs (cost -. !recomputed) < 1e-6
+        | Mcf.Infeasible _ -> true
+      in
+      cost_ok && Mcf.check_optimal g && Result.is_ok (Mcf.check_flow g ~supply ~exact))
+
+(* Theorem 3's certificate, checked independently: the unrouted supply is
+   total supply minus the max flow from a super source (arcs s -> v of
+   capacity b(v)) to a super sink (arcs v -> t of capacity -b(v)). *)
+let prop_mcf_unrouted_is_maxflow_gap =
+  QCheck.Test.make ~name:"mcf unrouted = supply - maxflow" ~count:500
+    (QCheck.make ~print:print_general random_general)
+    (fun ((n, arcs, b) as inst) ->
+      let supply = Array.map float_of_int b in
+      let unrouted =
+        match Mcf.solve (general_graph inst) ~supply with
+        | Mcf.Feasible _ -> 0.0
+        | Mcf.Infeasible { unrouted } -> unrouted
+      in
+      let h = general_graph (n + 2, arcs, b) in
+      let total = ref 0.0 in
+      Array.iteri
+        (fun v s ->
+          if s > 0.0 then begin
+            total := !total +. s;
+            ignore (Graph.add_edge h ~u:n ~v ~cap:s ~cost:0.0)
+          end
+          else if s < 0.0 then ignore (Graph.add_edge h ~u:v ~v:(n + 1) ~cap:(-.s) ~cost:0.0))
+        supply;
+      let mf = Maxflow.solve h ~source:n ~sink:(n + 1) in
+      Float.abs (unrouted -. (!total -. mf.Maxflow.value)) < 1e-6)
+
 (* ---------- Transport ---------- *)
 
 let mk_problem sizes caps cost = { Transport.sizes; capacities = caps; cost }
@@ -353,6 +425,8 @@ let suite =
     Alcotest.test_case "mcf demand slack" `Quick test_mcf_demand_slack;
     Alcotest.test_case "mcf rejects negative cost" `Quick test_mcf_rejects_negative_cost;
     qcheck prop_mcf_optimal_and_conserving;
+    qcheck prop_mcf_general_optimal;
+    qcheck prop_mcf_unrouted_is_maxflow_gap;
     Alcotest.test_case "transport simple" `Quick test_transport_simple;
     Alcotest.test_case "transport inadmissible" `Quick test_transport_inadmissible;
     Alcotest.test_case "transport fractional split" `Quick test_transport_fractional_split;

@@ -104,6 +104,56 @@ let test_injected_corruption_trips_sanitizer () =
           | exception Err.Error (Err.Sanitizer_violation { site; _ }) ->
             Alcotest.(check string) "at the mcf site" "mcf.solve" site))
 
+(* ---------- MCF optimality certificate ---------- *)
+
+let certificate_violation f =
+  match f () with
+  | () -> Alcotest.fail "a broken certificate must trip the sanitizer"
+  | exception Err.Error (Err.Sanitizer_violation { site; invariant; _ }) ->
+    Alcotest.(check string) "at the mcf site" "mcf.solve" site;
+    Alcotest.(check string) "the certificate check" "reduced-cost optimality certificate"
+      invariant
+
+let test_certificate_accepts_solver_output () =
+  with_sanitize (fun () ->
+      let g, supply, _, _ = small_flow () in
+      let before = Sanitize.checks_run () in
+      let out = Mcf.solve_stats g ~supply in
+      Alcotest.(check int) "flow and certificate checks ran" (before + 2)
+        (Sanitize.checks_run ());
+      Mcf.audit g ~supply out)
+
+let test_certificate_catches_perturbed_potential () =
+  let g, supply, _, _ = small_flow () in
+  let verdict, stats = Mcf.solve_stats g ~supply in
+  (* lifting node 1 gives the carrying, unsaturated arc 0->1 a negative
+     reduced cost *)
+  let potentials = Array.copy stats.Mcf.potentials in
+  potentials.(1) <- potentials.(1) +. 5.0;
+  with_sanitize (fun () ->
+      certificate_violation (fun () ->
+          Mcf.audit g ~supply (verdict, { stats with Mcf.potentials })))
+
+let test_certificate_catches_suboptimal_flow () =
+  (* two routes 0->1->3 (cost 2) and 0->2->3 (cost 4); moving one unit
+     from the cheap route to the dear one keeps the flow feasible, so only
+     the certificate can object *)
+  let g = Graph.create 4 in
+  let a01 = Graph.add_edge g ~u:0 ~v:1 ~cap:5.0 ~cost:1.0 in
+  let a02 = Graph.add_edge g ~u:0 ~v:2 ~cap:5.0 ~cost:3.0 in
+  let a13 = Graph.add_edge g ~u:1 ~v:3 ~cap:5.0 ~cost:1.0 in
+  let a23 = Graph.add_edge g ~u:2 ~v:3 ~cap:5.0 ~cost:1.0 in
+  let supply = [| 2.0; 0.0; 0.0; -2.0 |] in
+  let out = Mcf.solve_stats g ~supply in
+  Graph.push g a01 (-1.0);
+  Graph.push g a13 (-1.0);
+  Graph.push g a02 1.0;
+  Graph.push g a23 1.0;
+  (match Mcf.check_flow g ~supply ~exact:true with
+  | Ok () -> ()
+  | Error msg -> Alcotest.fail ("rerouted flow is still feasible: " ^ msg));
+  with_sanitize (fun () -> certificate_violation (fun () -> Mcf.audit g ~supply out))
+
 (* ---------- transport balance ---------- *)
 
 let transport_problem () =
@@ -344,6 +394,12 @@ let suite =
       test_solve_under_sanitizer_passes;
     Alcotest.test_case "mcf: injected corruption trips" `Quick
       test_injected_corruption_trips_sanitizer;
+    Alcotest.test_case "mcf: certificate verifies" `Quick
+      test_certificate_accepts_solver_output;
+    Alcotest.test_case "mcf: perturbed potential caught" `Quick
+      test_certificate_catches_perturbed_potential;
+    Alcotest.test_case "mcf: suboptimal flow caught" `Quick
+      test_certificate_catches_suboptimal_flow;
     Alcotest.test_case "transport: solver output verifies" `Quick
       test_transport_audit_accepts_solver_output;
     Alcotest.test_case "transport: tampering caught" `Quick
