@@ -36,7 +36,6 @@ let sweep ?(span = 2) (cfg : Config.t) (inst : Fbp_movebound.Instance.t)
   let nl = inst.Fbp_movebound.Instance.design.Design.netlist in
   (* net-dedup scratch shared across this sweep's local QPs *)
   let qp_scratch = Qp.create_scratch () in
-  let k = Fbp_movebound.Instance.n_movebounds inst in
   let hpwl_before = Hpwl.total nl pos in
   let n_blocks = ref 0 and n_moved = ref 0 in
   (* cells per piece, from the current assignment *)
@@ -78,7 +77,6 @@ let sweep ?(span = 2) (cfg : Config.t) (inst : Fbp_movebound.Instance.t)
         let admissible c pid =
           let mb = nl.Netlist.movebound.(c) in
           let mbi = if mb < 0 then -1 else mb in
-          ignore k;
           Fbp_movebound.Regions.admissible
             regions.Fbp_movebound.Regions.regions.(grid.Grid.pieces.(pid).Grid.region)
             ~mb:mbi

@@ -7,16 +7,18 @@
    cost, where cost(i, j) may be [infinity] when cell i's movebound does not
    cover sink j.
 
-   The algorithm follows the structure of Brenner's unbalanced-transportation
-   algorithm [4] as used by BonnPlace: start from the independently cheapest
-   assignment, then repeatedly route overload along shortest paths in the
-   *sink graph*, whose arc (u, v) is weighted by the cheapest per-unit
-   relocation delta  min_i { cost(i,v) - cost(i,u) : cell i currently at u }.
-   Per-arc candidate heaps with lazy invalidation give the amortized
-   efficiency; Bellman-Ford over the k sinks finds the path (k is tiny).
-   Moves are fractional, so whenever a fractional solution exists the result
-   respects capacities exactly; most cells stay unsplit, matching the
-   "almost integral" guarantee the paper inherits from [4]. *)
+   The algorithm is Brenner's exact unbalanced-transportation algorithm [4]
+   as used by BonnPlace: successive shortest paths over the k-node *sink
+   graph*, whose arc (u, v) is weighted by the cheapest per-unit relocation
+   delta  min_i { cost(i,v) - cost(i,u) : cell i currently at u },  kept in
+   per-arc heaps with lazy invalidation.  The greedy start (every cell at
+   its cheapest sink) is optimal for sink prices pi = 0; each step routes
+   overload from one sink to the nearest sink with slack by a dense O(k^2)
+   Dijkstra on reduced weights  w(u,v) + pi(u) - pi(v)  and then raises the
+   prices, so every cell stays at a sink minimizing  cost(i,u) - pi(u)  and
+   every sink with slack holds the maximum price.  Those two conditions are
+   the optimality certificate [audit] checks.  Moves are fractional, so
+   whenever a fractional solution exists the result respects capacities. *)
 
 let eps = 1e-9
 
@@ -31,11 +33,14 @@ type assignment = {
       (* cell -> [(sink, fraction)] with fractions summing to 1 *)
   load : float array;  (* resulting mass per sink *)
   cost : float;  (* mass-weighted total cost *)
-  converged : bool;  (* false if the iteration guard tripped *)
+  prices : float array;  (* sink prices: the dual certificate *)
 }
 
 let n_cells p = Array.length p.sizes
 let n_sinks p = Array.length p.capacities
+
+(* Overload and slack below this much mass count as zero. *)
+let mass_tol p = 1e-7 *. Float.max 1.0 (Array.fold_left ( +. ) 0.0 p.sizes)
 
 let total_cost p frac =
   let acc = ref 0.0 in
@@ -76,313 +81,158 @@ let frac_at frac i j =
 
 let set_frac frac i j f =
   let rest = List.filter (fun (j', _) -> not (Int.equal j' j)) frac.(i) in
-  frac.(i) <- if f > eps then (j, f) :: rest else rest
+  frac.(i) <- if f > 0.0 then (j, f) :: rest else rest
 
-exception No_admissible_sink of int
-
-let solve_impl ?(max_steps = 0) p =
+let solve_impl p =
   let n = n_cells p and k = n_sinks p in
   if k = 0 then invalid_arg "Transport.solve: no sinks";
-  let max_steps = if max_steps > 0 then max_steps else 64 * (n + (k * k)) in
-  let frac = Array.make n [] in
-  let load = Array.make k 0.0 in
-  (* Per-(from, to) candidate heaps keyed by the per-unit relocation delta;
-     entries are cell ids, validated lazily on pop. *)
-  let heaps = Array.init (k * k) (fun _ -> (Fbp_util.Pq.create () : int Fbp_util.Pq.t)) in
-  let heap u v = heaps.((u * k) + v) in
-  let enqueue_cell i u =
-    let cu = p.cost i u in
-    for v = 0 to k - 1 do
-      if v <> u then begin
-        let cv = p.cost i v in
-        if cv < infinity then Fbp_util.Pq.push (heap u v) (cv -. cu) i
+  (* Greedy start: every cell at its independently cheapest admissible sink. *)
+  let cheapest i =
+    let best = ref (-1) and bestc = ref infinity in
+    for j = 0 to k - 1 do
+      let c = p.cost i j in
+      if c < !bestc then begin
+        bestc := c;
+        best := j
       end
-    done
+    done;
+    !best
   in
-  (try
-     (* Greedy initial assignment: independently cheapest admissible sink. *)
-     for i = 0 to n - 1 do
-       let best = ref (-1) and bestc = ref infinity in
-       for j = 0 to k - 1 do
-         let c = p.cost i j in
-         if c < !bestc then begin
-           bestc := c;
-           best := j
-         end
-       done;
-       if !best < 0 then raise (No_admissible_sink i);
-       frac.(i) <- [ (!best, 1.0) ];
-       load.(!best) <- load.(!best) +. p.sizes.(i);
-       enqueue_cell i !best
-     done;
-     let total_mass = Array.fold_left ( +. ) 0.0 p.sizes in
-     let tol = 1e-7 *. Float.max 1.0 total_mass in
-     (* Valid cheapest entry of heap (u, v): cell must still sit at u. *)
-     let rec arc_weight u v =
-       match Fbp_util.Pq.peek (heap u v) with
-       | None -> None
-       | Some (key, i) ->
-         if frac_at frac i u > eps && Float.abs (key -. (p.cost i v -. p.cost i u)) <= 1e-9
-         then Some key
-         else begin
-           ignore (Fbp_util.Pq.pop (heap u v));
-           arc_weight u v
-         end
-     in
-     (* Move up to [need] mass from u to v, cheapest cells first.  Returns the
-        mass actually moved (= need unless u runs out of movable mass). *)
-     let move_mass u v need =
-       let moved = ref 0.0 in
-       while !moved < need -. eps &&
-             (match Fbp_util.Pq.peek (heap u v) with Some _ -> true | None -> false) do
-         match Fbp_util.Pq.pop (heap u v) with
-         | None -> ()
-         | Some (key, i) ->
-           let fu = frac_at frac i u in
-           if fu > eps && Float.abs (key -. (p.cost i v -. p.cost i u)) <= 1e-9 then begin
-             let available = fu *. p.sizes.(i) in
-             let take = Float.min available (need -. !moved) in
-             let df = take /. p.sizes.(i) in
-             set_frac frac i u (fu -. df);
-             set_frac frac i v (frac_at frac i v +. df);
-             load.(u) <- load.(u) -. take;
-             load.(v) <- load.(v) +. take;
-             moved := !moved +. take;
-             enqueue_cell i v;
-             (* Remainder still at u keeps its (already popped) candidacy. *)
-             if frac_at frac i u > eps then Fbp_util.Pq.push (heap u v) key i
-           end
-       done;
-       !moved
-     in
-     (* Layered Bellman-Ford: dist.(r).(v) is the cheapest *walk* of at most
-        [r] arcs from the overloaded sink to [v].  Relocation deltas can be
-        negative once cells are displaced off their cheapest sink, so the
-        sink graph may contain negative cycles; a plain predecessor array
-        would then cycle during path reconstruction.  Layer-indexed
-        predecessors make the walk-back strictly decrease the layer, which
-        guarantees termination (moving mass along a walk that revisits a
-        node is operationally fine — each hop is an independent shift). *)
-     let layers = k in
-     let dist = Array.make_matrix (layers + 1) k infinity in
-     let pred = Array.make_matrix (layers + 1) k (-1) in
-     (* pred = -1: unreached; -2: carried from previous layer; >= 0: via arc *)
-     let steps = ref 0 in
-     let converged = ref true in
-     let find_overloaded () =
-       let best = ref (-1) and worst = ref tol in
-       for j = 0 to k - 1 do
-         let o = load.(j) -. p.capacities.(j) in
-         if o > !worst then begin
-           worst := o;
-           best := j
-         end
-       done;
-       !best
-     in
-     let rec rebalance () =
-       let u0 = find_overloaded () in
-       if u0 >= 0 then begin
-         incr steps;
-         if !steps > max_steps then converged := false
-         else begin
-           for r = 0 to layers do
-             Array.fill dist.(r) 0 k infinity;
-             Array.fill pred.(r) 0 k (-1)
-           done;
-           dist.(0).(u0) <- 0.0;
-           for r = 1 to layers do
-             for v = 0 to k - 1 do
-               if dist.(r - 1).(v) < infinity then begin
-                 dist.(r).(v) <- dist.(r - 1).(v);
-                 pred.(r).(v) <- -2
-               end
-             done;
-             for u = 0 to k - 1 do
-               if dist.(r - 1).(u) < infinity then
-                 for v = 0 to k - 1 do
-                   if v <> u then
-                     match arc_weight u v with
-                     | Some w when dist.(r - 1).(u) +. w < dist.(r).(v) -. 1e-12 ->
-                       dist.(r).(v) <- dist.(r - 1).(u) +. w;
-                       pred.(r).(v) <- u
-                     | _ -> ()
-                 done
-             done
-           done;
-           (* Cheapest reachable sink with slack (at the deepest layer). *)
-           let t = ref (-1) and bestd = ref infinity in
-           for j = 0 to k - 1 do
-             if p.capacities.(j) -. load.(j) > tol && dist.(layers).(j) < !bestd then begin
-               bestd := dist.(layers).(j);
-               t := j
-             end
-           done;
-           if !t < 0 then converged := false
-           else begin
-             (* Walk back through the layers, collecting arcs to shift. *)
-             let path = ref [] in
-             let v = ref !t and r = ref layers in
-             while !r > 0 do
-               (match pred.(!r).(!v) with
-                | -2 -> ()
-                | -1 -> assert false
-                | u ->
-                  path := (u, !v) :: !path;
-                  v := u);
-               decr r
-             done;
-             assert (!v = u0);
-             let delta =
-               Float.min (load.(u0) -. p.capacities.(u0)) (p.capacities.(!t) -. load.(!t))
-             in
-             let remaining = ref delta in
-             List.iter
-               (fun (a, b) ->
-                 remaining := if !remaining > eps then move_mass a b !remaining else 0.0)
-               !path;
-             (* [remaining] is now the mass that made it all the way to [t].
-                Zero progress means some heap went stale-empty mid-path: stop
-                rather than spin (the caller sees [converged = false]). *)
-             if !remaining > eps then rebalance () else converged := false
-           end
-         end
-       end
-     in
-     rebalance ();
-     (* Improvement phase: the rebalancing stops at the first feasible
-        solution, which can leave negative cycles in the sink graph (cost
-        can still drop without changing loads).  Cancel them: layered
-        multi-source Bellman-Ford detects a cycle, then the cheapest movable
-        cells shift one hop each around it.  Every cancellation strictly
-        decreases cost.
-
-        The budget must stay linear in [k]: each iteration runs a layered
-        Bellman-Ford over the k x k sink graph whose arc weights pop lazy
-        heaps that *grow* with every cancellation, so a quadratic budget
-        (the previous 8k^2) turns degenerate instances — many equal-cost
-        cells piled on the same sinks, exactly what a dense QP placement
-        feeds the flow legalizer — into multi-hour stalls on instances as
-        small as 500 cells x 62 segments.  Together with the minimum-gain
-        cutoff in [cancel_cycle] this phase is a polish pass, not a
-        correctness requirement: feasibility is already established. *)
-     let improve_budget = ref ((4 * k) + 64) in
-     let find_negative_cycle () =
-       for r = 0 to layers do
-         Array.fill dist.(r) 0 k infinity;
-         Array.fill pred.(r) 0 k (-1)
-       done;
-       Array.fill dist.(0) 0 k 0.0;
-       for r = 1 to layers do
-         for v = 0 to k - 1 do
-           if dist.(r - 1).(v) < infinity then begin
-             dist.(r).(v) <- dist.(r - 1).(v);
-             pred.(r).(v) <- -2
-           end
-         done;
-         for u = 0 to k - 1 do
-           for v = 0 to k - 1 do
-             if v <> u then
-               match arc_weight u v with
-               | Some w when dist.(r - 1).(u) +. w < dist.(r).(v) -. 1e-9 ->
-                 dist.(r).(v) <- dist.(r - 1).(u) +. w;
-                 pred.(r).(v) <- u
-               | _ -> ()
-           done
-         done
-       done;
-       (* A strict improvement at the deepest layer certifies a negative
-          cycle on the walk; walking the layered preds back visits k+1 node
-          instances, so some node repeats — that loop is the cycle. *)
-       let witness = ref (-1) in
-       for v = 0 to k - 1 do
-         if dist.(layers).(v) < dist.(layers - 1).(v) -. 1e-9 && !witness < 0 then
-           witness := v
-       done;
-       if !witness < 0 then None
-       else begin
-         let walk = Array.make (layers + 1) (-1) in
-         let v = ref !witness in
-         walk.(layers) <- !v;
-         let r = ref layers in
-         while !r > 0 do
-           (match pred.(!r).(!v) with
-            | -2 -> ()
-            | -1 -> v := -1
-            | u -> v := u);
-           decr r;
-           walk.(!r) <- !v
-         done;
-         (* find a repeated node in walk.(0..layers) *)
-         let cycle = ref None in
-         for i = 0 to layers do
-           for j = i + 1 to layers do
-             if !cycle = None && walk.(i) >= 0 && walk.(i) = walk.(j) then begin
-               (* arcs between layers i..j-1, skipping carries (same node) *)
-               let arcs = ref [] in
-               for t = j downto i + 1 do
-                 if walk.(t) <> walk.(t - 1) && walk.(t - 1) >= 0 then
-                   arcs := (walk.(t - 1), walk.(t)) :: !arcs
-               done;
-               if !arcs <> [] then cycle := Some !arcs
-             end
-           done
-         done;
-         !cycle
-       end
-     in
-     let cancel_cycle arcs =
-       (* Verify the cycle is still strictly improving, then shift the
-          largest mass supported by every arc's cheapest cell. *)
-       let total_w = ref 0.0 and amount = ref infinity in
-       let tops =
-         List.filter_map
-           (fun (u, v) ->
-             match arc_weight u v with
-             | None -> None
-             | Some w ->
-               (match Fbp_util.Pq.peek (heap u v) with
-                | Some (_, i) ->
-                  total_w := !total_w +. w;
-                  amount := Float.min !amount (frac_at frac i u *. p.sizes.(i));
-                  Some (u, v)
-                | None -> None))
-           arcs
-       in
-       (* A cycle that is negative only by an epsilon, or that can shift
-          only an epsilon of mass, "improves" the cost by noise while still
-          burning a full Bellman-Ford per round and growing every heap it
-          touches; treat it as converged instead of cancelling it. *)
-       let gain_tol = 1e-7 *. Float.max 1.0 total_mass in
-       if
-         List.length tops <> List.length arcs
-         || !total_w >= -1e-9
-         || !amount <= eps
-         || -.(!total_w *. !amount) <= gain_tol
-       then false
-       else begin
-         List.iter (fun (u, v) -> ignore (move_mass u v !amount)) tops;
-         true
-       end
-     in
-     let rec improve () =
-       if !improve_budget > 0 then begin
-         decr improve_budget;
-         match find_negative_cycle () with
-         | None -> ()
-         | Some arcs -> if cancel_cycle arcs then improve ()
-       end
-     in
-     improve ();
-     Fbp_obs.Obs.observe "transport.pivots" (float_of_int !steps);
-     Ok { frac; load; cost = total_cost p frac; converged = !converged }
-   with No_admissible_sink i ->
-     Error (Printf.sprintf "cell %d has no admissible sink" i))
+  let start = Array.init n cheapest in
+  match Array.find_index (fun j -> j < 0) start with
+  | Some i -> Error (Printf.sprintf "cell %d has no admissible sink" i)
+  | None ->
+    let frac = Array.map (fun j -> [ (j, 1.0) ]) start in
+    let load = loads p frac in
+    (* Per-(from, to) candidate heaps keyed by the per-unit relocation delta;
+       entries are cell ids, dropped lazily once the cell has left [from]. *)
+    let heaps = Array.init (k * k) (fun _ -> (Fbp_util.Pq.create () : int Fbp_util.Pq.t)) in
+    let heap u v = heaps.((u * k) + v) in
+    let enqueue_cell i u =
+      let cu = p.cost i u in
+      for v = 0 to k - 1 do
+        if v <> u then begin
+          let cv = p.cost i v in
+          if cv < infinity then Fbp_util.Pq.push (heap u v) (cv -. cu) i
+        end
+      done
+    in
+    Array.iteri enqueue_cell start;
+    let tol = mass_tol p in
+    let slack j = p.capacities.(j) -. load.(j) in
+    (* Cheapest cell still at u on arc (u, v), with its relocation delta. *)
+    let rec arc_top u v =
+      match Fbp_util.Pq.peek (heap u v) with
+      | Some (_, i) as top when frac_at frac i u > 0.0 -> top
+      | Some _ ->
+        ignore (Fbp_util.Pq.pop (heap u v));
+        arc_top u v
+      | None -> None
+    in
+    let pi = Array.make k 0.0 in
+    let dist = Array.make k infinity and settled = Array.make k false in
+    (* the shortest-path tree: predecessor sink and the cell moved on the hop *)
+    let pred = Array.make k (-1) and via = Array.make k (-1) in
+    (* An overloaded sink that reaches no slack is stuck for good: nothing
+       in its reachable set can leave it, so no augmenting path enters. *)
+    let stuck = Array.make k false in
+    let steps = ref 0 in
+    let find_overloaded () =
+      let best = ref (-1) and worst = ref tol in
+      for j = 0 to k - 1 do
+        let o = -.slack j in
+        if o > !worst && not stuck.(j) then begin
+          worst := o;
+          best := j
+        end
+      done;
+      !best
+    in
+    (* Dijkstra from u0 on reduced weights; returns the first settled sink
+       with slack, or -1 when none is reachable. *)
+    let shortest_path u0 =
+      Array.fill dist 0 k infinity;
+      Array.fill settled 0 k false;
+      dist.(u0) <- 0.0;
+      let rec next () =
+        let u = ref (-1) in
+        for v = 0 to k - 1 do
+          if (not settled.(v)) && dist.(v) < infinity && (!u < 0 || dist.(v) < dist.(!u))
+          then u := v
+        done;
+        let u = !u in
+        if u < 0 || slack u > tol then u
+        else begin
+          settled.(u) <- true;
+          for v = 0 to k - 1 do
+            if not settled.(v) then
+              match arc_top u v with
+              | Some (w, i) ->
+                let d = dist.(u) +. Float.max 0.0 (w +. pi.(u) -. pi.(v)) in
+                if d < dist.(v) then begin
+                  dist.(v) <- d;
+                  pred.(v) <- u;
+                  via.(v) <- i
+                end
+              | None -> ()
+          done;
+          next ()
+        end
+      in
+      next ()
+    in
+    (* Shift [mass] of cell i from u to v; a remainder below [eps] of the
+       cell goes along so that no fraction is ever rounded away. *)
+    let move i u v mass =
+      let fu = frac_at frac i u and fv = frac_at frac i v in
+      let df = Float.min fu (mass /. p.sizes.(i)) in
+      let df = if fu -. df <= eps then fu else df in
+      set_frac frac i u (fu -. df);
+      set_frac frac i v (fv +. df);
+      load.(u) <- load.(u) -. (df *. p.sizes.(i));
+      load.(v) <- load.(v) +. (df *. p.sizes.(i));
+      if Float.equal fv 0.0 then enqueue_cell i v
+    in
+    (* Raise the prices by the capped distances, then push the bottleneck
+       amount along the path.  Each hop moves the cell the search recorded
+       for it, not the current top of its heap: an earlier hop may have
+       brought a cheaper cell into the hop's tail. *)
+    let augment u0 t =
+      let dt = dist.(t) in
+      Array.iteri (fun v d -> pi.(v) <- pi.(v) +. Float.min d dt) dist;
+      let rec hops v acc = if v = u0 then acc else hops pred.(v) ((via.(v), pred.(v), v) :: acc) in
+      let path = hops t [] in
+      let delta =
+        List.fold_left
+          (fun d (i, u, _) -> Float.min d (frac_at frac i u *. p.sizes.(i)))
+          (Float.min (-.slack u0) (slack t))
+          path
+      in
+      List.iter (fun (i, u, v) -> move i u v delta) path
+    in
+    let rec rebalance () =
+      let u0 = find_overloaded () in
+      if u0 >= 0 then begin
+        let t = shortest_path u0 in
+        if t < 0 then stuck.(u0) <- true
+        else begin
+          incr steps;
+          augment u0 t
+        end;
+        rebalance ()
+      end
+    in
+    rebalance ();
+    Fbp_obs.Obs.observe "transport.pivots" (float_of_int !steps);
+    Ok { frac; load = loads p frac; cost = total_cost p frac; prices = pi }
 
 (* Checked invariants of an assignment (sanitizer mode; also exposed for
    tests).  Rows: every cell's fractions are positive, name in-range sinks
    and sum to 1.  Columns: the reported per-sink loads equal the
-   recomputed mass sums. *)
+   recomputed mass sums.  Certificate, in O(n k): every cell sits only at
+   sinks minimizing cost(i,u) - price(u) over its admissible sinks, and
+   when no sink is overfull every sink with slack holds the maximum
+   price. *)
 let audit p a =
   let k = n_sinks p in
   let load = Array.make k 0.0 in
@@ -419,6 +269,44 @@ let audit p a =
                "sink %d: reported load %.9g but fractions carry %.9g" j
                a.load.(j) l))
       load;
+  if Array.length a.prices <> k then
+    report
+      (Printf.sprintf "price vector has %d entries for %d sinks"
+         (Array.length a.prices) k)
+  else if Option.is_none !bad then begin
+    let scale = Array.fold_left (fun m x -> Float.max m (Float.abs x)) 1.0 a.prices in
+    Array.iteri
+      (fun i fs ->
+        let best = ref infinity and row_scale = ref scale in
+        for v = 0 to k - 1 do
+          let c = p.cost i v in
+          if c < infinity then begin
+            best := Float.min !best (c -. a.prices.(v));
+            row_scale := Float.max !row_scale (Float.abs c)
+          end
+        done;
+        List.iter
+          (fun (u, _) ->
+            let r = p.cost i u -. a.prices.(u) in
+            if r > !best +. (1e-6 *. !row_scale) then
+              report
+                (Printf.sprintf
+                   "cell %d at sink %d: reduced cost %.9g above its minimum %.9g" i u r
+                   !best))
+          fs)
+      a.frac;
+    let tol = mass_tol p in
+    if max_overflow p a <= tol then begin
+      let top = Array.fold_left Float.max neg_infinity a.prices in
+      Array.iteri
+        (fun j pj ->
+          if p.capacities.(j) -. a.load.(j) > tol && pj < top -. (1e-6 *. scale) then
+            report
+              (Printf.sprintf "sink %d has slack but price %.9g below the maximum %.9g"
+                 j pj top))
+        a.prices
+    end
+  end;
   match !bad with None -> Ok () | Some msg -> Error msg
 
 (* Deterministically damage a computed assignment: inflate the first
@@ -430,7 +318,7 @@ let corrupt_assignment a =
 (* Fault-injection shim: tests can force a domain exception or a
    post-solve assignment corruption (caught by the sanitizer) here to
    exercise the fault matrix. *)
-let solve ?max_steps p =
+let solve p =
   Fbp_obs.Obs.count "transport.solves";
   Fbp_obs.Obs.span "transport.solve"
     ~args:(fun () ->
@@ -441,20 +329,20 @@ let solve ?max_steps p =
         (* fbp-lint: allow error-taxonomy — fires only when the fuzz harness arms the registry, which converts it; CLI runs never arm *)
         raise (Fbp_resilience.Inject.Injected msg)
       | fired ->
-        let r = solve_impl ?max_steps p in
+        let r = solve_impl p in
         (match r with
         | Ok a ->
           (match fired with
           | Some Fbp_resilience.Inject.Corrupt -> corrupt_assignment a
           | _ -> ());
           Fbp_resilience.Sanitize.check ~site:"transport.solve"
-            ~invariant:"row/column balance" (fun () -> audit p a)
+            ~invariant:"balance and sink-price certificate" (fun () -> audit p a)
         | Error _ -> ());
         r)
 
 (* Round a fractional assignment to an integral one: each split cell goes to
-   its largest-fraction sink.  Sinks may end up overfull by strictly less
-   than one cell each — the "almost integral" slack the paper absorbs in
+   its largest-fraction sink.  A sink can end up overfull by the mass of
+   the split cells rounded into it — the slack the paper absorbs in
    legalization. *)
 let round_integral a =
   Array.map
@@ -475,13 +363,6 @@ let solve_exact p =
   let n = n_cells p and k = n_sinks p in
   let g = Graph.create (n + k) in
   let arc = Array.make_matrix n k (-1) in
-  let max_cost = ref 0.0 in
-  for i = 0 to n - 1 do
-    for j = 0 to k - 1 do
-      let c = p.cost i j in
-      if c < infinity then max_cost := Float.max !max_cost c
-    done
-  done;
   for i = 0 to n - 1 do
     for j = 0 to k - 1 do
       let c = p.cost i j in
@@ -492,9 +373,9 @@ let solve_exact p =
   let supply = Array.make (n + k) 0.0 in
   Array.iteri (fun i s -> supply.(i) <- s) p.sizes;
   Array.iteri (fun j c -> supply.(n + j) <- -.c) p.capacities;
-  match Mcf.solve g ~supply with
-  | Infeasible _ -> Error "no fractional assignment exists"
-  | Feasible { cost } ->
+  match Mcf.solve_stats g ~supply with
+  | Infeasible _, _ -> Error "no fractional assignment exists"
+  | Feasible { cost }, { Mcf.potentials = pot; _ } ->
     let frac = Array.make n [] in
     for i = 0 to n - 1 do
       for j = 0 to k - 1 do
@@ -505,4 +386,11 @@ let solve_exact p =
         end
       done
     done;
-    Ok { frac; load = loads p frac; cost; converged = true }
+    (* Sink potentials relative to the artificial root (the last entry).  A
+       sink with slack sits at the root's price, except an empty one, which
+       may sit above it; no cell is there, so capping it loses nothing. *)
+    let prices =
+      if Array.length pot = 0 then [||]
+      else Array.init k (fun j -> Float.min 0.0 (pot.(n + j) -. pot.(n + k)))
+    in
+    Ok { frac; load = loads p frac; cost; prices }

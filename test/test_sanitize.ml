@@ -197,6 +197,59 @@ let test_transport_solve_under_sanitizer () =
       | Ok _ -> ()
       | Error e -> Alcotest.fail e)
 
+(* ---------- transport sink-price certificate ---------- *)
+
+(* sink 0 starts 0.5 overfull, so the solver moves half a unit of cell 1
+   (the cheapest to relocate) and prices sink 1 at 1 *)
+let overloaded_transport () =
+  { (transport_problem ()) with Transport.capacities = [| 2.5; 3.5 |] }
+
+let certificate_rejects what p a =
+  match Transport.audit p a with
+  | Ok () -> Alcotest.failf "%s must not verify" what
+  | Error _ -> ()
+
+let test_transport_certificate_accepts_solver_output () =
+  let p = overloaded_transport () in
+  with_sanitize (fun () ->
+      List.iter
+        (fun (what, solve) ->
+          match solve p with
+          | Error e -> Alcotest.fail e
+          | Ok a -> (
+            Alcotest.(check bool) (what ^ ": prices differ") true
+              (a.Transport.prices.(0) <> a.Transport.prices.(1));
+            match Transport.audit p a with
+            | Ok () -> ()
+            | Error msg -> Alcotest.failf "%s output must verify: %s" what msg))
+        [ ("solve", Transport.solve); ("solve_exact", Transport.solve_exact) ])
+
+let test_transport_certificate_catches_perturbed_price () =
+  let p = overloaded_transport () in
+  match Transport.solve p with
+  | Error e -> Alcotest.fail e
+  | Ok a ->
+    (* cheaper to leave sink 0 now: cell 1's share there is no longer at a
+       minimum of cost - price *)
+    let prices = Array.copy a.Transport.prices in
+    prices.(1) <- prices.(1) +. 0.5;
+    certificate_rejects "a perturbed price" p { a with Transport.prices }
+
+let test_transport_certificate_catches_costlier_swap () =
+  let p = overloaded_transport () in
+  match Transport.solve p with
+  | Error e -> Alcotest.fail e
+  | Ok a ->
+    (* cell 0 (size 1) to sink 1 and two thirds of cell 2 (size 1.5) to sink
+       0: every load stays, the cost rises by 4 *)
+    let frac = Array.copy a.Transport.frac in
+    frac.(0) <- [ (1, 1.0) ];
+    frac.(2) <- [ (0, 2.0 /. 3.0); (1, 1.0 /. 3.0) ];
+    let swapped = { a with Transport.frac } in
+    Alcotest.(check bool) "costlier" true
+      (Transport.total_cost p frac > a.Transport.cost +. 3.0);
+    certificate_rejects "a costlier swap" p swapped
+
 (* ---------- CSR structure ---------- *)
 
 let test_csr_validate_frozen () =
@@ -406,6 +459,12 @@ let suite =
       test_transport_audit_catches_tampering;
     Alcotest.test_case "transport: sanitized solve passes" `Quick
       test_transport_solve_under_sanitizer;
+    Alcotest.test_case "transport: certificate verifies" `Quick
+      test_transport_certificate_accepts_solver_output;
+    Alcotest.test_case "transport: perturbed price caught" `Quick
+      test_transport_certificate_catches_perturbed_price;
+    Alcotest.test_case "transport: costlier swap caught" `Quick
+      test_transport_certificate_catches_costlier_swap;
     Alcotest.test_case "csr: frozen matrix validates" `Quick
       test_csr_validate_frozen;
     Alcotest.test_case "csr: sanitized freeze passes" `Quick
