@@ -87,19 +87,56 @@ let solve_global (cfg : Config.t) (nl : Netlist.t) (pos : Placement.t) ?cache
       in
       solve_system cfg sys pos)
 
-(* Reusable net-dedup scratch for [solve_local]: a stamp array over net ids
-   (stamp.(ni) = current epoch means "already collected") plus a growable
-   id buffer.  Replaces the seed's per-call [Hashtbl]: no hashing, no
-   rehash allocations, and collection order is deterministic by
-   construction (cells in order, each cell's net list in order). *)
+(* Reusable scratch of a local QP.  For the net dedup: a stamp array over
+   net ids (stamp.(ni) = current epoch means "already collected") plus a
+   growable id buffer, so there is no hashing and the collection order is
+   fixed by construction (cells in order, each cell's net list in order).
+   For the assembly: the Netmodel workspace. *)
 type scratch = {
   mutable stamp : int array;
   mutable buf : int array;
   mutable epoch : int;
+  workspace : Netmodel.workspace;
 }
 
-let create_scratch () = { stamp = [||]; buf = Array.make 64 0; epoch = 0 }
+let create_scratch () =
+  { stamp = [||]; buf = Array.make 64 0; epoch = 0;
+    workspace = Netmodel.create_workspace () }
 
+(* In-place ascending sort of a.(lo..hi), specialised to ints: [Array.sort
+   Int.compare] pays a closure call per comparison, most of dedup's time on
+   small nodes. *)
+let rec sort_ints (a : int array) lo hi =
+  if hi - lo > 8 then begin
+    let pivot = a.((lo + hi) / 2) in
+    let i = ref lo and j = ref hi in
+    while !i <= !j do
+      while a.(!i) < pivot do incr i done;
+      while a.(!j) > pivot do decr j done;
+      if !i <= !j then begin
+        let t = a.(!i) in
+        a.(!i) <- a.(!j);
+        a.(!j) <- t;
+        incr i;
+        decr j
+      end
+    done;
+    sort_ints a lo !j;
+    sort_ints a !i hi
+  end
+  else
+    for i = lo + 1 to hi do
+      let x = a.(i) in
+      let j = ref (i - 1) in
+      while !j >= lo && a.(!j) > x do
+        a.(!j + 1) <- a.(!j);
+        decr j
+      done;
+      a.(!j + 1) <- x
+    done
+
+(* Deduplicated, sorted ids of every net incident to [cells]; sorting fixes
+   the assembly order. *)
 let dedup_nets scratch ~n_nets ~(cell_nets : int list array)
     ~(cells : int array) =
   if Array.length scratch.stamp < n_nets then begin
@@ -122,14 +159,22 @@ let dedup_nets scratch ~n_nets ~(cell_nets : int list array)
     end
   in
   Array.iter (fun c -> List.iter push cell_nets.(c)) cells;
-  let nets = Array.sub scratch.buf 0 !count in
-  Array.sort Int.compare nets;  (* determinism: fixed assembly order *)
-  nets
+  sort_ints scratch.buf 0 (!count - 1);
+  Array.sub scratch.buf 0 !count
+
+(* The local system over [cells], everything else fixed; only nets touching
+   a cell are assembled. *)
+let assemble_local (cfg : Config.t) (nl : Netlist.t) (pos : Placement.t)
+    scratch ~(cell_nets : int list array) ~(cells : int array) ~anchor =
+  let nets =
+    dedup_nets scratch ~n_nets:(Netlist.n_nets nl) ~cell_nets ~cells
+  in
+  Netmodel.assemble nl pos ~workspace:scratch.workspace ~movable:cells ~nets
+    ~clique_max_degree:cfg.Config.clique_max_degree ~anchor ()
 
 (* Local QP over [cells] only; [cell_nets] is the cached incidence map.
-   Only nets touching a movable cell are assembled.  [scratch] lets a
-   sequential caller (the repartitioner) reuse the dedup arrays across
-   windows. *)
+   [scratch] lets a sequential caller (the repartitioner) reuse the dedup
+   arrays and the assembly workspace across windows. *)
 let solve_local (cfg : Config.t) (nl : Netlist.t) (pos : Placement.t) ?scratch
     ~(cell_nets : int list array) ~(cells : int array) ~anchor () =
   if Array.length cells = 0 then
@@ -138,12 +183,6 @@ let solve_local (cfg : Config.t) (nl : Netlist.t) (pos : Placement.t) ?scratch
     let scratch =
       match scratch with Some s -> s | None -> create_scratch ()
     in
-    let nets =
-      dedup_nets scratch ~n_nets:(Netlist.n_nets nl) ~cell_nets ~cells
-    in
-    let sys =
-      Netmodel.assemble nl pos ~movable:cells ~nets
-        ~clique_max_degree:cfg.Config.clique_max_degree ~anchor ()
-    in
+    let sys = assemble_local cfg nl pos scratch ~cell_nets ~cells ~anchor in
     solve_system cfg sys pos
   end

@@ -26,24 +26,26 @@ val solve_global :
   ?cache:Netmodel.cache ->
   anchor:(int -> (float * float * float * float) option) -> unit -> stats
 
-(** Reusable net-dedup scratch for {!solve_local}: stamp array over net
-    ids plus a growable buffer — allocation-free dedup, deterministic
-    collection order.  Not safe for concurrent use; give each sequential
-    caller its own. *)
+(** Reusable scratch of the local QP: the net-dedup stamp array and id
+    buffer plus a {!Netmodel.workspace}, so a local assembly allocates
+    little beyond the system it returns.  Not safe for concurrent use;
+    give each sequential caller its own. *)
 type scratch
 
 val create_scratch : unit -> scratch
 
-(** Deduplicated, sorted ids of every net incident to [cells].  Epoch-stamp
-    dedup over the scratch — no per-call allocation beyond the result
-    array.  Exposed for realization's per-node net collection. *)
-val dedup_nets :
-  scratch -> n_nets:int -> cell_nets:int list array -> cells:int array ->
-  int array
+(** The local system over [cells], everything else fixed: the sorted,
+    deduplicated nets incident to [cells] ([cell_nets] is the cached
+    incidence map from {!Netlist.cell_nets}) assembled with [scratch]'s
+    workspace.  Exposed for realization's per-node QP. *)
+val assemble_local :
+  Config.t -> Netlist.t -> Placement.t -> scratch ->
+  cell_nets:int list array -> cells:int array ->
+  anchor:(int -> (float * float * float * float) option) -> Netmodel.system
 
-(** Local QP over [cells] only, everything else fixed; [cell_nets] is the
-    cached incidence map from {!Netlist.cell_nets}.  [scratch] reuses the
-    net-dedup arrays across calls (one is allocated per call otherwise). *)
+(** Local QP over [cells] only, everything else fixed.  [scratch] reuses
+    the dedup arrays and the assembly workspace across calls (one is
+    allocated per call otherwise). *)
 val solve_local :
   Config.t -> Netlist.t -> Placement.t ->
   ?scratch:scratch ->

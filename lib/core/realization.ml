@@ -149,11 +149,11 @@ let realize ?(on_step : (step -> unit) option) (cfg : Config.t)
         node_list
     in
     if ready = [] then begin
-      (* should not happen after cycle cancellation; break ties by releasing
-         the smallest node to avoid deadlock on numerical residue *)
+      (* The placer's flows carry no cycle, but a hand-built solution can
+         (test "realization flushes cycle residue"): release the smallest
+         remaining node so the waves still drain. *)
       let n = List.find (Hashtbl.mem remaining) node_list in
-      Hashtbl.replace degree n 0;
-      ignore n
+      Hashtbl.replace degree n 0
     end
     else begin
       incr n_waves;
@@ -210,7 +210,6 @@ let realize ?(on_step : (step -> unit) option) (cfg : Config.t)
       (c, proj.Point.x, proj.Point.y, To_piece pid, true)
     end
   in
-  let n_nets = Netlist.n_nets nl in
   (* Inputs of one node, snapshotted from the shared [members]/[outgoing]
      tables *before* the parallel map: worker domains must never touch the
      mutable tables (unsynchronized Hashtbl reads race with the commit
@@ -236,7 +235,7 @@ let realize ?(on_step : (step -> unit) option) (cfg : Config.t)
   (* process one node against read-only inputs; returns the moves plus the
      local-QP solver stats (recorded by the caller post-join in wave order,
      so the metrics stream stays deterministic at any domain count).
-     [scratch] is chunk-private (net-dedup stamp arrays). *)
+     [scratch] is chunk-private (net dedup and assembly workspace). *)
   let process_node ~scratch ni =
     let w = ni.nw and m = ni.nm in
     let cells = ni.ncells and transit_arcs = ni.narcs in
@@ -246,14 +245,12 @@ let realize ?(on_step : (step -> unit) option) (cfg : Config.t)
       (* 1. local QP for connectivity (optional) *)
       let qx = ni.nqx and qy = ni.nqy in
       if cfg.Config.local_qp && Array.length cells > 1 then begin
-        let nets = Qp.dedup_nets scratch ~n_nets ~cell_nets ~cells in
         let win_rect = grid.Grid.windows.(w).Grid.rect in
         let ctr = Rect.center win_rect in
+        let pull = Some (1e-4, ctr.Point.x, 1e-4, ctr.Point.y) in
         let sys =
-          Netmodel.assemble nl pos ~movable:cells ~nets
-            ~clique_max_degree:cfg.Config.clique_max_degree
-            ~anchor:(fun _ -> Some (1e-4, ctr.Point.x, 1e-4, ctr.Point.y))
-            ()
+          Qp.assemble_local cfg nl pos scratch ~cell_nets ~cells
+            ~anchor:(fun _ -> pull)
         in
         let xv = Array.make sys.Netmodel.n_vars 0.0 in
         let yv = Array.make sys.Netmodel.n_vars 0.0 in
@@ -426,7 +423,7 @@ let realize ?(on_step : (step -> unit) option) (cfg : Config.t)
     match lease with Some l -> Fbp_util.Pool.lease_helpers l | None -> 0
   in
   let d0 = Fbp_util.Pool.n_dispatches () in
-  (* Chunk-private net-dedup scratches, persistent across waves (slot [c]
+  (* Chunk-private local-QP scratches, persistent across waves (slot [c]
      is only ever touched by the owner of chunk [c - 1]; the lease's
      completion latch orders cross-wave reuse).  Slot 0 backs the
      sequential fast path. *)

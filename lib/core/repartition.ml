@@ -34,7 +34,7 @@ let sweep ?(span = 2) (cfg : Config.t) (inst : Fbp_movebound.Instance.t)
     ~(piece_of_cell : int array) ~(cell_nets : int list array) =
   let t0 = Fbp_util.Timer.now () in
   let nl = inst.Fbp_movebound.Instance.design.Design.netlist in
-  (* net-dedup scratch shared across this sweep's local QPs *)
+  (* net-dedup and assembly scratch shared across this sweep's local QPs *)
   let qp_scratch = Qp.create_scratch () in
   let hpwl_before = Hpwl.total nl pos in
   let n_blocks = ref 0 and n_moved = ref 0 in

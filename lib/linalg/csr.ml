@@ -11,9 +11,11 @@
      (the seed used three boxed lists: ~3 allocations per triplet and a
      full unspool at freeze);
    - [freeze] dedups each row with a stamp array over column ids instead of
-     a per-row [Hashtbl] (O(1) per entry, allocation-free), and sorts row
-     segments with an in-place dual-array quicksort instead of boxing
-     (col, val) tuples;
+     a per-row [Hashtbl] (O(1) per entry), and sorts row segments with an
+     in-place dual-array quicksort instead of boxing (col, val) tuples;
+   - a caller that freezes repeatedly passes a [scratch], so the counting
+     sort, the grouped triplets and the stamps reuse the same arrays and a
+     freeze allocates only the matrix it returns;
    - across QP rounds the sparsity pattern is fixed (same nets, same
      movable set), so [freeze_capture] additionally records the symbolic
      structure — the raw triplet (row, col) sequence plus a permutation
@@ -38,11 +40,21 @@ type t = {
 }
 
 type builder = {
-  dim : int;
+  mutable dim : int;
   mutable rows : int array;   (* triplets, insertion order *)
   mutable cols : int array;
   mutable vals : float array;
   mutable count : int;
+}
+
+(* [freeze]'s temporaries; each grows on demand and is never shrunk *)
+type scratch = {
+  mutable row_count : int array;  (* n+1: row histogram, then row starts *)
+  mutable cursor : int array;     (* n+1: scatter position per row *)
+  mutable gcol : int array;       (* m: triplets grouped by row, then the *)
+  mutable gval : float array;     (*    deduplicated rows, in place *)
+  mutable stamp : int array;      (* n *)
+  mutable slot_of : int array;    (* n *)
 }
 
 type structure = {
@@ -92,10 +104,22 @@ let add_spring b i j w =
 (* Diagonal-only convenience (anchors / fixed-pin stiffness). *)
 let add_diag b i w = add b ~row:i ~col:i w
 
-let builder_dim b = b.dim
-let builder_count b = b.count
+let create_scratch () =
+  { row_count = [||]; cursor = [||]; gcol = [||]; gval = [||]; stamp = [||];
+    slot_of = [||] }
 
-let reset b = b.count <- 0
+(* Grow [sc] to dimension [n] and [m] triplets; contents are not kept. *)
+let reserve sc n m =
+  let ints a k =
+    if Array.length a >= k then a else Array.make (max k (2 * Array.length a)) 0
+  in
+  sc.row_count <- ints sc.row_count (n + 1);
+  sc.cursor <- ints sc.cursor (n + 1);
+  sc.gcol <- ints sc.gcol m;
+  if Array.length sc.gval < m then
+    sc.gval <- Array.make (max m (2 * Array.length sc.gval)) 0.0;
+  sc.stamp <- ints sc.stamp n;
+  sc.slot_of <- ints sc.slot_of n
 
 (* Structural well-formedness: monotone row pointers, strictly increasing
    in-range columns per row, finite values.  Returns the first violation. *)
@@ -149,7 +173,7 @@ let validate t =
    avoids the boxed (col, val) pairs the seed sorted.  Row segments are
    usually tiny; star rows can be wide, hence quicksort over insertion
    sort. *)
-let rec sort_segment cols vals lo hi =
+let rec sort_segment (cols : int array) (vals : float array) lo hi =
   if hi - lo > 8 then begin
     let pivot = cols.((lo + hi) / 2) in
     let i = ref lo and j = ref hi in
@@ -183,16 +207,17 @@ let rec sort_segment cols vals lo hi =
       vals.(!j + 1) <- v
     done
 
-(* Shared freeze core: returns the CSR plus (when [capture]) the raw
-   triplet copy needed for symbolic reuse. *)
-let freeze_core b =
+(* Shared freeze core over the temporaries in [sc]. *)
+let freeze_core sc b =
   let n = b.dim in
   let m = b.count in
+  reserve sc n m;
   (* counting sort by row; the scatter is stable, so within a row the
      insertion order is preserved (duplicate accumulation order below is
      therefore the insertion order — the determinism contract [refreeze]
      relies on) *)
-  let count = Array.make (n + 1) 0 in
+  let count = sc.row_count in
+  Array.fill count 0 (n + 1) 0;
   for k = 0 to m - 1 do
     let r = Array.unsafe_get b.rows k in
     count.(r + 1) <- count.(r + 1) + 1
@@ -200,8 +225,9 @@ let freeze_core b =
   for i = 1 to n do
     count.(i) <- count.(i) + count.(i - 1)
   done;
-  let gcol = Array.make m 0 and gval = Array.make m 0.0 in
-  let cursor = Array.copy count in
+  let gcol = sc.gcol and gval = sc.gval in
+  let cursor = sc.cursor in
+  Array.blit count 0 cursor 0 (n + 1);
   for k = 0 to m - 1 do
     let r = Array.unsafe_get b.rows k in
     let at = cursor.(r) in
@@ -210,10 +236,12 @@ let freeze_core b =
     cursor.(r) <- at + 1
   done;
   (* per-row dedup via stamp arrays over column ids: stamp.(c) = r marks
-     column c as seen in row r, slot_of.(c) its accumulation slot *)
+     column c as seen in row r, slot_of.(c) its accumulation slot.  Slots
+     are compacted in place: slot !nnz never lies past the entry being
+     read, and every entry before it has been consumed *)
   let row_start = Array.make (n + 1) 0 in
-  let col_acc = Array.make m 0 and val_acc = Array.make m 0.0 in
-  let stamp = Array.make n (-1) and slot_of = Array.make n 0 in
+  let stamp = sc.stamp and slot_of = sc.slot_of in
+  Array.fill stamp 0 n (-1);
   let nnz = ref 0 in
   for r = 0 to n - 1 do
     row_start.(r) <- !nnz;
@@ -221,14 +249,14 @@ let freeze_core b =
       let c = Array.unsafe_get gcol idx in
       if Array.unsafe_get stamp c = r then begin
         let slot = Array.unsafe_get slot_of c in
-        Array.unsafe_set val_acc slot
-          (Array.unsafe_get val_acc slot +. Array.unsafe_get gval idx)
+        Array.unsafe_set gval slot
+          (Array.unsafe_get gval slot +. Array.unsafe_get gval idx)
       end
       else begin
         Array.unsafe_set stamp c r;
         Array.unsafe_set slot_of c !nnz;
-        Array.unsafe_set col_acc !nnz c;
-        Array.unsafe_set val_acc !nnz (Array.unsafe_get gval idx);
+        Array.unsafe_set gcol !nnz c;
+        Array.unsafe_set gval !nnz (Array.unsafe_get gval idx);
         incr nnz
       end
     done
@@ -239,26 +267,26 @@ let freeze_core b =
      checkable invariant (see [validate]) *)
   for r = 0 to n - 1 do
     let lo = row_start.(r) and hi = row_start.(r + 1) in
-    if hi - lo > 1 then sort_segment col_acc val_acc lo (hi - 1)
+    if hi - lo > 1 then sort_segment gcol gval lo (hi - 1)
   done;
   {
     n;
     row_start;
-    col = Array.sub col_acc 0 !nnz;
-    value = Array.sub val_acc 0 !nnz;
+    col = Array.sub gcol 0 !nnz;
+    value = Array.sub gval 0 !nnz;
   }
 
 let check_frozen ~site t =
   Fbp_resilience.Sanitize.check ~site ~invariant:"CSR well-formedness"
     (fun () -> validate t)
 
-let freeze b =
-  let t = freeze_core b in
+let freeze ?(scratch = create_scratch ()) b =
+  let t = freeze_core scratch b in
   check_frozen ~site:"csr.freeze" t;
   t
 
 (* Binary search for [c] in the sorted row segment [lo, hi). *)
-let find_slot col lo hi c =
+let find_slot (col : int array) lo hi c =
   let lo = ref lo and hi = ref (hi - 1) in
   let found = ref (-1) in
   while !found < 0 && !lo <= !hi do
@@ -270,8 +298,8 @@ let find_slot col lo hi c =
   done;
   !found
 
-let freeze_capture b =
-  let t = freeze_core b in
+let freeze_capture ?(scratch = create_scratch ()) b =
+  let t = freeze_core scratch b in
   check_frozen ~site:"csr.freeze" t;
   let m = b.count in
   let perm = Array.make m 0 in

@@ -148,6 +148,139 @@ let test_qp_star_matches_small_clique_roughly () =
     Alcotest.(check (float 1e-2)) "pulled to pad y" 10.0 pos.Placement.y.(c)
   done
 
+(* ---------- Netmodel workspace ---------- *)
+
+let local_system_inputs design ~lo ~hi =
+  let nl = design.Design.netlist in
+  let cell_nets = Netlist.cell_nets nl in
+  let movable = Array.init (hi - lo) (fun i -> lo + i) in
+  let nets =
+    Array.to_list movable
+    |> List.concat_map (fun c -> cell_nets.(c))
+    |> List.sort_uniq Int.compare |> Array.of_list
+  in
+  (movable, nets)
+
+let assemble ?workspace design ~movable ~nets ~anchor =
+  Netmodel.assemble design.Design.netlist design.Design.initial ?workspace
+    ~movable ~nets ~clique_max_degree:3 ~anchor ()
+
+let system_bits (sys : Netmodel.system) =
+  let entries a =
+    let l = ref [] in
+    Fbp_linalg.Csr.iter_entries a (fun r c v ->
+        l := (r, c, Int64.bits_of_float v) :: !l);
+    List.rev !l
+  in
+  let bits = Array.map Int64.bits_of_float in
+  ( sys.Netmodel.n_vars,
+    sys.Netmodel.cells,
+    (entries sys.Netmodel.ax, bits sys.Netmodel.bx),
+    (entries sys.Netmodel.ay, bits sys.Netmodel.by) )
+
+(* A reused workspace must give the fresh workspace's system bit for bit,
+   whatever it assembled before: a larger netlist, another movable set of
+   the same netlist, or a call whose [anchor] raised half-way. *)
+let test_netmodel_workspace_reuse () =
+  let design = Generator.quick ~seed:5 300 in
+  let movable, nets = local_system_inputs design ~lo:40 ~hi:100 in
+  let pull = Some (1e-4, 50.0, 1e-4, 40.0) in
+  let anchor _ = pull in
+  let fresh = system_bits (assemble design ~movable ~nets ~anchor) in
+  let n_vars, _, _, _ = fresh in
+  Alcotest.(check bool) "the local system has star vars" true
+    (n_vars > Array.length movable);
+  let same_after label prior =
+    let workspace = Netmodel.create_workspace () in
+    prior workspace;
+    let reused = assemble ~workspace design ~movable ~nets ~anchor in
+    Alcotest.(check bool) label true (system_bits reused = fresh)
+  in
+  same_after "after a larger netlist" (fun workspace ->
+      let big = Generator.quick ~seed:9 800 in
+      let all = Qp.all_movable big.Design.netlist in
+      ignore
+        (Netmodel.assemble big.Design.netlist big.Design.initial ~workspace
+           ~movable:all ~clique_max_degree:3 ~anchor ()));
+  same_after "after another movable set" (fun workspace ->
+      let movable, nets = local_system_inputs design ~lo:150 ~hi:260 in
+      ignore (assemble ~workspace design ~movable ~nets ~anchor));
+  same_after "after an anchor that raised" (fun workspace ->
+      let calls = ref 0 in
+      let raising c =
+        incr calls;
+        if !calls > 30 then raise Exit else anchor c
+      in
+      match assemble ~workspace design ~movable ~nets ~anchor:raising with
+      | _ -> Alcotest.fail "anchor must raise"
+      | exception Exit -> ())
+
+(* Words allocated by [f ()], counted exactly: the minor counter plus
+   direct major allocations (arrays over 256 words skip the minor heap). *)
+let allocated_words f =
+  let words () =
+    let _, promoted, major = Gc.counters () in
+    Gc.minor_words () +. major -. promoted
+  in
+  let w0 = words () in
+  let r = f () in
+  let w1 = words () in
+  (r, int_of_float (w1 -. w0))
+
+(* With a warmed workspace an assembly allocates only the system it returns
+   (plus closures and option boxes), and [~nets:[||]] assembles no net at
+   all, whatever the size of the netlist. *)
+let test_netmodel_allocation_budget () =
+  let slack = 256 in
+  let design = Generator.quick ~seed:5 300 in
+  let movable, nets = local_system_inputs design ~lo:40 ~hi:100 in
+  let pull = Some (1e-4, 50.0, 1e-4, 40.0) in
+  let anchor _ = pull in
+  let workspace = Netmodel.create_workspace () in
+  ignore (assemble ~workspace design ~movable ~nets ~anchor);
+  let sys, words =
+    allocated_words (fun () -> assemble ~workspace design ~movable ~nets ~anchor)
+  in
+  let returned = Obj.reachable_words (Obj.repr sys) in
+  if words > returned + slack then
+    Alcotest.failf "local assembly allocated %d words for a %d-word system"
+      words returned;
+  (* cell 0 has no net; every other cell hangs off a pad by [n_nets] nets *)
+  let no_nets_words n_nets =
+    let n_cells = 50 in
+    let nl =
+      {
+        Netlist.n_cells;
+        names = Array.init n_cells (Printf.sprintf "c%d");
+        widths = Array.make n_cells 1.0;
+        heights = Array.make n_cells 1.0;
+        fixed = Array.make n_cells false;
+        movebound = Array.make n_cells (-1);
+        nets =
+          Array.init n_nets (fun i ->
+              { Netlist.weight = 1.0;
+                pins = [| { Netlist.cell = -1; dx = 0.0; dy = 0.0 };
+                          { Netlist.cell = 1 + (i mod (n_cells - 1));
+                            dx = 0.0; dy = 0.0 } |] });
+      }
+    in
+    let pos = Placement.create n_cells in
+    let workspace = Netmodel.create_workspace () in
+    let run () =
+      Netmodel.assemble nl pos ~workspace ~movable:[| 0 |] ~nets:[||]
+        ~clique_max_degree:3 ~anchor:(fun _ -> None) ()
+    in
+    ignore (run ());
+    let sys, words = allocated_words run in
+    Alcotest.(check int) "only the regularizer" 1
+      (Fbp_linalg.Csr.nnz sys.Netmodel.ax);
+    words
+  in
+  let small = no_nets_words 10_000 and large = no_nets_words 40_000 in
+  if small > slack || large > small then
+    Alcotest.failf "~nets:[||] allocated %d words at 10k nets, %d at 40k" small
+      large
+
 (* ---------- FBP model ---------- *)
 
 let small_instance ?(n_cells = 400) ?(seed = 3) () =
@@ -535,6 +668,10 @@ let suite =
     Alcotest.test_case "qp spring chain" `Quick test_qp_spring_chain;
     Alcotest.test_case "qp anchor" `Quick test_qp_anchor_pulls;
     Alcotest.test_case "qp star model" `Quick test_qp_star_matches_small_clique_roughly;
+    Alcotest.test_case "netmodel workspace reuse is bit-identical" `Quick
+      test_netmodel_workspace_reuse;
+    Alcotest.test_case "netmodel allocation budget" `Quick
+      test_netmodel_allocation_budget;
     Alcotest.test_case "fbp model size linear in windows" `Quick test_fbp_model_size_linear;
     Alcotest.test_case "fbp model feasible + conserving" `Quick test_fbp_model_feasible_and_conserving;
     Alcotest.test_case "fbp model detects infeasible" `Quick test_fbp_model_infeasible_detected;
