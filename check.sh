@@ -111,6 +111,16 @@ for key in schema available wall_us stw_count minor_us major_us domains \
 done
 grep -q '"schema":"fbp-profile"' "$tmp/profile.json" \
   || { echo "profile.json has wrong schema tag"; exit 1; }
+# domain budget: at --domains 1 a placement runs on the calling domain
+# alone.  A design above Qp.qp_seq_vars (4096) variables reaches the
+# global QP's x/y fork, so a worker domain in the summary means some
+# region ignored Config.domains (wid -1 is the caller)
+$fbp generate --cells 5000 --seed 11 -o "$tmp/budget.book" >/dev/null
+$fbp profile "$tmp/budget.book" --domains 1 --json "$tmp/budget.json" >/dev/null \
+  || { echo "fbp_place profile --domains 1 failed"; exit 1; }
+extra="$(grep -o '"wid":-\{0,1\}[0-9]*' "$tmp/budget.json" | grep -v '^"wid":-1$' || true)"
+[ -z "$extra" ] \
+  || { echo "profile at --domains 1 lists domains besides the caller: $extra"; exit 1; }
 # the degraded path (no runtime events) must still produce a summary
 FBP_PROFILE_FORCE_UNAVAILABLE=1 $fbp profile "$tmp/smoke.book" --movebounds 2 \
   --json "$tmp/profile-na.json" >/dev/null \

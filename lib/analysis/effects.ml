@@ -201,8 +201,7 @@ let is_raise_head = function
 let region_entries =
   [
     ("Fbp_util.Pool.run_chunks", 0); ("Fbp_util.Pool.fork2", 0);
-    ("Fbp_util.Pool.reduce", 0); ("Fbp_util.Pool.lease_run", 1);
-    ("Fbp_util.Pool.set_profile_hook", 0);
+    ("Fbp_util.Pool.lease_run", 1); ("Fbp_util.Pool.set_profile_hook", 0);
   ]
 
 (* Stateful containers whose free-variable hand-off into a parallel

@@ -308,11 +308,10 @@ let expression_rules ~sc ~(add : adder) st =
 (* --------------------------------------------------- domain-safety rule *)
 
 (* Fbp_util.Pool entry points whose closures run on worker domains.  Every
-   positional argument is a closure there ([fork2] takes two, [reduce]'s
-   combiner also runs on workers; [set_profile_hook]'s callback fires on
-   every worker's scheduling transitions). *)
-let pool_entries =
-  [ "run_chunks"; "fork2"; "reduce"; "lease_run"; "set_profile_hook" ]
+   positional argument is a closure there ([fork2] takes two;
+   [set_profile_hook]'s callback fires on every worker's scheduling
+   transitions). *)
+let pool_entries = [ "run_chunks"; "fork2"; "lease_run"; "set_profile_hook" ]
 
 let is_parallel_entry parts =
   match List.rev parts with

@@ -86,9 +86,11 @@ let place ?(config = Fbp_core.Config.default) (inst0 : Fbp_movebound.Instance.t)
                 inst.Fbp_movebound.Instance.movebounds.(mb).Fbp_movebound.Movebound.area
                 q
           in
-          let cost i j =
-            if not (admissible cells.(i) quads.(j)) then infinity
-            else Rect.dist_l1_point quads.(j) (Placement.get pos cells.(i))
+          let cost =
+            Array.init (Array.length cells * 4) (fun ij ->
+                let i = ij / 4 and j = ij mod 4 in
+                if not (admissible cells.(i) quads.(j)) then infinity
+                else Rect.dist_l1_point quads.(j) (Placement.get pos cells.(i)))
           in
           let sizes = Array.map (fun c -> Netlist.size nl c) cells in
           let problem =
@@ -103,7 +105,7 @@ let place ?(config = Fbp_core.Config.default) (inst0 : Fbp_movebound.Instance.t)
                 (fun i _ ->
                   let best = ref 0 and bestc = ref infinity in
                   for j = 0 to 3 do
-                    let c = cost i j in
+                    let c = cost.((i * 4) + j) in
                     let c = if Float.equal c infinity then 1e18 else c in
                     if c < !bestc then begin
                       bestc := c;

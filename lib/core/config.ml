@@ -11,7 +11,8 @@ type t = {
   cg_tol : float;
   cg_max_iter : int;
   coarse_span : int;  (* realization window reaches this many windows out *)
-  domains : int;  (* parallel domains for realization (1 = sequential) *)
+  domains : int;  (* parallel domains for the global QP's x/y solves and
+                     realization's waves (1 = sequential) *)
   hw_clamp : bool;  (* clamp [domains] to physical cores in hot paths;
                        results are identical either way — disable only to
                        exercise parallel paths on small machines (tests) *)
@@ -40,3 +41,11 @@ let default =
     strict = false;
     verbose = false;
   }
+
+(* The domain budget of the parallel regions: [domains], clamped to the
+   cores when [hw_clamp] is on.  Realization's lease and the global QP's
+   x/y fork both take it, so [domains = 1] means no worker domain at all. *)
+let effective_domains cfg =
+  max 1
+    (if cfg.hw_clamp then min cfg.domains Fbp_util.Pool.hardware_domains
+     else cfg.domains)

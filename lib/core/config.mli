@@ -10,7 +10,8 @@ type t = {
   cg_max_iter : int;
   coarse_span : int;  (** realization window reach, in windows *)
   domains : int;
-      (** parallel domains for realization (1 = sequential).  The default
+      (** parallel domains for the global QP's x/y solves and realization's
+          waves (1 = sequential); see {!effective_domains}.  The default
           follows {!Fbp_util.Pool.get_default_domains}, i.e. [FBP_DOMAINS]
           when set.  Results are bit-identical at any value. *)
   hw_clamp : bool;
@@ -35,3 +36,10 @@ type t = {
 
 (** Paper-faithful defaults (97% density etc.). *)
 val default : t
+
+(** The domain budget every parallel region of a placement runs under:
+    [domains] (at least 1), clamped to {!Fbp_util.Pool.hardware_domains}
+    when [hw_clamp] is set.  Realization's lease and the global QP's x/y
+    {!Fbp_util.Pool.fork2} both take it, so [domains = 1] spawns no worker
+    domain. *)
+val effective_domains : t -> int

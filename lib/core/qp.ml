@@ -35,19 +35,22 @@ let solve_system (cfg : Config.t) (sys : Netmodel.system) (pos : Placement.t) =
     end
   done;
   (* The two axis systems are independent, so they run concurrently on the
-     pool.  Each solve defers its metrics ([record:false]); we record them
-     after the join in fixed x-then-y order, keeping observation streams
-     deterministic regardless of interleaving. *)
+     pool, within the config's domain budget; the CG kernels inside each
+     solve stay on its domain.  Each solve defers its metrics
+     ([record:false]); we record them after the join in fixed x-then-y
+     order, keeping observation streams deterministic regardless of
+     interleaving. *)
   let solve a b v () =
     Fbp_linalg.Cg.solve ~record:false ~max_iter:cfg.Config.cg_max_iter
       ~tol:cfg.Config.cg_tol a b v
   in
+  let domains = Config.effective_domains cfg in
   let sx, sy =
-    if nv < qp_seq_vars || Fbp_util.Pool.hardware_domains < 2 then
+    if nv < qp_seq_vars || domains < 2 then
       ( solve sys.Netmodel.ax sys.Netmodel.bx x (),
         solve sys.Netmodel.ay sys.Netmodel.by y () )
     else
-      Fbp_util.Pool.fork2
+      Fbp_util.Pool.fork2 ~domains
         (solve sys.Netmodel.ax sys.Netmodel.bx x)
         (solve sys.Netmodel.ay sys.Netmodel.by y)
   in

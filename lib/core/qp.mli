@@ -10,8 +10,9 @@ type stats = {
 }
 
 (** Solve an assembled system, writing cell positions back into the
-    placement (star variables are discarded).  The x- and y-axis CG solves
-    run concurrently on the domain pool; metrics are recorded after the
+    placement (star variables are discarded).  From 4096 variables on,
+    the x- and y-axis CG solves run concurrently on the domain pool,
+    within {!Config.effective_domains}; metrics are recorded after the
     join in fixed x-then-y order, so observation streams stay
     deterministic. *)
 val solve_system : Config.t -> Netmodel.system -> Placement.t -> stats

@@ -309,13 +309,28 @@ let realize ?(on_step : (step -> unit) option) (cfg : Config.t)
            feasible; legalization absorbs the slack *)
         let scale = if total_cap < total_size then total_size /. total_cap +. 1e-6 else 1.0 in
         let sink_caps = Array.map (fun (_, c) -> c *. scale) sinks in
-        let sink_cost i j =
-          let pt = Point.make qx.(i) qy.(i) in
-          match fst sinks.(j) with
-          | `Piece pid -> Rect_set.dist_l1_point grid.Grid.pieces.(pid).Grid.area pt
-          | `Transit (e : Fbp_model.external_flow) ->
-            Point.dist_l1 pt (Grid.boundary_point grid w e.Fbp_model.from_dir)
+        (* per-unit cost: L1 distance from the cell's QP position to the
+           piece, or to the window boundary the transit arc leaves by *)
+        let dist_to =
+          Array.map
+            (fun (sink, _) ->
+              match sink with
+              | `Piece pid ->
+                let area = grid.Grid.pieces.(pid).Grid.area in
+                fun pt -> Rect_set.dist_l1_point area pt
+              | `Transit (e : Fbp_model.external_flow) ->
+                let b = Grid.boundary_point grid w e.Fbp_model.from_dir in
+                fun pt -> Point.dist_l1 pt b)
+            sinks
         in
+        let k = Array.length sinks in
+        let sink_cost = Array.make (Array.length cells * k) 0.0 in
+        for i = 0 to Array.length cells - 1 do
+          let pt = Point.make qx.(i) qy.(i) in
+          for j = 0 to k - 1 do
+            sink_cost.((i * k) + j) <- dist_to.(j) pt
+          done
+        done;
         let problem =
           {
             Transport.sizes = Array.map (fun c -> Netlist.size nl c) cells;
@@ -406,15 +421,11 @@ let realize ?(on_step : (step -> unit) option) (cfg : Config.t)
   in
   (* piece loads for the overfill audit *)
   let piece_load = Array.make (Grid.n_pieces grid) 0.0 in
-  (* Clamp to physical cores: beyond them, extra domains only time-slice
+  (* Clamped to physical cores: beyond them, extra domains only time-slice
      and add wakeup latency (results are domain-count-invariant anyway).
      One resident lease serves every wave — workers park between waves
      instead of paying a fork/join pair per wave. *)
-  let eff_domains =
-    if cfg.Config.hw_clamp then
-      min cfg.Config.domains Fbp_util.Pool.hardware_domains
-    else cfg.Config.domains
-  in
+  let eff_domains = Config.effective_domains cfg in
   let lease =
     if eff_domains > 1 then Some (Fbp_util.Pool.lease ~domains:eff_domains ())
     else None

@@ -81,11 +81,18 @@ let sweep ?(span = 2) (cfg : Config.t) (inst : Fbp_movebound.Instance.t)
             regions.Fbp_movebound.Regions.regions.(grid.Grid.pieces.(pid).Grid.region)
             ~mb:mbi
         in
-        let cost i j =
-          let c = cells.(i) and pid = piece_arr.(j) in
-          if not (admissible c pid) then infinity
-          else Rect_set.dist_l1_point grid.Grid.pieces.(pid).Grid.area (Placement.get pos c)
-        in
+        let k = Array.length piece_arr in
+        let cost = Array.make (Array.length cells * k) infinity in
+        Array.iteri
+          (fun i c ->
+            let pt = Placement.get pos c in
+            for j = 0 to k - 1 do
+              let pid = piece_arr.(j) in
+              if admissible c pid then
+                cost.((i * k) + j) <-
+                  Rect_set.dist_l1_point grid.Grid.pieces.(pid).Grid.area pt
+            done)
+          cells;
         let sizes = Array.map (fun c -> Netlist.size nl c) cells in
         let caps = Array.map (fun pid -> grid.Grid.pieces.(pid).Grid.capacity) piece_arr in
         (* the incoming assignment may exceed nominal capacities by the

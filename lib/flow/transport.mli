@@ -5,14 +5,17 @@
     paths with sink prices over the k-node sink graph, whose arcs carry
     per-unit relocation deltas maintained in lazily-invalidated heaps.  The
     result is optimal, and it respects capacities whenever a fractional
-    solution exists. *)
+    solution exists.  A solve allocates its set-up (heaps and O(n + k)
+    work arrays) and its result, nothing per augmenting path. *)
 
 type problem = {
   sizes : float array;  (** cell sizes (mass) *)
   capacities : float array;  (** sink capacities *)
-  cost : int -> int -> float;
-      (** per-unit movement cost; [infinity] marks an inadmissible pair
-          (movebound of the cell does not cover the sink) *)
+  cost : float array;
+      (** per-unit movement cost, row-major: cell [i] at sink [j] is entry
+          [i * k + j] of the n·k matrix, filled once by the caller;
+          [infinity] marks an inadmissible pair (movebound of the cell
+          does not cover the sink) *)
 }
 
 type assignment = {
@@ -28,7 +31,8 @@ type assignment = {
 
 (** Exact solver; [Error] when some cell has no admissible sink.  When no
     fractional assignment exists the result is a minimum-overload one,
-    seen as [max_overflow > 0]. *)
+    seen as [max_overflow > 0].  Raises [Invalid_argument] when there is
+    no sink or the cost matrix does not have n·k entries. *)
 val solve : problem -> (assignment, string) result
 
 (** Exact reference via min-cost flow with one node per cell — O(n·k) arcs,

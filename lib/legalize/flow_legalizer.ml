@@ -106,16 +106,21 @@ let run (inst : Fbp_movebound.Instance.t) (regions : Fbp_movebound.Regions.t)
         else begin
           let cells = Array.of_list (List.sort Int.compare cells) in
           (* zone flow: cells -> segments *)
-          let cost i j =
-            let c = cells.(i) and seg = segments.(j) in
-            let cx = pos.Placement.x.(c) and cy = pos.Placement.y.(c) in
-            let dx =
-              if cx < seg.Rows.x0 then seg.Rows.x0 -. cx
-              else if cx > seg.Rows.x1 then cx -. seg.Rows.x1
-              else 0.0
-            in
-            dx +. Float.abs (cy -. seg.Rows.y)
-          in
+          let k = Array.length segments in
+          let cost = Array.make (Array.length cells * k) 0.0 in
+          Array.iteri
+            (fun i c ->
+              let cx = pos.Placement.x.(c) and cy = pos.Placement.y.(c) in
+              for j = 0 to k - 1 do
+                let seg = segments.(j) in
+                let dx =
+                  if cx < seg.Rows.x0 then seg.Rows.x0 -. cx
+                  else if cx > seg.Rows.x1 then cx -. seg.Rows.x1
+                  else 0.0
+                in
+                cost.((i * k) + j) <- dx +. Float.abs (cy -. seg.Rows.y)
+              done)
+            cells;
           let problem =
             {
               Fbp_flow.Transport.sizes =

@@ -26,11 +26,9 @@
      accumulation order equals the fresh-freeze order (insertion order per
      duplicate group), so a reused and a fresh assembly are bit-identical.
 
-   [mul] runs row-chunked on the domain pool; each row's accumulation is a
-   fixed sequential sum, so the product does not depend on the domain
-   count. *)
-
-module Pool = Fbp_util.Pool
+   [mul] is a plain row loop on the calling domain: the solves that call
+   it are what runs in parallel (DESIGN §9).  Each row's accumulation is a
+   fixed sequential sum. *)
 
 type t = {
   n : int;                 (* square dimension *)
@@ -360,33 +358,21 @@ let refreeze s b =
 let dim t = t.n
 let nnz t = t.row_start.(t.n)
 
-(* Rows per parallel chunk in [mul]; each row is an independent fixed
-   sequential accumulation, so chunking never affects the product. *)
-let mul_grain = 2048
-
 (* out <- A x *)
 let mul t x out =
   if Array.length x <> t.n || Array.length out <> t.n then
     invalid_arg "Csr.mul: dimension mismatch";
   let row_start = t.row_start and col = t.col and value = t.value in
-  let rows lo hi =
-    for r = lo to hi - 1 do
-      let acc = ref 0.0 in
-      for k = Array.unsafe_get row_start r to Array.unsafe_get row_start (r + 1) - 1 do
-        acc :=
-          !acc
-          +. (Array.unsafe_get value k
-              *. Array.unsafe_get x (Array.unsafe_get col k))
-      done;
-      Array.unsafe_set out r !acc
-    done
-  in
-  let k = Fbp_util.Pool.n_chunks ~grain:mul_grain t.n in
-  if k <= 1 then rows 0 t.n
-  else
-    Pool.run_chunks ~n_chunks:k (fun c ->
-        let lo, hi = Pool.chunk_bounds ~n:t.n ~n_chunks:k c in
-        rows lo hi)
+  for r = 0 to t.n - 1 do
+    let acc = ref 0.0 in
+    for k = Array.unsafe_get row_start r to Array.unsafe_get row_start (r + 1) - 1 do
+      acc :=
+        !acc
+        +. (Array.unsafe_get value k
+            *. Array.unsafe_get x (Array.unsafe_get col k))
+    done;
+    Array.unsafe_set out r !acc
+  done
 
 let diagonal t =
   let d = Array.make t.n 0.0 in

@@ -6,8 +6,7 @@
     Because the QP sparsity pattern is fixed across rounds,
     {!freeze_capture} records the symbolic structure once and {!refreeze}
     re-assembles later rounds as a flat value sweep — bit-identical to a
-    fresh {!freeze}.  {!mul} is row-chunked over the domain pool and
-    deterministic at any domain count. *)
+    fresh {!freeze}.  {!mul} runs on the calling domain. *)
 
 type t
 
@@ -81,9 +80,8 @@ val validate : t -> (unit, string) result
 val dim : t -> int
 val nnz : t -> int
 
-(** [mul a x out]: out <- A x. Raises on dimension mismatch.  Rows are
-    chunked over the domain pool; each row is a fixed sequential sum, so
-    the product is independent of the domain count. *)
+(** [mul a x out]: out <- A x. Raises on dimension mismatch.  Runs on
+    the calling domain; each row is a fixed sequential sum. *)
 val mul : t -> float array -> float array -> unit
 
 val diagonal : t -> float array

@@ -1,8 +1,10 @@
 (** Dense float vectors: the BLAS-1 kernels conjugate gradients needs.
 
-    Reductions are chunked deterministically (chunk shape is a pure
-    function of the length; partials combine in a fixed tree over chunk
-    order), so every result is bit-identical for any domain count.  The
+    Every kernel runs on the calling domain; parallelism happens one level
+    up, over independent solves.  Reductions keep a fixed summation shape
+    ({!Fbp_util.Pool.n_chunks} chunks at {!Fbp_util.Pool.chunk_bounds},
+    partials combined in a fixed tree over chunk order), a pure function
+    of the length, so every result is bit-identical wherever it runs.  The
     fused kernels save memory passes inside CG. *)
 
 type t = float array

@@ -1,27 +1,29 @@
 (* Persistent worker-domain pool with deterministic chunking.
 
    [Domain.spawn] costs tens of microseconds and a GC handshake; the seed
-   paid it for every parallel realization wave and would have paid it per
-   CG kernel call.  This pool spawns each worker domain once, parks it on a
-   condition variable, and hands out idle workers to parallel regions from
-   a free list — so a region costs two mutex handoffs per worker instead of
-   a spawn/join pair, and nested regions (a realization worker running a
-   local CG) simply find no free workers and run on their own domain: no
-   blocking acquire, hence no deadlock by construction.
+   paid it for every parallel realization wave.  This pool spawns each
+   worker domain once, parks it on a condition variable, and hands out
+   idle workers to parallel regions from a free list — so a region costs
+   two mutex handoffs per worker instead of a spawn/join pair.  Acquisition
+   never blocks: a region that finds no free worker runs on its own
+   domain, so there is no deadlock by construction.
 
-   Determinism contract (the property PR 4's lint and sanitizer enforce):
-   results must be bit-identical for any domain count.  Two mechanisms:
+   One level of parallelism.  Regions are opened only around independent
+   solves — the global QP's x and y systems ([fork2]) and realization's
+   wave chunks ([lease_run]) — and nothing those solves call opens another
+   one: the CG kernels in [Vec] and [Csr] run on the calling domain.  A
+   nested region would find the pool's workers busy and spawn new domains,
+   and on OCaml 5 every live domain joins each minor-GC rendezvous (DESIGN
+   §9, findings 4 and 5).
 
-   - work is split into chunks whose count and boundaries depend only on
-     the problem size ([n_chunks] / [chunk_bounds]), never on how many
-     domains execute them;
-   - reductions combine per-chunk partials in a fixed-shape binary tree
-     over the chunk index order ([reduce]), so float summation order is a
-     function of the size alone.
-
-   Which domain executes which chunk is scheduled dynamically (an atomic
-   cursor), but every chunk writes only its own slot, so scheduling cannot
-   influence results — only wall-clock. *)
+   Determinism contract: results must be bit-identical for any domain
+   count.  Work is split into chunks whose count and boundaries depend
+   only on the problem size ([n_chunks] / [chunk_bounds]), never on how
+   many domains execute them; [Vec]'s reductions use the same chunking
+   for their fixed summation shape.  Which domain executes which chunk is
+   scheduled dynamically (an atomic cursor), but every chunk writes only
+   its own slot, so scheduling cannot influence results — only
+   wall-clock. *)
 
 type worker = {
   wid : int;
@@ -475,30 +477,6 @@ let fork2 ?domains f g =
         | Some eb -> reraise eb
         | None -> (
           match !res_g with Some b -> (a, b) | None -> assert false)))
-
-let reduce ?domains ~grain ~n chunk combine =
-  let k = n_chunks ~grain n in
-  if k = 0 then None
-  else if k = 1 then Some (chunk 0 n)
-  else begin
-    let parts = Array.make k None in
-    run_chunks ?domains ~n_chunks:k (fun c ->
-        let lo, hi = chunk_bounds ~n ~n_chunks:k c in
-        parts.(c) <- Some (chunk lo hi));
-    (* fixed-shape binary tree over chunk order: the combine shape depends
-       only on k, never on the executing domain count *)
-    let rec tree lo hi =
-      if hi - lo = 1 then
-        match parts.(lo) with Some v -> v | None -> assert false
-      else begin
-        let mid = lo + (((hi - lo) + 1) / 2) in
-        let l = tree lo mid in
-        let r = tree mid hi in
-        combine l r
-      end
-    in
-    Some (tree 0 k)
-  end
 
 let n_workers_spawned () =
   Mutex.lock state.lock;

@@ -3,15 +3,17 @@
     Worker domains are spawned once (lazily, up to an internal cap), parked
     on condition variables, and handed to parallel regions from a free
     list: a region costs two mutex handoffs per worker instead of a
-    [Domain.spawn]/[join] pair.  Acquisition never blocks — nested regions
-    (e.g. a local CG running on a realization worker) find no free workers
-    and execute on their own domain, so deadlock is impossible by
-    construction.
+    [Domain.spawn]/[join] pair.  Acquisition never blocks, so deadlock is
+    impossible by construction.
+
+    Parallelism happens at one level: regions are opened around
+    independent solves (the global QP's x ‖ y {!fork2}, realization's
+    {!lease_run} waves), and nothing those solves call opens another.
+    The linear-algebra kernels run on the calling domain.
 
     Determinism contract: results are bit-identical for any domain count.
-    Chunk count and boundaries depend only on the problem size, and
-    {!reduce} combines per-chunk partials in a fixed-shape binary tree over
-    chunk order; dynamic scheduling affects wall-clock only.
+    Chunk count and boundaries depend only on the problem size; dynamic
+    scheduling affects wall-clock only.
 
     The default domain count is [FBP_DOMAINS] when set (clamped to the
     pool cap), else [min 8 (Domain.recommended_domain_count ())]. *)
@@ -39,19 +41,6 @@ val run_chunks : ?domains:int -> n_chunks:int -> (int -> unit) -> unit
     (and [domains] resolves to at least 2), else sequentially.  If both
     raise, [f]'s exception wins (deterministic precedence). *)
 val fork2 : ?domains:int -> (unit -> 'a) -> (unit -> 'b) -> 'a * 'b
-
-(** [reduce ~grain ~n chunk combine] computes [chunk lo hi] partials over
-    the deterministic chunking of [0, n) and combines them in a fixed-shape
-    binary tree over chunk order, so the result is bit-identical for any
-    domain count even when [combine] is float addition.  [None] iff
-    [n <= 0]. *)
-val reduce :
-  ?domains:int ->
-  grain:int ->
-  n:int ->
-  (int -> int -> 'a) ->
-  ('a -> 'a -> 'a) ->
-  'a option
 
 (** Domains the hardware can actually run at once
     ([Domain.recommended_domain_count], at least 1).  Callers sizing

@@ -286,7 +286,14 @@ let prop_mcf_unrouted_is_maxflow_gap =
 
 (* ---------- Transport ---------- *)
 
-let mk_problem sizes caps cost = { Transport.sizes; capacities = caps; cost }
+(* A problem whose n·k cost matrix holds [cost i j]. *)
+let mk_problem sizes caps cost =
+  let k = Array.length caps in
+  {
+    Transport.sizes;
+    capacities = caps;
+    cost = Array.init (Array.length sizes * k) (fun ij -> cost (ij / k) (ij mod k));
+  }
 
 let test_transport_simple () =
   (* 3 unit cells, 2 sinks with capacity 2 and 1; cell 2 prefers sink 0 but
@@ -365,7 +372,7 @@ let maxflow_gap p =
   Array.iteri (fun i size -> ignore (Graph.add_edge g ~u:s ~v:i ~cap:size ~cost:0.0)) p.sizes;
   for i = 0 to n - 1 do
     for j = 0 to k - 1 do
-      if p.cost i j < infinity then
+      if p.Transport.cost.((i * k) + j) < infinity then
         ignore (Graph.add_edge g ~u:i ~v:(n + j) ~cap:p.sizes.(i) ~cost:0.0)
     done
   done;
@@ -476,6 +483,53 @@ let test_transport_round_integral () =
     let assign = Transport.round_integral a in
     Array.iter (fun j -> Alcotest.(check bool) "sink valid" true (j >= 0 && j < 2)) assign
 
+(* 300 cells and 10 sinks at seeded random points with L1 costs; every
+   sink holds [factor] times an even share of the total size, so a smaller
+   factor needs more augmenting paths. *)
+let scattered_instance ~factor =
+  let module Rng = Fbp_util.Rng in
+  let rng = Rng.create 7 in
+  let n = 300 and k = 10 in
+  let point () = (Rng.range rng 0.0 100.0, Rng.range rng 0.0 100.0) in
+  let cells = Array.init n (fun _ -> point ()) in
+  let sinks = Array.init k (fun _ -> point ()) in
+  let sizes = Array.init n (fun _ -> Rng.range rng 1.0 2.0) in
+  let cap = factor *. Array.fold_left ( +. ) 0.0 sizes /. float_of_int k in
+  mk_problem sizes (Array.make k cap) (fun i j ->
+      let (cx, cy), (sx, sy) = (cells.(i), sinks.(j)) in
+      Float.abs (cx -. sx) +. Float.abs (cy -. sy))
+
+(* A solve allocates its set-up and its result, not a few hundred words per
+   augmenting path: two warmed solves that differ only in capacity
+   tightness allocate about the same beyond their results. *)
+let test_transport_allocation_flat () =
+  let module Obs = Fbp_obs.Obs in
+  let run factor =
+    let p = scattered_instance ~factor in
+    Obs.reset ();
+    Obs.enable ();
+    ignore (Transport.solve p);
+    Obs.disable ();
+    let paths = int_of_float (Obs.histogram_values "transport.pivots").(0) in
+    Obs.reset ();
+    match Test_core.allocated_words (fun () -> Transport.solve p) with
+    | Error e, _ -> Alcotest.fail e
+    | Ok a, words -> (paths, words - Obj.reachable_words (Obj.repr a))
+  in
+  let n = 300 and k = 10 in
+  let loose_paths, loose = run 1.42 and tight_paths, tight = run 1.184 in
+  Alcotest.(check bool)
+    (Printf.sprintf "tightness adds paths (%d vs %d)" loose_paths tight_paths)
+    true
+    (tight_paths >= loose_paths + 20);
+  let per_path = (tight - loose) / (tight_paths - loose_paths) in
+  if per_path > 100 then
+    Alcotest.failf "%d more words per extra augmenting path (%d vs %d beyond the results)"
+      per_path tight loose;
+  if loose > 8 * n * k then
+    Alcotest.failf "%d words beyond the result, above the %d-word set-up budget" loose
+      (8 * n * k)
+
 let qcheck = QCheck_alcotest.to_alcotest
 
 let suite =
@@ -500,4 +554,6 @@ let suite =
     Alcotest.test_case "transport exact vs MCF (deterministic)" `Quick test_transport_exact;
     qcheck prop_exact_transport_optimal;
     Alcotest.test_case "transport round integral" `Quick test_transport_round_integral;
+    Alcotest.test_case "transport allocation flat in paths" `Quick
+      test_transport_allocation_flat;
   ]

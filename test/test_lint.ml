@@ -78,13 +78,6 @@ let f () =
     {|let hits = ref 0
 let f l = Fbp_util.Pool.lease_run l ~n_chunks:4 (fun _c -> incr hits)
 |};
-  check_finds "capture in Pool.reduce closure" "domain-safety"
-    {|let seen = Hashtbl.create 8
-let f n =
-  Fbp_util.Pool.reduce ~grain:64 ~n
-    (fun lo _hi -> Hashtbl.replace seen lo (); float_of_int lo)
-    (fun a b -> a +. b)
-|};
   check_clean "pure fork2"
     {|let f () = Fbp_util.Pool.fork2 (fun () -> 1) (fun () -> 2)
 |};

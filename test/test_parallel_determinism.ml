@@ -92,6 +92,75 @@ let test_spmv_bitwise_across_domains () =
         0 !mismatches)
     [ 2; 8 ]
 
+(* ---------- one level of parallelism ---------- *)
+
+(* [a . b] summed in the fixed shape the kernels promise: 4096-item chunks
+   from [Pool.chunk_bounds], each left to right, combined by the
+   [lo + (len+1)/2] tree over chunk order. *)
+let chunk_tree_dot a b =
+  let n = Array.length a in
+  let k = max 1 (Pool.n_chunks ~grain:4096 n) in
+  let part c =
+    let lo, hi = Pool.chunk_bounds ~n ~n_chunks:k c in
+    let acc = ref 0.0 in
+    for i = lo to hi - 1 do
+      acc := !acc +. (a.(i) *. b.(i))
+    done;
+    !acc
+  in
+  let rec tree lo hi =
+    if hi - lo = 1 then part lo
+    else
+      let mid = lo + ((hi - lo + 1) / 2) in
+      let l = tree lo mid in
+      l +. tree mid hi
+  in
+  tree 0 k
+
+(* The CG kernels run on the calling domain: at a pool default of 8 they
+   neither hand work to a worker nor spawn one, and a dot product keeps
+   the chunk-and-tree summation shape. *)
+let test_kernels_stay_on_caller () =
+  let rng = Fbp_util.Rng.create 41 in
+  let n = 30_000 in
+  let a = Csr.freeze (random_system rng n) in
+  let x = Array.init n (fun _ -> Fbp_util.Rng.range rng (-1.0) 1.0) in
+  let b = Array.init n (fun _ -> Fbp_util.Rng.range rng (-1.0) 1.0) in
+  with_domains 8 (fun () ->
+      let d0 = Pool.n_dispatches () and s0 = Pool.n_workers_spawned () in
+      let dot = Vec.dot x b and expected = chunk_tree_dot x b in
+      Vec.axpy ~alpha:0.5 x b;
+      Csr.mul a x (Array.make n 0.0);
+      let st = Fbp_linalg.Cg.solve ~record:false a b (Array.make n 0.0) in
+      Alcotest.(check int) "no dispatch" d0 (Pool.n_dispatches ());
+      Alcotest.(check int) "no worker spawned" s0 (Pool.n_workers_spawned ());
+      Alcotest.(check bool) "cg converged" true st.Fbp_linalg.Cg.converged;
+      Alcotest.(check int64) "dot in the chunk-tree shape" (bits expected) (bits dot))
+
+(* [Config.domains] bounds every region a placement opens, the global QP's
+   x/y fork included: at one domain a system of 4096 or more variables
+   solves on the caller whatever the pool default, and at two (unclamped)
+   the fork is the only dispatch. *)
+let test_config_domains_bound_global_qp () =
+  let d = Generator.quick ~seed:9 ~name:"qp" 5000 in
+  let nl = d.Design.netlist in
+  let dispatches domains =
+    with_domains 4 (fun () ->
+        let pos = Placement.copy d.Design.initial in
+        let d0 = Pool.n_dispatches () in
+        let st =
+          Qp.solve_global { Config.default with domains; hw_clamp = false } nl pos
+            ~anchor:(fun _ -> None) ()
+        in
+        Alcotest.(check bool) "at least 4096 variables" true (st.Qp.vars >= 4096);
+        (Pool.n_dispatches () - d0, pos))
+  in
+  let one, p1 = dispatches 1 and two, p2 = dispatches 2 in
+  Alcotest.(check int) "domains = 1: no dispatch" 0 one;
+  Alcotest.(check int) "domains = 2: the fork only" 1 two;
+  Alcotest.(check (array (float 0.0))) "x bit-identical" p1.Placement.x p2.Placement.x;
+  Alcotest.(check (array (float 0.0))) "y bit-identical" p1.Placement.y p2.Placement.y
+
 (* ---------- symbolic reuse equals fresh assembly ---------- *)
 
 (* Fixed topology (seed 31), values drawn from an independent stream — so
@@ -364,6 +433,10 @@ let suite =
       test_dot_bitwise_across_domains;
     Alcotest.test_case "spmv bitwise across domains" `Quick
       test_spmv_bitwise_across_domains;
+    Alcotest.test_case "kernels stay on the caller" `Quick
+      test_kernels_stay_on_caller;
+    Alcotest.test_case "config domains bound the global QP" `Quick
+      test_config_domains_bound_global_qp;
     Alcotest.test_case "refreeze bitwise equals freeze" `Quick
       test_refreeze_bitwise;
     Alcotest.test_case "refreeze rejects changed topology" `Quick

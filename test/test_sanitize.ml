@@ -160,7 +160,10 @@ let transport_problem () =
   {
     Transport.sizes = [| 1.0; 2.0; 1.5; 0.5 |];
     capacities = [| 3.0; 3.0 |];
-    cost = (fun i j -> Float.abs (float_of_int i -. (3.0 *. float_of_int j)));
+    cost =
+      Array.init 8 (fun ij ->
+          let i = ij / 2 and j = ij mod 2 in
+          Float.abs (float_of_int i -. (3.0 *. float_of_int j)));
   }
 
 let test_transport_audit_accepts_solver_output () =
