@@ -121,6 +121,14 @@ $fbp profile "$tmp/budget.book" --domains 1 --json "$tmp/budget.json" >/dev/null
 extra="$(grep -o '"wid":-\{0,1\}[0-9]*' "$tmp/budget.json" | grep -v '^"wid":-1$' || true)"
 [ -z "$extra" ] \
   || { echo "profile at --domains 1 lists domains besides the caller: $extra"; exit 1; }
+# at --domains 2 the regions run on the caller and at most one helper
+# (wid 0): any other domain means a region ran wider than its budget
+$fbp profile "$tmp/budget.book" --domains 2 --json "$tmp/budget2.json" >/dev/null \
+  || { echo "fbp_place profile --domains 2 failed"; exit 1; }
+extra="$(grep -o '"wid":-\{0,1\}[0-9]*' "$tmp/budget2.json" \
+  | grep -v -e '^"wid":-1$' -e '^"wid":0$' || true)"
+[ -z "$extra" ] \
+  || { echo "profile at --domains 2 lists domains besides the caller and helper 0: $extra"; exit 1; }
 # the degraded path (no runtime events) must still produce a summary
 FBP_PROFILE_FORCE_UNAVAILABLE=1 $fbp profile "$tmp/smoke.book" --movebounds 2 \
   --json "$tmp/profile-na.json" >/dev/null \

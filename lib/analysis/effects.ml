@@ -195,13 +195,12 @@ let is_raise_head = function
     true
   | _ -> false
 
-(* The parallel entry points whose closure arguments run on worker
-   domains.  `snd` is how many leading positional args to skip before the
-   closure arguments start. *)
+(* The parallel entry points: every positional argument is a closure that
+   runs on helper domains. *)
 let region_entries =
   [
-    ("Fbp_util.Pool.run_chunks", 0); ("Fbp_util.Pool.fork2", 0);
-    ("Fbp_util.Pool.lease_run", 1); ("Fbp_util.Pool.set_profile_hook", 0);
+    "Fbp_util.Pool.run_chunks"; "Fbp_util.Pool.fork2";
+    "Fbp_util.Pool.set_profile_hook";
   ]
 
 (* Stateful containers whose free-variable hand-off into a parallel
@@ -781,21 +780,11 @@ let walk_node env expr =
                        site_of env e.exp_loc ("reads '" ^ g ^ "'") :: env.rg
                    | _ -> ())
                  | None -> ());
-              match
-                List.find_map
-                  (fun (entry, skip) ->
-                    if String.equal entry (dotted parts) then Some skip
-                    else None)
-                  region_entries
-              with
-              | Some skip ->
-                let work = nolabel_args args in
-                let work =
-                  if List.length work > skip then
-                    List.filteri (fun i _ -> i >= skip) work
-                  else work
+              if List.exists (String.equal (dotted parts)) region_entries
+              then begin
+                let closures =
+                  List.map (analyze_work_arg env) (nolabel_args args)
                 in
-                let closures = List.map (analyze_work_arg env) work in
                 env.regions <-
                   {
                     r_entry = dotted parts;
@@ -803,7 +792,7 @@ let walk_node env expr =
                     r_closures = closures;
                   }
                   :: env.regions
-              | None -> ())
+              end)
             | None -> ());
             Tast_iterator.default_iterator.expr sub e
           | Texp_setfield (obj, _, _, _) ->

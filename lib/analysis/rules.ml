@@ -307,11 +307,11 @@ let expression_rules ~sc ~(add : adder) st =
 
 (* --------------------------------------------------- domain-safety rule *)
 
-(* Fbp_util.Pool entry points whose closures run on worker domains.  Every
+(* Fbp_util.Pool entry points whose closures run on helper domains.  Every
    positional argument is a closure there ([fork2] takes two;
-   [set_profile_hook]'s callback fires on every worker's scheduling
+   [set_profile_hook]'s callback fires on every helper's scheduling
    transitions). *)
-let pool_entries = [ "run_chunks"; "fork2"; "lease_run"; "set_profile_hook" ]
+let pool_entries = [ "run_chunks"; "fork2"; "set_profile_hook" ]
 
 let is_parallel_entry parts =
   match List.rev parts with
@@ -573,8 +573,7 @@ let domain_safety ~closure_capture ~(add : adder) st =
         | Pexp_apply ({ pexp_desc = Pexp_ident { txt; _ }; _ }, args)
           when is_parallel_entry (lid_parts txt) ->
           (* every positional argument of a Pool entry point is a closure
-             that runs on worker domains (lease_run's lease is an ident,
-             which check_work_arg ignores) *)
+             that runs on helper domains *)
           let works =
             List.filter_map
               (fun (l, a) -> match l with Nolabel -> Some a | _ -> None)

@@ -10,7 +10,6 @@ type t = {
   anchor_growth : float;  (* multiplicative growth per level *)
   cg_tol : float;
   cg_max_iter : int;
-  coarse_span : int;  (* realization window reaches this many windows out *)
   domains : int;  (* parallel domains for the global QP's x/y solves and
                      realization's waves (1 = sequential) *)
   hw_clamp : bool;  (* clamp [domains] to physical cores in hot paths;
@@ -32,7 +31,6 @@ let default =
     anchor_growth = 2.6;
     cg_tol = 1e-5;
     cg_max_iter = 300;
-    coarse_span = 1;
     domains = Fbp_util.Pool.get_default_domains ();
     hw_clamp = true;
     local_qp = true;
@@ -43,8 +41,9 @@ let default =
   }
 
 (* The domain budget of the parallel regions: [domains], clamped to the
-   cores when [hw_clamp] is on.  Realization's lease and the global QP's
-   x/y fork both take it, so [domains = 1] means no worker domain at all. *)
+   cores when [hw_clamp] is on.  Realization's waves and the global QP's
+   x/y fork both pass it to [Pool.run_chunks], so [domains = 1] means no
+   helper domain at all, and a region never runs on more domains. *)
 let effective_domains cfg =
   max 1
     (if cfg.hw_clamp then min cfg.domains Fbp_util.Pool.hardware_domains

@@ -8,7 +8,6 @@ type t = {
   anchor_growth : float;  (** multiplicative anchor growth per level *)
   cg_tol : float;
   cg_max_iter : int;
-  coarse_span : int;  (** realization window reach, in windows *)
   domains : int;
       (** parallel domains for the global QP's x/y solves and realization's
           waves (1 = sequential); see {!effective_domains}.  The default
@@ -39,7 +38,8 @@ val default : t
 
 (** The domain budget every parallel region of a placement runs under:
     [domains] (at least 1), clamped to {!Fbp_util.Pool.hardware_domains}
-    when [hw_clamp] is set.  Realization's lease and the global QP's x/y
-    {!Fbp_util.Pool.fork2} both take it, so [domains = 1] spawns no worker
-    domain. *)
+    when [hw_clamp] is set.  Realization's waves
+    ({!Fbp_util.Pool.run_chunks}) and the global QP's x/y
+    {!Fbp_util.Pool.fork2} both take it, so [domains = 1] spawns no helper
+    domain and no region runs on more domains than this. *)
 val effective_domains : t -> int

@@ -423,19 +423,12 @@ let realize ?(on_step : (step -> unit) option) (cfg : Config.t)
   let piece_load = Array.make (Grid.n_pieces grid) 0.0 in
   (* Clamped to physical cores: beyond them, extra domains only time-slice
      and add wakeup latency (results are domain-count-invariant anyway).
-     One resident lease serves every wave — workers park between waves
-     instead of paying a fork/join pair per wave. *)
+     Each parallel wave is one [Pool.run_chunks] batch; the pool's helpers
+     stay resident between waves instead of paying a fork/join pair. *)
   let eff_domains = Config.effective_domains cfg in
-  let lease =
-    if eff_domains > 1 then Some (Fbp_util.Pool.lease ~domains:eff_domains ())
-    else None
-  in
-  let helpers =
-    match lease with Some l -> Fbp_util.Pool.lease_helpers l | None -> 0
-  in
   let d0 = Fbp_util.Pool.n_dispatches () in
   (* Chunk-private local-QP scratches, persistent across waves (slot [c]
-     is only ever touched by the owner of chunk [c - 1]; the lease's
+     is only ever touched by the owner of chunk [c - 1]; the batch's
      completion latch orders cross-wave reuse).  Slot 0 backs the
      sequential fast path. *)
   let scratches = Array.make (max_wave_chunks + 1) None in
@@ -454,10 +447,9 @@ let realize ?(on_step : (step -> unit) option) (cfg : Config.t)
     in
     Fbp_obs.Obs.count ~n:total_cells "realization.snapshot_cells";
     let out = Array.make n_nodes ((0, 0), [||], None) in
-    if helpers > 0 && n_nodes > 1 && total_cells >= seq_wave_cells then begin
-      let l = Option.get lease in
+    if eff_domains > 1 && n_nodes > 1 && total_cells >= seq_wave_cells then begin
       (* contiguous chunks balanced by cumulative cell count *)
-      let max_k = min max_wave_chunks (4 * (helpers + 1)) in
+      let max_k = min max_wave_chunks (4 * eff_domains) in
       let target = max wave_grain_cells (1 + (total_cells / max_k)) in
       let starts = Array.make (max_k + 1) n_nodes in
       starts.(0) <- 0;
@@ -470,7 +462,7 @@ let realize ?(on_step : (step -> unit) option) (cfg : Config.t)
           acc := 0
         end
       done;
-      Fbp_util.Pool.lease_run l ~n_chunks:!k (fun c ->
+      Fbp_util.Pool.run_chunks ~domains:eff_domains ~n_chunks:!k (fun c ->
           let scratch = scratch_for (c + 1) in
           for i = starts.(c) to starts.(c + 1) - 1 do
             out.(i) <- process_node ~scratch wave_arr.(i)
@@ -488,9 +480,6 @@ let realize ?(on_step : (step -> unit) option) (cfg : Config.t)
   in
   Fun.protect
     ~finally:(fun () ->
-      (match lease with
-      | Some l -> Fbp_util.Pool.release_lease l
-      | None -> ());
       Fbp_obs.Obs.count
         ~n:(Fbp_util.Pool.n_dispatches () - d0)
         "pool.dispatches")

@@ -32,8 +32,10 @@ val snapshot :
 
 (** Realize the flow, updating [pos] in place; [on_step] is the Figure-4
     trace hook.  [cell_nets] is the {!Fbp_netlist.Netlist.cell_nets}
-    cache.  With [cfg.domains > 1] waves run in parallel with a
-    deterministic commit order (bit-identical results). *)
+    cache.  With [Config.effective_domains cfg > 1], each wave large
+    enough to pay for a wakeup is one {!Fbp_util.Pool.run_chunks} batch;
+    commits stay in wave order on the calling domain, so results are
+    bit-identical at any domain count. *)
 val realize :
   ?on_step:(step -> unit) ->
   Config.t ->

@@ -145,8 +145,9 @@ let sweep ?(span = 2) (cfg : Config.t) (inst : Fbp_movebound.Instance.t)
     time = Fbp_util.Timer.now () -. t0;
   }
 
-(* Run [sweeps] repartition passes over a finished placer report, shifting
-   the block origin between sweeps so window boundaries get revisited. *)
+(* Run [sweeps] repartition passes over a finished placer report.  Every
+   sweep tiles the grid from the same origin, so a later sweep re-solves
+   the same blocks starting from the previous sweep's result. *)
 let refine ?(sweeps = 1) ?(span = 2) (cfg : Config.t)
     (inst : Fbp_movebound.Instance.t) (report : Placer.report) =
   match report.Placer.final_grid with
@@ -154,7 +155,6 @@ let refine ?(sweeps = 1) ?(span = 2) (cfg : Config.t)
   | Some grid ->
     let nl = inst.Fbp_movebound.Instance.design.Design.netlist in
     let cell_nets = Netlist.cell_nets nl in
-    List.init sweeps (fun i ->
-        ignore i;
+    List.init sweeps (fun _ ->
         sweep ~span cfg inst report.Placer.regions grid report.Placer.placement
           ~piece_of_cell:report.Placer.piece_of_cell ~cell_nets)

@@ -6,8 +6,8 @@
      self-monitoring ring through a polling cursor.  The PR 7 pathology —
      parked worker domains joining every minor-GC STW — shows up here as
      STW time on rings whose pool timeline is pure park.
-   - [Fbp_util.Pool]'s occupancy hook: per-worker parked / spinning /
-     running transitions, per-chunk execution and lease submissions.
+   - [Fbp_util.Pool]'s occupancy hook: per-helper parked / spinning /
+     running transitions, per-chunk execution and batch submissions.
    - The placer's phase registrations ({!with_phase}), so GC pauses can be
      attributed to qp / flow / realization.
 
@@ -25,7 +25,7 @@
    occupancy and phases — a run never fails because its profiler could
    not start.  Ring identity: a runtime-events ring id is the owning
    domain's index, which equals [Domain.self] for the long-lived domains
-   the pool manages (workers are never torn down mid-run). *)
+   the pool manages (its helpers are never torn down). *)
 
 module J = Obs.Json
 
@@ -72,7 +72,7 @@ type summary = {
   s_stw_count : int;  (* stop-the-world rendezvous observed *)
   s_minor_us : float;
   s_major_us : float;
-  s_submits : int;  (* lease batch submissions *)
+  s_submits : int;  (* batches submitted to the pool's helpers *)
   s_submit_latency_us : float;  (* mean submit -> first helper run *)
   s_domains : domain_summary list;
   s_phases : phase_summary list;
@@ -873,7 +873,7 @@ let render s =
   add "gc: %d STW rendezvous, minor %.1f ms, major %.1f ms\n" s.s_stw_count
     (ms s.s_minor_us) (ms s.s_major_us);
   if s.s_submits > 0 then
-    add "lease: %d submissions, mean epoch-bump latency %.1f us\n" s.s_submits
+    add "pool: %d batch submissions, mean epoch-bump latency %.1f us\n" s.s_submits
       s.s_submit_latency_us;
   add "%-5s %-6s %7s %7s %7s %7s %9s %7s %7s\n" "tid" "role" "busy%" "spin%"
     "park%" "stw%" "stw ms" "pauses" "chunks";

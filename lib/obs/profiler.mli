@@ -7,7 +7,7 @@
       stop-the-world rendezvous (leader + handler) per domain, read from
       the process's own event ring through a polling cursor;
     - {b pool occupancy} — [Fbp_util.Pool]'s profile hook: per-worker
-      parked / spinning / running transitions, per-chunk execution, lease
+      parked / spinning / running transitions, per-chunk execution, batch
       submissions and epoch-bump latency;
     - {b phases} — intervals registered by the placer ({!with_phase}), so
       GC pauses are attributed to qp / flow / realization.
@@ -63,7 +63,7 @@ type summary = {
   s_stw_count : int;  (** stop-the-world rendezvous observed *)
   s_minor_us : float;
   s_major_us : float;
-  s_submits : int;  (** lease batch submissions *)
+  s_submits : int;  (** batches submitted to the pool's helpers *)
   s_submit_latency_us : float;  (** mean submit → first helper run *)
   s_domains : domain_summary list;  (** sorted by [d_tid] *)
   s_phases : phase_summary list;  (** in first-registration order *)

@@ -64,7 +64,7 @@ type density_map = {
 type host = {
   hw_clamp : bool;  (* Config.hw_clamp for this run *)
   hardware_domains : int;  (* Pool.hardware_domains on this machine *)
-  eff_domains : int;  (* configured domain count after resolution *)
+  eff_domains : int;  (* the run's domain budget, Config.effective_domains *)
   peak_rss_kb : int option;  (* VmHWM; None off Linux *)
 }
 

@@ -80,7 +80,9 @@ type density_map = {
 type host = {
   hw_clamp : bool;  (** [Config.hw_clamp] for this run *)
   hardware_domains : int;  (** [Pool.hardware_domains] on this machine *)
-  eff_domains : int;  (** configured domain count after resolution *)
+  eff_domains : int;
+      (** domain budget the run's parallel regions used
+          ([Config.effective_domains]: [domains] after the clamp) *)
   peak_rss_kb : int option;  (** [VmHWM]; [None] off Linux *)
 }
 

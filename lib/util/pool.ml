@@ -1,20 +1,23 @@
-(* Persistent worker-domain pool with deterministic chunking.
+(* Resident helper gang with deterministic chunking.
 
    [Domain.spawn] costs tens of microseconds and a GC handshake; the seed
-   paid it for every parallel realization wave.  This pool spawns each
-   worker domain once, parks it on a condition variable, and hands out
-   idle workers to parallel regions from a free list — so a region costs
-   two mutex handoffs per worker instead of a spawn/join pair.  Acquisition
-   never blocks: a region that finds no free worker runs on its own
-   domain, so there is no deadlock by construction.
+   paid it for every parallel realization wave.  The pool owns one gang of
+   helper domains, spawned once and never torn down.  [run_chunks] is the
+   only parallel region ([fork2] is two chunks of it): the region's owner
+   claims the whole gang with one compare-and-set, publishes its batch with
+   one epoch bump, drains chunks alongside the helpers and waits on a
+   completion latch.  Between batches helpers spin briefly on the epoch
+   (consecutive realization waves are microseconds apart), then park on a
+   condition variable.
 
-   One level of parallelism.  Regions are opened only around independent
-   solves — the global QP's x and y systems ([fork2]) and realization's
-   wave chunks ([lease_run]) — and nothing those solves call opens another
-   one: the CG kernels in [Vec] and [Csr] run on the calling domain.  A
-   nested region would find the pool's workers busy and spawn new domains,
-   and on OCaml 5 every live domain joins each minor-GC rendezvous (DESIGN
-   §9, findings 4 and 5).
+   One level of parallelism, by construction.  A region opened while the
+   gang is claimed — inside a chunk, or from another domain — runs its
+   chunks in order on the calling domain and spawns nothing.  Regions are
+   opened only around independent solves (the global QP's x ‖ y [fork2]
+   and realization's waves); the CG kernels in [Vec] and [Csr] run on the
+   calling domain.  On OCaml 5 every live domain joins each minor-GC
+   rendezvous, so a domain beyond the budget taxes even sequential code
+   (DESIGN §9, findings 4 and 5).
 
    Determinism contract: results must be bit-identical for any domain
    count.  Work is split into chunks whose count and boundaries depend
@@ -25,38 +28,9 @@
    its own slot, so scheduling cannot influence results — only
    wall-clock. *)
 
-type worker = {
-  wid : int;
-  mutex : Mutex.t;
-  cond : Condition.t;
-  mutable job : (unit -> unit) option;  (* guarded by [mutex] *)
-}
-
-(* Completion latch of one parallel region. *)
-type region = {
-  rmutex : Mutex.t;
-  rcond : Condition.t;
-  mutable pending : int;
-}
-
-(* Hard cap on pool workers (domains beyond the caller's).  Far above any
+(* Hard cap on helper domains (domains beyond the caller's).  Far above any
    sane [FBP_DOMAINS]; placement kernels are memory-bound long before. *)
 let max_workers = 30
-
-type state = {
-  lock : Mutex.t;
-  workers : worker option array;  (* slot i <-> worker i, spawned lazily *)
-  mutable n_spawned : int;
-  mutable free : int list;  (* idle worker ids *)
-}
-
-let state =
-  {
-    lock = Mutex.create ();
-    workers = Array.make max_workers None;
-    n_spawned = 0;
-    free = [];
-  }
 
 let default_domains =
   let fallback () = max 1 (min 8 (Domain.recommended_domain_count ())) in
@@ -78,17 +52,17 @@ let resolve = function
   | None -> Atomic.get default_domains
 
 (* Domains the hardware can actually run at once.  Callers sizing
-   *throughput* parallelism (the realization lease) clamp to this: extra
-   domains beyond the core count only time-slice one core and add wakeup
-   latency — the PR7 anti-scaling root.  Correctness never depends on it
-   (the determinism contract holds at any domain count). *)
+   *throughput* parallelism (realization's waves, the QP's x ‖ y fork)
+   clamp to this: extra domains beyond the core count only time-slice one
+   core and add wakeup latency — the root of realization's anti-scaling
+   (DESIGN §9, finding 4).  Correctness never depends on it (the
+   determinism contract holds at any domain count). *)
 let hardware_domains = max 1 (Domain.recommended_domain_count ())
 
-(* Worker handoffs since process start: one per [dispatch] (a job handed to
-   a parked worker) plus one per [lease_run] submission (a whole batch
-   enters the lease's helpers as a single event).  Exposed so callers can
-   assert dispatch amortization — e.g. realization records the per-call
-   delta as the [pool.dispatches] counter. *)
+(* Batches submitted to the gang since process start, one per parallel
+   region that reached the helpers.  Exposed so callers can assert
+   dispatch amortization — e.g. realization records the per-call delta as
+   the [pool.dispatches] counter. *)
 let dispatches = Atomic.make 0
 
 let n_dispatches () = Atomic.get dispatches
@@ -96,25 +70,25 @@ let n_dispatches () = Atomic.get dispatches
 (* -------------------------------------------------------- profiling hook *)
 
 (* Occupancy telemetry for the profiler: every scheduling transition a
-   worker makes (parked / spinning / running, per-chunk start/stop, lease
-   batch submission) is pushed through one optional hook.  The disabled
-   path is a single [Atomic.get] per transition — the same budget as an
-   [Obs] probe — and transitions happen per wave / per chunk, never per
+   domain makes (parked / spinning / running, per-chunk start/stop, batch
+   submission) is pushed through one optional hook.  The disabled path is
+   a single [Atomic.get] per transition — the same budget as an [Obs]
+   probe — and transitions happen per batch / per chunk, never per
    element, so an armed hook stays out of the kernels' way too. *)
 
 type profile_kind =
-  | Pe_park_begin  (* worker blocks on its condition variable *)
+  | Pe_park_begin  (* helper blocks on the gang's condition variable *)
   | Pe_park_end
-  | Pe_spin_begin  (* lease helper spinning on the epoch atomic *)
+  | Pe_spin_begin  (* helper spinning on the epoch atomic *)
   | Pe_spin_end
-  | Pe_run_begin  (* a dispatched job / lease batch starts executing *)
+  | Pe_run_begin  (* a domain starts draining a batch *)
   | Pe_run_end
   | Pe_chunk_begin of int  (* chunk index within the current region *)
   | Pe_chunk_end of int
-  | Pe_submit of int  (* lease batch submitted; payload is the new epoch *)
+  | Pe_submit of int  (* batch submitted; payload is the new epoch *)
 
 type profile_event = {
-  pe_wid : int;  (* worker id; -1 is the calling (owner) domain *)
+  pe_wid : int;  (* helper id; -1 is the calling (owner) domain *)
   pe_domain : int;  (* [Domain.self] of the emitting domain *)
   pe_kind : profile_kind;
 }
@@ -128,90 +102,6 @@ let[@inline] emit pe_wid pe_kind =
   | None -> ()
   | Some f -> f { pe_wid; pe_domain = (Domain.self () :> int); pe_kind }
 
-(* Workers loop forever: jobs are exception-safe wrappers built by
-   [run_chunks]/[fork2], so nothing can escape into the loop.  A worker
-   parked in [Condition.wait] does not keep the process alive: the runtime
-   exits with the main domain. *)
-let rec worker_loop (w : worker) =
-  Mutex.lock w.mutex;
-  if w.job = None then begin
-    emit w.wid Pe_park_begin;
-    while w.job = None do
-      Condition.wait w.cond w.mutex
-    done;
-    emit w.wid Pe_park_end
-  end;
-  let job = w.job in
-  w.job <- None;
-  Mutex.unlock w.mutex;
-  (match job with Some j -> j () | None -> ());
-  worker_loop w
-
-let spawn_worker wid =
-  let w = { wid; mutex = Mutex.create (); cond = Condition.create (); job = None } in
-  ignore (Domain.spawn (fun () -> worker_loop w) : unit Domain.t);
-  w
-
-(* Take up to [k] idle workers without blocking, spawning new domains while
-   below the cap.  Returns fewer (possibly none) when the pool is busy —
-   the caller then runs those shares itself. *)
-let acquire k =
-  if k <= 0 then []
-  else begin
-    Mutex.lock state.lock;
-    let rec go k acc =
-      if k = 0 then acc
-      else
-        match state.free with
-        | id :: tl ->
-          state.free <- tl;
-          let w = match state.workers.(id) with Some w -> w | None -> assert false in
-          go (k - 1) (w :: acc)
-        | [] ->
-          if state.n_spawned < max_workers then begin
-            let id = state.n_spawned in
-            let w = spawn_worker id in
-            state.workers.(id) <- Some w;
-            state.n_spawned <- state.n_spawned + 1;
-            go (k - 1) (w :: acc)
-          end
-          else acc
-    in
-    let ws = go k [] in
-    Mutex.unlock state.lock;
-    ws
-  end
-
-let release ws =
-  Mutex.lock state.lock;
-  List.iter (fun w -> state.free <- w.wid :: state.free) ws;
-  Mutex.unlock state.lock
-
-let dispatch w job =
-  Atomic.incr dispatches;
-  Mutex.lock w.mutex;
-  w.job <- Some job;
-  Condition.signal w.cond;
-  Mutex.unlock w.mutex
-
-let region_done r =
-  Mutex.lock r.rmutex;
-  r.pending <- r.pending - 1;
-  if r.pending = 0 then Condition.signal r.rcond;
-  Mutex.unlock r.rmutex
-
-let region_wait r =
-  Mutex.lock r.rmutex;
-  while r.pending > 0 do
-    Condition.wait r.rcond r.rmutex
-  done;
-  Mutex.unlock r.rmutex
-
-let region_reset r n =
-  Mutex.lock r.rmutex;
-  r.pending <- n;
-  Mutex.unlock r.rmutex
-
 (* ------------------------------------------------ deterministic chunking *)
 
 (* Chunk-count cap: partial arrays stay tiny and the reduction tree shallow
@@ -223,98 +113,49 @@ let n_chunks ~grain n =
 
 let chunk_bounds ~n ~n_chunks c = (c * n / n_chunks, (c + 1) * n / n_chunks)
 
-(* ------------------------------------------------------ parallel regions *)
+(* ------------------------------------------------------------ the gang *)
 
-let reraise (e, bt) = Printexc.raise_with_backtrace e bt
-
-(* First recorded failure in chunk order; every chunk always runs (no
-   cancellation), so which exception wins is deterministic. *)
-let check_errors errs =
-  match Array.find_map Fun.id errs with Some eb -> reraise eb | None -> ()
-
-let run_chunks ?domains ~n_chunks:k body =
-  if k > 0 then begin
-    let d = min (resolve domains) k in
-    if d <= 1 then
-      for c = 0 to k - 1 do
-        body c
-      done
-    else begin
-      let helpers = acquire (d - 1) in
-      if helpers = [] then
-        for c = 0 to k - 1 do
-          body c
-        done
-      else begin
-        let errs = Array.make k None in
-        let next = Atomic.make 0 in
-        let rec drain wid =
-          let c = Atomic.fetch_and_add next 1 in
-          if c < k then begin
-            emit wid (Pe_chunk_begin c);
-            (try body c
-             with e -> errs.(c) <- Some (e, Printexc.get_raw_backtrace ()));
-            emit wid (Pe_chunk_end c);
-            drain wid
-          end
-        in
-        let r =
-          { rmutex = Mutex.create (); rcond = Condition.create ();
-            pending = List.length helpers }
-        in
-        List.iter
-          (fun w ->
-            dispatch w (fun () ->
-                emit w.wid Pe_run_begin;
-                drain w.wid;
-                emit w.wid Pe_run_end;
-                region_done r))
-          helpers;
-        drain (-1);
-        region_wait r;
-        release helpers;
-        check_errors errs
-      end
-    end
-  end
-
-(* ------------------------------------------------------ reusable leases *)
-
-(* A lease holds acquired workers across many consecutive parallel regions
-   (realization waves), so a region costs one submission instead of a
-   per-wave acquire / dispatch-each-worker / release cycle.  Helpers run a
-   resident loop: after draining a submission they spin briefly on the
-   epoch atomic (consecutive waves are usually microseconds apart, so the
-   next batch lands while they are still hot), then park on a condition
-   variable.  Submissions are strictly serialized by the completion latch
-   — the owner cannot submit epoch N+1 until every helper finished epoch N
-   — so helpers can never miss a batch.  Error semantics are identical to
-   [run_chunks]: every chunk runs, the first failure in chunk order is
-   re-raised, and the lease stays usable afterwards. *)
-type lease = {
-  lhelpers : worker list;
-  n_helpers : int;
-  lmutex : Mutex.t;  (* parks helpers between submissions *)
-  lcond : Condition.t;
-  lepoch : int Atomic.t;  (* bumped once per submission (and once to stop) *)
-  lstop : bool Atomic.t;
-  lcursor : int Atomic.t;
-  llatch : region;
-  (* submission slots: written by the owner strictly between submissions
-     (all helpers idle), published by the [lepoch] bump *)
-  mutable lk : int;
-  mutable lbody : int -> unit;
-  mutable lerrs : (exn * Printexc.raw_backtrace) option array;
+type gang = {
+  claimed : bool Atomic.t;  (* held by one region's owner for one batch *)
+  epoch : int Atomic.t;  (* bumped once per batch *)
+  cursor : int Atomic.t;  (* next chunk of the current batch *)
+  spawned : int Atomic.t;  (* helpers alive; grown only by the claim owner *)
+  lock : Mutex.t;  (* parks helpers between batches; guards [pending] *)
+  wake : Condition.t;
+  all_acked : Condition.t;
+  mutable pending : int;  (* helpers yet to acknowledge the current batch *)
+  (* batch slots: written by the owner while every helper is idle,
+     published by the [epoch] bump *)
+  mutable width : int;  (* domains the batch may run on, owner included *)
+  mutable k : int;
+  mutable body : int -> unit;
+  mutable errs : (exn * Printexc.raw_backtrace) option array;
 }
 
-(* ~1–2 µs of [cpu_relax] before parking; waves inside one realization call
-   are typically closer together than a futex wakeup costs. *)
-let lease_spin_budget = 4096
+let gang =
+  {
+    claimed = Atomic.make false;
+    epoch = Atomic.make 0;
+    cursor = Atomic.make 0;
+    spawned = Atomic.make 0;
+    lock = Mutex.create ();
+    wake = Condition.create ();
+    all_acked = Condition.create ();
+    pending = 0;
+    width = 0;
+    k = 0;
+    body = ignore;
+    errs = [||];
+  }
 
-let lease_drain ?(wid = -1) (l : lease) =
-  let k = l.lk and body = l.lbody and errs = l.lerrs in
+(* ~1–2 µs of [cpu_relax] before parking; the waves of one realization call
+   are typically closer together than a futex wakeup costs. *)
+let spin_budget = 4096
+
+let drain wid =
+  let k = gang.k and body = gang.body and errs = gang.errs in
   let rec go () =
-    let c = Atomic.fetch_and_add l.lcursor 1 in
+    let c = Atomic.fetch_and_add gang.cursor 1 in
     if c < k then begin
       emit wid (Pe_chunk_begin c);
       (try body c
@@ -325,161 +166,128 @@ let lease_drain ?(wid = -1) (l : lease) =
   in
   go ()
 
-let lease_helper (l : lease) wid =
-  let rec spin_wait seen spin =
-    if Atomic.get l.lepoch = seen && spin > 0 then begin
+(* Wait until the epoch moves past [seen]: spin, then park. *)
+let await wid seen =
+  let rec spin n =
+    if Atomic.get gang.epoch = seen && n > 0 then begin
       Domain.cpu_relax ();
-      spin_wait seen (spin - 1)
+      spin (n - 1)
     end
   in
-  let await seen =
-    if Atomic.get l.lepoch = seen then begin
-      emit wid Pe_spin_begin;
-      spin_wait seen lease_spin_budget;
-      emit wid Pe_spin_end;
-      if Atomic.get l.lepoch = seen then begin
-        emit wid Pe_park_begin;
-        Mutex.lock l.lmutex;
-        while Atomic.get l.lepoch = seen do
-          Condition.wait l.lcond l.lmutex
-        done;
-        Mutex.unlock l.lmutex;
-        emit wid Pe_park_end
-      end
-    end
-  in
-  let rec go seen =
-    await seen;
-    let e = Atomic.get l.lepoch in
-    if Atomic.get l.lstop then region_done l.llatch
-    else begin
-      emit wid Pe_run_begin;
-      lease_drain ~wid l;
-      emit wid Pe_run_end;
-      region_done l.llatch;
-      go e
-    end
-  in
-  go 0
-
-let lease ?domains () =
-  let d = resolve domains in
-  let helpers = acquire (d - 1) in
-  let l =
-    {
-      lhelpers = helpers;
-      n_helpers = List.length helpers;
-      lmutex = Mutex.create ();
-      lcond = Condition.create ();
-      lepoch = Atomic.make 0;
-      lstop = Atomic.make false;
-      lcursor = Atomic.make 0;
-      llatch =
-        { rmutex = Mutex.create (); rcond = Condition.create (); pending = 0 };
-      lk = 0;
-      lbody = ignore;
-      lerrs = [||];
-    }
-  in
-  List.iter (fun w -> dispatch w (fun () -> lease_helper l w.wid)) helpers;
-  l
-
-let lease_helpers l = l.n_helpers
-
-let lease_submit (l : lease) =
-  Mutex.lock l.lmutex;
-  Atomic.incr l.lepoch;
-  Condition.broadcast l.lcond;
-  Mutex.unlock l.lmutex
-
-let lease_run (l : lease) ~n_chunks:k body =
-  if k > 0 then begin
-    if Atomic.get l.lstop then
-      invalid_arg "Pool.lease_run: lease was already released"
-    else if l.n_helpers = 0 || k = 1 then
-      for c = 0 to k - 1 do
-        body c
-      done
-    else begin
-      l.lk <- k;
-      l.lbody <- body;
-      l.lerrs <- Array.make k None;
-      Atomic.set l.lcursor 0;
-      region_reset l.llatch l.n_helpers;
-      Atomic.incr dispatches;
-      emit (-1) (Pe_submit (Atomic.get l.lepoch + 1));
-      lease_submit l;
-      emit (-1) Pe_run_begin;
-      lease_drain l;
-      emit (-1) Pe_run_end;
-      region_wait l.llatch;
-      let errs = l.lerrs in
-      l.lbody <- ignore;
-      l.lerrs <- [||];
-      check_errors errs
+  if Atomic.get gang.epoch = seen then begin
+    emit wid Pe_spin_begin;
+    spin spin_budget;
+    emit wid Pe_spin_end;
+    if Atomic.get gang.epoch = seen then begin
+      emit wid Pe_park_begin;
+      Mutex.lock gang.lock;
+      while Atomic.get gang.epoch = seen do
+        Condition.wait gang.wake gang.lock
+      done;
+      Mutex.unlock gang.lock;
+      emit wid Pe_park_end
     end
   end
 
-let release_lease (l : lease) =
-  if not (Atomic.get l.lstop) then begin
-    if l.n_helpers > 0 then begin
-      region_reset l.llatch l.n_helpers;
-      Atomic.set l.lstop true;
-      lease_submit l;
-      region_wait l.llatch;
-      release l.lhelpers
-    end
-    else Atomic.set l.lstop true
+(* Every helper acknowledges every batch, and only the first [width - 1]
+   drain it: the owner rewrites the slots only after the last
+   acknowledgement, and a region never runs on more domains than it asked
+   for.  Chunk bodies cannot raise into the loop ([drain] catches), and a
+   parked helper does not keep the process alive: the runtime exits with
+   the main domain. *)
+let rec helper wid seen =
+  await wid seen;
+  let e = Atomic.get gang.epoch in
+  if wid < gang.width - 1 then begin
+    emit wid Pe_run_begin;
+    drain wid;
+    emit wid Pe_run_end
+  end;
+  Mutex.lock gang.lock;
+  gang.pending <- gang.pending - 1;
+  if gang.pending = 0 then Condition.signal gang.all_acked;
+  Mutex.unlock gang.lock;
+  helper wid e
+
+(* Spawn helpers until [n] exist (capped at [max_workers]).  Only the claim
+   owner calls this, between batches, so a new helper starts at the current
+   epoch and waits for the next bump.  A failed spawn gives the claim
+   back. *)
+let grow n =
+  let seen = Atomic.get gang.epoch in
+  try
+    while Atomic.get gang.spawned < min n max_workers do
+      let wid = Atomic.get gang.spawned in
+      ignore (Domain.spawn (fun () -> helper wid seen) : unit Domain.t);
+      Atomic.incr gang.spawned
+    done
+  with e ->
+    let bt = Printexc.get_raw_backtrace () in
+    Atomic.set gang.claimed false;
+    Printexc.raise_with_backtrace e bt
+
+(* ------------------------------------------------------- parallel region *)
+
+(* First recorded failure in chunk order; every chunk always runs (no
+   cancellation), so which exception wins is deterministic. *)
+let check_errors errs =
+  match Array.find_map Fun.id errs with
+  | Some (e, bt) -> Printexc.raise_with_backtrace e bt
+  | None -> ()
+
+let run_chunks ?domains ~n_chunks:k body =
+  let d = min (resolve domains) k in
+  if d <= 1 || not (Atomic.compare_and_set gang.claimed false true) then
+    for c = 0 to k - 1 do
+      body c
+    done
+  else begin
+    grow (d - 1);
+    let errs = Array.make k None in
+    gang.width <- d;
+    gang.k <- k;
+    gang.body <- body;
+    gang.errs <- errs;
+    Atomic.set gang.cursor 0;
+    Atomic.incr dispatches;
+    emit (-1) (Pe_submit (Atomic.get gang.epoch + 1));
+    Mutex.lock gang.lock;
+    gang.pending <- Atomic.get gang.spawned;
+    Atomic.incr gang.epoch;
+    Condition.broadcast gang.wake;
+    Mutex.unlock gang.lock;
+    emit (-1) Pe_run_begin;
+    drain (-1);
+    emit (-1) Pe_run_end;
+    Mutex.lock gang.lock;
+    while gang.pending > 0 do
+      Condition.wait gang.all_acked gang.lock
+    done;
+    Mutex.unlock gang.lock;
+    gang.body <- ignore;
+    gang.errs <- [||];
+    Atomic.set gang.claimed false;
+    check_errors errs
   end
 
-(* Spawn (and immediately park) the helper workers that [n]-domain regions
-   clamped to the hardware will actually use, so domain-spawn cost never
-   lands inside a timed or latency-sensitive path.  Deliberately capped at
+(* Each chunk writes only its own result slot. *)
+let fork2 ?domains f g =
+  let a = [| None |] and b = [| None |] in
+  run_chunks ?domains ~n_chunks:2 (fun c ->
+      if c = 0 then a.(0) <- Some (f ()) else b.(0) <- Some (g ()));
+  match (a.(0), b.(0)) with Some a, Some b -> (a, b) | _ -> assert false
+
+(* Spawn (and park) the helpers that [n]-domain regions clamped to the
+   hardware will actually use, so domain-spawn cost never lands inside a
+   timed or latency-sensitive path.  Deliberately capped at
    [hardware_domains - 1]: on OCaml 5 every live domain — parked or not —
    joins each minor-GC stop-the-world rendezvous, so surplus domains tax
    *sequential* code on small machines (measured ~4x on one core with 7
    parked workers). *)
-let prewarm n = release (acquire (min (min n hardware_domains) max_workers - 1))
+let prewarm n =
+  if Atomic.compare_and_set gang.claimed false true then begin
+    grow (min n hardware_domains - 1);
+    Atomic.set gang.claimed false
+  end
 
-let fork2 ?domains f g =
-  if resolve domains < 2 then
-    let a = f () in
-    let b = g () in
-    (a, b)
-  else
-    match acquire 1 with
-    | [] ->
-      let a = f () in
-      let b = g () in
-      (a, b)
-    | w :: _ as ws ->
-      let res_g = ref None in
-      let err_g = ref None in
-      let r =
-        { rmutex = Mutex.create (); rcond = Condition.create (); pending = 1 }
-      in
-      dispatch w (fun () ->
-          emit w.wid Pe_run_begin;
-          (try res_g := Some (g ())
-           with e -> err_g := Some (e, Printexc.get_raw_backtrace ()));
-          emit w.wid Pe_run_end;
-          region_done r);
-      let res_f =
-        try Ok (f ()) with e -> Error (e, Printexc.get_raw_backtrace ())
-      in
-      region_wait r;
-      release ws;
-      (* deterministic precedence: the first task's failure wins *)
-      (match res_f with
-      | Error eb -> reraise eb
-      | Ok a -> (
-        match !err_g with
-        | Some eb -> reraise eb
-        | None -> (
-          match !res_g with Some b -> (a, b) | None -> assert false)))
-
-let n_workers_spawned () =
-  Mutex.lock state.lock;
-  let n = state.n_spawned in
-  Mutex.unlock state.lock;
-  n
+let n_workers_spawned () = Atomic.get gang.spawned

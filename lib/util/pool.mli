@@ -1,15 +1,17 @@
-(** Persistent worker-domain pool with deterministic chunking.
+(** Resident helper gang with deterministic chunking.
 
-    Worker domains are spawned once (lazily, up to an internal cap), parked
-    on condition variables, and handed to parallel regions from a free
-    list: a region costs two mutex handoffs per worker instead of a
-    [Domain.spawn]/[join] pair.  Acquisition never blocks, so deadlock is
-    impossible by construction.
+    The pool owns one gang of helper domains, spawned lazily (up to an
+    internal cap) and never torn down; between batches they spin briefly,
+    then park.  {!run_chunks} is the only parallel region ({!fork2} is two
+    chunks of it): it claims the whole gang for one batch, which costs one
+    submission however many helpers take part.
 
-    Parallelism happens at one level: regions are opened around
-    independent solves (the global QP's x ‖ y {!fork2}, realization's
-    {!lease_run} waves), and nothing those solves call opens another.
-    The linear-algebra kernels run on the calling domain.
+    One level of parallelism, by construction: a region opened while the
+    gang is claimed — inside a chunk, or from another domain — runs its
+    chunks in order on the calling domain and spawns nothing.  Regions are
+    opened around independent solves (the global QP's x ‖ y {!fork2},
+    realization's waves); the linear-algebra kernels run on the calling
+    domain.
 
     Determinism contract: results are bit-identical for any domain count.
     Chunk count and boundaries depend only on the problem size; dynamic
@@ -31,15 +33,18 @@ val chunk_bounds : n:int -> n_chunks:int -> int -> int * int
 
 (** [run_chunks ~domains ~n_chunks body] executes [body c] for every chunk
     [c] in [0, n_chunks), distributing chunks over up to [domains] domains
-    (the caller plus free pool workers).  [body] must only write state
-    private to its chunk.  If bodies raise, every chunk still runs and the
-    first failure in chunk order is re-raised — no worker is ever lost and
-    the pool is immediately reusable. *)
+    (the caller plus the gang's first [domains - 1] helpers, spawned on
+    first need).  [body] must only write state private to its chunk.  If
+    bodies raise, every chunk still runs and the first failure in chunk
+    order is re-raised; the pool is immediately reusable.  With one domain,
+    or while the gang is claimed by another region, the chunks run in order
+    on the calling domain. *)
 val run_chunks : ?domains:int -> n_chunks:int -> (int -> unit) -> unit
 
-(** [fork2 f g] runs the two thunks concurrently when a worker is free
-    (and [domains] resolves to at least 2), else sequentially.  If both
-    raise, [f]'s exception wins (deterministic precedence). *)
+(** [fork2 f g] is {!run_chunks} with two chunks: [f] and [g] run
+    concurrently when [domains] resolves to at least 2 and the gang is
+    free, else [f] then [g] on the caller.  If both raise, [f]'s exception
+    wins (deterministic precedence). *)
 val fork2 : ?domains:int -> (unit -> 'a) -> (unit -> 'b) -> 'a * 'b
 
 (** Domains the hardware can actually run at once
@@ -49,84 +54,54 @@ val fork2 : ?domains:int -> (unit -> 'a) -> (unit -> 'b) -> 'a * 'b
     depends on it — the determinism contract holds at any domain count. *)
 val hardware_domains : int
 
-(** {1 Reusable leases}
-
-    A lease holds acquired workers across many consecutive parallel
-    regions (e.g. realization waves): helpers stay resident — spinning
-    briefly, then parked — between {!lease_run} calls, so each region
-    costs one batch submission instead of a per-region
-    acquire/dispatch/release cycle per worker. *)
-
-type lease
-
-(** [lease ~domains ()] acquires up to [domains - 1] free workers as
-    resident helpers.  Acquisition never blocks: with no free workers the
-    lease has zero helpers and every {!lease_run} executes sequentially.
-    Must be paired with {!release_lease}. *)
-val lease : ?domains:int -> unit -> lease
-
-(** Number of helper workers held by the lease (0 on an exhausted pool). *)
-val lease_helpers : lease -> int
-
-(** [lease_run l ~n_chunks body] executes [body c] for every chunk [c] in
-    [0, n_chunks) across the lease's helpers plus the calling domain.
-    Same contract as {!run_chunks}: [body] writes only chunk-private
-    state; every chunk runs even under exceptions and the first failure
-    in chunk order is re-raised, leaving the lease reusable.  Raises
-    [Invalid_argument] after {!release_lease}. *)
-val lease_run : lease -> n_chunks:int -> (int -> unit) -> unit
-
-(** Stops the helpers and returns them to the pool's free list.
-    Idempotent. *)
-val release_lease : lease -> unit
-
-(** [prewarm n] eagerly spawns (and parks) the workers that [n]-domain
+(** [prewarm n] eagerly spawns (and parks) the helpers that [n]-domain
     regions clamped to {!hardware_domains} will actually use, so
     domain-spawn cost never lands inside a timed or latency-sensitive
     path.  Never spawns beyond the core count: every live domain joins
     each minor-GC stop-the-world rendezvous, so surplus parked domains
-    measurably tax sequential code on small machines. *)
+    measurably tax sequential code on small machines.  Does nothing while
+    the gang is claimed. *)
 val prewarm : int -> unit
 
-(** Number of worker domains spawned so far (for tests/metrics). *)
+(** Number of helper domains spawned so far (for tests/metrics). *)
 val n_workers_spawned : unit -> int
 
 (** {1 Profiling hook}
 
-    Occupancy telemetry for [Fbp_obs.Profiler]: every worker scheduling
-    transition (parked / spinning / running a batch, per-chunk start and
-    stop, lease submission) is pushed through one optional process-global
-    hook.  Disabled cost is a single [Atomic.get] per transition, and
-    transitions happen per wave / per chunk — never per element. *)
+    Occupancy telemetry for [Fbp_obs.Profiler]: every scheduling
+    transition (helper parked / spinning / running a batch, per-chunk
+    start and stop, batch submission) is pushed through one optional
+    process-global hook.  Disabled cost is a single [Atomic.get] per
+    transition, and transitions happen per batch / per chunk — never per
+    element. *)
 
 type profile_kind =
-  | Pe_park_begin  (** worker blocks on its condition variable *)
+  | Pe_park_begin  (** helper blocks on the gang's condition variable *)
   | Pe_park_end
-  | Pe_spin_begin  (** lease helper spinning on the epoch atomic *)
+  | Pe_spin_begin  (** helper spinning on the epoch atomic *)
   | Pe_spin_end
-  | Pe_run_begin  (** a dispatched job / lease batch starts executing *)
+  | Pe_run_begin  (** a domain starts draining a batch *)
   | Pe_run_end
   | Pe_chunk_begin of int  (** chunk index within the current region *)
   | Pe_chunk_end of int
-  | Pe_submit of int  (** lease batch submitted; payload is the new epoch *)
+  | Pe_submit of int  (** batch submitted; payload is the new epoch *)
 
 type profile_event = {
-  pe_wid : int;  (** worker id; [-1] is the calling (owner) domain *)
+  pe_wid : int;  (** helper id; [-1] is the calling (owner) domain *)
   pe_domain : int;  (** [Domain.self] of the emitting domain *)
   pe_kind : profile_kind;
 }
 
-(** Install the hook.  The callback runs on worker domains (sometimes while
-    holding a worker's own mutex), so it must be fast, never raise, and
-    touch shared state only through a lock or atomics — fbp-lint's
-    [domain-safety] rule walks closures passed here like any other pool
-    entry point. *)
+(** Install the hook.  The callback runs on helper domains, so it must be
+    fast, never raise, and touch shared state only through a lock or
+    atomics — fbp-lint's [domain-safety] rule walks closures passed here
+    like any other pool entry point. *)
 val set_profile_hook : (profile_event -> unit) -> unit
 
 val clear_profile_hook : unit -> unit
 
-(** Worker handoffs since process start: one per parked-worker job
-    dispatch plus one per {!lease_run} batch submission.  Callers can
-    record deltas to assert dispatch amortization (e.g. realization's
-    [pool.dispatches] counter). *)
+(** Batches submitted to the gang since process start: one per region
+    that reached the helpers.  Callers can record deltas to assert
+    dispatch amortization (e.g. realization's [pool.dispatches]
+    counter). *)
 val n_dispatches : unit -> int

@@ -525,39 +525,39 @@ let shrink ~max_attempts (s : scenario) signature =
 
 (* ------------------------------------------------------------ artifacts *)
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
+let scenario_to_jobj (s : scenario) =
+  let int_ i = J.Num (float_of_int i) in
+  J.Obj
+    [
+      ("seed", int_ s.seed);
+      ("n_cells", int_ s.n_cells);
+      ("utilization", J.Num s.utilization);
+      ("n_macros", int_ s.n_macros);
+      ("macro_fraction", J.Num s.macro_fraction);
+      ("avg_net_degree", J.Num s.avg_net_degree);
+      ("locality", J.Num s.locality);
+      ("mb_shape", J.Str (shape_to_string s.mb_shape));
+      ("n_movebounds", int_ s.n_movebounds);
+      ("coverage", J.Num s.coverage);
+      ("mb_density", J.Num s.mb_density);
+      ("exclusive", J.Bool s.exclusive);
+      ("max_levels", int_ s.max_levels);
+      ("strict", J.Bool s.strict);
+      ("deadline", match s.deadline with None -> J.Null | Some d -> J.Num d);
+      ("round_trip", J.Bool s.round_trip);
+      ( "fault",
+        match s.fault with
+        | None -> J.Null
+        | Some f ->
+          J.Obj
+            [
+              ("site", J.Str (site_to_string f.site));
+              ("kind", J.Str (kind_to_string f.kind));
+              ("after", int_ f.fault_after);
+            ] );
+    ]
 
-let scenario_to_json (s : scenario) =
-  let fault =
-    match s.fault with
-    | None -> "null"
-    | Some f ->
-      Printf.sprintf "{\"site\":\"%s\",\"kind\":\"%s\",\"after\":%d}"
-        (site_to_string f.site) (kind_to_string f.kind) f.fault_after
-  in
-  let deadline =
-    match s.deadline with None -> "null" | Some d -> Printf.sprintf "%.17g" d
-  in
-  Printf.sprintf
-    "{\"seed\":%d,\"n_cells\":%d,\"utilization\":%.17g,\"n_macros\":%d,\"macro_fraction\":%.17g,\"avg_net_degree\":%.17g,\"locality\":%.17g,\"mb_shape\":\"%s\",\"n_movebounds\":%d,\"coverage\":%.17g,\"mb_density\":%.17g,\"exclusive\":%b,\"max_levels\":%d,\"strict\":%b,\"deadline\":%s,\"round_trip\":%b,\"fault\":%s}"
-    s.seed s.n_cells s.utilization s.n_macros s.macro_fraction
-    s.avg_net_degree s.locality
-    (shape_to_string s.mb_shape)
-    s.n_movebounds s.coverage s.mb_density s.exclusive s.max_levels s.strict
-    deadline s.round_trip fault
+let scenario_to_json s = J.to_string (scenario_to_jobj s)
 
 exception Bad_repro of string
 
@@ -648,12 +648,17 @@ let scenario_of_json text =
 let repro_schema = "fbp-fuzz-repro"
 
 let repro_to_json (f : finding) =
-  Printf.sprintf
-    "{\"schema\":\"%s\",\"version\":1,\"signature\":\"%s\",\"detail\":\"%s\",\"shrink_steps\":%d,\"scenario\":%s,\"original\":%s}"
-    repro_schema (json_escape f.signature) (json_escape f.detail)
-    f.shrink_steps
-    (scenario_to_json f.shrunk)
-    (scenario_to_json f.original)
+  J.to_string
+    (J.Obj
+       [
+         ("schema", J.Str repro_schema);
+         ("version", J.Num 1.0);
+         ("signature", J.Str f.signature);
+         ("detail", J.Str f.detail);
+         ("shrink_steps", J.Num (float_of_int f.shrink_steps));
+         ("scenario", scenario_to_jobj f.shrunk);
+         ("original", scenario_to_jobj f.original);
+       ])
 
 let repro_of_json text =
   match J.parse text with

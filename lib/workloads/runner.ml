@@ -111,7 +111,7 @@ let run_fbp ?(config = Fbp_core.Config.default) ?(repartition = 1)
         {
           R.hw_clamp = config.Fbp_core.Config.hw_clamp;
           hardware_domains = Fbp_util.Pool.hardware_domains;
-          eff_domains = config.Fbp_core.Config.domains;
+          eff_domains = Fbp_core.Config.effective_domains config;
           peak_rss_kb = Fbp_util.Rss.peak_rss_kb ();
         };
       R.set_totals

@@ -68,6 +68,39 @@ let test_scenario_json_round_trip () =
           (Fuzz.scenario_to_json s) (Fuzz.scenario_to_json s2))
     (gen_n 11 40)
 
+(* Committed repro files must keep replaying: the exact bytes of a
+   scenario that carries a fault and a deadline are pinned. *)
+let test_scenario_json_bytes_pinned () =
+  let s =
+    {
+      Fuzz.seed = 1_000_042;
+      n_cells = 240;
+      utilization = 0.85;
+      n_macros = 2;
+      macro_fraction = 0.125;
+      avg_net_degree = 3.4;
+      locality = 0.7;
+      mb_shape = Fuzz.Mixed;
+      n_movebounds = 3;
+      coverage = 0.4;
+      mb_density = 0.9;
+      exclusive = false;
+      max_levels = 1;
+      strict = true;
+      deadline = Some 0.25;
+      round_trip = true;
+      fault = Some { Fuzz.site = Fuzz.Transport; kind = Fuzz.Delay; fault_after = 2 };
+    }
+  in
+  Alcotest.(check string) "scenario bytes"
+    ({|{"seed":1000042,"n_cells":240,"utilization":0.84999999999999998,|}
+     ^ {|"n_macros":2,"macro_fraction":0.125,"avg_net_degree":3.3999999999999999,|}
+     ^ {|"locality":0.69999999999999996,"mb_shape":"mixed","n_movebounds":3,|}
+     ^ {|"coverage":0.40000000000000002,"mb_density":0.90000000000000002,|}
+     ^ {|"exclusive":false,"max_levels":1,"strict":true,"deadline":0.25,|}
+     ^ {|"round_trip":true,"fault":{"site":"transport","kind":"delay","after":2}}|})
+    (Fuzz.scenario_to_json s)
+
 let test_scenario_json_rejects_garbage () =
   (match Fuzz.scenario_of_json "{" with
   | Error _ -> ()
@@ -300,6 +333,8 @@ let suite =
       test_with_fault_forces_preconditions;
     Alcotest.test_case "scenario json round-trip" `Quick
       test_scenario_json_round_trip;
+    Alcotest.test_case "scenario json bytes pinned" `Quick
+      test_scenario_json_bytes_pinned;
     Alcotest.test_case "scenario json rejects garbage" `Quick
       test_scenario_json_rejects_garbage;
     Alcotest.test_case "repro round-trip" `Quick test_repro_round_trip;

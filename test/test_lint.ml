@@ -74,10 +74,6 @@ let f () = Fbp_util.Pool.run_chunks ~n_chunks:4 (fun _c -> incr hits)
 let f () =
   Fbp_util.Pool.fork2 (fun () -> 1) (fun () -> incr hits; 2)
 |};
-  check_finds "capture in Pool.lease_run closure" "domain-safety"
-    {|let hits = ref 0
-let f l = Fbp_util.Pool.lease_run l ~n_chunks:4 (fun _c -> incr hits)
-|};
   check_clean "pure fork2"
     {|let f () = Fbp_util.Pool.fork2 (fun () -> 1) (fun () -> 2)
 |};

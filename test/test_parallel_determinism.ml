@@ -258,52 +258,70 @@ let test_pool_exceptions_and_reuse () =
       Alcotest.(check bool) "workers were actually spawned" true
         (Pool.n_workers_spawned () >= 1))
 
-(* ---------- lease: reuse across submissions + error semantics ---------- *)
+(* ---------- gang: reuse across regions + nesting ---------- *)
 
-let test_lease_reuse_and_errors () =
+let test_gang_reuse_and_nesting () =
   with_domains 4 (fun () ->
-      let l = Pool.lease ~domains:4 () in
-      Fun.protect
-        ~finally:(fun () -> Pool.release_lease l)
-        (fun () ->
-          let n = 10_000 in
-          let slots = Array.make n 0 in
-          (* five consecutive rounds reuse the same parked helpers: each
-             batch costs one submission, not one dispatch per worker *)
-          for round = 1 to 5 do
-            let d0 = Pool.n_dispatches () in
-            Pool.lease_run l ~n_chunks:8 (fun c ->
-                let lo, hi = Pool.chunk_bounds ~n ~n_chunks:8 c in
-                for i = lo to hi - 1 do
-                  slots.(i) <- slots.(i) + round
-                done);
-            Alcotest.(check bool)
-              (Printf.sprintf "round %d costs at most one dispatch" round)
-              true
-              (Pool.n_dispatches () - d0 <= 1)
-          done;
-          Alcotest.(check bool) "all slots saw all five rounds" true
-            (Array.for_all (fun v -> v = 15) slots);
-          (* first failure in chunk order wins under dynamic scheduling *)
-          (match
-             Pool.lease_run l ~n_chunks:8 (fun c ->
-                 if c = 3 || c = 6 then raise (Boom c))
-           with
-          | () -> Alcotest.fail "expected Boom"
-          | exception Boom c -> Alcotest.(check int) "first chunk error" 3 c);
-          (* the lease stays usable after a failed batch *)
-          let hits = Atomic.make 0 in
-          Pool.lease_run l ~n_chunks:4 (fun _ -> Atomic.incr hits);
-          Alcotest.(check int) "lease reusable after exception" 4
-            (Atomic.get hits));
-      (* released: further batches are refused, double release is a no-op,
-         and the helpers are back on the pool's free list *)
-      (match Pool.lease_run l ~n_chunks:2 (fun _ -> ()) with
-      | () -> Alcotest.fail "expected Invalid_argument after release"
-      | exception Invalid_argument _ -> ());
-      Pool.release_lease l;
-      Alcotest.(check bool) "pool healthy after release" true
-        (doubled_ok 100))
+      let n = 10_000 in
+      let slots = Array.make n 0 in
+      (* five consecutive regions reuse the same resident helpers: each
+         costs one batch submission, not one dispatch per helper *)
+      for round = 1 to 5 do
+        let d0 = Pool.n_dispatches () in
+        Pool.run_chunks ~domains:4 ~n_chunks:8 (fun c ->
+            let lo, hi = Pool.chunk_bounds ~n ~n_chunks:8 c in
+            for i = lo to hi - 1 do
+              slots.(i) <- slots.(i) + round
+            done);
+        Alcotest.(check int)
+          (Printf.sprintf "round %d costs one submission" round)
+          1 (Pool.n_dispatches () - d0)
+      done;
+      Alcotest.(check bool) "all slots saw all five rounds" true
+        (Array.for_all (fun v -> v = 15) slots);
+      (* a region opened inside a chunk finds the gang claimed and runs its
+         chunks on that chunk's domain: the 4-domain region spawns at most
+         its own 3 helpers, and the nested 8-domain regions none *)
+      let outer = 4 and inner = 16 in
+      let out = Array.make (outer * inner) 0 in
+      let s0 = Pool.n_workers_spawned () and d0 = Pool.n_dispatches () in
+      Pool.run_chunks ~domains:4 ~n_chunks:outer (fun o ->
+          Pool.run_chunks ~domains:8 ~n_chunks:inner (fun i ->
+              out.((o * inner) + i) <- (o * inner) + i + 1));
+      Alcotest.(check int) "nested regions submit nothing" 1
+        (Pool.n_dispatches () - d0);
+      Alcotest.(check int) "nested regions spawn no helper" (max s0 3)
+        (Pool.n_workers_spawned ());
+      Alcotest.(check bool) "nested result" true
+        (Array.for_all Fun.id (Array.mapi (fun i v -> v = i + 1) out)))
+
+(* ---------- fork2 inside a claimed gang ---------- *)
+
+let test_fork2_inside_claimed_gang () =
+  let ok = Array.make 2 false and winner = Array.make 2 0 in
+  let d0 = Pool.n_dispatches () in
+  Pool.run_chunks ~domains:2 ~n_chunks:2 (fun c ->
+      let here = Domain.self () in
+      let trail = ref [] in
+      let branch name () =
+        trail := (name, Domain.self () = here) :: !trail;
+        String.length name
+      in
+      let r = Pool.fork2 ~domains:2 (branch "f") (branch "gg") in
+      ok.(c) <- r = (1, 2) && List.rev !trail = [ ("f", true); ("gg", true) ];
+      winner.(c) <-
+        (match
+           Pool.fork2 ~domains:2
+             (fun () -> raise (Boom 1))
+             (fun () -> raise (Boom 2))
+         with
+        | _ -> 0
+        | exception Boom k -> k));
+  Alcotest.(check int) "only the enclosing region submits" 1
+    (Pool.n_dispatches () - d0);
+  Alcotest.(check (array bool)) "f then g on the chunk's domain"
+    [| true; true |] ok;
+  Alcotest.(check (array int)) "f's exception wins" [| 1; 1 |] winner
 
 (* ---------- realization: compact wave snapshot ---------- *)
 
@@ -347,7 +365,8 @@ let test_realization_counters_and_bitwise () =
   let model = Fbp_model.build inst regions grid design.Design.initial in
   let sol = Fbp_model.solve model in
   let cell_nets = Netlist.cell_nets nl in
-  (* hw_clamp off so the lease path actually runs on small CI machines *)
+  (* hw_clamp off so the parallel wave path actually runs on small CI
+     machines *)
   let run domains =
     with_domains domains (fun () ->
         let pos = Placement.copy design.Design.initial in
@@ -383,13 +402,12 @@ let test_realization_counters_and_bitwise () =
   Alcotest.(check int) "snapshot_cells domain-invariant" snap1 snap8;
   Alcotest.(check bool) "snapshot cheaper than per-wave full copies" true
     (snap1 < r1.Realization.stats.Realization.n_waves * Netlist.n_cells nl);
-  (* dispatch is O(1) per wave: at most one batch submission per wave plus
-     the one-off helper handoffs when the lease is created *)
+  (* dispatch is O(1) per wave: at most one batch submission per wave *)
   Alcotest.(check bool)
     (Printf.sprintf "dispatches amortized (%d for %d waves)" disp8
        r8.Realization.stats.Realization.n_waves)
     true
-    (disp8 <= 8 + r8.Realization.stats.Realization.n_waves)
+    (disp8 <= r8.Realization.stats.Realization.n_waves)
 
 (* ---------- e2e: placer bit-identical at any domain count ---------- *)
 
@@ -443,8 +461,10 @@ let suite =
       test_refreeze_rejects_changed_topology;
     Alcotest.test_case "pool exceptions + reuse" `Quick
       test_pool_exceptions_and_reuse;
-    Alcotest.test_case "lease reuse + errors" `Quick
-      test_lease_reuse_and_errors;
+    Alcotest.test_case "gang reuse + nesting" `Quick
+      test_gang_reuse_and_nesting;
+    Alcotest.test_case "fork2 inside a claimed gang" `Quick
+      test_fork2_inside_claimed_gang;
     Alcotest.test_case "compact wave snapshot" `Quick test_snapshot_compact;
     Alcotest.test_case "realization counters + bitwise" `Slow
       test_realization_counters_and_bitwise;

@@ -364,6 +364,27 @@ let test_end_to_end_placer_run () =
         Alcotest.(check int) "report rows = levels" (List.length r.R.levels)
           (count_substring html "class=\"level-row\""))
 
+(* The host section records the budget the run's regions used:
+   [Config.effective_domains], so a request above the core count under
+   [hw_clamp] records the core count. *)
+let test_host_records_effective_domains () =
+  with_recorder (fun () ->
+      let d = Fbp_netlist.Generator.quick ~seed:11 ~name:"rec_host" 200 in
+      let inst = Fbp_movebound.Instance.unconstrained d in
+      let hw = Fbp_util.Pool.hardware_domains in
+      let config =
+        { Fbp_core.Config.default with domains = hw + 1; hw_clamp = true }
+      in
+      match Fbp_workloads.Runner.run_fbp ~config inst with
+      | Error e ->
+        Alcotest.failf "placer failed: %s" (Fbp_resilience.Fbp_error.to_string e)
+      | Ok _ -> (
+        match (R.current ()).R.provenance.R.host with
+        | None -> Alcotest.fail "host section missing"
+        | Some h ->
+          Alcotest.(check int) "eff_domains is the clamped budget" hw
+            h.R.eff_domains))
+
 let suite =
   [
     Alcotest.test_case "json round-trip exact" `Quick test_roundtrip;
@@ -383,4 +404,6 @@ let suite =
     Alcotest.test_case "disabled recorder records nothing" `Quick
       test_disabled_recorder_is_empty;
     Alcotest.test_case "end-to-end placer run" `Quick test_end_to_end_placer_run;
+    Alcotest.test_case "host records effective domains" `Quick
+      test_host_records_effective_domains;
   ]
