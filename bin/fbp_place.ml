@@ -182,9 +182,7 @@ let place_cmd =
        | None -> ());
       (match record with
        | Some f ->
-         (match Obs.Json.parse (Obs.metrics_json ()) with
-          | Ok m -> Rec.set_metrics m
-          | Error _ -> ());
+         Rec.set_metrics (Obs.metrics ());
          Rec.write_current f;
          Rec.disable ();
          Printf.printf "wrote %s\n" f
@@ -308,7 +306,7 @@ let profile_cmd =
       (match json with
        | Some f ->
          let oc = open_out f in
-         output_string oc (Obs.Json.to_string (Prof.summary_json s));
+         output_string oc (Fbp_util.Json.to_string (Prof.summary_json s));
          output_string oc "\n";
          close_out oc;
          Printf.printf "wrote %s\n" f

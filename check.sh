@@ -77,10 +77,13 @@ $fbp place "$tmp/smoke.book" --movebounds 2 --sanitize >/dev/null \
 
 echo "== flight recorder loop (--record / report / diff-record)"
 $fbp place "$tmp/smoke.book" --movebounds 2 --record "$tmp/run.json" >/dev/null
-for key in schema version provenance levels legalization density totals; do
+for key in schema version provenance levels legalization density totals metrics; do
   grep -q "\"$key\"" "$tmp/run.json" \
     || { echo "run.json missing key: $key"; exit 1; }
 done
+# the metrics section is the Obs metrics object itself, never null
+grep -q '"metrics":{"counters":{' "$tmp/run.json" \
+  || { echo "run.json metrics section is not the metrics object"; exit 1; }
 $fbp report "$tmp/run.json" -o "$tmp/report.html" >/dev/null
 for marker in convergence phase-times density-heatmap level-row; do
   grep -q "$marker" "$tmp/report.html" \

@@ -39,31 +39,19 @@ let to_text d =
   Printf.sprintf "%s:%s: [%s] %s%s" d.file span d.rule d.msg
     (match d.hint with None -> "" | Some h -> " (hint: " ^ h ^ ")")
 
-(* Minimal JSON string escaping: the diagnostics only carry source snippets
-   and fixed messages, so control characters and quotes cover it. *)
-let json_string s =
-  let buf = Buffer.create (String.length s + 2) in
-  Buffer.add_char buf '"';
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.add_char buf '"';
-  Buffer.contents buf
-
 let to_json d =
-  Printf.sprintf
-    "{\"rule\":%s,\"file\":%s,\"line\":%d,\"col\":%d,\"end_line\":%d,\"end_col\":%d,\"msg\":%s,\"hint\":%s}"
-    (json_string d.rule) (json_string d.file) d.line d.col d.end_line d.end_col
-    (json_string d.msg)
-    (match d.hint with None -> "null" | Some h -> json_string h)
+  let module J = Fbp_util.Json in
+  J.Obj
+    [
+      ("rule", J.Str d.rule);
+      ("file", J.Str d.file);
+      ("line", J.int d.line);
+      ("col", J.int d.col);
+      ("end_line", J.int d.end_line);
+      ("end_col", J.int d.end_col);
+      ("msg", J.Str d.msg);
+      ("hint", match d.hint with None -> J.Null | Some h -> J.Str h);
+    ]
 
 let key d = Printf.sprintf "%s:%d:%s" d.file d.line d.rule
 

@@ -29,14 +29,10 @@ val make_pos :
 val to_text : t -> string
 
 (** JSON object with rule/file/span/msg/hint fields (stable key order). *)
-val to_json : t -> string
+val to_json : t -> Fbp_util.Json.t
 
 (** Baseline key: [file:line:rule]. *)
 val key : t -> string
-
-(** Escape and quote a string as a JSON literal (shared by report
-    rendering). *)
-val json_string : string -> string
 
 (** Sort by file, then start position, then rule. *)
 val compare : t -> t -> int

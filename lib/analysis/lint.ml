@@ -244,26 +244,19 @@ let render_text r =
   Buffer.contents buf
 
 let render_json r =
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf "{\"findings\":[";
-  List.iteri
-    (fun i d ->
-      if i > 0 then Buffer.add_char buf ',';
-      Buffer.add_string buf (Diagnostic.to_json d))
-    r.diagnostics;
-  Buffer.add_string buf "],\"errors\":[";
-  List.iteri
-    (fun i (file, why) ->
-      if i > 0 then Buffer.add_char buf ',';
-      Buffer.add_string buf
-        (Printf.sprintf "{\"file\":%s,\"error\":%s}"
-           (Diagnostic.json_string file)
-           (Diagnostic.json_string why)))
-    r.errors;
-  Buffer.add_string buf
-    (Printf.sprintf
-       "],\"files_scanned\":%d,\"baselined\":%d,\"interproc_units\":%d,\"clean\":%b}"
-       r.files_scanned r.baselined r.interproc_units
-       (not (failed r)));
-  Buffer.add_char buf '\n';
-  Buffer.contents buf
+  let module J = Fbp_util.Json in
+  J.to_string
+    (J.Obj
+       [
+         ("findings", J.Arr (List.map Diagnostic.to_json r.diagnostics));
+         ( "errors",
+           J.Arr
+             (List.map
+                (fun (file, why) -> J.Obj [ ("file", J.Str file); ("error", J.Str why) ])
+                r.errors) );
+         ("files_scanned", J.int r.files_scanned);
+         ("baselined", J.int r.baselined);
+         ("interproc_units", J.int r.interproc_units);
+         ("clean", J.Bool (not (failed r)));
+       ])
+  ^ "\n"

@@ -24,9 +24,6 @@ let catalogue =
        Fbp_resilience.Fbp_error" );
     ( "io-discipline",
       "stdout printing in lib/; output belongs to the CLI, bench, or Fbp_obs" );
-    ( "obs-discipline",
-      "raw Obs.span_begin/span_end outside lib/obs; use Obs.span (scoped, \
-       exception-safe) or Obs.record_interval" );
     ("lint-directive", "malformed or unused suppression comment");
   ]
 
@@ -234,18 +231,7 @@ let check_ident ~sc ~(add : adder) ~loc parts =
           ~hint:
             "raise a typed error: Fbp_resilience.Fbp_error.raise_error \
              (Invalid_input ...) / (Internal ...)"
-          "bare failwith in lib/";
-    (* obs-discipline: raw begin/end span markers outside lib/obs — they
-       unbalance the trace on any exception path; Obs.span is scoped *)
-    (match List.rev parts with
-    | (("span_begin" | "span_end") as fn) :: "Obs" :: _
-      when not (path_has_dir sc "obs") ->
-      add ~rule:"obs-discipline" ~loc
-        ~hint:
-          "use Obs.span (scoped and exception-safe) or, for measured \
-           intervals, Obs.record_interval"
-        (Printf.sprintf "raw Obs.%s outside lib/obs" fn)
-    | _ -> ())
+          "bare failwith in lib/"
   end
 
 (* Rules that need the application's arguments. *)

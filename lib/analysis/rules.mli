@@ -20,11 +20,7 @@
       typed {!Fbp_resilience.Fbp_error} taxonomy, preconditions must name
       their function ("Module.fn: ...").
     - [io-discipline] — [Printf.printf] / [print_endline] and friends in
-      [lib/]; output belongs to the CLI, bench, or [Fbp_obs].
-    - [obs-discipline] — raw [Obs.span_begin] / [Obs.span_end] outside
-      [lib/obs]; an exception between the pair unbalances the trace, so
-      callers use the scoped [Obs.span] (or [Obs.record_interval] for
-      already-measured intervals). *)
+      [lib/]; output belongs to the CLI, bench, or [Fbp_obs]. *)
 
 (** [(id, summary)] for every rule, including the [lint-directive]
     meta-rule for malformed/unused suppressions. *)

@@ -19,7 +19,6 @@ type t = {
   capacity_margin : float;  (* flow capacities derated for legalizability *)
   deadline : float option;  (* wall-clock budget (s) for global placement *)
   strict : bool;  (* fail with a typed error instead of degrading *)
-  verbose : bool;
 }
 
 let default =
@@ -37,7 +36,6 @@ let default =
     capacity_margin = 0.94;
     deadline = None;
     strict = false;
-    verbose = false;
   }
 
 (* The domain budget of the parallel regions: [domains], clamped to the

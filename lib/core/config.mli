@@ -30,7 +30,6 @@ type t = {
       (** disable graceful degradation: movebound relaxation, bisection
           fallback, checkpoint returns and CG safeguard failures become
           typed errors instead *)
-  verbose : bool;
 }
 
 (** Paper-faithful defaults (97% density etc.). *)

@@ -92,10 +92,6 @@ let degradation_to_string = function
        returning last-good checkpoint"
       level elapsed budget
 
-let log_verbose (cfg : Config.t) fmt =
-  if cfg.Config.verbose then Printf.eprintf fmt
-  else Printf.ifprintf stderr fmt
-
 (* Number of levels: refine while windows stay at least [min_window_rows]
    rows tall and keep a floor of cells per window.  The MinCostFlow size
    grows with windows x movebound classes, so movebound-heavy instances
@@ -199,9 +195,6 @@ let place ?(config = Config.default) ?on_level ?fallback
     if (not qp0.Qp.converged) && config.Config.strict then
       Error (Err.Cg_diverged (cg_stats_of qp0))
     else begin
-      if not qp0.Qp.converged then
-        log_verbose config "[fbp] level 0: CG not converged (residual %.2e)\n"
-          qp0.Qp.residual;
       let levels = ref [] in
       let piece_of_cell = ref (Array.make (Netlist.n_cells nl) (-1)) in
       let final_grid = ref None in
@@ -321,13 +314,8 @@ let place ?(config = Config.default) ?on_level ?fallback
                       { Qp.vars = 0; cg_iterations = 0; residual = 0.0; converged = true }))
               in
               check_deadline ();
-              if not qp_stats.Qp.converged then begin
-                if config.Config.strict then
-                  raise (Abort (Err.Cg_diverged (cg_stats_of qp_stats)));
-                log_verbose config
-                  "[fbp] level %d: CG not converged (residual %.2e after %d iters)\n"
-                  level qp_stats.Qp.residual qp_stats.Qp.cg_iterations
-              end;
+              if (not qp_stats.Qp.converged) && config.Config.strict then
+                raise (Abort (Err.Cg_diverged (cg_stats_of qp_stats)));
               (* Flow capacities carry a legalizability margin (integral
                  rounding can overfill a piece by up to one cell; rows lose
                  slivers).  The degradation ladder on infeasibility: drop the
@@ -427,10 +415,11 @@ let place ?(config = Config.default) ?on_level ?fallback
                   }
                 in
                 levels := rep :: !levels;
-                (* level boundary: GC gauges for the metrics export, and a
-                   flight-recorder snapshot when [--record] armed it (the
-                   density/legality audits only run in that case) *)
-                Fbp_obs.Obs.sample_gc ();
+                (* level boundary: the level's GC delta (also the metrics'
+                   gc.* gauges), and a flight-recorder snapshot when
+                   [--record] armed it (the density/legality audits only run
+                   in that case) *)
+                let gc = Fbp_obs.Obs.sample_gc () in
                 (* drain the runtime-events ring at each level so overflow
                    stays bounded and trace injection is incremental *)
                 Fbp_obs.Profiler.poll ();
@@ -464,11 +453,9 @@ let place ?(config = Config.default) ?on_level ?fallback
                       qp_time;
                       flow_time;
                       realization_time;
-                      gc = R.gc_boundary ();
+                      gc;
                     }
                 end;
-                log_verbose config "[fbp] level %d: %dx%d windows, %d pieces, hpwl %.3e\n"
-                  level nx ny (Grid.n_pieces grid) hpwl;
                 (match on_level with Some f -> f rep | None -> ()))
             with
             | Abort reason -> handle_failure level reason
@@ -477,9 +464,6 @@ let place ?(config = Config.default) ?on_level ?fallback
             | e -> handle_failure level (Err.of_exn ~site:(Printf.sprintf "level %d" level) e)));
         incr l
       done;
-      List.iter
-        (fun d -> log_verbose config "[fbp] degraded: %s\n" (degradation_to_string d))
-        (List.rev !degradations);
       match !stop with
       | Some e -> Error e
       | None ->

@@ -1,5 +1,5 @@
-(* Structured observability: spans, counters, histograms; Chrome trace and
-   metrics JSON export.
+(* Structured observability: spans, counters, histograms, the GC sampler;
+   Chrome trace and metrics JSON export.
 
    The fast path is a single [Atomic.get] per probe, so instrumentation left
    in hot solver code is effectively free until someone passes [--trace] /
@@ -7,6 +7,8 @@
    fire from realization worker domains concurrently, and the recording rate
    (per solve / per wave / per node, never per inner iteration) is far too
    low for the lock to matter. *)
+
+module Json = Fbp_util.Json
 
 let enabled_flag = Atomic.make false
 let lock = Mutex.create ()
@@ -17,7 +19,7 @@ let with_lock f =
 
 type event = {
   name : string;
-  ph : char;  (* 'B' begin | 'E' end *)
+  ph : string;  (* "B" begin | "E" end *)
   ts : float;  (* microseconds since the trace clock start *)
   tid : int;  (* recording domain *)
   args : (string * string) list;
@@ -41,9 +43,11 @@ let enabled () = Atomic.get enabled_flag
 let enable () = Atomic.set enabled_flag true
 let disable () = Atomic.set enabled_flag false
 
-(* GC baseline for [sample_gc]: counters report collections/compactions
-   since the last [reset], not since process start. *)
-let gc_base : Gc.stat option ref = ref None
+(* The GC mark [sample_gc] measures from.  [Gc.quick_stat]'s minor_words
+   is only refreshed at GC events on OCaml 5; [Gc.minor_words] reads the
+   live allocation pointer, so the mark carries both. *)
+let gc_now () = (Gc.quick_stat (), Gc.minor_words ())
+let gc_mark = ref (gc_now ())
 
 let reset () =
   with_lock (fun () ->
@@ -51,7 +55,7 @@ let reset () =
       event_count := 0;
       Hashtbl.reset counters;
       Hashtbl.reset histograms;
-      gc_base := Some (Gc.quick_stat ());
+      gc_mark := gc_now ();
       Atomic.set epoch (Fbp_util.Timer.now ()))
 
 let record name ph args =
@@ -66,22 +70,13 @@ let record name ph args =
 let span ?args name f =
   if not (enabled ()) then f ()
   else begin
-    record name 'B' (match args with None -> [] | Some a -> a ());
-    Fun.protect ~finally:(fun () -> record name 'E' []) f
+    record name "B" (match args with None -> [] | Some a -> a ());
+    Fun.protect ~finally:(fun () -> record name "E" []) f
   end
 
 (* The trace clock, exposed so the profiler can timestamp pool-occupancy
    samples and translate Runtime_events timestamps onto the same axis. *)
 let now_us () = (Fbp_util.Timer.now () -. Atomic.get epoch) *. 1e6
-
-(* Unpaired span halves.  [span] is the discipline (balance by
-   construction); these exist for callers whose begin/end sites cannot
-   share a scope.  fbp-lint's [obs-discipline] rule flags any use outside
-   [lib/obs] so every escape hatch is visibly justified. *)
-let span_begin ?args name =
-  if enabled () then record name 'B' (match args with None -> [] | Some a -> a ())
-
-let span_end name = if enabled () then record name 'E' []
 
 (* A closed interval injected after the fact (the profiler's GC pauses,
    which are only known once the runtime-events ring is drained).  The
@@ -93,8 +88,8 @@ let record_interval ~name ~tid ~ts_us ~dur_us args =
     with_lock (fun () ->
         if !event_count + 2 <= max_events then begin
           events :=
-            { name; ph = 'E'; ts = ts_us +. dur_us; tid; args = [] }
-            :: { name; ph = 'B'; ts = ts_us; tid; args }
+            { name; ph = "E"; ts = ts_us +. dur_us; tid; args = [] }
+            :: { name; ph = "B"; ts = ts_us; tid; args }
             :: !events;
           event_count := !event_count + 2
         end)
@@ -112,32 +107,38 @@ let observe name v =
         | Some r -> r := v :: !r
         | None -> Hashtbl.add histograms name (ref [ v ]))
 
+type gc_delta = {
+  minor_words : float;
+  major_words : float;
+  major_collections : int;
+  compactions : int;
+  heap_words : int;
+}
+
+(* Always measured, so the run record gets its delta with the registry
+   off; the gauges are ordinary probes.  Their totals are the sums of the
+   deltas since [reset]. *)
 let sample_gc () =
-  if enabled () then begin
-    let s = Gc.quick_stat () in
+  let ((s, minor) as now) = gc_now () in
+  let base, base_minor =
     with_lock (fun () ->
-        let base =
-          match !gc_base with
-          | Some b -> b
-          | None ->
-            gc_base := Some s;
-            s
-        in
-        (* gauges with monotonic sampling: replace, don't accumulate *)
-        Hashtbl.replace counters "gc.major_collections"
-          (s.Gc.major_collections - base.Gc.major_collections);
-        Hashtbl.replace counters "gc.compactions"
-          (s.Gc.compactions - base.Gc.compactions);
-        let r =
-          match Hashtbl.find_opt histograms "gc.heap_words" with
-          | Some r -> r
-          | None ->
-            let r = ref [] in
-            Hashtbl.add histograms "gc.heap_words" r;
-            r
-        in
-        r := float_of_int s.Gc.heap_words :: !r)
-  end
+        let mark = !gc_mark in
+        gc_mark := now;
+        mark)
+  in
+  let d =
+    {
+      minor_words = minor -. base_minor;
+      major_words = s.Gc.major_words -. base.Gc.major_words;
+      major_collections = s.Gc.major_collections - base.Gc.major_collections;
+      compactions = s.Gc.compactions - base.Gc.compactions;
+      heap_words = s.Gc.heap_words;
+    }
+  in
+  count ~n:d.major_collections "gc.major_collections";
+  count ~n:d.compactions "gc.compactions";
+  observe "gc.heap_words" (float_of_int d.heap_words);
+  d
 
 let counter_value name =
   with_lock (fun () ->
@@ -153,301 +154,60 @@ let n_events () = with_lock (fun () -> !event_count)
 
 (* ------------------------------------------------------------ emission *)
 
-let escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\r' -> Buffer.add_string b "\\r"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
-let float_str v =
-  if Float.is_integer v && Float.abs v < 1e15 then Printf.sprintf "%.0f" v
-  else Printf.sprintf "%.6g" v
-
 let trace_json () =
   let evs = with_lock (fun () -> List.rev !events) in
-  let b = Buffer.create 4096 in
-  Buffer.add_string b "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[";
-  List.iteri
-    (fun i e ->
-      if i > 0 then Buffer.add_char b ',';
-      Buffer.add_string b
-        (Printf.sprintf "\n{\"name\":\"%s\",\"cat\":\"fbp\",\"ph\":\"%c\",\"ts\":%.3f,\"pid\":1,\"tid\":%d"
-           (escape e.name) e.ph e.ts e.tid);
-      if e.args <> [] then begin
-        Buffer.add_string b ",\"args\":{";
-        List.iteri
-          (fun j (k, v) ->
-            if j > 0 then Buffer.add_char b ',';
-            Buffer.add_string b (Printf.sprintf "\"%s\":\"%s\"" (escape k) (escape v)))
-          e.args;
-        Buffer.add_char b '}'
-      end;
-      Buffer.add_char b '}')
-    evs;
-  Buffer.add_string b "\n]}\n";
-  Buffer.contents b
+  let event e =
+    Json.Obj
+      ([ ("name", Json.Str e.name); ("cat", Json.Str "fbp"); ("ph", Json.Str e.ph);
+         ("ts", Json.Num e.ts); ("pid", Json.int 1); ("tid", Json.int e.tid) ]
+       @
+       if e.args = [] then []
+       else [ ("args", Json.Obj (List.map (fun (k, v) -> (k, Json.Str v)) e.args)) ])
+  in
+  Json.to_string
+    (Json.Obj
+       [ ("displayTimeUnit", Json.Str "ms"); ("traceEvents", Json.Arr (List.map event evs)) ])
+  ^ "\n"
 
-let summary_json values =
+(* A histogram exists only once it holds an observation, so [a] is never
+   empty. *)
+let summary values =
   let a = Array.of_list (List.rev values) in
-  let n = Array.length a in
-  if n = 0 then "{\"count\":0}"
-  else begin
-    let lo, hi = Fbp_util.Stats.min_max a in
-    Printf.sprintf
-      "{\"count\":%d,\"sum\":%s,\"mean\":%s,\"min\":%s,\"max\":%s,\"p50\":%s,\"p90\":%s,\"p99\":%s}"
-      n
-      (float_str (Fbp_util.Stats.sum a))
-      (float_str (Fbp_util.Stats.mean a))
-      (float_str lo) (float_str hi)
-      (float_str (Fbp_util.Stats.percentile a 0.5))
-      (float_str (Fbp_util.Stats.percentile a 0.9))
-      (float_str (Fbp_util.Stats.percentile a 0.99))
-  end
+  let lo, hi = Fbp_util.Stats.min_max a in
+  let pct p = Json.Num (Fbp_util.Stats.percentile a p) in
+  Json.Obj
+    [
+      ("count", Json.int (Array.length a));
+      ("sum", Json.Num (Fbp_util.Stats.sum a));
+      ("mean", Json.Num (Fbp_util.Stats.mean a));
+      ("min", Json.Num lo);
+      ("max", Json.Num hi);
+      ("p50", pct 0.5);
+      ("p90", pct 0.9);
+      ("p99", pct 0.99);
+    ]
 
-let metrics_json () =
+let metrics () =
   let cs, hs =
     with_lock (fun () ->
         ( Hashtbl.fold (fun k v acc -> (k, v) :: acc) counters [],
           Hashtbl.fold (fun k r acc -> (k, !r) :: acc) histograms [] ))
   in
-  let cs = List.sort (fun (a, _) (b, _) -> String.compare a b) cs in
-  let hs = List.sort (fun (a, _) (b, _) -> String.compare a b) hs in
-  let b = Buffer.create 1024 in
-  Buffer.add_string b "{\n\"counters\":{";
-  List.iteri
-    (fun i (k, v) ->
-      if i > 0 then Buffer.add_char b ',';
-      Buffer.add_string b (Printf.sprintf "\n  \"%s\":%d" (escape k) v))
-    cs;
-  Buffer.add_string b "\n},\n\"histograms\":{";
-  List.iteri
-    (fun i (k, vs) ->
-      if i > 0 then Buffer.add_char b ',';
-      Buffer.add_string b (Printf.sprintf "\n  \"%s\":%s" (escape k) (summary_json vs)))
-    hs;
-  Buffer.add_string b "\n}\n}\n";
-  Buffer.contents b
+  let sorted kvs = List.sort (fun (a, _) (b, _) -> String.compare a b) kvs in
+  Json.Obj
+    [
+      ("counters", Json.Obj (List.map (fun (k, v) -> (k, Json.int v)) (sorted cs)));
+      ("histograms", Json.Obj (List.map (fun (k, vs) -> (k, summary vs)) (sorted hs)));
+    ]
 
 let write_string path s =
   let oc = open_out path in
   Fun.protect ~finally:(fun () -> close_out oc) (fun () -> output_string oc s)
 
 let write_trace path = write_string path (trace_json ())
-let write_metrics path = write_string path (metrics_json ())
+let write_metrics path = write_string path (Json.to_string (metrics ()) ^ "\n")
 
-(* ------------------------------------------------------------- parsing *)
-
-module Json = struct
-  type t =
-    | Null
-    | Bool of bool
-    | Num of float
-    | Str of string
-    | Arr of t list
-    | Obj of (string * t) list
-
-  exception Bad of string
-
-  let parse s =
-    let n = String.length s in
-    let pos = ref 0 in
-    let fail msg = raise (Bad (Printf.sprintf "%s at offset %d" msg !pos)) in
-    let peek () = if !pos < n then Some s.[!pos] else None in
-    let advance () = incr pos in
-    let skip_ws () =
-      while
-        !pos < n && (match s.[!pos] with ' ' | '\t' | '\n' | '\r' -> true | _ -> false)
-      do
-        advance ()
-      done
-    in
-    let expect c =
-      if !pos < n && s.[!pos] = c then advance ()
-      else fail (Printf.sprintf "expected '%c'" c)
-    in
-    let literal lit v =
-      let m = String.length lit in
-      if !pos + m <= n && String.sub s !pos m = lit then begin
-        pos := !pos + m;
-        v
-      end
-      else fail ("bad literal, expected " ^ lit)
-    in
-    let parse_string () =
-      expect '"';
-      let b = Buffer.create 16 in
-      let rec go () =
-        if !pos >= n then fail "unterminated string";
-        let c = s.[!pos] in
-        advance ();
-        if c = '"' then Buffer.contents b
-        else if c = '\\' then begin
-          if !pos >= n then fail "unterminated escape";
-          let e = s.[!pos] in
-          advance ();
-          (match e with
-           | '"' -> Buffer.add_char b '"'
-           | '\\' -> Buffer.add_char b '\\'
-           | '/' -> Buffer.add_char b '/'
-           | 'b' -> Buffer.add_char b '\b'
-           | 'f' -> Buffer.add_char b '\012'
-           | 'n' -> Buffer.add_char b '\n'
-           | 'r' -> Buffer.add_char b '\r'
-           | 't' -> Buffer.add_char b '\t'
-           | 'u' ->
-             if !pos + 4 > n then fail "truncated \\u escape";
-             let hex = String.sub s !pos 4 in
-             pos := !pos + 4;
-             let code =
-               try int_of_string ("0x" ^ hex) with Failure _ -> fail "bad \\u escape"
-             in
-             (* ASCII round-trips (all this module emits); anything larger
-                degrades to '?' — fine for validation purposes *)
-             if code < 0x80 then Buffer.add_char b (Char.chr code)
-             else Buffer.add_char b '?'
-           | _ -> fail "bad escape");
-          go ()
-        end
-        else begin
-          Buffer.add_char b c;
-          go ()
-        end
-      in
-      go ()
-    in
-    let parse_number () =
-      let start = !pos in
-      if peek () = Some '-' then advance ();
-      while
-        !pos < n
-        && (match s.[!pos] with '0' .. '9' | '.' | 'e' | 'E' | '+' | '-' -> true | _ -> false)
-      do
-        advance ()
-      done;
-      let str = String.sub s start (!pos - start) in
-      match float_of_string_opt str with
-      | Some f -> f
-      | None -> fail ("bad number " ^ str)
-    in
-    let rec parse_value () =
-      skip_ws ();
-      match peek () with
-      | None -> fail "unexpected end of input"
-      | Some '"' -> Str (parse_string ())
-      | Some '{' ->
-        advance ();
-        skip_ws ();
-        if peek () = Some '}' then begin
-          advance ();
-          Obj []
-        end
-        else begin
-          let rec members acc =
-            skip_ws ();
-            let k = parse_string () in
-            skip_ws ();
-            expect ':';
-            let v = parse_value () in
-            skip_ws ();
-            match peek () with
-            | Some ',' ->
-              advance ();
-              members ((k, v) :: acc)
-            | Some '}' ->
-              advance ();
-              Obj (List.rev ((k, v) :: acc))
-            | _ -> fail "expected ',' or '}'"
-          in
-          members []
-        end
-      | Some '[' ->
-        advance ();
-        skip_ws ();
-        if peek () = Some ']' then begin
-          advance ();
-          Arr []
-        end
-        else begin
-          let rec elements acc =
-            let v = parse_value () in
-            skip_ws ();
-            match peek () with
-            | Some ',' ->
-              advance ();
-              elements (v :: acc)
-            | Some ']' ->
-              advance ();
-              Arr (List.rev (v :: acc))
-            | _ -> fail "expected ',' or ']'"
-          in
-          elements []
-        end
-      | Some 't' -> literal "true" (Bool true)
-      | Some 'f' -> literal "false" (Bool false)
-      | Some 'n' -> literal "null" Null
-      | Some ('-' | '0' .. '9') -> Num (parse_number ())
-      | Some c -> fail (Printf.sprintf "unexpected character '%c'" c)
-    in
-    try
-      let v = parse_value () in
-      skip_ws ();
-      if !pos <> n then Error (Printf.sprintf "trailing garbage at offset %d" !pos)
-      else Ok v
-    with Bad msg -> Error msg
-
-  let member key = function
-    | Obj kvs ->
-      List.find_map (fun (k, v) -> if String.equal k key then Some v else None) kvs
-    | _ -> None
-
-  let to_string v =
-    let b = Buffer.create 256 in
-    let add_str s =
-      Buffer.add_char b '"';
-      Buffer.add_string b (escape s);
-      Buffer.add_char b '"'
-    in
-    let rec go = function
-      | Null -> Buffer.add_string b "null"
-      | Bool x -> Buffer.add_string b (string_of_bool x)
-      | Num f ->
-        (* %.17g round-trips any finite float through [parse] *)
-        if Float.is_integer f && Float.abs f < 1e15 then
-          Buffer.add_string b (Printf.sprintf "%.0f" f)
-        else Buffer.add_string b (Printf.sprintf "%.17g" f)
-      | Str s -> add_str s
-      | Arr xs ->
-        Buffer.add_char b '[';
-        List.iteri
-          (fun i x ->
-            if i > 0 then Buffer.add_char b ',';
-            go x)
-          xs;
-        Buffer.add_char b ']'
-      | Obj kvs ->
-        Buffer.add_char b '{';
-        List.iteri
-          (fun i (k, x) ->
-            if i > 0 then Buffer.add_char b ',';
-            add_str k;
-            Buffer.add_char b ':';
-            go x)
-          kvs;
-        Buffer.add_char b '}'
-    in
-    go v;
-    Buffer.contents b
-end
+(* ----------------------------------------------------------- validation *)
 
 let validate_trace doc =
   match Json.parse doc with

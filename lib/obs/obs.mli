@@ -1,6 +1,7 @@
 (** Structured observability for the placement pipeline.
 
-    Three primitives, all process-global and domain-safe:
+    Three primitives, all process-global and domain-safe, plus the one GC
+    sampler ({!sample_gc}):
 
     - {b spans} — nested begin/end intervals ({!span}) exported as Chrome
       trace-event JSON ({!write_trace}, loadable in [chrome://tracing] /
@@ -13,11 +14,15 @@
     Instrumentation is disabled by default: every probe first reads one
     atomic flag and returns, so a fully-probed solver chain costs well under
     5% when nothing is armed.  Enable with {!enable} (the CLI does this when
-    [--trace] or [--metrics] is given), then export with {!write_trace} /
-    {!write_metrics}.
+    [--trace], [--metrics] or [--record] is given), then export with
+    {!write_trace} / {!write_metrics}.  Every export is a {!Json.t} printed
+    by {!Json.to_string}.
 
     The span taxonomy and metric names used by the pipeline are documented
     in DESIGN.md ("Observability"). *)
+
+(** {!Fbp_util.Json} under the name fbp-bench uses. *)
+module Json = Fbp_util.Json
 
 (** [true] once {!enable} was called (and {!disable} was not). *)
 val enabled : unit -> bool
@@ -25,27 +30,22 @@ val enabled : unit -> bool
 val enable : unit -> unit
 val disable : unit -> unit
 
-(** Drop all recorded events, counters and histograms and restart the trace
-    clock.  Does not change the enabled flag. *)
+(** Drop all recorded events, counters and histograms, restart the trace
+    clock and move the GC mark of {!sample_gc} to now.  Does not change the
+    enabled flag. *)
 val reset : unit -> unit
 
 (** [span name f] runs [f ()]; when enabled, records a begin event before
     and an end event after (also on exception).  [args] is evaluated only
     when enabled, so argument formatting is free on the disabled path.
-    Spans nest; balance is guaranteed by construction. *)
+    Spans nest; balance is guaranteed by construction.  This is the only
+    way to open a span. *)
 val span : ?args:(unit -> (string * string) list) -> string -> (unit -> 'a) -> 'a
 
 (** Microseconds on the trace clock (the axis of every span timestamp);
     restarts at {!reset}.  Meaningful whether or not recording is
     enabled. *)
 val now_us : unit -> float
-
-(** Unpaired span halves for callers whose begin and end sites cannot share
-    a scope.  {!span} is the discipline — fbp-lint's [obs-discipline] rule
-    flags any use of these outside [lib/obs]. *)
-val span_begin : ?args:(unit -> (string * string) list) -> string -> unit
-
-val span_end : string -> unit
 
 (** [record_interval ~name ~tid ~ts_us ~dur_us args] appends a closed
     [B]/[E] pair for an interval measured elsewhere (the profiler's GC
@@ -65,11 +65,24 @@ val count : ?n:int -> string -> unit
 (** [observe name v] appends [v] to the histogram [name]. *)
 val observe : string -> float -> unit
 
-(** Sample [Gc.quick_stat] into the registry: counters
-    [gc.major_collections] / [gc.compactions] (totals since the last
-    {!reset}) and a [gc.heap_words] histogram observation.  Intended to be
-    called at level boundaries; a no-op (one atomic read) when disabled. *)
-val sample_gc : unit -> unit
+(** GC activity between two {!sample_gc} calls.  [heap_words] is the
+    absolute major-heap size at the later call, not a delta. *)
+type gc_delta = {
+  minor_words : float;  (** from the live allocation counter, exact *)
+  major_words : float;
+  major_collections : int;
+  compactions : int;
+  heap_words : int;
+}
+
+(** The one GC sampler: the delta since the previous call (or since
+    {!reset}), which then becomes the new mark.  It always measures, so the
+    run record gets its per-level [gc] delta whether or not the registry is
+    on.  When enabled, it also adds the delta to the counters
+    [gc.major_collections] / [gc.compactions] (so they total the
+    collections since {!reset}) and observes [heap_words] in the
+    [gc.heap_words] histogram.  The placer calls it once per level. *)
+val sample_gc : unit -> gc_delta
 
 (** Current counter value; 0 when the counter was never touched. *)
 val counter_value : string -> int
@@ -81,37 +94,19 @@ val histogram_values : string -> float array
 val n_events : unit -> int
 
 (** Chrome trace-event JSON ({["traceEvents"]} array of ["B"]/["E"] pairs,
-    timestamps in microseconds since the trace clock start). *)
+    timestamps in microseconds since the trace clock start), printed. *)
 val trace_json : unit -> string
 
-(** Metrics JSON: {["counters"]} (name → int) and {["histograms"]} (name →
-    summary object), keys sorted. *)
-val metrics_json : unit -> string
+(** The metrics object: {["counters"]} (name → int) and {["histograms"]}
+    (name → count/sum/mean/min/max/p50/p90/p99 summary), keys sorted.  The
+    run record embeds it as is. *)
+val metrics : unit -> Json.t
 
+(** {!trace_json} to a file. *)
 val write_trace : string -> unit
+
+(** {!metrics}, printed, to a file. *)
 val write_metrics : string -> unit
-
-(** Minimal JSON parser — enough to validate this module's own output and
-    machine-read it from tests and tooling.  Numbers are [float]s; object
-    member order is preserved. *)
-module Json : sig
-  type t =
-    | Null
-    | Bool of bool
-    | Num of float
-    | Str of string
-    | Arr of t list
-    | Obj of (string * t) list
-
-  (** Parse a complete JSON document (trailing whitespace allowed). *)
-  val parse : string -> (t, string) result
-
-  (** First member with this key, when the value is an object. *)
-  val member : string -> t -> t option
-
-  (** Serialize (compact; floats round-trip through {!parse}). *)
-  val to_string : t -> string
-end
 
 (** Validate a Chrome trace document: parses, has a ["traceEvents"] array,
     and every domain's begin/end events balance with matching names in

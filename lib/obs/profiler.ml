@@ -27,7 +27,7 @@
    domain's index, which equals [Domain.self] for the long-lived domains
    the pool manages (its helpers are never torn down). *)
 
-module J = Obs.Json
+module J = Fbp_util.Json
 
 (* Backstop against unbounded growth; one sample per worker scheduling
    transition, so even wave-heavy runs sit orders of magnitude below. *)
@@ -706,55 +706,52 @@ let stop () =
 
 (* ---------------------------------------------------------------- JSON *)
 
-let jnum v = J.Num v
-let jint i = J.Num (float_of_int i)
-
 let summary_json s =
   let domain d =
     J.Obj
       [
-        ("tid", jint d.d_tid);
-        ("wid", jint d.d_wid);
-        ("wall_us", jnum d.d_wall_us);
-        ("busy_us", jnum d.d_busy_us);
-        ("spin_us", jnum d.d_spin_us);
-        ("park_us", jnum d.d_park_us);
-        ("stw_us", jnum d.d_stw_us);
-        ("stw_n", jint d.d_stw_n);
-        ("chunks", jint d.d_chunks);
+        ("tid", J.int d.d_tid);
+        ("wid", J.int d.d_wid);
+        ("wall_us", J.Num d.d_wall_us);
+        ("busy_us", J.Num d.d_busy_us);
+        ("spin_us", J.Num d.d_spin_us);
+        ("park_us", J.Num d.d_park_us);
+        ("stw_us", J.Num d.d_stw_us);
+        ("stw_n", J.int d.d_stw_n);
+        ("chunks", J.int d.d_chunks);
       ]
   in
   let phase p =
     J.Obj
       [
         ("name", J.Str p.ph_name);
-        ("wall_us", jnum p.ph_wall_us);
-        ("gc_us", jnum p.ph_gc_us);
-        ("gc_n", jint p.ph_gc_n);
+        ("wall_us", J.Num p.ph_wall_us);
+        ("gc_us", J.Num p.ph_gc_us);
+        ("gc_n", J.int p.ph_gc_n);
       ]
   in
   let pause p =
     J.Obj
       [
-        ("tid", jint p.p_tid);
+        ("tid", J.int p.p_tid);
         ("kind", J.Str p.p_kind);
-        ("ts_us", jnum p.p_ts_us);
-        ("dur_us", jnum p.p_dur_us);
+        ("ts_us", J.Num p.p_ts_us);
+        ("dur_us", J.Num p.p_dur_us);
       ]
   in
   J.Obj
     [
       ("schema", J.Str "fbp-profile");
       ("available", J.Bool s.s_available);
-      ("wall_us", jnum s.s_wall_us);
-      ("events", jint s.s_events);
-      ("lost", jint s.s_lost);
-      ("pool_samples", jint s.s_pool_samples);
-      ("stw_count", jint s.s_stw_count);
-      ("minor_us", jnum s.s_minor_us);
-      ("major_us", jnum s.s_major_us);
-      ("submits", jint s.s_submits);
-      ("submit_latency_us", jnum s.s_submit_latency_us);
+      ("wall_us", J.Num s.s_wall_us);
+      ("events", J.int s.s_events);
+      ("lost", J.int s.s_lost);
+      ("pool_samples", J.int s.s_pool_samples);
+      ("stw_count", J.int s.s_stw_count);
+      ("minor_us", J.Num s.s_minor_us);
+      ("major_us", J.Num s.s_major_us);
+      ("submits", J.int s.s_submits);
+      ("submit_latency_us", J.Num s.s_submit_latency_us);
       ("domains", J.Arr (List.map domain s.s_domains));
       ("phases", J.Arr (List.map phase s.s_phases));
       ("top_pauses", J.Arr (List.map pause s.s_top_pauses));

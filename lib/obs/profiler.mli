@@ -86,11 +86,8 @@ val running : unit -> bool
     overflow stays bounded and trace injection is incremental. *)
 val poll : unit -> unit
 
-(** Phase registration (main domain only).  {!with_phase} is the
-    discipline; enter/exit are exposed for non-scoped callers. *)
-val enter_phase : string -> unit
-
-val exit_phase : string -> unit
+(** [with_phase name f] runs [f ()] registered as phase [name] (main
+    domain only); the only way to open a phase. *)
 val with_phase : string -> (unit -> 'a) -> 'a
 
 (** Summary of everything observed so far without stopping — counters are
@@ -102,8 +99,8 @@ val snapshot : unit -> summary
     running. *)
 val stop : unit -> summary
 
-val summary_json : summary -> Obs.Json.t
-val summary_of_json : Obs.Json.t -> (summary, string) result
+val summary_json : summary -> Fbp_util.Json.t
+val summary_of_json : Fbp_util.Json.t -> (summary, string) result
 
 (** Human-readable per-domain utilization / GC table. *)
 val render : summary -> string

@@ -3,11 +3,11 @@
 
    Same discipline as [Obs]: one atomic flag guards every hook, one mutex
    guards all mutation (hooks fire at level granularity, far too rarely for
-   the lock to matter).  Serialization goes through [Obs.Json] in both
+   the lock to matter).  Serialization goes through [Fbp_util.Json] in both
    directions so write -> parse round-trips exactly (floats are emitted with
-   enough digits; non-finite values map to JSON null and back to nan). *)
+   enough digits; non-finite values print as JSON null and decode to nan). *)
 
-type gc_delta = {
+type gc_delta = Obs.gc_delta = {
   minor_words : float;
   major_words : float;
   major_collections : int;
@@ -95,7 +95,7 @@ type t = {
   legalization : legalization option;
   density : density_map option;
   totals : totals option;
-  metrics : Obs.Json.t option;
+  metrics : Fbp_util.Json.t option;
   profile : Profiler.summary option;
 }
 
@@ -120,21 +120,11 @@ let levels_r : level list ref = ref []  (* reversed *)
 let legalization_r : legalization option ref = ref None
 let density_r : density_map option ref = ref None
 let totals_r : totals option ref = ref None
-let metrics_r : Obs.Json.t option ref = ref None
+let metrics_r : Fbp_util.Json.t option ref = ref None
 let profile_r : Profiler.summary option ref = ref None
-(* quick_stat's minor_words is only refreshed at GC events on OCaml 5;
-   Gc.minor_words reads the live allocation pointer, so the mark carries
-   both *)
-let gc_mark : (Gc.stat * float) option ref = ref None
-
-let gc_now () = (Gc.quick_stat (), Gc.minor_words ())
 
 let enabled () = Atomic.get enabled_flag
-
-let enable () =
-  Atomic.set enabled_flag true;
-  with_lock (fun () -> if !gc_mark = None then gc_mark := Some (gc_now ()))
-
+let enable () = Atomic.set enabled_flag true
 let disable () = Atomic.set enabled_flag false
 
 let reset () =
@@ -145,35 +135,13 @@ let reset () =
       density_r := None;
       totals_r := None;
       metrics_r := None;
-      profile_r := None;
-      gc_mark := Some (gc_now ()))
+      profile_r := None)
 
 let set_provenance p = if enabled () then with_lock (fun () -> provenance_r := p)
 
 let set_host h =
   if enabled () then
     with_lock (fun () -> provenance_r := { !provenance_r with host = Some h })
-
-let zero_gc =
-  { minor_words = 0.0; major_words = 0.0; major_collections = 0;
-    compactions = 0; heap_words = 0 }
-
-let gc_boundary () =
-  if not (enabled ()) then zero_gc
-  else
-    let now = gc_now () in
-    with_lock (fun () ->
-        let (base, base_minor), (s, minor) =
-          ((match !gc_mark with Some b -> b | None -> now), now)
-        in
-        gc_mark := Some now;
-        {
-          minor_words = minor -. base_minor;
-          major_words = s.Gc.major_words -. base.Gc.major_words;
-          major_collections = s.Gc.major_collections - base.Gc.major_collections;
-          compactions = s.Gc.compactions - base.Gc.compactions;
-          heap_words = s.Gc.heap_words;
-        })
 
 let record_level l = if enabled () then with_lock (fun () -> levels_r := l :: !levels_r)
 
@@ -200,88 +168,86 @@ let current () =
 
 (* ------------------------------------------------------- serialization *)
 
-module J = Obs.Json
+module J = Fbp_util.Json
 
-let jnum f = if Float.is_finite f then J.Num f else J.Null
-let jint i = J.Num (float_of_int i)
 let jopt enc = function Some v -> enc v | None -> J.Null
 
 let gc_to_json g =
   J.Obj
     [
-      ("minor_words", jnum g.minor_words);
-      ("major_words", jnum g.major_words);
-      ("major_collections", jint g.major_collections);
-      ("compactions", jint g.compactions);
-      ("heap_words", jint g.heap_words);
+      ("minor_words", J.Num g.minor_words);
+      ("major_words", J.Num g.major_words);
+      ("major_collections", J.int g.major_collections);
+      ("compactions", J.int g.compactions);
+      ("heap_words", J.int g.heap_words);
     ]
 
 let level_to_json (l : level) =
   J.Obj
     [
-      ("level", jint l.level);
-      ("nx", jint l.nx);
-      ("ny", jint l.ny);
-      ("n_windows", jint l.n_windows);
-      ("n_pieces", jint l.n_pieces);
-      ("flow_nodes", jint l.flow_nodes);
-      ("flow_edges", jint l.flow_edges);
-      ("hpwl", jnum l.hpwl);
-      ("density_overflow", jnum l.density_overflow);
-      ("mb_violations", jint l.mb_violations);
-      ("cg_iterations", jint l.cg_iterations);
-      ("cg_residual", jnum l.cg_residual);
+      ("level", J.int l.level);
+      ("nx", J.int l.nx);
+      ("ny", J.int l.ny);
+      ("n_windows", J.int l.n_windows);
+      ("n_pieces", J.int l.n_pieces);
+      ("flow_nodes", J.int l.flow_nodes);
+      ("flow_edges", J.int l.flow_edges);
+      ("hpwl", J.Num l.hpwl);
+      ("density_overflow", J.Num l.density_overflow);
+      ("mb_violations", J.int l.mb_violations);
+      ("cg_iterations", J.int l.cg_iterations);
+      ("cg_residual", J.Num l.cg_residual);
       ("cg_converged", J.Bool l.cg_converged);
-      ("mcf_cost", jnum l.mcf_cost);
-      ("mcf_rounds", jint l.mcf_rounds);
-      ("waves", jint l.waves);
-      ("shipped_cells", jint l.shipped_cells);
-      ("fallback_cells", jint l.fallback_cells);
-      ("qp_time", jnum l.qp_time);
-      ("flow_time", jnum l.flow_time);
-      ("realization_time", jnum l.realization_time);
+      ("mcf_cost", J.Num l.mcf_cost);
+      ("mcf_rounds", J.int l.mcf_rounds);
+      ("waves", J.int l.waves);
+      ("shipped_cells", J.int l.shipped_cells);
+      ("fallback_cells", J.int l.fallback_cells);
+      ("qp_time", J.Num l.qp_time);
+      ("flow_time", J.Num l.flow_time);
+      ("realization_time", J.Num l.realization_time);
       ("gc", gc_to_json l.gc);
     ]
 
 let legalization_to_json (l : legalization) =
   J.Obj
     [
-      ("hpwl", jnum l.leg_hpwl);
-      ("density_overflow", jnum l.leg_density_overflow);
-      ("mb_violations", jint l.leg_mb_violations);
-      ("time", jnum l.leg_time);
-      ("spilled", jint l.spilled);
-      ("failed", jint l.failed);
-      ("avg_displacement", jnum l.avg_displacement);
-      ("max_displacement", jnum l.max_displacement);
+      ("hpwl", J.Num l.leg_hpwl);
+      ("density_overflow", J.Num l.leg_density_overflow);
+      ("mb_violations", J.int l.leg_mb_violations);
+      ("time", J.Num l.leg_time);
+      ("spilled", J.int l.spilled);
+      ("failed", J.int l.failed);
+      ("avg_displacement", J.Num l.avg_displacement);
+      ("max_displacement", J.Num l.max_displacement);
     ]
 
 let density_to_json (d : density_map) =
   J.Obj
     [
-      ("nx", jint d.dnx);
-      ("ny", jint d.dny);
-      ("usage", J.Arr (Array.to_list (Array.map jnum d.usage)));
-      ("capacity", J.Arr (Array.to_list (Array.map jnum d.capacity)));
+      ("nx", J.int d.dnx);
+      ("ny", J.int d.dny);
+      ("usage", J.Arr (Array.to_list (Array.map (fun f -> J.Num f) d.usage)));
+      ("capacity", J.Arr (Array.to_list (Array.map (fun f -> J.Num f) d.capacity)));
     ]
 
 let host_to_json (h : host) =
   J.Obj
     [
       ("hw_clamp", J.Bool h.hw_clamp);
-      ("hardware_domains", jint h.hardware_domains);
-      ("eff_domains", jint h.eff_domains);
-      ("peak_rss_kb", jopt jint h.peak_rss_kb);
+      ("hardware_domains", J.int h.hardware_domains);
+      ("eff_domains", J.int h.eff_domains);
+      ("peak_rss_kb", jopt J.int h.peak_rss_kb);
     ]
 
 let provenance_to_json (p : provenance) =
   J.Obj
     [
       ("design", J.Str p.design);
-      ("cells", jint p.cells);
-      ("nets", jint p.nets);
-      ("movebounds", jint p.movebounds);
-      ("seed", jopt jint p.seed);
+      ("cells", J.int p.cells);
+      ("nets", J.int p.nets);
+      ("movebounds", J.int p.movebounds);
+      ("seed", jopt J.int p.seed);
       ("tool", J.Str p.tool);
       ("config", J.Obj (List.map (fun (k, v) -> (k, J.Str v)) p.config));
       ("host", jopt host_to_json p.host);
@@ -290,12 +256,12 @@ let provenance_to_json (p : provenance) =
 let totals_to_json (t : totals) =
   J.Obj
     [
-      ("hpwl", jnum t.hpwl);
-      ("global_time", jnum t.global_time);
-      ("legalize_time", jnum t.legalize_time);
-      ("total_time", jnum t.total_time);
+      ("hpwl", J.Num t.hpwl);
+      ("global_time", J.Num t.global_time);
+      ("legalize_time", J.Num t.legalize_time);
+      ("total_time", J.Num t.total_time);
       ("legal", J.Bool t.legal);
-      ("violations", jint t.violations);
+      ("violations", J.int t.violations);
     ]
 
 let to_json (t : t) =
@@ -303,7 +269,7 @@ let to_json (t : t) =
     (J.Obj
        [
          ("schema", J.Str schema_name);
-         ("version", jint t.version);
+         ("version", J.int t.version);
          ("provenance", provenance_to_json t.provenance);
          ("levels", J.Arr (List.map level_to_json t.levels));
          ("legalization", jopt legalization_to_json t.legalization);

@@ -17,9 +17,8 @@
     ([fbp_place diff-record]).  The schema is documented in DESIGN.md
     ("Observability"). *)
 
-(** [Gc.quick_stat] delta across a pipeline phase ([heap_words] is the
-    absolute heap size at the snapshot, not a delta). *)
-type gc_delta = {
+(** A level's GC activity, as {!Obs.sample_gc} measured it. *)
+type gc_delta = Obs.gc_delta = {
   minor_words : float;
   major_words : float;
   major_collections : int;
@@ -113,7 +112,7 @@ type t = {
   legalization : legalization option;
   density : density_map option;
   totals : totals option;
-  metrics : Obs.Json.t option;  (** the {!Obs.metrics_json} object *)
+  metrics : Fbp_util.Json.t option;  (** the {!Obs.metrics} object *)
   profile : Profiler.summary option;  (** domain-level runtime profile *)
 }
 
@@ -125,8 +124,7 @@ val enabled : unit -> bool
 val enable : unit -> unit
 val disable : unit -> unit
 
-(** Drop everything recorded and restart the GC boundary clock.  Does not
-    change the enabled flag. *)
+(** Drop everything recorded.  Does not change the enabled flag. *)
 val reset : unit -> unit
 
 val set_provenance : provenance -> unit
@@ -136,16 +134,11 @@ val set_provenance : provenance -> unit
     has resolved its domain count). *)
 val set_host : host -> unit
 
-(** [Gc.quick_stat] delta since the previous boundary (or since
-    {!reset}/{!enable} for the first); advances the boundary mark.  Returns
-    zeros when disabled. *)
-val gc_boundary : unit -> gc_delta
-
 val record_level : level -> unit
 val record_legalization : legalization -> unit
 val set_density : density_map -> unit
 val set_totals : totals -> unit
-val set_metrics : Obs.Json.t -> unit
+val set_metrics : Fbp_util.Json.t -> unit
 
 (** Attach the run's {!Profiler.summary} (serialized into the record's
     [profile] section). *)

@@ -12,7 +12,7 @@
    its own stepping, not an automatic inversion. *)
 
 module R = Fbp_obs.Recorder
-module J = Fbp_obs.Obs.Json
+module J = Fbp_util.Json
 
 let escape_html s =
   let b = Buffer.create (String.length s + 8) in

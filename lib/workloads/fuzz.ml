@@ -14,7 +14,7 @@ module Inject = Fbp_resilience.Inject
 module Sanitize = Fbp_resilience.Sanitize
 module Shrink = Fbp_resilience.Shrink
 module Rng = Fbp_util.Rng
-module J = Fbp_obs.Obs.Json
+module J = Fbp_util.Json
 
 type mb_shape = No_movebounds | Islands | Flatten | Overlapping | Mixed
 type fault_site = Mcf | Cg | Parse | Level | Transport | Legalize
@@ -526,22 +526,21 @@ let shrink ~max_attempts (s : scenario) signature =
 (* ------------------------------------------------------------ artifacts *)
 
 let scenario_to_jobj (s : scenario) =
-  let int_ i = J.Num (float_of_int i) in
   J.Obj
     [
-      ("seed", int_ s.seed);
-      ("n_cells", int_ s.n_cells);
+      ("seed", J.int s.seed);
+      ("n_cells", J.int s.n_cells);
       ("utilization", J.Num s.utilization);
-      ("n_macros", int_ s.n_macros);
+      ("n_macros", J.int s.n_macros);
       ("macro_fraction", J.Num s.macro_fraction);
       ("avg_net_degree", J.Num s.avg_net_degree);
       ("locality", J.Num s.locality);
       ("mb_shape", J.Str (shape_to_string s.mb_shape));
-      ("n_movebounds", int_ s.n_movebounds);
+      ("n_movebounds", J.int s.n_movebounds);
       ("coverage", J.Num s.coverage);
       ("mb_density", J.Num s.mb_density);
       ("exclusive", J.Bool s.exclusive);
-      ("max_levels", int_ s.max_levels);
+      ("max_levels", J.int s.max_levels);
       ("strict", J.Bool s.strict);
       ("deadline", match s.deadline with None -> J.Null | Some d -> J.Num d);
       ("round_trip", J.Bool s.round_trip);
@@ -553,7 +552,7 @@ let scenario_to_jobj (s : scenario) =
             [
               ("site", J.Str (site_to_string f.site));
               ("kind", J.Str (kind_to_string f.kind));
-              ("after", int_ f.fault_after);
+              ("after", J.int f.fault_after);
             ] );
     ]
 
@@ -655,7 +654,7 @@ let repro_to_json (f : finding) =
          ("version", J.Num 1.0);
          ("signature", J.Str f.signature);
          ("detail", J.Str f.detail);
-         ("shrink_steps", J.Num (float_of_int f.shrink_steps));
+         ("shrink_steps", J.int f.shrink_steps);
          ("scenario", scenario_to_jobj f.shrunk);
          ("original", scenario_to_jobj f.original);
        ])

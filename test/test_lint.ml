@@ -169,34 +169,6 @@ let test_io_discipline () =
     {|let f n = Printf.sprintf "%d" n
 |}
 
-(* ---------- obs-discipline ---------- *)
-
-let test_obs_discipline () =
-  check_finds "raw span_begin in lib" "obs-discipline" ~line:1
-    {|let f () = Fbp_obs.Obs.span_begin "phase"
-|};
-  check_finds "raw span_end in lib" "obs-discipline"
-    {|let f () = Fbp_obs.Obs.span_end "phase"
-|};
-  check_finds "unqualified Obs.span_begin" "obs-discipline"
-    {|let f () = Obs.span_begin "phase"
-|};
-  check_clean "scoped Obs.span is the discipline"
-    {|let f g = Fbp_obs.Obs.span "phase" g
-|};
-  check_clean "record_interval is fine"
-    {|let f () = Fbp_obs.Obs.record_interval ~name:"gc" ~tid:0 ~ts_us:0.0 ~dur_us:1.0 []
-|};
-  check_clean "lib/obs itself may use the raw markers"
-    ~path:"lib/obs/profiler.ml"
-    {|let f () = Obs.span_begin "phase"
-|};
-  check_clean "suppressible with a reason"
-    ({|(* fbp-|}
-    ^ {|lint: allow obs-discipline |} ^ "\xe2\x80\x94" ^ {| fixture *)
-let f () = Fbp_obs.Obs.span_begin "phase"
-|})
-
 (* ---------- suppression ---------- *)
 
 let test_suppression_honored () =
@@ -498,7 +470,6 @@ let suite =
     Alcotest.test_case "determinism rule" `Quick test_determinism;
     Alcotest.test_case "error-taxonomy rule" `Quick test_error_taxonomy;
     Alcotest.test_case "io-discipline rule" `Quick test_io_discipline;
-    Alcotest.test_case "obs-discipline rule" `Quick test_obs_discipline;
     Alcotest.test_case "suppression honored" `Quick test_suppression_honored;
     Alcotest.test_case "suppression wrong rule" `Quick test_suppression_wrong_rule;
     Alcotest.test_case "suppression malformed" `Quick test_suppression_malformed;

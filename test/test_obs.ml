@@ -88,7 +88,7 @@ let test_metrics_json_shape () =
       Obs.count ~n:3 "cg.solves";
       Obs.observe "cg.iterations" 10.0;
       Obs.observe "cg.iterations" 20.0;
-      let j = Obs.metrics_json () in
+      let j = Obs.Json.to_string (Obs.metrics ()) in
       match Obs.Json.parse j with
       | Error e -> Alcotest.fail ("metrics must parse: " ^ e)
       | Ok doc ->
@@ -112,6 +112,34 @@ let test_metrics_json_shape () =
               Alcotest.(check (float 1e-9)) "max" 20.0 (num "max")
             | None -> Alcotest.fail "cg.iterations summary missing")
          | None -> Alcotest.fail "histograms object missing"))
+
+(* The metrics print every float in full, so a summary parses back to the
+   exact double observed; 0.1234567891 needs ten significant digits. *)
+let test_metrics_floats_exact () =
+  with_obs (fun () ->
+      let v = 0.1234567891 in
+      Obs.observe "h" v;
+      let mf = Filename.temp_file "fbp_metrics" ".json" in
+      Fun.protect
+        ~finally:(fun () -> Sys.remove mf)
+        (fun () ->
+          Obs.write_metrics mf;
+          let ic = open_in_bin mf in
+          let doc = really_input_string ic (in_channel_length ic) in
+          close_in ic;
+          match Obs.Json.parse doc with
+          | Error e -> Alcotest.fail ("metrics must parse: " ^ e)
+          | Ok root ->
+            let summary =
+              Option.bind (Obs.Json.member "histograms" root) (Obs.Json.member "h")
+            in
+            List.iter
+              (fun k ->
+                match Option.bind summary (Obs.Json.member k) with
+                | Some (Obs.Json.Num x) ->
+                  Alcotest.(check bool) (k ^ " exact") true (Float.equal x v)
+                | _ -> Alcotest.failf "summary field %s missing" k)
+              [ "sum"; "mean"; "min"; "max"; "p50"; "p90"; "p99" ]))
 
 let test_trace_json_escaping () =
   with_obs (fun () ->
@@ -148,6 +176,18 @@ let test_json_parser_roundtrip () =
       | Ok _ -> Alcotest.failf "must reject %S" s
       | Error _ -> ())
     [ "{"; "[1,]"; "{\"a\":}"; "12 34"; "\"unterminated"; "" ]
+
+(* JSON has no nan or infinity: the writer prints them as null, so its
+   output always parses back. *)
+let test_json_non_finite_is_null () =
+  List.iter
+    (fun f ->
+      let s = Obs.Json.to_string (Obs.Json.Arr [ Obs.Json.Num f ]) in
+      match Obs.Json.parse s with
+      | Ok (Obs.Json.Arr [ Obs.Json.Null ]) -> ()
+      | Ok _ -> Alcotest.failf "%F printed as %s, not null" f s
+      | Error e -> Alcotest.failf "%F printed as %s, which does not parse: %s" f s e)
+    [ Float.nan; Float.infinity; Float.neg_infinity ]
 
 let test_validator_rejects_imbalance () =
   let bad =
@@ -197,8 +237,10 @@ let suite =
     Alcotest.test_case "parallel spans balance" `Quick
       test_parallel_spans_balance_per_domain;
     Alcotest.test_case "metrics json shape" `Quick test_metrics_json_shape;
+    Alcotest.test_case "metrics floats exact" `Quick test_metrics_floats_exact;
     Alcotest.test_case "trace json escaping" `Quick test_trace_json_escaping;
     Alcotest.test_case "json parser roundtrip" `Quick test_json_parser_roundtrip;
+    Alcotest.test_case "json non-finite is null" `Quick test_json_non_finite_is_null;
     Alcotest.test_case "validator rejects imbalance" `Quick
       test_validator_rejects_imbalance;
     Alcotest.test_case "write files" `Quick test_write_files;

@@ -138,12 +138,7 @@ let test_roundtrip_with_metrics () =
       Obs.enable ();
       Obs.count ~n:3 "cg.solves";
       Obs.observe "cg.iterations" 12.0;
-      let m =
-        match Obs.Json.parse (Obs.metrics_json ()) with
-        | Ok m -> m
-        | Error e -> Alcotest.failf "metrics_json unparseable: %s" e
-      in
-      let r = { (record_fixture ()) with R.metrics = Some m } in
+      let r = { (record_fixture ()) with R.metrics = Some (Obs.metrics ()) } in
       match R.of_json (R.to_json r) with
       | Error e -> Alcotest.failf "round-trip parse failed: %s" e
       | Ok r' -> Alcotest.(check bool) "equal incl. metrics" true (R.equal r r'))
@@ -275,26 +270,29 @@ let test_sample_gc () =
   with_recorder (fun () ->
       Obs.reset ();
       Obs.enable ();
-      Obs.sample_gc ();
+      ignore (Obs.sample_gc ());
       ignore (Sys.opaque_identity (Array.make 100_000 0.0));
-      Obs.sample_gc ();
+      ignore (Obs.sample_gc ());
       Alcotest.(check bool) "gc.major_collections counter present" true
         (Obs.counter_value "gc.major_collections" >= 0);
       Alcotest.(check int) "heap sampled at each boundary" 2
         (Array.length (Obs.histogram_values "gc.heap_words"));
       (* the emitted document must satisfy its own validator *)
-      match Obs.validate_metrics (Obs.metrics_json ()) with
+      match Obs.validate_metrics (Obs.Json.to_string (Obs.metrics ())) with
       | Ok _ -> ()
-      | Error e -> Alcotest.failf "metrics_json fails validation: %s" e)
+      | Error e -> Alcotest.failf "metrics fail validation: %s" e)
 
-let test_gc_boundary_accumulates () =
+(* The sampler measures with the registry off too: the run record's
+   per-level delta does not depend on --metrics. *)
+let test_sample_gc_delta () =
   with_recorder (fun () ->
-      let _first = R.gc_boundary () in
+      Obs.disable ();
+      let _first = Obs.sample_gc () in
       (* small boxed values land in the minor heap, whose allocation count
-         quick_stat tracks exactly (large arrays go straight to the major
-         heap and are only counted at the next slice) *)
+         Gc.minor_words tracks exactly (large arrays go straight to the
+         major heap and are only counted at the next slice) *)
       ignore (Sys.opaque_identity (List.init 10_000 float_of_int));
-      let d = R.gc_boundary () in
+      let d = Obs.sample_gc () in
       Alcotest.(check bool) "allocation observed between boundaries" true
         (d.R.minor_words > 0.0 || d.R.major_words > 0.0);
       Alcotest.(check bool) "heap size is absolute" true (d.R.heap_words > 0))
@@ -364,6 +362,34 @@ let test_end_to_end_placer_run () =
         Alcotest.(check int) "report rows = levels" (List.length r.R.levels)
           (count_substring html "class=\"level-row\""))
 
+(* One sampler feeds both exports, so the record's per-level GC deltas
+   sum to the metrics' gc.* counters.  A full major collection after each
+   level makes the sums non-zero. *)
+let test_gc_levels_sum_to_metrics () =
+  with_recorder (fun () ->
+      Obs.reset ();
+      Obs.enable ();
+      let d = Fbp_netlist.Generator.quick ~seed:11 ~name:"rec_gc" 300 in
+      let inst = Fbp_movebound.Instance.unconstrained d in
+      match Fbp_core.Placer.place ~on_level:(fun _ -> Gc.full_major ()) inst with
+      | Error e ->
+        Alcotest.failf "placer failed: %s" (Fbp_resilience.Fbp_error.to_string e)
+      | Ok _ ->
+        let levels = (R.current ()).R.levels in
+        let counter k =
+          match Option.bind (Obs.Json.member "counters" (Obs.metrics ())) (Obs.Json.member k) with
+          | Some (Obs.Json.Num v) -> int_of_float v
+          | _ -> Alcotest.failf "metrics lack counter %s" k
+        in
+        let sum f = List.fold_left (fun acc (l : R.level) -> acc + f l.R.gc) 0 levels in
+        Alcotest.(check bool) "several levels" true (List.length levels >= 2);
+        Alcotest.(check bool) "major collections observed" true
+          (sum (fun g -> g.R.major_collections) > 0);
+        Alcotest.(check int) "major collections" (counter "gc.major_collections")
+          (sum (fun g -> g.R.major_collections));
+        Alcotest.(check int) "compactions" (counter "gc.compactions")
+          (sum (fun g -> g.R.compactions)))
+
 (* The host section records the budget the run's regions used:
    [Config.effective_domains], so a request above the core count under
    [hw_clamp] records the core count. *)
@@ -400,10 +426,12 @@ let suite =
     Alcotest.test_case "report html smoke" `Quick test_report_smoke;
     Alcotest.test_case "validate_metrics" `Quick test_validate_metrics;
     Alcotest.test_case "sample_gc" `Quick test_sample_gc;
-    Alcotest.test_case "gc_boundary" `Quick test_gc_boundary_accumulates;
+    Alcotest.test_case "sample_gc delta" `Quick test_sample_gc_delta;
     Alcotest.test_case "disabled recorder records nothing" `Quick
       test_disabled_recorder_is_empty;
     Alcotest.test_case "end-to-end placer run" `Quick test_end_to_end_placer_run;
+    Alcotest.test_case "gc level deltas sum to metrics" `Quick
+      test_gc_levels_sum_to_metrics;
     Alcotest.test_case "host records effective domains" `Quick
       test_host_records_effective_domains;
   ]
