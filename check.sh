@@ -68,6 +68,18 @@ for metric in cg.iterations mcf.dijkstra_rounds transport.pivots \
 done
 $fbp metrics-check "$tmp/metrics.json" >/dev/null \
   || { echo "emitted metrics failed validation"; exit 1; }
+# the x and y systems share one matrix: every global assembly freezes or
+# refreezes one cached structure, so hits + misses = qp.global spans
+counter() {
+  grep -o "\"netmodel\\.refreeze_$1\":[0-9]*" "$tmp/metrics.json" | sed 's/.*://'
+}
+hits="$(counter hits)"
+misses="$(counter misses)"
+refreezes=$(( ${hits:-0} + ${misses:-0} ))
+globals="$(grep -o '"name":"qp\.global","cat":"[^"]*","ph":"B"' "$tmp/trace.json" \
+  | wc -l | tr -d ' ')"
+[ "$refreezes" -eq "$globals" ] \
+  || { echo "netmodel refreezes ($refreezes) != qp.global spans ($globals)"; exit 1; }
 
 echo "== sanitizer smoke (--sanitize clean run + exit code 8 on corruption)"
 FBP_SANITIZE=1 $fbp place "$tmp/smoke.book" --movebounds 2 >/dev/null \

@@ -5,7 +5,11 @@
    nets a star with an auxiliary center variable (keeps the system sparse).
    Pin offsets enter the right-hand side, fixed pins and cells outside the
    movable set contribute constants — which is exactly what the realization
-   needs for its local QP "with fixed cells outside W" (Section IV-B). *)
+   needs for its local QP "with fixed cells outside W" (Section IV-B).
+
+   The x and y forms are separable over the same springs, and every anchor
+   weighs both axes alike, so the two axes share one Laplacian: it is
+   assembled and frozen once, and only the right-hand sides are per axis. *)
 
 open Fbp_netlist
 module Csr = Fbp_linalg.Csr
@@ -15,23 +19,20 @@ type system = {
   cells : int array;  (* var -> cell id, -1 for star vars *)
   ax : Csr.t;
   bx : float array;
-  ay : Csr.t;
+  ay : Csr.t;  (* the same matrix as [ax] *)
   by : float array;
 }
 
 (* Symbolic-structure cache: across QP rounds of the same placement run the
    net topology and movable set are fixed, so the triplet (row, col) stream
-   per axis repeats exactly.  We capture it once and re-assemble later
-   rounds as a flat value sweep.  Safety does not depend on the caller
-   guessing right: [Csr.refreeze] verifies the full stream every time and
-   we fall back to a fresh capture on any mismatch (anchors appearing or
-   vanishing, a different net subset, a changed movable set...). *)
-type cache = {
-  mutable sx : Csr.structure option;
-  mutable sy : Csr.structure option;
-}
+   repeats exactly.  We capture it once and re-assemble later rounds as a
+   flat value sweep.  Safety does not depend on the caller guessing right:
+   [Csr.refreeze] verifies the full stream every time and we fall back to a
+   fresh capture on any mismatch (anchors appearing or vanishing, a
+   different net subset, a changed movable set...). *)
+type cache = { mutable structure : Csr.structure option }
 
-let create_cache () = { sx = None; sy = None }
+let create_cache () = { structure = None }
 
 (* Everything [assemble] needs besides what it returns.  [var_of_cell] is
    -1 everywhere between calls; [star_var] maps a position in the net list
@@ -39,8 +40,7 @@ let create_cache () = { sx = None; sy = None }
 type workspace = {
   mutable var_of_cell : int array;
   mutable star_var : int array;
-  bldx : Csr.builder;
-  bldy : Csr.builder;
+  bld : Csr.builder;
   freeze : Csr.scratch;
 }
 
@@ -48,14 +48,13 @@ let create_workspace () =
   {
     var_of_cell = [||];
     star_var = [||];
-    bldx = Csr.builder 0;
-    bldy = Csr.builder 0;
+    bld = Csr.builder 0;
     freeze = Csr.create_scratch ();
   }
 
-let freeze_cached ~scratch slot store bld =
+let freeze_cached ~scratch cache bld =
   match
-    match slot with
+    match cache.structure with
     | Some s -> Csr.refreeze s bld
     | None -> None
   with
@@ -64,7 +63,7 @@ let freeze_cached ~scratch slot store bld =
     t
   | None ->
     let t, s = Csr.freeze_capture ~scratch bld in
-    store s;
+    cache.structure <- Some s;
     Fbp_obs.Obs.count "netmodel.refreeze_misses";
     t
 
@@ -87,40 +86,48 @@ let[@inline] push (b : Csr.builder) row col v =
    operand, so it inlines unboxed. *)
 let[@inline] fixed_at coord c d = if c < 0 then d else coord.(c) +. d
 
-(* One spring of stiffness [w] on one axis ([coord] its placement
-   coordinates) between endpoints a and b.  An endpoint is a pin offset
-   [d] on cell [c], with [v] its var, or -1 when the cell is fixed in this
-   solve (or a pad). *)
-let[@inline] spring b rhs coord w va da ca vb db cb =
+(* A spring of stiffness [w] between endpoints a and b has the same
+   Laplacian stencil on both axes, so it is pushed once ([stencil]); only
+   the right-hand side is per axis ([spring_rhs], [coord] that axis's
+   placement coordinates).  An endpoint is a pin offset [d] on cell [c],
+   with [v] its var, or -1 when the cell is fixed in this solve (or a
+   pad). *)
+let[@inline] stencil b w va vb =
   if va >= 0 && vb >= 0 then begin
     if va <> vb then begin
       push b va va w;
       push b vb vb w;
       push b va vb (-.w);
-      push b vb va (-.w);
+      push b vb va (-.w)
+    end
+  end
+  else if va >= 0 then push b va va w
+  else if vb >= 0 then push b vb vb w
+
+let[@inline] spring_rhs rhs coord w va da ca vb db cb =
+  if va >= 0 && vb >= 0 then begin
+    if va <> vb then begin
       rhs.(va) <- rhs.(va) +. (w *. (db -. da));
       rhs.(vb) <- rhs.(vb) +. (w *. (da -. db))
     end
   end
-  else if va >= 0 then begin
-    push b va va w;
+  else if va >= 0 then
     rhs.(va) <- rhs.(va) +. (w *. (fixed_at coord cb db -. da))
-  end
-  else if vb >= 0 then begin
-    push b vb vb w;
+  else if vb >= 0 then
     rhs.(vb) <- rhs.(vb) +. (w *. (fixed_at coord ca da -. db))
-  end
 
 let[@inline] var_of map (pin : Netlist.pin) =
   if pin.Netlist.cell < 0 then -1 else map.(pin.Netlist.cell)
 
-(* The x and y springs between two pins. *)
+(* The spring between two pins: its stencil, then its x and y
+   right-hand sides. *)
 let[@inline] pin_pair ws (pos : Placement.t) bx by w (pa : Netlist.pin)
     (pb : Netlist.pin) =
   let va = var_of ws.var_of_cell pa and vb = var_of ws.var_of_cell pb in
   let ca = pa.Netlist.cell and cb = pb.Netlist.cell in
-  spring ws.bldx bx pos.Placement.x w va pa.Netlist.dx ca vb pb.Netlist.dx cb;
-  spring ws.bldy by pos.Placement.y w va pa.Netlist.dy ca vb pb.Netlist.dy cb
+  stencil ws.bld w va vb;
+  spring_rhs bx pos.Placement.x w va pa.Netlist.dx ca vb pb.Netlist.dx cb;
+  spring_rhs by pos.Placement.y w va pa.Netlist.dy ca vb pb.Netlist.dy cb
 
 (* The springs of one net with p >= 2 pins, as a clique of weight 2w/p per
    pin pair or, when [s >= 0], as a star of weight 2w/(p-1) per pin to the
@@ -141,8 +148,9 @@ let net_springs ws pos bx by (net : Netlist.net) s =
     for i = 0 to p - 1 do
       let pin = pins.(i) in
       let v = var_of ws.var_of_cell pin and c = pin.Netlist.cell in
-      spring ws.bldx bx pos.Placement.x w v pin.Netlist.dx c s 0.0 (-1);
-      spring ws.bldy by pos.Placement.y w v pin.Netlist.dy c s 0.0 (-1)
+      stencil ws.bld w v s;
+      spring_rhs bx pos.Placement.x w v pin.Netlist.dx c s 0.0 (-1);
+      spring_rhs by pos.Placement.y w v pin.Netlist.dy c s 0.0 (-1)
     done
   end
 
@@ -172,11 +180,9 @@ let build ws (nl : Netlist.t) (pos : Placement.t) ~cache ~movable ~net_ids
       else star_var.(k) <- -1)
     net_ids;
   let nv = !n_vars in
-  let bldx = ws.bldx and bldy = ws.bldy in
-  bldx.Csr.dim <- nv;
-  bldx.Csr.count <- 0;
-  bldy.Csr.dim <- nv;
-  bldy.Csr.count <- 0;
+  let bld = ws.bld in
+  bld.Csr.dim <- nv;
+  bld.Csr.count <- 0;
   let bx = Array.make nv 0.0 and by = Array.make nv 0.0 in
   (* cliques also for wide all-fixed nets, which cost nothing *)
   Array.iteri
@@ -185,43 +191,42 @@ let build ws (nl : Netlist.t) (pos : Placement.t) ~cache ~movable ~net_ids
       if Array.length net.Netlist.pins >= 2 then
         net_springs ws pos bx by net star_var.(k))
     net_ids;
-  (* anchors and regularization *)
+  (* anchors and regularization: one diagonal entry each, shared by both
+     axes, so an anchor must weigh x and y alike *)
   Array.iteri
     (fun v c ->
       (match anchor c with
        | Some (wx, tx, wy, ty) ->
-         push bldx v v wx;
+         if not (Float.equal wx wy) then
+           invalid_arg "Netmodel.assemble: anchor weights differ between axes";
+         push bld v v wx;
          bx.(v) <- bx.(v) +. (wx *. tx);
-         push bldy v v wy;
          by.(v) <- by.(v) +. (wy *. ty)
        | None -> ());
       (* tiny regularizer keeps isolated cells solvable, pinned where they are *)
       let reg = 1e-9 in
-      push bldx v v reg;
+      push bld v v reg;
       bx.(v) <- bx.(v) +. (reg *. pos.Placement.x.(c));
-      push bldy v v reg;
       by.(v) <- by.(v) +. (reg *. pos.Placement.y.(c)))
     movable;
   (* star vars regularization (in case every pin of the net is fixed-0) *)
   for v = n_cell_vars to nv - 1 do
-    push bldx v v 1e-9;
-    push bldy v v 1e-9
+    push bld v v 1e-9
   done;
   let cells = Array.make nv (-1) in
   Array.blit movable 0 cells 0 n_cell_vars;
   let scratch = ws.freeze in
-  let ax, ay =
+  let a =
     match cache with
-    | None -> (Csr.freeze ~scratch bldx, Csr.freeze ~scratch bldy)
-    | Some c ->
-      ( freeze_cached ~scratch c.sx (fun s -> c.sx <- Some s) bldx,
-        freeze_cached ~scratch c.sy (fun s -> c.sy <- Some s) bldy )
+    | None -> Csr.freeze ~scratch bld
+    | Some c -> freeze_cached ~scratch c bld
   in
-  { n_vars = nv; cells; ax; bx; ay; by }
+  { n_vars = nv; cells; ax = a; bx; ay = a; by }
 
-(* [assemble nl pos ~movable ?nets ~clique_max_degree ~anchor] builds both
-   axis systems.  [anchor cell] returns optional (wx, tx, wy, ty) pulling the
-   cell toward (tx, ty). *)
+(* [assemble nl pos ~movable ?nets ~clique_max_degree ~anchor] builds the
+   shared matrix and both right-hand sides.  [anchor cell] returns optional
+   (wx, tx, wy, ty) pulling the cell toward (tx, ty), with [wx] equal to
+   [wy]. *)
 let assemble (nl : Netlist.t) (pos : Placement.t) ?cache ?workspace
     ~(movable : int array) ?nets ~(clique_max_degree : int)
     ~(anchor : int -> (float * float * float * float) option) () =

@@ -19,7 +19,7 @@ type stats = {
    a small system finishes in less time than a cross-domain wakeup costs,
    so [fork2] only adds latency (measured: QP time rose going from 1 to 4
    domains on a ~500-cell design).  Results are bit-identical either way —
-   the x and y systems are independent. *)
+   the x and y solves share only the read-only matrix. *)
 let qp_seq_vars = 4096
 
 let solve_system (cfg : Config.t) (sys : Netmodel.system) (pos : Placement.t) =
@@ -34,25 +34,24 @@ let solve_system (cfg : Config.t) (sys : Netmodel.system) (pos : Placement.t) =
       y.(v) <- pos.Placement.y.(c)
     end
   done;
-  (* The two axis systems are independent, so they run concurrently on the
-     pool, within the config's domain budget; the CG kernels inside each
-     solve stay on its domain.  Each solve defers its metrics
-     ([record:false]); we record them after the join in fixed x-then-y
-     order, keeping observation streams deterministic regardless of
-     interleaving. *)
-  let solve a b v () =
+  (* The two axis solves share the matrix, which neither writes, and are
+     otherwise independent, so they run concurrently on the pool, within
+     the config's domain budget; the CG kernels inside each solve stay on
+     its domain.  Each solve defers its metrics ([record:false]); we
+     record them after the join in fixed x-then-y order, keeping
+     observation streams deterministic regardless of interleaving. *)
+  let a = sys.Netmodel.ax in
+  let solve b v () =
     Fbp_linalg.Cg.solve ~record:false ~max_iter:cfg.Config.cg_max_iter
       ~tol:cfg.Config.cg_tol a b v
   in
   let domains = Config.effective_domains cfg in
   let sx, sy =
     if nv < qp_seq_vars || domains < 2 then
-      ( solve sys.Netmodel.ax sys.Netmodel.bx x (),
-        solve sys.Netmodel.ay sys.Netmodel.by y () )
+      (solve sys.Netmodel.bx x (), solve sys.Netmodel.by y ())
     else
       Fbp_util.Pool.fork2 ~domains
-        (solve sys.Netmodel.ax sys.Netmodel.bx x)
-        (solve sys.Netmodel.ay sys.Netmodel.by y)
+        (solve sys.Netmodel.bx x) (solve sys.Netmodel.by y)
   in
   Fbp_linalg.Cg.record_stats sx;
   Fbp_linalg.Cg.record_stats sy;

@@ -10,18 +10,20 @@ type stats = {
 }
 
 (** Solve an assembled system, writing cell positions back into the
-    placement (star variables are discarded).  From 4096 variables on,
-    the x- and y-axis CG solves run concurrently on the domain pool,
-    within {!Config.effective_domains}; metrics are recorded after the
-    join in fixed x-then-y order, so observation streams stay
-    deterministic. *)
+    placement (star variables are discarded).  Both axis solves read the
+    one shared matrix ([ax]).  From 4096 variables on, the x- and y-axis
+    CG solves run concurrently on the domain pool, within
+    {!Config.effective_domains}; metrics are recorded after the join in
+    fixed x-then-y order, so observation streams stay deterministic. *)
 val solve_system : Config.t -> Netmodel.system -> Placement.t -> stats
 
 (** All movable cell ids of a netlist. *)
 val all_movable : Netlist.t -> int array
 
 (** Global QP over every movable cell.  [cache] enables symbolic-structure
-    reuse across rounds (see {!Netmodel.cache}). *)
+    reuse across rounds (see {!Netmodel.cache}).  [anchor] follows
+    {!Netmodel.assemble}'s contract: equal x and y weights, or
+    [Invalid_argument]. *)
 val solve_global :
   Config.t -> Netlist.t -> Placement.t ->
   ?cache:Netmodel.cache ->
@@ -38,7 +40,8 @@ val create_scratch : unit -> scratch
 (** The local system over [cells], everything else fixed: the sorted,
     deduplicated nets incident to [cells] ([cell_nets] is the cached
     incidence map from {!Netlist.cell_nets}) assembled with [scratch]'s
-    workspace.  Exposed for realization's per-node QP. *)
+    workspace, one matrix for both axes.  [anchor] weighs x and y alike
+    (see {!Netmodel.assemble}).  Exposed for realization's per-node QP. *)
 val assemble_local :
   Config.t -> Netlist.t -> Placement.t -> scratch ->
   cell_nets:int list array -> cells:int array ->
@@ -46,7 +49,7 @@ val assemble_local :
 
 (** Local QP over [cells] only, everything else fixed.  [scratch] reuses
     the dedup arrays and the assembly workspace across calls (one is
-    allocated per call otherwise). *)
+    allocated per call otherwise); [anchor] as in {!assemble_local}. *)
 val solve_local :
   Config.t -> Netlist.t -> Placement.t ->
   ?scratch:scratch ->

@@ -261,13 +261,15 @@ let realize ?(on_step : (step -> unit) option) (cfg : Config.t)
               yv.(v) <- pos.Placement.y.(c)
             end)
           sys.Netmodel.cells;
+        (* one matrix for both axes *)
+        let a = sys.Netmodel.ax in
         let st_x =
-          Fbp_linalg.Cg.solve ~record:false ~max_iter:60 ~tol:1e-4
-            sys.Netmodel.ax sys.Netmodel.bx xv
+          Fbp_linalg.Cg.solve ~record:false ~max_iter:60 ~tol:1e-4 a
+            sys.Netmodel.bx xv
         in
         let st_y =
-          Fbp_linalg.Cg.solve ~record:false ~max_iter:60 ~tol:1e-4
-            sys.Netmodel.ay sys.Netmodel.by yv
+          Fbp_linalg.Cg.solve ~record:false ~max_iter:60 ~tol:1e-4 a
+            sys.Netmodel.by yv
         in
         qp_stats := Some (st_x, st_y);
         Array.iteri

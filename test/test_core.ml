@@ -175,8 +175,8 @@ let system_bits (sys : Netmodel.system) =
   let bits = Array.map Int64.bits_of_float in
   ( sys.Netmodel.n_vars,
     sys.Netmodel.cells,
-    (entries sys.Netmodel.ax, bits sys.Netmodel.bx),
-    (entries sys.Netmodel.ay, bits sys.Netmodel.by) )
+    entries sys.Netmodel.ax,
+    (bits sys.Netmodel.bx, bits sys.Netmodel.by) )
 
 (* A reused workspace must give the fresh workspace's system bit for bit,
    whatever it assembled before: a larger netlist, another movable set of
@@ -213,7 +213,83 @@ let test_netmodel_workspace_reuse () =
       in
       match assemble ~workspace design ~movable ~nets ~anchor:raising with
       | _ -> Alcotest.fail "anchor must raise"
-      | exception Exit -> ())
+      | exception Exit -> ());
+  same_after "after an anchor with unequal weights" (fun workspace ->
+      let unequal c =
+        if c = movable.(30) then Some (1e-4, 50.0, 2e-4, 40.0) else anchor c
+      in
+      match assemble ~workspace design ~movable ~nets ~anchor:unequal with
+      | _ -> Alcotest.fail "unequal anchor weights must raise"
+      | exception Invalid_argument _ -> ())
+
+(* The level-0 global system of [design]: every movable cell, anchored at
+   the chip centre as the placer's first QP is. *)
+let global_system ?cache design =
+  let nl = design.Design.netlist in
+  let c = Rect.center design.Design.chip in
+  Netmodel.assemble nl design.Design.initial ?cache
+    ~movable:(Qp.all_movable nl)
+    ~clique_max_degree:Config.default.Config.clique_max_degree
+    ~anchor:(fun _ -> Some (1e-6, c.Point.x, 1e-6, c.Point.y)) ()
+
+(* Both axes share one Laplacian, so an assembly freezes one matrix and
+   hands it out under both names, and a cached global assembly keeps one
+   symbolic structure: one refreeze event per assembly. *)
+let test_netmodel_one_matrix () =
+  let module Obs = Fbp_obs.Obs in
+  let design = Generator.quick ~seed:5 300 in
+  let movable, nets = local_system_inputs design ~lo:40 ~hi:100 in
+  let pull = Some (1e-4, 50.0, 1e-4, 40.0) in
+  let local = assemble design ~movable ~nets ~anchor:(fun _ -> pull) in
+  Alcotest.(check bool) "the local system has star vars" true
+    (local.Netmodel.n_vars > Array.length movable);
+  Alcotest.(check bool) "local: ax == ay" true
+    (local.Netmodel.ax == local.Netmodel.ay);
+  let cache = Netmodel.create_cache () in
+  Fun.protect
+    ~finally:(fun () ->
+      Obs.disable ();
+      Obs.reset ())
+    (fun () ->
+      Obs.reset ();
+      Obs.enable ();
+      List.iter
+        (fun label ->
+          let sys = global_system ~cache design in
+          Alcotest.(check bool) label true (sys.Netmodel.ax == sys.Netmodel.ay))
+        [ "global: ax == ay"; "refrozen global: ax == ay" ];
+      Alcotest.(check (pair int int)) "one miss, then one hit" (1, 1)
+        ( Obs.counter_value "netmodel.refreeze_misses",
+          Obs.counter_value "netmodel.refreeze_hits" ))
+
+(* MD5 over the entries of the shared matrix and the bits of both
+   right-hand sides. *)
+let system_digest (sys : Netmodel.system) =
+  let b = Buffer.create 65536 in
+  Fbp_linalg.Csr.iter_entries sys.Netmodel.ax (fun r c v ->
+      Printf.bprintf b "%d %d %Lx\n" r c (Int64.bits_of_float v));
+  let bits label a =
+    Buffer.add_string b label;
+    Array.iter (fun v -> Printf.bprintf b " %Lx" (Int64.bits_of_float v)) a;
+    Buffer.add_char b '\n'
+  in
+  bits "bx" sys.Netmodel.bx;
+  bits "by" sys.Netmodel.by;
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+(* The digests were taken from the two-builder assembly, whose x and y
+   matrices had equal entries: any change to the spring, anchor or
+   regularizer arithmetic or to the triplet order shows here. *)
+let test_netmodel_system_bits_pinned () =
+  let design = Generator.quick ~seed:5 300 in
+  let movable, nets = local_system_inputs design ~lo:40 ~hi:100 in
+  let pull = Some (1e-4, 50.0, 1e-4, 40.0) in
+  let local = assemble design ~movable ~nets ~anchor:(fun _ -> pull) in
+  Alcotest.(check string) "local system" "685ea267e61c7328bec4609dfe3efc13"
+    (system_digest local);
+  Alcotest.(check string) "level-0 global system"
+    "11da7b6ea0089c1bbaf67f628c813028"
+    (system_digest (global_system design))
 
 (* Words allocated by [f ()], counted exactly: the minor counter plus
    direct major allocations (arrays over 256 words skip the minor heap). *)
@@ -672,6 +748,10 @@ let suite =
       test_netmodel_workspace_reuse;
     Alcotest.test_case "netmodel allocation budget" `Quick
       test_netmodel_allocation_budget;
+    Alcotest.test_case "netmodel one matrix for both axes" `Quick
+      test_netmodel_one_matrix;
+    Alcotest.test_case "netmodel system bits pinned" `Quick
+      test_netmodel_system_bits_pinned;
     Alcotest.test_case "fbp model size linear in windows" `Quick test_fbp_model_size_linear;
     Alcotest.test_case "fbp model feasible + conserving" `Quick test_fbp_model_feasible_and_conserving;
     Alcotest.test_case "fbp model detects infeasible" `Quick test_fbp_model_infeasible_detected;
