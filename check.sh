@@ -62,7 +62,7 @@ for span in place.level place.qp place.flow place.realization realization.wave; 
 done
 for metric in cg.iterations mcf.dijkstra_rounds transport.pivots \
               realization.shipped_cells realization.wave_width \
-              gc.major_collections gc.heap_words; do
+              realization.seq_s gc.major_collections gc.heap_words; do
   grep -q "\"$metric\"" "$tmp/metrics.json" \
     || { echo "metrics missing: $metric"; exit 1; }
 done
@@ -187,6 +187,12 @@ $fbp fuzz --seed 42 --count 1000 > "$tmp/fuzz-full.txt" \
   || { echo "fuzz campaign found failures:"; tail -n 40 "$tmp/fuzz-full.txt"; exit 1; }
 grep -q "failures: none" "$tmp/fuzz-full.txt" \
   || { echo "fuzz campaign reported failures"; exit 1; }
+# The digest folds every scenario's outcome (pass, or its error class), so
+# a change that keeps placements bit-identical keeps it.  A change that
+# moves placements on purpose re-pins it here and gives the reason in
+# CHANGES.md.
+grep -q "digest: 0b7cfa32" "$tmp/fuzz-full.txt" \
+  || { echo "fuzz digest moved (want 0b7cfa32):"; tail -n 1 "$tmp/fuzz-full.txt"; exit 1; }
 # a repro artifact written by the campaign must replay to the same outcome
 $fbp fuzz --seed 42 --count 6 --matrix --out "$tmp/fuzz-repros" > /dev/null || true
 repro="$(ls "$tmp"/fuzz-repros/repro-*.json 2>/dev/null | head -n 1 || true)"

@@ -15,14 +15,40 @@ type stats = {
   converged : bool;  (* both CG solves (x and y) converged *)
 }
 
-(* Below this many variables the two axis solves run sequentially: a CG on
-   a small system finishes in less time than a cross-domain wakeup costs,
-   so [fork2] only adds latency (measured: QP time rose going from 1 to 4
-   domains on a ~500-cell design).  Results are bit-identical either way —
-   the x and y solves share only the read-only matrix. *)
+(* Reusable scratch of a local QP.  For the net dedup: a stamp array over
+   net ids (stamp.(ni) = current epoch means "already collected") plus a
+   growable id buffer, so there is no hashing and the collection order is
+   fixed by construction (cells in order, each cell's net list in order).
+   For the assembly: the Netmodel workspace.  For the solve: the lockstep
+   CG's vectors. *)
+type scratch = {
+  mutable stamp : int array;
+  mutable buf : int array;
+  mutable epoch : int;
+  workspace : Netmodel.workspace;
+  cg : Fbp_linalg.Cg.workspace;
+}
+
+let create_scratch () =
+  { stamp = [||]; buf = Array.make 64 0; epoch = 0;
+    workspace = Netmodel.create_workspace ();
+    cg = Fbp_linalg.Cg.create_workspace () }
+
+(* Below this many variables the two axis solves run in lockstep on the
+   calling domain: a CG on a small system finishes in less time than a
+   cross-domain wakeup costs, so [fork2] only adds latency (measured: QP
+   time rose going from 1 to 4 domains on a ~500-cell design).  Results
+   are bit-identical either way — each axis of the lockstep solve equals
+   its own [Cg.solve]. *)
 let qp_seq_vars = 4096
 
-let solve_system (cfg : Config.t) (sys : Netmodel.system) (pos : Placement.t) =
+let solve_axes ?scratch ~max_iter ~tol (sys : Netmodel.system) x y =
+  Fbp_linalg.Cg.solve2
+    ?workspace:(Option.map (fun s -> s.cg) scratch)
+    ~max_iter ~tol sys.Netmodel.ax sys.Netmodel.bx x sys.Netmodel.by y
+
+let solve_system ?scratch (cfg : Config.t) (sys : Netmodel.system)
+    (pos : Placement.t) =
   let nv = sys.Netmodel.n_vars in
   let x = Array.make nv 0.0 and y = Array.make nv 0.0 in
   (* warm start from current positions; star vars start at the mean of their
@@ -35,21 +61,21 @@ let solve_system (cfg : Config.t) (sys : Netmodel.system) (pos : Placement.t) =
     end
   done;
   (* The two axis solves share the matrix, which neither writes, and are
-     otherwise independent, so they run concurrently on the pool, within
-     the config's domain budget; the CG kernels inside each solve stay on
-     its domain.  Each solve defers its metrics ([record:false]); we
-     record them after the join in fixed x-then-y order, keeping
-     observation streams deterministic regardless of interleaving. *)
-  let a = sys.Netmodel.ax in
-  let solve b v () =
-    Fbp_linalg.Cg.solve ~record:false ~max_iter:cfg.Config.cg_max_iter
-      ~tol:cfg.Config.cg_tol a b v
-  in
+     otherwise independent.  On one domain they run in lockstep over it;
+     a large system at two or more domains solves them concurrently on
+     the pool, within the config's domain budget, with the CG kernels of
+     each solve on its domain.  Metrics are deferred and recorded after
+     the join in fixed x-then-y order, keeping observation streams
+     deterministic regardless of interleaving. *)
+  let max_iter = cfg.Config.cg_max_iter and tol = cfg.Config.cg_tol in
   let domains = Config.effective_domains cfg in
   let sx, sy =
     if nv < qp_seq_vars || domains < 2 then
-      (solve sys.Netmodel.bx x (), solve sys.Netmodel.by y ())
+      solve_axes ?scratch ~max_iter ~tol sys x y
     else
+      let solve b v () =
+        Fbp_linalg.Cg.solve ~record:false ~max_iter ~tol sys.Netmodel.ax b v
+      in
       Fbp_util.Pool.fork2 ~domains
         (solve sys.Netmodel.bx x) (solve sys.Netmodel.by y)
   in
@@ -88,22 +114,6 @@ let solve_global (cfg : Config.t) (nl : Netlist.t) (pos : Placement.t) ?cache
           ~clique_max_degree:cfg.Config.clique_max_degree ~anchor ()
       in
       solve_system cfg sys pos)
-
-(* Reusable scratch of a local QP.  For the net dedup: a stamp array over
-   net ids (stamp.(ni) = current epoch means "already collected") plus a
-   growable id buffer, so there is no hashing and the collection order is
-   fixed by construction (cells in order, each cell's net list in order).
-   For the assembly: the Netmodel workspace. *)
-type scratch = {
-  mutable stamp : int array;
-  mutable buf : int array;
-  mutable epoch : int;
-  workspace : Netmodel.workspace;
-}
-
-let create_scratch () =
-  { stamp = [||]; buf = Array.make 64 0; epoch = 0;
-    workspace = Netmodel.create_workspace () }
 
 (* In-place ascending sort of a.(lo..hi), specialised to ints: [Array.sort
    Int.compare] pays a closure call per comparison, most of dedup's time on
@@ -186,5 +196,5 @@ let solve_local (cfg : Config.t) (nl : Netlist.t) (pos : Placement.t) ?scratch
       match scratch with Some s -> s | None -> create_scratch ()
     in
     let sys = assemble_local cfg nl pos scratch ~cell_nets ~cells ~anchor in
-    solve_system cfg sys pos
+    solve_system ~scratch cfg sys pos
   end

@@ -9,13 +9,32 @@ type stats = {
   converged : bool;  (** both CG solves (x and y) converged *)
 }
 
+(** Reusable scratch of the local QP: the net-dedup stamp array and id
+    buffer, a {!Netmodel.workspace} and a {!Fbp_linalg.Cg.workspace}, so a
+    local assembly and solve allocate little beyond the system.  Not safe
+    for concurrent use; give each sequential caller its own. *)
+type scratch
+
+val create_scratch : unit -> scratch
+
+(** [solve_axes sys x y] improves [x] and [y] toward the x and y systems
+    of [sys] with {!Fbp_linalg.Cg.solve2}: in lockstep over the one shared
+    matrix, on the calling domain, with [scratch]'s CG vectors (fresh ones
+    otherwise).  Returns the x and the y stats, unrecorded. *)
+val solve_axes :
+  ?scratch:scratch -> max_iter:int -> tol:float -> Netmodel.system ->
+  float array -> float array -> Fbp_linalg.Cg.stats * Fbp_linalg.Cg.stats
+
 (** Solve an assembled system, writing cell positions back into the
     placement (star variables are discarded).  Both axis solves read the
-    one shared matrix ([ax]).  From 4096 variables on, the x- and y-axis
-    CG solves run concurrently on the domain pool, within
-    {!Config.effective_domains}; metrics are recorded after the join in
-    fixed x-then-y order, so observation streams stay deterministic. *)
-val solve_system : Config.t -> Netmodel.system -> Placement.t -> stats
+    one shared matrix ([ax]).  Below 4096 variables, or at one domain,
+    they run in lockstep ({!solve_axes}, with [scratch]'s vectors); from
+    4096 variables on at two or more domains ({!Config.effective_domains})
+    they run concurrently on the domain pool, one {!Fbp_linalg.Cg.solve}
+    each.  Metrics are recorded after the solves in fixed x-then-y order,
+    so observation streams stay deterministic. *)
+val solve_system :
+  ?scratch:scratch -> Config.t -> Netmodel.system -> Placement.t -> stats
 
 (** All movable cell ids of a netlist. *)
 val all_movable : Netlist.t -> int array
@@ -28,14 +47,6 @@ val solve_global :
   Config.t -> Netlist.t -> Placement.t ->
   ?cache:Netmodel.cache ->
   anchor:(int -> (float * float * float * float) option) -> unit -> stats
-
-(** Reusable scratch of the local QP: the net-dedup stamp array and id
-    buffer plus a {!Netmodel.workspace}, so a local assembly allocates
-    little beyond the system it returns.  Not safe for concurrent use;
-    give each sequential caller its own. *)
-type scratch
-
-val create_scratch : unit -> scratch
 
 (** The local system over [cells], everything else fixed: the sorted,
     deduplicated nets incident to [cells] ([cell_nets] is the cached

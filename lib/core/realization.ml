@@ -63,130 +63,215 @@ let wave_grain_cells = 128
 
 let max_wave_chunks = 64
 
-(* Compact snapshot of the given cells' positions.  O(cells of the wave),
-   replacing the seed's per-wave [Placement.copy pos] — O(design) per
-   wave was the dominant anti-scaling term, and it hurt at *every* domain
-   count. *)
+(* Compact snapshot of the given cells' positions: O(cells of the wave),
+   not O(design).  A per-wave copy of the whole placement was the
+   dominant anti-scaling term, and it hurt at every domain count.  The
+   node that owns a snapshot overwrites it with its cells' final
+   positions. *)
 let snapshot (pos : Placement.t) (cells : int array) =
-  ( Array.map (fun c -> pos.Placement.x.(c)) cells,
-    Array.map (fun c -> pos.Placement.y.(c)) cells )
+  let n = Array.length cells in
+  let x = Array.make n 0.0 and y = Array.make n 0.0 in
+  for i = 0 to n - 1 do
+    let c = cells.(i) in
+    x.(i) <- pos.Placement.x.(c);
+    y.(i) <- pos.Placement.y.(c)
+  done;
+  (x, y)
 
-(* A destination decided for one cell during a step. *)
-type dest =
-  | To_piece of int
-  | To_buffer of { to_w : int; x : float; y : float }
+(* The node pipeline is flat (DESIGN §9, "Flat realization"): a (window,
+   class) node is the int id [w * n_classes + m], so ascending ids are the
+   (w, m) lexicographic order, and its members, arcs and in-degree live in
+   arrays indexed by id.  Per cell, a node produces one [dest] entry and
+   writes the final position into its own snapshot: no tuple, no boxed
+   float and no [Point] per cell.  Under [-opaque] a call boxes each float
+   argument and result, so the per-cell geometry below reads rectangle
+   fields in [@inline] helpers and passes points as (array, index). *)
 
-(* Read-only inputs of one (window, class) node, gathered on the
-   coordinating domain between waves.  [nqx]/[nqy] seed the node's local
-   QP and are mutated in place by it — node-private by construction. *)
+(* Read-only inputs of one node, gathered on the coordinating domain
+   between waves.  [nqx]/[nqy] seed the node's local QP and receive its
+   cells' final positions — node-private by construction. *)
 type node_input = {
-  nw : int;
-  nm : int;
+  nid : int;
   ncells : int array;  (* sorted member cell ids *)
   nqx : float array;  (* compact pre-wave position snapshot *)
   nqy : float array;
   narcs : Fbp_model.external_flow list;  (* outgoing external arcs *)
 }
 
+type node_result = {
+  dest : int array;
+      (* per member: its piece id (>= -1; -1 when no admissible piece
+         exists), or [-2 - to_w] for the transit buffer of window [to_w] *)
+  n_fallback : int;  (* members placed without a flow prescription *)
+  qp : (Fbp_linalg.Cg.stats * Fbp_linalg.Cg.stats) option;
+}
+
+let no_result = { dest = [||]; n_fallback = 0; qp = None }
+
+(* A piece area as floats: its bounding box ([Rect_set.bbox]), then x0 y0
+   x1 y1 of each rectangle in [Rect_set.rects] order.  Empty for an empty
+   area. *)
+let flat_area (area : Rect_set.t) =
+  match Rect_set.rects area with
+  | [] -> [||]
+  | rects ->
+    let bb = Rect_set.bbox area in
+    let g = Array.make (4 * (1 + List.length rects)) 0.0 in
+    List.iteri
+      (fun t (r : Rect.t) ->
+        let o = 4 * (t + 1) in
+        g.(o) <- r.Rect.x0;
+        g.(o + 1) <- r.Rect.y0;
+        g.(o + 2) <- r.Rect.x1;
+        g.(o + 3) <- r.Rect.y1)
+      rects;
+    g.(0) <- bb.Rect.x0;
+    g.(1) <- bb.Rect.y0;
+    g.(2) <- bb.Rect.x1;
+    g.(3) <- bb.Rect.y1;
+    g
+
+(* [Rect_set.dist_l1_point] on a flat area: the clamp of [Rect.clamp_point]
+   and the fold of [Rect_set], in the same order. *)
+let[@inline] dist_l1 (g : float array) px py =
+  let d = ref infinity in
+  for t = 1 to (Array.length g / 4) - 1 do
+    let o = 4 * t in
+    let cx = Float.max g.(o) (Float.min g.(o + 2) px)
+    and cy = Float.max g.(o + 1) (Float.min g.(o + 3) py) in
+    d := Float.min !d (Float.abs (px -. cx) +. Float.abs (py -. cy))
+  done;
+  !d
+
+(* [Rect_set.project_point] on a flat area, for point [i] of [xs]/[ys],
+   written back in place. *)
+let[@inline] project_into (g : float array) (xs : float array)
+    (ys : float array) i =
+  if Array.length g = 0 then invalid_arg "Rect_set.project_point: empty set";
+  let px = xs.(i) and py = ys.(i) in
+  let bx = ref 0.0 and by = ref 0.0 and bd = ref infinity in
+  for t = 1 to (Array.length g / 4) - 1 do
+    let o = 4 * t in
+    let cx = Float.max g.(o) (Float.min g.(o + 2) px)
+    and cy = Float.max g.(o + 1) (Float.min g.(o + 3) py) in
+    let dx = px -. cx and dy = py -. cy in
+    let d = sqrt ((dx *. dx) +. (dy *. dy)) in
+    if t = 1 || d < !bd then begin
+      bx := cx;
+      by := cy;
+      bd := d
+    end
+  done;
+  xs.(i) <- !bx;
+  ys.(i) <- !by
+
+(* The sorted, deduplicated first [len] entries of [buf]: what
+   [List.sort_uniq Int.compare] gives on the same members. *)
+let sorted_members (buf : int array) len =
+  let a = Array.sub buf 0 len in
+  Array.sort Int.compare a;
+  let k = ref (min len 1) in
+  for i = 1 to len - 1 do
+    if a.(i) <> a.(!k - 1) then begin
+      a.(!k) <- a.(i);
+      incr k
+    end
+  done;
+  if !k = len then a else Array.sub a 0 !k
+
 let realize ?(on_step : (step -> unit) option) (cfg : Config.t)
     (inst : Fbp_movebound.Instance.t) (regions : Fbp_movebound.Regions.t)
     (sol : Fbp_model.solution) (pos : Placement.t)
     ~(cell_nets : int list array) =
+  let t_start = Fbp_util.Timer.now () in
   let model = sol.Fbp_model.model in
   let grid = model.Fbp_model.grid in
   let nl = inst.Fbp_movebound.Instance.design.Design.netlist in
+  let widths = nl.Netlist.widths and heights = nl.Netlist.heights in
   let k = Fbp_movebound.Instance.n_movebounds inst in
   let n_classes = model.Fbp_model.n_classes in
+  let n_nodes = Grid.n_windows grid * n_classes in
   let piece_of_cell = Array.make (Netlist.n_cells nl) (-1) in
-  (* current members of each (window, class) node *)
-  let members : (int * int, int list ref) Hashtbl.t = Hashtbl.create 256 in
+  let geom = Array.map (fun (p : Grid.piece) -> flat_area p.Grid.area) grid.Grid.pieces in
+  (* current members of each node: the first [mem_len.(id)] entries of
+     [mem.(id)], in no particular order *)
+  let mem = Array.make n_nodes [||] and mem_len = Array.make n_nodes 0 in
+  let push id c =
+    let len = mem_len.(id) in
+    if len = Array.length mem.(id) then begin
+      let grown = Array.make (max 8 (2 * len)) 0 in
+      Array.blit mem.(id) 0 grown 0 len;
+      mem.(id) <- grown
+    end;
+    mem.(id).(len) <- c;
+    mem_len.(id) <- len + 1
+  in
+  (* node set: anything with cells or participating in external flow *)
+  let live = Array.make n_nodes false in
   Array.iter
     (fun (g : Fbp_model.group) ->
-      Hashtbl.replace members (g.Fbp_model.w, g.Fbp_model.m) (ref g.Fbp_model.cells))
+      let id = (g.Fbp_model.w * n_classes) + g.Fbp_model.m in
+      mem.(id) <- Array.of_list g.Fbp_model.cells;
+      mem_len.(id) <- Array.length mem.(id);
+      live.(id) <- true)
     model.Fbp_model.groups;
-  (* outgoing external arcs per node, incoming degree per node *)
-  let outgoing : (int * int, Fbp_model.external_flow list ref) Hashtbl.t =
-    Hashtbl.create 64
-  in
-  let indegree : (int * int, int ref) Hashtbl.t = Hashtbl.create 64 in
-  let touch tbl key v =
-    match Hashtbl.find_opt tbl key with
-    | Some r -> r
-    | None ->
-      let r = ref v in
-      Hashtbl.add tbl key r;
-      r
-  in
+  (* outgoing external arcs per node (prepended: the order fixes the
+     transit sinks' order), incoming degree per node *)
+  let outgoing = Array.make n_nodes [] and degree = Array.make n_nodes 0 in
   List.iter
     (fun (e : Fbp_model.external_flow) ->
-      let o = touch outgoing (e.Fbp_model.from_w, e.Fbp_model.xm) [] in
-      o := e :: !o;
-      incr (touch indegree (e.Fbp_model.to_w, e.Fbp_model.xm) 0);
-      ignore (touch indegree (e.Fbp_model.from_w, e.Fbp_model.xm) 0))
+      let src = (e.Fbp_model.from_w * n_classes) + e.Fbp_model.xm in
+      let dst = (e.Fbp_model.to_w * n_classes) + e.Fbp_model.xm in
+      outgoing.(src) <- e :: outgoing.(src);
+      degree.(dst) <- degree.(dst) + 1;
+      live.(src) <- true;
+      live.(dst) <- true)
     sol.Fbp_model.externals;
-  (* node set: anything with cells or participating in external flow *)
-  let nodes : (int * int, unit) Hashtbl.t = Hashtbl.create 256 in
-  Hashtbl.iter (fun key _ -> Hashtbl.replace nodes key ()) members;
-  Hashtbl.iter (fun key _ -> Hashtbl.replace nodes key ()) indegree;
-  let compare_wm (w1, m1) (w2, m2) =
-    match Int.compare w1 w2 with 0 -> Int.compare m1 m2 | c -> c
-  in
-  let node_list =
-    Hashtbl.fold (fun key () acc -> key :: acc) nodes []
-    |> List.sort compare_wm
-  in
-  let indeg (w, m) = match Hashtbl.find_opt indegree (w, m) with Some r -> !r | None -> 0 in
-  (* Kahn waves *)
-  let waves = ref [] in
-  let remaining = Hashtbl.copy nodes in
-  let degree = Hashtbl.create 64 in
-  List.iter (fun n -> Hashtbl.replace degree n (indeg n)) node_list;
-  let n_waves = ref 0 in
-  while Hashtbl.length remaining > 0 do
-    let ready =
-      List.filter
-        (fun n -> Hashtbl.mem remaining n && Hashtbl.find degree n = 0)
-        node_list
-    in
-    if ready = [] then begin
+  (* Kahn waves over the live ids, each wave in ascending id order *)
+  let waves = ref [] and n_waves = ref 0 in
+  let remaining = Array.copy live in
+  let n_remaining = ref (Array.fold_left (fun n b -> if b then n + 1 else n) 0 live) in
+  while !n_remaining > 0 do
+    let ready = ref [] in
+    for id = n_nodes - 1 downto 0 do
+      if remaining.(id) && degree.(id) = 0 then ready := id :: !ready
+    done;
+    match !ready with
+    | [] ->
       (* The placer's flows carry no cycle, but a hand-built solution can
          (test "realization flushes cycle residue"): release the smallest
          remaining node so the waves still drain. *)
-      let n = List.find (Hashtbl.mem remaining) node_list in
-      Hashtbl.replace degree n 0
-    end
-    else begin
+      let id = ref 0 in
+      while not remaining.(!id) do incr id done;
+      degree.(!id) <- 0
+    | ready ->
       incr n_waves;
-      waves := ready :: !waves;
+      waves := Array.of_list ready :: !waves;
       List.iter
-        (fun n ->
-          Hashtbl.remove remaining n;
-          match Hashtbl.find_opt outgoing n with
-          | None -> ()
-          | Some arcs ->
-            List.iter
-              (fun (e : Fbp_model.external_flow) ->
-                let succ = (e.Fbp_model.to_w, e.Fbp_model.xm) in
-                match Hashtbl.find_opt degree succ with
-                | Some d -> Hashtbl.replace degree succ (d - 1)
-                | None -> ())
-              !arcs)
+        (fun id ->
+          remaining.(id) <- false;
+          decr n_remaining;
+          List.iter
+            (fun (e : Fbp_model.external_flow) ->
+              let succ = (e.Fbp_model.to_w * n_classes) + e.Fbp_model.xm in
+              degree.(succ) <- degree.(succ) - 1)
+            outgoing.(id))
         ready
-    end
   done;
   let waves = List.rev !waves in
   (* statistics *)
   let n_steps = ref 0 and n_shipped = ref 0 and n_fallback = ref 0 in
   let max_overfill = ref 0.0 in
-  (* fallback piece: nearest admissible piece in/near the window *)
-  let fallback_piece w m (pt : Point.t) =
+  (* fallback piece of point [i] of [xs]/[ys]: nearest admissible piece
+     in/near the window *)
+  let fallback_piece w m (xs : float array) (ys : float array) i =
     let mb = if m = k then -1 else m in
     let best = ref (-1) and bestd = ref infinity in
     let consider pid =
       let p = grid.Grid.pieces.(pid) in
       let reg = regions.Fbp_movebound.Regions.regions.(p.Grid.region) in
       if Fbp_movebound.Regions.admissible reg ~mb then begin
-        let d = Rect_set.dist_l1_point p.Grid.area pt in
+        let d = dist_l1 geom.(pid) xs.(i) ys.(i) in
         if d < !bestd then begin
           bestd := d;
           best := pid
@@ -199,226 +284,191 @@ let realize ?(on_step : (step -> unit) option) (cfg : Config.t)
       Array.iter (fun (p : Grid.piece) -> consider p.Grid.id) grid.Grid.pieces;
     !best
   in
-  (* Fallback placement: nearest admissible piece, with the position
-     projected into its area so the post-realization invariants (cell inside
-     its assigned piece) hold even off the flow path. *)
-  let fallback_move w m c (pt : Point.t) =
-    let pid = fallback_piece w m pt in
-    if pid < 0 then (c, pt.Point.x, pt.Point.y, To_piece pid, true)
-    else begin
-      let proj = Rect_set.project_point grid.Grid.pieces.(pid).Grid.area pt in
-      (c, proj.Point.x, proj.Point.y, To_piece pid, true)
-    end
-  in
-  (* Inputs of one node, snapshotted from the shared [members]/[outgoing]
-     tables *before* the parallel map: worker domains must never touch the
-     mutable tables (unsynchronized Hashtbl reads race with the commit
-     phase's writes between waves).  The position snapshot is compact —
-     only the node's own cells — because [pos] itself is not mutated
+  (* Inputs of one node, snapshotted from the shared member buffers
+     *before* the parallel map: worker domains never touch them (the
+     commits between waves write them).  The position snapshot is compact
+     — only the node's own cells — because [pos] itself is not mutated
      during a wave's map phase (commits happen post-join), so everything
      a worker needs beyond its private QP seeds can be read from [pos]
      directly. *)
-  let node_input (w, m) =
-    let cells =
-      match Hashtbl.find_opt members (w, m) with
-      | Some r -> Array.of_list (List.sort_uniq Int.compare !r)
-      | None -> [||]
-    in
-    let transit_arcs =
-      match Hashtbl.find_opt outgoing (w, m) with
-      | None -> []
-      | Some arcs -> !arcs
-    in
+  let node_input id =
+    let cells = sorted_members mem.(id) mem_len.(id) in
     let nqx, nqy = snapshot pos cells in
-    { nw = w; nm = m; ncells = cells; nqx; nqy; narcs = transit_arcs }
+    { nid = id; ncells = cells; nqx; nqy; narcs = outgoing.(id) }
   in
-  (* process one node against read-only inputs; returns the moves plus the
-     local-QP solver stats (recorded by the caller post-join in wave order,
-     so the metrics stream stays deterministic at any domain count).
-     [scratch] is chunk-private (net dedup and assembly workspace). *)
+  (* Process one node against read-only inputs: the destinations, the
+     final positions (into [nqx]/[nqy]) and the local-QP solver stats
+     (recorded by the caller post-join in wave order, so the metrics
+     stream stays deterministic at any domain count).  [scratch] is
+     chunk-private (net dedup, assembly and CG workspace). *)
   let process_node ~scratch ni =
-    let w = ni.nw and m = ni.nm in
-    let cells = ni.ncells and transit_arcs = ni.narcs in
-    if Array.length cells = 0 then ((w, m), [||], None)
+    let cells = ni.ncells in
+    let n = Array.length cells in
+    if n = 0 then no_result
     else begin
-      let qp_stats = ref None in
-      (* 1. local QP for connectivity (optional) *)
+      let w = ni.nid / n_classes and m = ni.nid mod n_classes in
       let qx = ni.nqx and qy = ni.nqy in
-      if cfg.Config.local_qp && Array.length cells > 1 then begin
-        let win_rect = grid.Grid.windows.(w).Grid.rect in
-        let ctr = Rect.center win_rect in
-        let pull = Some (1e-4, ctr.Point.x, 1e-4, ctr.Point.y) in
-        let sys =
-          Qp.assemble_local cfg nl pos scratch ~cell_nets ~cells
-            ~anchor:(fun _ -> pull)
-        in
-        let xv = Array.make sys.Netmodel.n_vars 0.0 in
-        let yv = Array.make sys.Netmodel.n_vars 0.0 in
-        Array.iteri
-          (fun v c ->
-            if c >= 0 then begin
-              xv.(v) <- pos.Placement.x.(c);
-              yv.(v) <- pos.Placement.y.(c)
-            end)
-          sys.Netmodel.cells;
-        (* one matrix for both axes *)
-        let a = sys.Netmodel.ax in
-        let st_x =
-          Fbp_linalg.Cg.solve ~record:false ~max_iter:60 ~tol:1e-4 a
-            sys.Netmodel.bx xv
-        in
-        let st_y =
-          Fbp_linalg.Cg.solve ~record:false ~max_iter:60 ~tol:1e-4 a
-            sys.Netmodel.by yv
-        in
-        qp_stats := Some (st_x, st_y);
-        Array.iteri
-          (fun i _ ->
-            qx.(i) <- xv.(i);
-            qy.(i) <- yv.(i))
-          cells
-      end;
+      (* 1. local QP for connectivity (optional) *)
+      let qp =
+        if cfg.Config.local_qp && n > 1 then begin
+          let win_rect = grid.Grid.windows.(w).Grid.rect in
+          let ctr = Rect.center win_rect in
+          let pull = Some (1e-4, ctr.Point.x, 1e-4, ctr.Point.y) in
+          let sys =
+            Qp.assemble_local cfg nl pos scratch ~cell_nets ~cells
+              ~anchor:(fun _ -> pull)
+          in
+          let xv = Array.make sys.Netmodel.n_vars 0.0 in
+          let yv = Array.make sys.Netmodel.n_vars 0.0 in
+          Array.iteri
+            (fun v c ->
+              if c >= 0 then begin
+                xv.(v) <- pos.Placement.x.(c);
+                yv.(v) <- pos.Placement.y.(c)
+              end)
+            sys.Netmodel.cells;
+          let st = Qp.solve_axes ~scratch ~max_iter:60 ~tol:1e-4 sys xv yv in
+          Array.blit xv 0 qx 0 n;
+          Array.blit yv 0 qy 0 n;
+          Some st
+        end
+        else None
+      in
+      let dest = Array.make n (-1) and fallbacks = ref 0 in
+      (* nearest admissible piece, the position projected into its area so
+         the post-realization invariants (cell inside its assigned piece)
+         hold even off the flow path *)
+      let fallback i =
+        let pid = fallback_piece w m qx qy i in
+        if pid >= 0 then project_into geom.(pid) qx qy i;
+        dest.(i) <- pid;
+        incr fallbacks
+      in
       (* 2. transportation sinks: region pieces + outgoing transit buffers *)
-      let piece_sinks =
-        List.filter_map
-          (fun pid ->
-            let a = sol.Fbp_model.allot.((pid * n_classes) + m) in
-            if a > eps then Some (`Piece pid, a) else None)
-          grid.Grid.pieces_of_window.(w)
+      let pieces =
+        Array.of_list
+          (List.filter
+             (fun pid -> sol.Fbp_model.allot.((pid * n_classes) + m) > eps)
+             grid.Grid.pieces_of_window.(w))
       in
-      let transit_sinks =
-        List.map
-          (fun (e : Fbp_model.external_flow) ->
-            (`Transit e, e.Fbp_model.amount))
-          transit_arcs
-      in
-      let sinks = Array.of_list (piece_sinks @ transit_sinks) in
-      let total_size =
-        Array.fold_left (fun acc c -> acc +. Netlist.size nl c) 0.0 cells
-      in
-      let total_cap = Array.fold_left (fun acc (_, c) -> acc +. c) 0.0 sinks in
-      if Array.length sinks = 0 then begin
+      let arcs = Array.of_list ni.narcs in
+      let np = Array.length pieces in
+      let ks = np + Array.length arcs in
+      let caps = Array.make ks 0.0 in
+      for j = 0 to np - 1 do
+        caps.(j) <- sol.Fbp_model.allot.((pieces.(j) * n_classes) + m)
+      done;
+      for j = np to ks - 1 do
+        caps.(j) <- arcs.(j - np).Fbp_model.amount
+      done;
+      let sizes = Array.make n 0.0 and total_size = ref 0.0 in
+      for i = 0 to n - 1 do
+        let c = cells.(i) in
+        sizes.(i) <- widths.(c) *. heights.(c);
+        total_size := !total_size +. sizes.(i)
+      done;
+      let total_cap = ref 0.0 in
+      for j = 0 to ks - 1 do
+        total_cap := !total_cap +. caps.(j)
+      done;
+      if ks = 0 then
         (* no prescription (numerical residue): everything falls back *)
-        ((w, m),
-         Array.mapi
-           (fun i c -> fallback_move w m c (Point.make qx.(i) qy.(i)))
-           cells,
-         !qp_stats)
-      end
+        for i = 0 to n - 1 do fallback i done
       else begin
         (* integral rounding can make cells outgrow the prescriptions:
            inflate sink capacities proportionally so transport stays
            feasible; legalization absorbs the slack *)
-        let scale = if total_cap < total_size then total_size /. total_cap +. 1e-6 else 1.0 in
-        let sink_caps = Array.map (fun (_, c) -> c *. scale) sinks in
+        let scale =
+          if !total_cap < !total_size then (!total_size /. !total_cap) +. 1e-6
+          else 1.0
+        in
+        for j = 0 to ks - 1 do
+          caps.(j) <- caps.(j) *. scale
+        done;
         (* per-unit cost: L1 distance from the cell's QP position to the
            piece, or to the window boundary the transit arc leaves by *)
-        let dist_to =
-          Array.map
-            (fun (sink, _) ->
-              match sink with
-              | `Piece pid ->
-                let area = grid.Grid.pieces.(pid).Grid.area in
-                fun pt -> Rect_set.dist_l1_point area pt
-              | `Transit (e : Fbp_model.external_flow) ->
-                let b = Grid.boundary_point grid w e.Fbp_model.from_dir in
-                fun pt -> Point.dist_l1 pt b)
-            sinks
-        in
-        let k = Array.length sinks in
-        let sink_cost = Array.make (Array.length cells * k) 0.0 in
-        for i = 0 to Array.length cells - 1 do
-          let pt = Point.make qx.(i) qy.(i) in
-          for j = 0 to k - 1 do
-            sink_cost.((i * k) + j) <- dist_to.(j) pt
+        let cost = Array.make (n * ks) 0.0 in
+        for j = 0 to np - 1 do
+          let g = geom.(pieces.(j)) in
+          for i = 0 to n - 1 do
+            cost.((i * ks) + j) <- dist_l1 g qx.(i) qy.(i)
           done
         done;
-        let problem =
-          {
-            Transport.sizes = Array.map (fun c -> Netlist.size nl c) cells;
-            capacities = sink_caps;
-            cost = sink_cost;
-          }
-        in
-        match Transport.solve problem with
-        | Error _ ->
-          ((w, m),
-           Array.mapi
-             (fun i c -> fallback_move w m c (Point.make qx.(i) qy.(i)))
-             cells,
-           !qp_stats)
+        for j = np to ks - 1 do
+          let b = Grid.boundary_point grid w arcs.(j - np).Fbp_model.from_dir in
+          for i = 0 to n - 1 do
+            cost.((i * ks) + j) <-
+              Float.abs (qx.(i) -. b.Point.x) +. Float.abs (qy.(i) -. b.Point.y)
+          done
+        done;
+        match
+          Transport.solve { Transport.sizes; capacities = caps; cost }
+        with
+        | Error _ -> for i = 0 to n - 1 do fallback i done
         | Ok assignment ->
           let choice = Transport.round_integral assignment in
           (* Cells staying in a piece are not merely projected (that piles
              them on the nearest boundary): each piece-group's QP positions
              are linearly remapped into the piece's bounding box, preserving
              relative order — then projected into the (possibly non-convex)
-             piece area. *)
-          let remap = Hashtbl.create 8 in
-          Array.iteri
-            (fun i _ ->
-              let j = choice.(i) in
-              if j >= 0 then
-                match fst sinks.(j) with
-                | `Piece pid ->
-                  Hashtbl.replace remap pid (i :: (try Hashtbl.find remap pid with Not_found -> []))
-                | `Transit _ -> ())
-            cells;
-          let remap_fn = Hashtbl.create 8 in
-          Hashtbl.iter
-            (fun pid idxs ->
-              let p = grid.Grid.pieces.(pid) in
-              let bb = Rect_set.bbox p.Grid.area in
-              let x0 = ref infinity and x1 = ref neg_infinity in
-              let y0 = ref infinity and y1 = ref neg_infinity in
-              List.iter
-                (fun i ->
-                  if qx.(i) < !x0 then x0 := qx.(i);
-                  if qx.(i) > !x1 then x1 := qx.(i);
-                  if qy.(i) < !y0 then y0 := qy.(i);
-                  if qy.(i) > !y1 then y1 := qy.(i))
-                idxs;
-              let sx = !x1 -. !x0 and sy = !y1 -. !y0 in
-              let f (pt : Point.t) =
-                let fx = if sx > 1e-9 then (pt.Point.x -. !x0) /. sx else 0.5 in
-                let fy = if sy > 1e-9 then (pt.Point.y -. !y0) /. sy else 0.5 in
-                Point.make
-                  (bb.Rect.x0 +. (fx *. Rect.width bb))
-                  (bb.Rect.y0 +. (fy *. Rect.height bb))
-              in
-              Hashtbl.replace remap_fn pid f)
-            remap;
-          ((w, m),
-           Array.mapi
-             (fun i c ->
-               let j = choice.(i) in
-               if j < 0 then fallback_move w m c (Point.make qx.(i) qy.(i))
-               else
-                 match fst sinks.(j) with
-                 | `Piece pid ->
-                   let p = grid.Grid.pieces.(pid) in
-                   let mapped = (Hashtbl.find remap_fn pid) (Point.make qx.(i) qy.(i)) in
-                   let proj = Rect_set.project_point p.Grid.area mapped in
-                   (c, proj.Point.x, proj.Point.y, To_piece pid, false)
-                 | `Transit (e : Fbp_model.external_flow) ->
-                   (* land just inside the target window, near the boundary *)
-                   let b = Grid.boundary_point grid w e.Fbp_model.from_dir in
-                   let tr = grid.Grid.windows.(e.Fbp_model.to_w).Grid.rect in
-                   let step_x = 0.05 *. Rect.width tr and step_y = 0.05 *. Rect.height tr in
-                   let land_ =
-                     match e.Fbp_model.from_dir with
-                     | 0 -> Point.make b.Point.x (b.Point.y +. step_y)
-                     | 1 -> Point.make (b.Point.x +. step_x) b.Point.y
-                     | 2 -> Point.make b.Point.x (b.Point.y -. step_y)
-                     | _ -> Point.make (b.Point.x -. step_x) b.Point.y
-                   in
-                   let land_ = Rect.clamp_point tr land_ in
-                   (c, land_.Point.x, land_.Point.y,
-                    To_buffer { to_w = e.Fbp_model.to_w; x = land_.Point.x; y = land_.Point.y },
-                    false))
-             cells,
-           !qp_stats)
-      end
+             piece area.  The QP box of each piece sink (x0 x1 y0 y1) is
+             scanned in descending cell index. *)
+          let qbox = Array.make (4 * np) 0.0 in
+          for j = 0 to np - 1 do
+            qbox.(4 * j) <- infinity;
+            qbox.((4 * j) + 1) <- neg_infinity;
+            qbox.((4 * j) + 2) <- infinity;
+            qbox.((4 * j) + 3) <- neg_infinity
+          done;
+          for i = n - 1 downto 0 do
+            let j = choice.(i) in
+            if j >= 0 && j < np then begin
+              let o = 4 * j in
+              if qx.(i) < qbox.(o) then qbox.(o) <- qx.(i);
+              if qx.(i) > qbox.(o + 1) then qbox.(o + 1) <- qx.(i);
+              if qy.(i) < qbox.(o + 2) then qbox.(o + 2) <- qy.(i);
+              if qy.(i) > qbox.(o + 3) then qbox.(o + 3) <- qy.(i)
+            end
+          done;
+          (* landing point of each transit sink: just inside the target
+             window, near the boundary *)
+          let lands =
+            Array.map
+              (fun (e : Fbp_model.external_flow) ->
+                let b = Grid.boundary_point grid w e.Fbp_model.from_dir in
+                let tr = grid.Grid.windows.(e.Fbp_model.to_w).Grid.rect in
+                let step_x = 0.05 *. Rect.width tr and step_y = 0.05 *. Rect.height tr in
+                Rect.clamp_point tr
+                  (match e.Fbp_model.from_dir with
+                  | 0 -> Point.make b.Point.x (b.Point.y +. step_y)
+                  | 1 -> Point.make (b.Point.x +. step_x) b.Point.y
+                  | 2 -> Point.make b.Point.x (b.Point.y -. step_y)
+                  | _ -> Point.make (b.Point.x -. step_x) b.Point.y))
+              arcs
+          in
+          for i = 0 to n - 1 do
+            let j = choice.(i) in
+            if j < 0 then fallback i
+            else if j < np then begin
+              let pid = pieces.(j) and o = 4 * j in
+              let g = geom.(pid) in
+              let sx = qbox.(o + 1) -. qbox.(o) and sy = qbox.(o + 3) -. qbox.(o + 2) in
+              let fx = if sx > 1e-9 then (qx.(i) -. qbox.(o)) /. sx else 0.5 in
+              let fy = if sy > 1e-9 then (qy.(i) -. qbox.(o + 2)) /. sy else 0.5 in
+              qx.(i) <- g.(0) +. (fx *. (g.(2) -. g.(0)));
+              qy.(i) <- g.(1) +. (fy *. (g.(3) -. g.(1)));
+              project_into g qx qy i;
+              dest.(i) <- pid
+            end
+            else begin
+              let l = lands.(j - np) in
+              qx.(i) <- l.Point.x;
+              qy.(i) <- l.Point.y;
+              dest.(i) <- -2 - arcs.(j - np).Fbp_model.to_w
+            end
+          done
+      end;
+      { dest; n_fallback = !fallbacks; qp }
     end
   in
   (* piece loads for the overfill audit *)
@@ -442,13 +492,16 @@ let realize ?(on_step : (step -> unit) option) (cfg : Config.t)
       scratches.(slot) <- Some s;
       s
   in
+  (* seconds spent inside [Pool.run_chunks]: the rest of the call is the
+     coordinating domain's sequential fraction *)
+  let par_s = ref 0.0 in
   let run_wave wave_arr =
     let n_nodes = Array.length wave_arr in
     let total_cells =
       Array.fold_left (fun acc ni -> acc + Array.length ni.ncells) 0 wave_arr
     in
     Fbp_obs.Obs.count ~n:total_cells "realization.snapshot_cells";
-    let out = Array.make n_nodes ((0, 0), [||], None) in
+    let out = Array.make n_nodes no_result in
     if eff_domains > 1 && n_nodes > 1 && total_cells >= seq_wave_cells then begin
       (* contiguous chunks balanced by cumulative cell count *)
       let max_k = min max_wave_chunks (4 * eff_domains) in
@@ -464,11 +517,13 @@ let realize ?(on_step : (step -> unit) option) (cfg : Config.t)
           acc := 0
         end
       done;
+      let t0 = Fbp_util.Timer.now () in
       Fbp_util.Pool.run_chunks ~domains:eff_domains ~n_chunks:!k (fun c ->
           let scratch = scratch_for (c + 1) in
           for i = starts.(c) to starts.(c + 1) - 1 do
             out.(i) <- process_node ~scratch wave_arr.(i)
-          done)
+          done);
+      par_s := !par_s +. (Fbp_util.Timer.now () -. t0)
     end
     else begin
       (* sequential fast path: same map-all-then-commit shape as the
@@ -479,6 +534,46 @@ let realize ?(on_step : (step -> unit) option) (cfg : Config.t)
       done
     end;
     out
+  in
+  (* deterministic commit in wave order *)
+  let commit ni res =
+    (match res.qp with
+    | Some (st_x, st_y) ->
+      Fbp_linalg.Cg.record_stats st_x;
+      Fbp_linalg.Cg.record_stats st_y
+    | None -> ());
+    let cells = ni.ncells in
+    let n = Array.length cells in
+    if n > 0 then begin
+      incr n_steps;
+      let m = ni.nid mod n_classes in
+      let shipped = ref 0.0 and stayed = ref 0.0 in
+      for i = 0 to n - 1 do
+        let c = cells.(i) in
+        pos.Placement.x.(c) <- ni.nqx.(i);
+        pos.Placement.y.(c) <- ni.nqy.(i);
+        let size = widths.(c) *. heights.(c) in
+        let d = res.dest.(i) in
+        if d >= -1 then begin
+          piece_of_cell.(c) <- d;
+          if d >= 0 then piece_load.(d) <- piece_load.(d) +. size;
+          stayed := !stayed +. size
+        end
+        else begin
+          incr n_shipped;
+          shipped := !shipped +. size;
+          push (((-2 - d) * n_classes) + m) c
+        end
+      done;
+      n_fallback := !n_fallback + res.n_fallback;
+      (* this node's members are consumed *)
+      mem_len.(ni.nid) <- 0;
+      match on_step with
+      | Some f ->
+        f { node_w = ni.nid / n_classes; node_m = m; n_cells = n;
+            shipped = !shipped; stayed = !stayed }
+      | None -> ()
+    end
   in
   Fun.protect
     ~finally:(fun () ->
@@ -491,86 +586,39 @@ let realize ?(on_step : (step -> unit) option) (cfg : Config.t)
       Fbp_obs.Obs.span "realization.wave"
         ~args:(fun () ->
           [ ("wave", string_of_int wi);
-            ("nodes", string_of_int (List.length wave));
+            ("nodes", string_of_int (Array.length wave));
             ("domains", string_of_int eff_domains) ])
         (fun () ->
-      Fbp_obs.Obs.observe "realization.wave_width" (float_of_int (List.length wave));
-      let wave_arr = Array.of_list (List.map node_input wave) in
-      let results = run_wave wave_arr in
-      (* deterministic commit in wave order *)
-      Array.iter
-        (fun ((w, m), moves, qp_stats) ->
-          (match qp_stats with
-          | Some (st_x, st_y) ->
-            Fbp_linalg.Cg.record_stats st_x;
-            Fbp_linalg.Cg.record_stats st_y
-          | None -> ());
-          if Array.length moves > 0 then begin
-            incr n_steps;
-            let shipped = ref 0.0 and stayed = ref 0.0 in
-            Array.iter
-              (fun (c, x, y, dest, fallback) ->
-                pos.Placement.x.(c) <- x;
-                pos.Placement.y.(c) <- y;
-                if fallback then incr n_fallback;
-                match dest with
-                | To_piece pid ->
-                  piece_of_cell.(c) <- pid;
-                  if pid >= 0 then
-                    piece_load.(pid) <- piece_load.(pid) +. Netlist.size nl c;
-                  stayed := !stayed +. Netlist.size nl c
-                | To_buffer { to_w; x = bx; y = by } ->
-                  incr n_shipped;
-                  shipped := !shipped +. Netlist.size nl c;
-                  pos.Placement.x.(c) <- bx;
-                  pos.Placement.y.(c) <- by;
-                  let r = touch members (to_w, m) [] in
-                  r := c :: !r)
-              moves;
-            (* this node's members are consumed *)
-            Hashtbl.replace members (w, m) (ref []);
-            match on_step with
-            | Some f ->
-              f { node_w = w; node_m = m; n_cells = Array.length moves;
-                  shipped = !shipped; stayed = !stayed }
-            | None -> ()
-          end)
-        results))
+          Fbp_obs.Obs.observe "realization.wave_width"
+            (float_of_int (Array.length wave));
+          let wave_arr = Array.map node_input wave in
+          let results = run_wave wave_arr in
+          Array.iteri (fun i ni -> commit ni results.(i)) wave_arr))
     waves;
   (* The deadlock tie-break above can release a node of a residual cycle
      before its predecessor commits.  Cells the predecessor then ships over
-     the external arc land in a members buffer whose node was already
+     the external arc land in a member buffer whose node was already
      consumed, so no wave ever processes them: they kept piece_of_cell = -1
-     and were silently dropped.  Flush any such residue through the fallback
-     path so every movable cell ends in an admissible piece. *)
-  let residue =
-    Hashtbl.fold
-      (fun key r acc ->
-        match !r with
-        | [] -> acc
-        | cells -> (key, List.sort_uniq Int.compare cells) :: acc)
-      members []
-    |> List.sort (fun (a, _) (b, _) -> compare_wm a b)
-  in
-  List.iter
-    (fun ((w, m), cells) ->
-      List.iter
+     and were silently dropped.  Flush any such residue, in ascending node
+     id, through the fallback path so every movable cell ends in an
+     admissible piece. *)
+  for id = 0 to n_nodes - 1 do
+    if mem_len.(id) > 0 then
+      Array.iter
         (fun c ->
           if piece_of_cell.(c) < 0 then begin
-            let pt = Point.make pos.Placement.x.(c) pos.Placement.y.(c) in
-            let pid = fallback_piece w m pt in
+            let xs = pos.Placement.x and ys = pos.Placement.y in
+            let pid = fallback_piece (id / n_classes) (id mod n_classes) xs ys c in
             piece_of_cell.(c) <- pid;
             incr n_fallback;
             Fbp_obs.Obs.count "realization.flushed_cells";
             if pid >= 0 then begin
-              let proj = Rect_set.project_point grid.Grid.pieces.(pid).Grid.area pt in
-              pos.Placement.x.(c) <- proj.Point.x;
-              pos.Placement.y.(c) <- proj.Point.y;
-              piece_load.(pid) <- piece_load.(pid) +. Netlist.size nl c
+              project_into geom.(pid) xs ys c;
+              piece_load.(pid) <- piece_load.(pid) +. (widths.(c) *. heights.(c))
             end
           end)
-        cells)
-    residue;
+        (sorted_members mem.(id) mem_len.(id))
+  done;
   (* Sanitizer: every movable cell must end in a piece whose region admits
      its movebound class, at a position inside the piece area.  A model
      built with [relax_penalty] (the Movebounds_relaxed degradation)
@@ -614,6 +662,8 @@ let realize ?(on_step : (step -> unit) option) (cfg : Config.t)
       let over = piece_load.(p.Grid.id) -. p.Grid.capacity in
       if over > !max_overfill then max_overfill := over)
     grid.Grid.pieces;
+  Fbp_obs.Obs.observe "realization.seq_s"
+    (Fbp_util.Timer.now () -. t_start -. !par_s);
   Fbp_obs.Obs.count ~n:!n_shipped "realization.shipped_cells";
   Fbp_obs.Obs.count ~n:!n_fallback "realization.fallback_cells";
   Fbp_obs.Obs.observe "realization.piece_overfill" !max_overfill;

@@ -1,7 +1,13 @@
 (** Realization of a flow solution (Section IV-B): topological processing
     of flow-carrying external arcs, local QP + movebound-aware
     transportation with Eq. (2) transit-buffer capacities, deterministic
-    parallel waves. *)
+    parallel waves.
+
+    The node pipeline is flat: a (window, class) node is the int id
+    [w * n_classes + m], and members, arcs, in-degrees and per-cell
+    destinations live in arrays: no tuple, boxed float or hash-table
+    entry is allocated per cell.  Each node solves both axes of its local QP in lockstep
+    ({!Qp.solve_axes}) with its chunk's scratch. *)
 
 type step = {
   node_w : int;
@@ -26,7 +32,9 @@ type result = {
 
 (** [snapshot pos cells] is the compact per-wave position snapshot — the
     x and y coordinates of exactly [cells], in order.  O(|cells|), not
-    O(design); exported for the wave-snapshot unit tests. *)
+    O(design).  A node seeds its local QP from its snapshot and writes its
+    cells' final positions back into it; the commit reads them from
+    there. *)
 val snapshot :
   Fbp_netlist.Placement.t -> int array -> float array * float array
 
@@ -35,7 +43,9 @@ val snapshot :
     cache.  With [Config.effective_domains cfg > 1], each wave large
     enough to pay for a wakeup is one {!Fbp_util.Pool.run_chunks} batch;
     commits stay in wave order on the calling domain, so results are
-    bit-identical at any domain count. *)
+    bit-identical at any domain count.  Each call observes
+    [realization.seq_s]: the seconds the calling domain spent outside
+    [run_chunks] (node inputs, commits, waves run sequentially). *)
 val realize :
   ?on_step:(step -> unit) ->
   Config.t ->

@@ -4,7 +4,14 @@
     preconditioner application, and both dot products run in a single
     memory pass, and the residual norm is tracked from the recurrence —
     computed exactly once per convergence check, never re-derived from a
-    separate [norm2] sweep. *)
+    separate [norm2] sweep.
+
+    {!solve2} solves the two axes of one matrix in lockstep: one
+    {!Csr.mul2} pass per iteration, one inverse diagonal, and vectors from
+    a reusable {!workspace}.  Each axis keeps its own recurrence, stop
+    test and iteration count, and both functions run the same iteration
+    body, so each axis of {!solve2} is bit-identical to a {!solve} call
+    with the same arguments. *)
 
 type stats = {
   iterations : int;
@@ -16,12 +23,34 @@ type stats = {
     [max_iter] defaults to max(100, 2n); [tol] to 1e-7.
     [record] (default true) controls whether solver metrics are recorded
     immediately; pass [~record:false] when solves run concurrently and
-    call {!record_stats} afterwards in a deterministic order.
+    call {!record_stats} afterwards in a deterministic order.  Polls the
+    {!Fbp_resilience.Inject.Cg} site once.
     Raises [Invalid_argument] on dimension mismatch. *)
 val solve :
   ?record:bool -> ?max_iter:int -> ?tol:float -> Csr.t -> float array ->
   float array -> stats
 
+(** Grow-only vectors of {!solve2}: the inverse diagonal and four vectors
+    per axis, reallocated only when a larger system arrives.  Not safe
+    for concurrent use; give each sequential caller its own. *)
+type workspace
+
+val create_workspace : unit -> workspace
+
+(** [solve2 a bx x by y] improves [x] toward A x = bx and [y] toward
+    A y = by, in lockstep on the calling domain, and returns the x and
+    the y stats.  Each equals {!solve}[ ~max_iter ~tol a bx x] (resp.
+    [by y]) bit for bit, in the iterates and in the stats.  [workspace]
+    holds the vectors (a fresh one otherwise).  Metrics are not recorded:
+    call {!record_stats} on the x, then the y stats.  The
+    {!Fbp_resilience.Inject.Cg} site is polled once per axis, x then y,
+    before either iterates, as two {!solve} calls poll it.
+    Raises [Invalid_argument] on dimension mismatch. *)
+val solve2 :
+  ?workspace:workspace -> ?max_iter:int -> ?tol:float -> Csr.t ->
+  float array -> float array -> float array -> float array -> stats * stats
+
 (** Record the per-solve metrics ([cg.solves] / [cg.nonconverged] counters,
-    [cg.iterations] histogram) for a solve run with [~record:false]. *)
+    [cg.iterations] histogram) for a solve run with [~record:false] or by
+    {!solve2}. *)
 val record_stats : stats -> unit

@@ -28,7 +28,8 @@
 
    [mul] is a plain row loop on the calling domain: the solves that call
    it are what runs in parallel (DESIGN §9).  Each row's accumulation is a
-   fixed sequential sum. *)
+   fixed sequential sum.  [mul2] serves CG's lockstep x/y solve: both
+   products in one pass over the matrix, each in [mul]'s order. *)
 
 type t = {
   n : int;                 (* square dimension *)
@@ -358,10 +359,15 @@ let refreeze s b =
 let dim t = t.n
 let nnz t = t.row_start.(t.n)
 
+(* Vectors may be longer than [t.n] (CG's grow-only workspace); only the
+   first [t.n] entries are read or written. *)
+let check_dim name t (v : float array) =
+  if Array.length v < t.n then invalid_arg ("Csr." ^ name ^ ": dimension mismatch")
+
 (* out <- A x *)
 let mul t x out =
-  if Array.length x <> t.n || Array.length out <> t.n then
-    invalid_arg "Csr.mul: dimension mismatch";
+  check_dim "mul" t x;
+  check_dim "mul" t out;
   let row_start = t.row_start and col = t.col and value = t.value in
   for r = 0 to t.n - 1 do
     let acc = ref 0.0 in
@@ -374,14 +380,33 @@ let mul t x out =
     Array.unsafe_set out r !acc
   done
 
-let diagonal t =
-  let d = Array.make t.n 0.0 in
+(* ox <- A x and oy <- A y in one pass over the matrix.  Each row's two
+   sums run in [mul]'s order, so each product equals [mul]'s bit for bit. *)
+let mul2 t x y ox oy =
+  check_dim "mul2" t x;
+  check_dim "mul2" t y;
+  check_dim "mul2" t ox;
+  check_dim "mul2" t oy;
+  let row_start = t.row_start and col = t.col and value = t.value in
   for r = 0 to t.n - 1 do
+    let accx = ref 0.0 and accy = ref 0.0 in
+    for k = Array.unsafe_get row_start r to Array.unsafe_get row_start (r + 1) - 1 do
+      let v = Array.unsafe_get value k and c = Array.unsafe_get col k in
+      accx := !accx +. (v *. Array.unsafe_get x c);
+      accy := !accy +. (v *. Array.unsafe_get y c)
+    done;
+    Array.unsafe_set ox r !accx;
+    Array.unsafe_set oy r !accy
+  done
+
+let diagonal t d =
+  check_dim "diagonal" t d;
+  for r = 0 to t.n - 1 do
+    d.(r) <- 0.0;
     for k = t.row_start.(r) to t.row_start.(r + 1) - 1 do
       if t.col.(k) = r then d.(r) <- d.(r) +. t.value.(k)
     done
-  done;
-  d
+  done
 
 let get t r c =
   let acc = ref 0.0 in

@@ -80,11 +80,19 @@ val validate : t -> (unit, string) result
 val dim : t -> int
 val nnz : t -> int
 
-(** [mul a x out]: out <- A x. Raises on dimension mismatch.  Runs on
-    the calling domain; each row is a fixed sequential sum. *)
+(** [mul a x out]: out <- A x on the first [dim a] entries; the vectors
+    may be longer.  Raises when one is shorter.  Runs on the calling
+    domain; each row is a fixed sequential sum. *)
 val mul : t -> float array -> float array -> unit
 
-val diagonal : t -> float array
+(** [mul2 a x y ox oy]: ox <- A x and oy <- A y in one pass over the
+    matrix, each product bit-identical to {!mul}'s.  Same length rules as
+    {!mul}. *)
+val mul2 : t -> float array -> float array -> float array -> float array -> unit
+
+(** [diagonal a d] writes the diagonal of [a] into the first [dim a]
+    entries of [d].  Raises when [d] is shorter. *)
+val diagonal : t -> float array -> unit
 
 (** Entry lookup (linear in the row's nnz); for tests. *)
 val get : t -> int -> int -> float

@@ -6,12 +6,16 @@
    pool region would nest inside those and put more domains on the cores
    than there are cores.
 
+   Every kernel works on the first [n] entries of its vectors, and [n] is
+   an argument: CG keeps its vectors in a grow-only workspace, so an array
+   may be longer than the system it currently holds.
+
    Reductions (dot / norm) keep a fixed summation shape: [Pool.n_chunks
    ~grain] chunks at [Pool.chunk_bounds], each summed left to right, then
    the partials combined in a fixed binary tree over chunk order.  The
-   shape is a pure function of the length and part of the numerical
-   contract: every CG iterate, and so every placement, depends on its
-   last bits.  Elementwise kernels are plain loops.
+   shape is a pure function of [n] and part of the numerical contract:
+   every CG iterate, and so every placement, depends on its last bits.
+   Elementwise kernels are plain loops.
 
    The fused kernels ([precond_dot2], [update_residual]) exist for CG:
    folding the preconditioner application and both residual dot products
@@ -30,6 +34,12 @@ let copy = Array.copy
    (and hence last-bit results), so treat it as part of the numerical
    contract. *)
 let grain = 4096
+
+(* Raises unless [n >= 0] and every vector named holds [n] entries. *)
+let short name = invalid_arg ("Vec." ^ name ^ ": vector shorter than n")
+let check1 name n (a : t) = if n < 0 || Array.length a < n then short name
+let check2 name n (a : t) (b : t) =
+  if n < 0 || Array.length a < n || Array.length b < n then short name
 
 (* Combines the partials of component [w] of chunks [lo, hi) into chunk
    [lo]'s slot: left half plus right half, split at [lo + (len+1)/2]. *)
@@ -67,44 +77,47 @@ let[@inline never] dot_chunk (a : t) (b : t) (parts : float array) c lo hi =
   done;
   parts.(2 * c) <- !acc
 
-let dot a b =
-  let n = Array.length a in
-  if Array.length b <> n then invalid_arg "Vec.dot: length mismatch";
+let dot ~n a b =
+  check2 "dot" n a b;
   (sums n (dot_chunk a b)).(0)
 
-let sqnorm2 a = dot a a
+let sqnorm2 ~n a = dot ~n a a
 
-let norm2 a = sqrt (dot a a)
+let norm2 ~n a = sqrt (dot ~n a a)
 
-let norm_inf a = Array.fold_left (fun acc v -> Float.max acc (Float.abs v)) 0.0 a
+let norm_inf ~n a =
+  check1 "norm_inf" n a;
+  let acc = ref 0.0 in
+  for i = 0 to n - 1 do
+    acc := Float.max !acc (Float.abs (Array.unsafe_get a i))
+  done;
+  !acc
 
 (* y <- y + alpha * x *)
-let axpy ~alpha x y =
-  let n = Array.length x in
-  if Array.length y <> n then invalid_arg "Vec.axpy: length mismatch";
+let axpy ~n ~alpha x y =
+  check2 "axpy" n x y;
   for i = 0 to n - 1 do
     Array.unsafe_set y i (Array.unsafe_get y i +. (alpha *. Array.unsafe_get x i))
   done
 
 (* y <- x + beta * y  (the CG direction update) *)
-let xpby ~beta x y =
-  let n = Array.length x in
-  if Array.length y <> n then invalid_arg "Vec.xpby: length mismatch";
+let xpby ~n ~beta x y =
+  check2 "xpby" n x y;
   for i = 0 to n - 1 do
     Array.unsafe_set y i (Array.unsafe_get x i +. (beta *. Array.unsafe_get y i))
   done
 
 (* x <- alpha * x *)
-let scale ~alpha x =
-  for i = 0 to Array.length x - 1 do
+let scale ~n ~alpha x =
+  check1 "scale" n x;
+  for i = 0 to n - 1 do
     Array.unsafe_set x i (alpha *. Array.unsafe_get x i)
   done
 
 (* out <- a - b *)
-let sub a b out =
-  let n = Array.length a in
-  if Array.length b <> n || Array.length out <> n then
-    invalid_arg "Vec.sub: length mismatch";
+let sub ~n a b out =
+  check2 "sub" n a b;
+  check1 "sub" n out;
   for i = 0 to n - 1 do
     Array.unsafe_set out i (Array.unsafe_get a i -. Array.unsafe_get b i)
   done
@@ -122,10 +135,9 @@ let[@inline never] precond_chunk (d : t) (r : t) (z : t) (parts : float array) c
   parts.((2 * c) + 1) <- !rr
 
 (* z <- d * r (Jacobi preconditioner); returns (r.z, r.r) in one sweep. *)
-let precond_dot2 d r z =
-  let n = Array.length r in
-  if Array.length d <> n || Array.length z <> n then
-    invalid_arg "Vec.precond_dot2: length mismatch";
+let precond_dot2 ~n d r z =
+  check2 "precond_dot2" n d r;
+  check1 "precond_dot2" n z;
   let parts = sums n (precond_chunk d r z) in
   (parts.(0), parts.(1))
 
@@ -145,9 +157,8 @@ let[@inline never] residual_chunk alpha (ap : t) (r : t) (d : t) (z : t)
 
 (* r <- r - alpha * ap;  z <- d * r;  returns (r.z, r.r) — the whole CG
    residual update in one memory pass. *)
-let update_residual ~alpha ap r d z =
-  let n = Array.length r in
-  if Array.length ap <> n || Array.length d <> n || Array.length z <> n then
-    invalid_arg "Vec.update_residual: length mismatch";
+let update_residual ~n ~alpha ap r d z =
+  check2 "update_residual" n ap r;
+  check2 "update_residual" n d z;
   let parts = sums n (residual_chunk alpha ap r d z) in
   (parts.(0), parts.(1))

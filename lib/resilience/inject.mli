@@ -14,7 +14,11 @@
 (** Instrumented sites. *)
 type site =
   | Mcf  (** entry of {!Fbp_flow.Mcf.solve} *)
-  | Cg  (** entry of {!Fbp_linalg.Cg.solve} *)
+  | Cg
+      (** once per axis solve: at the entry of {!Fbp_linalg.Cg.solve}, and
+          twice at the entry of the lockstep {!Fbp_linalg.Cg.solve2}, x
+          then y, before either axis iterates — the polls two [solve] calls
+          would make.  [Stagnate] stops that axis only. *)
   | Parse  (** each input line of {!Fbp_netlist.Bookshelf.read_channel} *)
   | Level
       (** polled 3x per placer refinement level: at level start, after the

@@ -523,6 +523,40 @@ let test_realization_assigns_everything () =
           p.Grid.capacity)
     grid.Grid.pieces
 
+(* Realization's node pipeline is flat: per wave-touched cell it
+   allocates a bounded number of words (node inputs, transport and the
+   local assembly's system), not a tuple, boxed floats and hash-table
+   entries per cell.  The second call at one domain is measured, with the
+   cells counted by [realization.snapshot_cells]. *)
+let test_realization_allocation_budget () =
+  let budget = 200 in
+  let inst = small_instance ~n_cells:600 ~seed:13 () in
+  let design = inst.Fbp_movebound.Instance.design in
+  let regions, _, model = build_model ~nx:4 inst in
+  let sol = Fbp_model.solve model in
+  let cell_nets = Netlist.cell_nets design.Design.netlist in
+  let cfg = { Config.default with domains = 1 } in
+  let module Obs = Fbp_obs.Obs in
+  let realize () =
+    let pos = Placement.copy design.Design.initial in
+    fun () -> ignore (Realization.realize cfg inst regions sol pos ~cell_nets)
+  in
+  realize () ();
+  let run = realize () in
+  Fun.protect
+    ~finally:(fun () ->
+      Obs.disable ();
+      Obs.reset ())
+    (fun () ->
+      Obs.reset ();
+      Obs.enable ();
+      let (), words = allocated_words run in
+      let cells = Obs.counter_value "realization.snapshot_cells" in
+      Alcotest.(check bool) "cells were realized" true (cells > 0);
+      if words > budget * cells then
+        Alcotest.failf "realization allocated %d words for %d cells (%d per cell)"
+          words cells (words / cells))
+
 let test_realization_follows_flow_prescriptions () =
   (* Eq. (2) semantics: the realized per-piece load must track the flow's
      allotments within the integral-rounding slack (a few cells), and the
@@ -758,6 +792,8 @@ let suite =
     Alcotest.test_case "fbp flow is min-cost" `Quick test_fbp_flow_min_cost;
     Alcotest.test_case "fbp externals acyclic" `Quick test_fbp_externals_acyclic;
     Alcotest.test_case "realization assigns everything" `Quick test_realization_assigns_everything;
+    Alcotest.test_case "realization allocation budget" `Quick
+      test_realization_allocation_budget;
     Alcotest.test_case "realization follows flow prescriptions" `Quick
       test_realization_follows_flow_prescriptions;
     Alcotest.test_case "realization flushes cycle residue" `Quick

@@ -6,16 +6,16 @@ let check_float = Alcotest.(check (float 1e-6))
 
 let test_vec_ops () =
   let a = [| 1.0; 2.0; 3.0 |] and b = [| 4.0; 5.0; 6.0 |] in
-  check_float "dot" 32.0 (Vec.dot a b);
-  check_float "norm2" (sqrt 14.0) (Vec.norm2 a);
-  check_float "norm_inf" 3.0 (Vec.norm_inf a);
+  check_float "dot" 32.0 (Vec.dot ~n:3 a b);
+  check_float "norm2" (sqrt 14.0) (Vec.norm2 ~n:3 a);
+  check_float "norm_inf" 3.0 (Vec.norm_inf ~n:3 a);
   let y = Vec.copy b in
-  Vec.axpy ~alpha:2.0 a y;
+  Vec.axpy ~n:3 ~alpha:2.0 a y;
   Alcotest.(check (array (float 1e-9))) "axpy" [| 6.0; 9.0; 12.0 |] y;
-  Vec.scale ~alpha:0.5 y;
+  Vec.scale ~n:3 ~alpha:0.5 y;
   Alcotest.(check (array (float 1e-9))) "scale" [| 3.0; 4.5; 6.0 |] y;
   let out = Vec.create 3 in
-  Vec.sub b a out;
+  Vec.sub ~n:3 b a out;
   Alcotest.(check (array (float 1e-9))) "sub" [| 3.0; 3.0; 3.0 |] out
 
 let test_csr_assembly_accumulates () =
@@ -47,7 +47,8 @@ let test_csr_spring_symmetric () =
   Csr.add_diag b 2 5.0;
   let a = Csr.freeze b in
   Alcotest.(check bool) "symmetric" true (Csr.is_symmetric a);
-  let d = Csr.diagonal a in
+  let d = Array.make 4 0.0 in
+  Csr.diagonal a d;
   check_float "degree 1" 3.0 d.(1);
   check_float "anchor" 5.0 d.(2)
 
@@ -98,8 +99,8 @@ let prop_cg_solves_spd =
       let ax = Vec.create n in
       Csr.mul a x ax;
       let r = Vec.create n in
-      Vec.sub rhs ax r;
-      st.Cg.converged && Vec.norm2 r /. Float.max 1.0 (Vec.norm2 rhs) < 1e-6)
+      Vec.sub ~n rhs ax r;
+      st.Cg.converged && Vec.norm2 ~n r /. Float.max 1.0 (Vec.norm2 ~n rhs) < 1e-6)
 
 let prop_csr_mul_matches_dense =
   QCheck.Test.make ~name:"csr mul matches dense multiply" ~count:100
@@ -131,6 +132,101 @@ let prop_csr_mul_matches_dense =
       done;
       !ok)
 
+(* ---------- lockstep x/y CG ---------- *)
+
+(* A connected Laplacian (a chain plus random springs) with a weak
+   diagonal: SPD and slow enough to converge that the iteration counts of
+   two right-hand sides can differ. *)
+let random_laplacian rng n =
+  let b = Csr.builder n in
+  for i = 0 to n - 2 do
+    Csr.add_spring b i (i + 1) (Fbp_util.Rng.range rng 0.5 2.0)
+  done;
+  for _ = 1 to 2 * n do
+    let i = Fbp_util.Rng.int rng n and j = Fbp_util.Rng.int rng n in
+    if i <> j then Csr.add_spring b i j (Fbp_util.Rng.range rng 0.1 3.0)
+  done;
+  for i = 0 to n - 1 do
+    Csr.add_diag b i (Fbp_util.Rng.range rng 0.01 0.05)
+  done;
+  Csr.freeze b
+
+let random_vec rng n scale =
+  Array.init n (fun _ -> scale *. Fbp_util.Rng.range rng (-1.0) 1.0)
+
+let bits = Int64.bits_of_float
+
+(* [Cg.solve2]'s result for one axis must equal [Cg.solve]'s bit for bit:
+   the iterate, the iteration count, the residual and the verdict. *)
+let check_axis ctx ((st : Cg.stats), v) ((ref_st : Cg.stats), ref_v) =
+  Alcotest.(check int) (ctx ^ ": iterations") ref_st.Cg.iterations st.Cg.iterations;
+  Alcotest.(check int64) (ctx ^ ": residual bits") (bits ref_st.Cg.residual)
+    (bits st.Cg.residual);
+  Alcotest.(check bool) (ctx ^ ": converged") ref_st.Cg.converged st.Cg.converged;
+  Alcotest.(check int) (ctx ^ ": length") (Array.length ref_v) (Array.length v);
+  Array.iteri
+    (fun i r ->
+      if bits r <> bits v.(i) then
+        Alcotest.failf "%s: entry %d is %h, a lone solve gives %h" ctx i v.(i) r)
+    ref_v
+
+(* Lockstep solve of both axes from copies of [x0]/[y0], against two
+   separate solves from copies of the same starts. *)
+let compare_lockstep ?workspace ?max_iter ctx a bx x0 by y0 =
+  let tol = 1e-9 in
+  let x = Array.copy x0 and y = Array.copy y0 in
+  let sx, sy = Cg.solve2 ?workspace ?max_iter ~tol a bx x by y in
+  let alone b v0 =
+    let v = Array.copy v0 in
+    let st = Cg.solve ~record:false ?max_iter ~tol a b v in
+    (st, v)
+  in
+  let rx = alone bx x0 and ry = alone by y0 in
+  check_axis (ctx ^ " x") (sx, x) rx;
+  check_axis (ctx ^ " y") (sy, y) ry;
+  (fst rx, fst ry)
+
+let test_cg_lockstep_equals_two_solves () =
+  let rng = Fbp_util.Rng.create 97 in
+  let n = 60 in
+  let a = random_laplacian rng n in
+  let zero = Array.make n 0.0 in
+  (* the residual is relative to max(1, ||b||), so a tiny right-hand side
+     from zero starts close to the tolerance: the axes stop apart *)
+  let bx = random_vec rng n 50.0 and by = random_vec rng n 1e-6 in
+  let x0 = random_vec rng n 3.0 and y0 = zero in
+  let sx, sy = compare_lockstep "different stops" a bx x0 by y0 in
+  if sx.Cg.iterations = sy.Cg.iterations then
+    Alcotest.failf "the axes must stop apart (both took %d iterations)"
+      sx.Cg.iterations;
+  (* a zero right-hand side from zero: that axis is done at iteration 0
+     while the other runs on alone *)
+  let _, sy0 = compare_lockstep "zero y" a bx x0 zero zero in
+  Alcotest.(check int) "zero axis stops at iteration 0" 0 sy0.Cg.iterations;
+  let sx0, _ = compare_lockstep "zero x" a zero zero by y0 in
+  Alcotest.(check int) "zero axis stops at iteration 0" 0 sx0.Cg.iterations;
+  (* a cap between the two stops: one axis converges, the other is cut *)
+  let fast = min sx.Cg.iterations sy.Cg.iterations
+  and slow = max sx.Cg.iterations sy.Cg.iterations in
+  if slow - fast < 2 then
+    Alcotest.failf "need two stops at least 2 apart, got %d and %d" fast slow;
+  let cap = fast + 1 in
+  let cx, cy = compare_lockstep ~max_iter:cap "capped" a bx x0 by y0 in
+  Alcotest.(check int) "the slow axis hits the cap" cap
+    (max cx.Cg.iterations cy.Cg.iterations);
+  Alcotest.(check bool) "the fast axis converged below the cap" true
+    (min cx.Cg.iterations cy.Cg.iterations = fast);
+  (* one workspace for a larger system, then a smaller one: the stale
+     tail of every vector must not reach the second solve *)
+  let workspace = Cg.create_workspace () in
+  ignore (compare_lockstep ~workspace "large" a bx x0 by y0);
+  let m = 23 in
+  let small = random_laplacian rng m in
+  ignore
+    (compare_lockstep ~workspace "small after large" small
+       (random_vec rng m 20.0) (random_vec rng m 1.0) (random_vec rng m 0.5)
+       (random_vec rng m 1.0))
+
 let qcheck = QCheck_alcotest.to_alcotest
 
 let suite =
@@ -143,4 +239,6 @@ let suite =
     Alcotest.test_case "cg small spd" `Quick test_cg_small_spd;
     qcheck prop_cg_solves_spd;
     qcheck prop_csr_mul_matches_dense;
+    Alcotest.test_case "cg lockstep equals two solves" `Quick
+      test_cg_lockstep_equals_two_solves;
   ]

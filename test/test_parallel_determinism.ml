@@ -45,10 +45,10 @@ let test_dot_bitwise_across_domains () =
   let n = 30_000 in
   let a = Array.init n (fun _ -> Fbp_util.Rng.range rng (-1.0) 1.0) in
   let b = Array.init n (fun _ -> Fbp_util.Rng.range rng (-1.0) 1.0) in
-  let reference = with_domains 1 (fun () -> (Vec.dot a b, Vec.sqnorm2 a)) in
+  let reference = with_domains 1 (fun () -> (Vec.dot ~n a b, Vec.sqnorm2 ~n a)) in
   List.iter
     (fun d ->
-      let got = with_domains d (fun () -> (Vec.dot a b, Vec.sqnorm2 a)) in
+      let got = with_domains d (fun () -> (Vec.dot ~n a b, Vec.sqnorm2 ~n a)) in
       Alcotest.(check int64)
         (Printf.sprintf "dot bits at %d domains" d)
         (bits (fst reference)) (bits (fst got));
@@ -128,8 +128,8 @@ let test_kernels_stay_on_caller () =
   let b = Array.init n (fun _ -> Fbp_util.Rng.range rng (-1.0) 1.0) in
   with_domains 8 (fun () ->
       let d0 = Pool.n_dispatches () and s0 = Pool.n_workers_spawned () in
-      let dot = Vec.dot x b and expected = chunk_tree_dot x b in
-      Vec.axpy ~alpha:0.5 x b;
+      let dot = Vec.dot ~n x b and expected = chunk_tree_dot x b in
+      Vec.axpy ~n ~alpha:0.5 x b;
       Csr.mul a x (Array.make n 0.0);
       let st = Fbp_linalg.Cg.solve ~record:false a b (Array.make n 0.0) in
       Alcotest.(check int) "no dispatch" d0 (Pool.n_dispatches ());

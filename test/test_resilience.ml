@@ -165,6 +165,46 @@ let test_cg_stagnation_restart () =
               l.Placer.cg_converged)
           rep.Placer.levels)
 
+(* The Cg site fires once per axis, x then y, also when the two axes run
+   in lockstep: armed from the level-1 callback with [~after:1], the fault
+   skips level 2's x solve and stagnates its y solve only.  The restart
+   recorded at level 2 then carries the stagnated y solve's [max_iter]
+   iterations plus the converged x solve's, fewer than two stagnations. *)
+let test_cg_stagnation_one_axis () =
+  with_inject (fun () ->
+      let arm_on_level (l : Placer.level_report) =
+        if l.Placer.level = 1 then
+          Inject.arm ~after:1 ~times:1 Inject.Cg Inject.Stagnate
+      in
+      let max_iter = Config.default.Config.cg_max_iter in
+      match Placer.place ~on_level:arm_on_level (small_instance ()) with
+      | Error e -> fail_err "restart should recover" e
+      | Ok rep ->
+        let restarts =
+          List.filter_map
+            (function
+              | Placer.Cg_restarted { level; stats } -> Some (level, stats)
+              | _ -> None)
+            rep.Placer.degradations
+        in
+        (match restarts with
+         | [ (2, stats) ] ->
+           Alcotest.(check bool) "the restarted solve did not converge" false
+             stats.Err.converged;
+           Alcotest.(check bool) "one stagnated axis, one converged" true
+             (stats.Err.iterations >= max_iter
+             && stats.Err.iterations < 2 * max_iter)
+         | _ ->
+           Alcotest.failf "expected one Cg_restarted at level 2, got %d"
+             (List.length restarts));
+        Alcotest.(check int) "all levels completed"
+          rep.Placer.levels_planned (List.length rep.Placer.levels);
+        List.iter
+          (fun (l : Placer.level_report) ->
+            Alcotest.(check bool) "level converged after restart" true
+              l.Placer.cg_converged)
+          rep.Placer.levels)
+
 let test_cg_divergence_strict () =
   with_inject (fun () ->
       Inject.arm Inject.Cg Inject.Stagnate;
@@ -499,6 +539,7 @@ let suite =
     Alcotest.test_case "mcf relaxation recovers" `Quick test_mcf_relaxation_recovers;
     Alcotest.test_case "cg restart at level 0" `Quick test_cg_stagnation_restart_level0;
     Alcotest.test_case "cg stagnation restart" `Quick test_cg_stagnation_restart;
+    Alcotest.test_case "cg stagnation on one axis" `Quick test_cg_stagnation_one_axis;
     Alcotest.test_case "cg divergence strict" `Quick test_cg_divergence_strict;
     Alcotest.test_case "cg stagnation graceful" `Quick test_cg_stagnation_graceful_survives;
     Alcotest.test_case "parser rejects malformed" `Quick test_parser_rejects_malformed;
