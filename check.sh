@@ -62,7 +62,8 @@ for span in place.level place.qp place.flow place.realization realization.wave; 
 done
 for metric in cg.iterations mcf.dijkstra_rounds transport.pivots \
               realization.shipped_cells realization.wave_width \
-              realization.seq_s gc.major_collections gc.heap_words; do
+              realization.seq_s realization.scratches netmodel.triplets \
+              gc.major_collections gc.heap_words; do
   grep -q "\"$metric\"" "$tmp/metrics.json" \
     || { echo "metrics missing: $metric"; exit 1; }
 done
@@ -144,6 +145,14 @@ extra="$(grep -o '"wid":-\{0,1\}[0-9]*' "$tmp/budget2.json" \
   | grep -v -e '^"wid":-1$' -e '^"wid":0$' || true)"
 [ -z "$extra" ] \
   || { echo "profile at --domains 2 lists domains besides the caller and helper 0: $extra"; exit 1; }
+# realization keeps one local-QP scratch per domain that drains a wave,
+# not one per wave chunk: at --domains 2 no realize call makes more than 2
+$fbp place "$tmp/budget.book" --domains 2 --metrics "$tmp/budget2.metrics.json" \
+  >/dev/null || { echo "fbp_place place --domains 2 failed"; exit 1; }
+scratches="$(grep -o '"realization\.scratches":{[^}]*}' "$tmp/budget2.metrics.json" \
+  | grep -o '"max":[0-9.e+-]*' | sed 's/"max"://')"
+[ -n "$scratches" ] && awk -v m="$scratches" 'BEGIN { exit !(m <= 2) }' \
+  || { echo "realization.scratches max at --domains 2 is '$scratches', want <= 2"; exit 1; }
 # the degraded path (no runtime events) must still produce a summary
 FBP_PROFILE_FORCE_UNAVAILABLE=1 $fbp profile "$tmp/smoke.book" --movebounds 2 \
   --json "$tmp/profile-na.json" >/dev/null \

@@ -24,12 +24,12 @@ type system = {
 }
 
 (* Symbolic-structure cache: across QP rounds of the same placement run the
-   net topology and movable set are fixed, so the triplet (row, col) stream
-   repeats exactly.  We capture it once and re-assemble later rounds as a
-   flat value sweep.  Safety does not depend on the caller guessing right:
-   [Csr.refreeze] verifies the full stream every time and we fall back to a
-   fresh capture on any mismatch (anchors appearing or vanishing, a
-   different net subset, a changed movable set...). *)
+   net topology and movable set are fixed, so the off-diagonal (row, col)
+   stream and the diagonal pattern repeat exactly.  We capture them once
+   and re-assemble later rounds as a flat value sweep.  Safety does not
+   depend on the caller guessing right: [Csr.refreeze] verifies the full
+   stream and pattern every time and we fall back to a fresh capture on
+   any mismatch (a different net subset, a changed movable set...). *)
 type cache = { mutable structure : Csr.structure option }
 
 let create_cache () = { structure = None }
@@ -67,10 +67,19 @@ let freeze_cached ~scratch cache bld =
     Fbp_obs.Obs.count "netmodel.refreeze_misses";
     t
 
-(* The spring loop appends triplets itself instead of calling [Csr.add]:
-   dune's dev profile compiles with -opaque, so a call into another module
-   is never inlined and boxes its float argument.  Same zero-dropping and
-   same triplet order as [Csr.add], [Csr.add_spring] and [Csr.add_diag]. *)
+(* The spring loop writes the builder itself instead of calling
+   [Csr.add]: dune's dev profile compiles with -opaque, so a call into
+   another module is never inlined and boxes its float argument.  Each
+   writer follows [Csr.add]'s rule for the pushes it is given: zero values
+   are dropped, a diagonal push adds into the row's dense sum
+   ([push_diag]), an off-diagonal one appends a triplet ([push], with
+   [row <> col]). *)
+let[@inline] push_diag (b : Csr.builder) v w =
+  if not (Float.equal w 0.0) then begin
+    Array.unsafe_set b.Csr.diag v (Array.unsafe_get b.Csr.diag v +. w);
+    Array.unsafe_set b.Csr.has_diag v true
+  end
+
 let[@inline] push (b : Csr.builder) row col v =
   if not (Float.equal v 0.0) then begin
     if b.Csr.count = Array.length b.Csr.rows then Csr.grow b;
@@ -95,14 +104,14 @@ let[@inline] fixed_at coord c d = if c < 0 then d else coord.(c) +. d
 let[@inline] stencil b w va vb =
   if va >= 0 && vb >= 0 then begin
     if va <> vb then begin
-      push b va va w;
-      push b vb vb w;
+      push_diag b va w;
+      push_diag b vb w;
       push b va vb (-.w);
       push b vb va (-.w)
     end
   end
-  else if va >= 0 then push b va va w
-  else if vb >= 0 then push b vb vb w
+  else if va >= 0 then push_diag b va w
+  else if vb >= 0 then push_diag b vb w
 
 let[@inline] spring_rhs rhs coord w va da ca vb db cb =
   if va >= 0 && vb >= 0 then begin
@@ -181,8 +190,7 @@ let build ws (nl : Netlist.t) (pos : Placement.t) ~cache ~movable ~net_ids
     net_ids;
   let nv = !n_vars in
   let bld = ws.bld in
-  bld.Csr.dim <- nv;
-  bld.Csr.count <- 0;
+  Csr.reset bld nv;
   let bx = Array.make nv 0.0 and by = Array.make nv 0.0 in
   (* cliques also for wide all-fixed nets, which cost nothing *)
   Array.iteri
@@ -199,22 +207,23 @@ let build ws (nl : Netlist.t) (pos : Placement.t) ~cache ~movable ~net_ids
        | Some (wx, tx, wy, ty) ->
          if not (Float.equal wx wy) then
            invalid_arg "Netmodel.assemble: anchor weights differ between axes";
-         push bld v v wx;
+         push_diag bld v wx;
          bx.(v) <- bx.(v) +. (wx *. tx);
          by.(v) <- by.(v) +. (wy *. ty)
        | None -> ());
       (* tiny regularizer keeps isolated cells solvable, pinned where they are *)
       let reg = 1e-9 in
-      push bld v v reg;
+      push_diag bld v reg;
       bx.(v) <- bx.(v) +. (reg *. pos.Placement.x.(c));
       by.(v) <- by.(v) +. (reg *. pos.Placement.y.(c)))
     movable;
   (* star vars regularization (in case every pin of the net is fixed-0) *)
   for v = n_cell_vars to nv - 1 do
-    push bld v v 1e-9
+    push_diag bld v 1e-9
   done;
   let cells = Array.make nv (-1) in
   Array.blit movable 0 cells 0 n_cell_vars;
+  Fbp_obs.Obs.count ~n:bld.Csr.count "netmodel.triplets";
   let scratch = ws.freeze in
   let a =
     match cache with

@@ -299,8 +299,8 @@ let realize ?(on_step : (step -> unit) option) (cfg : Config.t)
   (* Process one node against read-only inputs: the destinations, the
      final positions (into [nqx]/[nqy]) and the local-QP solver stats
      (recorded by the caller post-join in wave order, so the metrics
-     stream stays deterministic at any domain count).  [scratch] is
-     chunk-private (net dedup, assembly and CG workspace). *)
+     stream stays deterministic at any domain count).  [scratch] is the
+     running domain's own (net dedup, assembly and CG workspace). *)
   let process_node ~scratch ni =
     let cells = ni.ncells in
     let n = Array.length cells in
@@ -479,12 +479,16 @@ let realize ?(on_step : (step -> unit) option) (cfg : Config.t)
      stay resident between waves instead of paying a fork/join pair. *)
   let eff_domains = Config.effective_domains cfg in
   let d0 = Fbp_util.Pool.n_dispatches () in
-  (* Chunk-private local-QP scratches, persistent across waves (slot [c]
-     is only ever touched by the owner of chunk [c - 1]; the batch's
-     completion latch orders cross-wave reuse).  Slot 0 backs the
-     sequential fast path. *)
-  let scratches = Array.make (max_wave_chunks + 1) None in
-  let scratch_for slot =
+  (* One local-QP scratch per domain that drains a wave, indexed by
+     [Pool.slot]: slot 0 is the coordinating domain, which also runs the
+     sequential waves, and slot [1 + h] is helper [h].  Only a slot's own
+     domain touches it, so it serves every node that domain processes, in
+     any wave; which scratch serves a node cannot change its result
+     (workspace reuse is bit-identical).  Scratches are made on first use
+     and die with this call. *)
+  let scratches = Array.make Fbp_util.Pool.n_slots None in
+  let own_scratch () =
+    let slot = Fbp_util.Pool.slot () in
     match scratches.(slot) with
     | Some s -> s
     | None ->
@@ -519,7 +523,7 @@ let realize ?(on_step : (step -> unit) option) (cfg : Config.t)
       done;
       let t0 = Fbp_util.Timer.now () in
       Fbp_util.Pool.run_chunks ~domains:eff_domains ~n_chunks:!k (fun c ->
-          let scratch = scratch_for (c + 1) in
+          let scratch = own_scratch () in
           for i = starts.(c) to starts.(c + 1) - 1 do
             out.(i) <- process_node ~scratch wave_arr.(i)
           done);
@@ -528,7 +532,7 @@ let realize ?(on_step : (step -> unit) option) (cfg : Config.t)
     else begin
       (* sequential fast path: same map-all-then-commit shape as the
          parallel path, so results are bitwise identical *)
-      let scratch = scratch_for 0 in
+      let scratch = own_scratch () in
       for i = 0 to n_nodes - 1 do
         out.(i) <- process_node ~scratch wave_arr.(i)
       done
@@ -664,6 +668,11 @@ let realize ?(on_step : (step -> unit) option) (cfg : Config.t)
     grid.Grid.pieces;
   Fbp_obs.Obs.observe "realization.seq_s"
     (Fbp_util.Timer.now () -. t_start -. !par_s);
+  Fbp_obs.Obs.observe "realization.scratches"
+    (float_of_int
+       (Array.fold_left
+          (fun n s -> if Option.is_some s then n + 1 else n)
+          0 scratches));
   Fbp_obs.Obs.count ~n:!n_shipped "realization.shipped_cells";
   Fbp_obs.Obs.count ~n:!n_fallback "realization.fallback_cells";
   Fbp_obs.Obs.observe "realization.piece_overfill" !max_overfill;

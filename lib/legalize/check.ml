@@ -21,48 +21,42 @@ let audit (design : Design.t) (pos : Placement.t) =
   for c = Netlist.n_cells nl - 1 downto 0 do
     if not nl.Netlist.fixed.(c) then movable := c :: !movable
   done;
-  let movable = !movable in
+  let movable = Array.of_list !movable in
+  let k = Array.length movable in
+  (* each movable cell's rectangle, once: its row, left and right edge *)
+  let row = Array.make k 0 and x0 = Array.make k 0.0 and x1 = Array.make k 0.0 in
   let n_off_row = ref 0 and n_outside = ref 0 and n_blocked = ref 0 in
-  List.iter
-    (fun c ->
+  Array.iteri
+    (fun i c ->
       let r = Placement.cell_rect nl pos c in
       if not (Rect.contains chip r) then incr n_outside;
       (* row alignment: bottom edge on a row boundary *)
       let rel = (r.Rect.y0 -. chip.Rect.y0) /. rh in
       if Float.abs (rel -. Float.round rel) > 1e-6 then incr n_off_row;
       if List.exists (fun b -> Rect.overlaps b r) design.Design.blockages then
-        incr n_blocked)
+        incr n_blocked;
+      row.(i) <- int_of_float (Float.round rel);
+      x0.(i) <- r.Rect.x0;
+      x1.(i) <- r.Rect.x1)
     movable;
-  (* overlaps: bucket by row index, sweep by x *)
-  let by_row = Hashtbl.create 64 in
-  List.iter
-    (fun c ->
-      let r = Placement.cell_rect nl pos c in
-      let row = int_of_float (Float.round ((r.Rect.y0 -. chip.Rect.y0) /. rh)) in
-      Hashtbl.replace by_row row
-        (c :: (try Hashtbl.find by_row row with Not_found -> [])))
-    movable;
-  let n_overlaps = ref 0 in
-  Hashtbl.iter
-    (fun _ cells ->
-      (* sweep by left edge, tracking the furthest right edge seen: catches
-         overlaps even across non-adjacent cells of different widths *)
-      let sorted =
-        List.sort
-          (fun a b ->
-            Float.compare
-              (Placement.cell_rect nl pos a).Rect.x0
-              (Placement.cell_rect nl pos b).Rect.x0)
-          cells
-      in
-      let reach = ref neg_infinity in
-      List.iter
-        (fun c ->
-          let r = Placement.cell_rect nl pos c in
-          if r.Rect.x0 < !reach -. 1e-9 then incr n_overlaps;
-          if r.Rect.x1 > !reach then reach := r.Rect.x1)
-        sorted)
-    by_row;
+  (* overlaps: per row, sweep by left edge, tracking the furthest right
+     edge seen: catches overlaps even across non-adjacent cells of
+     different widths.  Cells of one row and one left edge keep descending
+     id order (the sort is stable), which decides the count when a
+     zero-width cell ties with a wider one. *)
+  let order = Array.init k (fun j -> k - 1 - j) in
+  Array.stable_sort
+    (fun a b ->
+      let c = Int.compare row.(a) row.(b) in
+      if c <> 0 then c else Float.compare x0.(a) x0.(b))
+    order;
+  let n_overlaps = ref 0 and reach = ref neg_infinity in
+  for j = 0 to k - 1 do
+    let i = order.(j) in
+    if j > 0 && row.(i) <> row.(order.(j - 1)) then reach := neg_infinity;
+    if x0.(i) < !reach -. 1e-9 then incr n_overlaps;
+    if x1.(i) > !reach then reach := x1.(i)
+  done;
   {
     n_overlaps = !n_overlaps;
     n_off_row = !n_off_row;

@@ -4,6 +4,14 @@
    assembly accumulates duplicate triplets, then freezes into CSR for the
    matrix-vector products inside conjugate gradients.
 
+   Most pushes are diagonal (every spring end, anchor and regularizer), so
+   the builder sums the diagonal densely, one float and one "present" mark
+   per row, and only off-diagonal pushes become triplets.  A row's sum
+   starts at 0.0 and adds its pushes in insertion order; since
+   [0.0 +. v = v], it has the bits the same pushes would get as
+   accumulated triplets, and since zero pushes are dropped, a diagonal
+   entry exists exactly when a nonzero push reached it.
+
    PR 5 rebuilt the assembly path for speed while keeping results
    bit-identical:
 
@@ -18,13 +26,14 @@
      freeze allocates only the matrix it returns;
    - across QP rounds the sparsity pattern is fixed (same nets, same
      movable set), so [freeze_capture] additionally records the symbolic
-     structure — the raw triplet (row, col) sequence plus a permutation
-     from triplet slot to CSR slot — and [refreeze] re-assembles the next
-     round as a flat value sweep: verify the triplet stream matches
-     (O(count) int compares, falling back to a full freeze when the
-     topology changed), zero the values, scatter-accumulate.  Value
-     accumulation order equals the fresh-freeze order (insertion order per
-     duplicate group), so a reused and a fresh assembly are bit-identical.
+     structure — the off-diagonal (row, col) stream, a permutation from
+     triplet slot to CSR slot and each row's diagonal slot — and
+     [refreeze] re-assembles the next round as a flat value sweep: verify
+     the stream and the diagonal pattern match (falling back to a full
+     freeze when the topology changed), zero the values, scatter-accumulate
+     the triplets, write the diagonal sums.  Value accumulation order
+     equals the fresh-freeze order (insertion order per duplicate group),
+     so a reused and a fresh assembly are bit-identical.
 
    [mul] is a plain row loop on the calling domain: the solves that call
    it are what runs in parallel (DESIGN §9).  Each row's accumulation is a
@@ -40,34 +49,51 @@ type t = {
 
 type builder = {
   mutable dim : int;
-  mutable rows : int array;   (* triplets, insertion order *)
+  mutable rows : int array;   (* off-diagonal triplets, insertion order *)
   mutable cols : int array;
   mutable vals : float array;
   mutable count : int;
+  mutable diag : float array;     (* per-row diagonal sum, first [dim] *)
+  mutable has_diag : bool array;  (* row got a nonzero diagonal push *)
 }
 
 (* [freeze]'s temporaries; each grows on demand and is never shrunk *)
 type scratch = {
   mutable row_count : int array;  (* n+1: row histogram, then row starts *)
   mutable cursor : int array;     (* n+1: scatter position per row *)
-  mutable gcol : int array;       (* m: triplets grouped by row, then the *)
+  mutable gcol : int array;       (* entries grouped by row, then the *)
   mutable gval : float array;     (*    deduplicated rows, in place *)
   mutable stamp : int array;      (* n *)
   mutable slot_of : int array;    (* n *)
 }
 
 type structure = {
-  s_dim : int;
-  s_rows : int array;      (* expected raw triplet stream *)
+  s_rows : int array;      (* expected off-diagonal stream *)
   s_cols : int array;
   s_perm : int array;      (* triplet slot -> CSR slot *)
+  s_diag : int array;      (* row -> CSR slot of its diagonal, -1 if none;
+                              its length is the dimension *)
   s_row_start : int array; (* shared with every refrozen matrix *)
   s_col : int array;
 }
 
 let builder n =
   { dim = n; rows = Array.make 64 0; cols = Array.make 64 0;
-    vals = Array.make 64 0.0; count = 0 }
+    vals = Array.make 64 0.0; count = 0; diag = Array.make n 0.0;
+    has_diag = Array.make n false }
+
+let reset b n =
+  if Array.length b.diag < n then begin
+    let cap = max n (2 * Array.length b.diag) in
+    b.diag <- Array.make cap 0.0;
+    b.has_diag <- Array.make cap false
+  end
+  else begin
+    Array.fill b.diag 0 n 0.0;
+    Array.fill b.has_diag 0 n false
+  end;
+  b.dim <- n;
+  b.count <- 0
 
 let grow b =
   let cap = Array.length b.rows in
@@ -85,11 +111,17 @@ let add b ~row ~col v =
   if row < 0 || row >= b.dim || col < 0 || col >= b.dim then
     invalid_arg "Csr.add: index out of range";
   if not (Float.equal v 0.0) then begin
-    if b.count = Array.length b.rows then grow b;
-    Array.unsafe_set b.rows b.count row;
-    Array.unsafe_set b.cols b.count col;
-    Array.unsafe_set b.vals b.count v;
-    b.count <- b.count + 1
+    if row = col then begin
+      Array.unsafe_set b.diag row (Array.unsafe_get b.diag row +. v);
+      Array.unsafe_set b.has_diag row true
+    end
+    else begin
+      if b.count = Array.length b.rows then grow b;
+      Array.unsafe_set b.rows b.count row;
+      Array.unsafe_set b.cols b.count col;
+      Array.unsafe_set b.vals b.count v;
+      b.count <- b.count + 1
+    end
   end
 
 (* Symmetric convenience: adds the four entries of a spring between i and j
@@ -107,7 +139,8 @@ let create_scratch () =
   { row_count = [||]; cursor = [||]; gcol = [||]; gval = [||]; stamp = [||];
     slot_of = [||] }
 
-(* Grow [sc] to dimension [n] and [m] triplets; contents are not kept. *)
+(* Grow [sc] to dimension [n] and [m] grouped entries; contents are not
+   kept. *)
 let reserve sc n m =
   let ints a k =
     if Array.length a >= k then a else Array.make (max k (2 * Array.length a)) 0
@@ -210,13 +243,17 @@ let rec sort_segment (cols : int array) (vals : float array) lo hi =
 let freeze_core sc b =
   let n = b.dim in
   let m = b.count in
-  reserve sc n m;
-  (* counting sort by row; the scatter is stable, so within a row the
-     insertion order is preserved (duplicate accumulation order below is
-     therefore the insertion order — the determinism contract [refreeze]
-     relies on) *)
+  let diag = b.diag and has_diag = b.has_diag in
+  reserve sc n (m + n);
+  (* counting sort by row, each present diagonal counted in its row; the
+     scatter is stable, so within a row the insertion order is preserved
+     (duplicate accumulation order below is therefore the insertion order
+     — the determinism contract [refreeze] relies on) *)
   let count = sc.row_count in
   Array.fill count 0 (n + 1) 0;
+  for r = 0 to n - 1 do
+    if Array.unsafe_get has_diag r then count.(r + 1) <- 1
+  done;
   for k = 0 to m - 1 do
     let r = Array.unsafe_get b.rows k in
     count.(r + 1) <- count.(r + 1) + 1
@@ -227,6 +264,15 @@ let freeze_core sc b =
   let gcol = sc.gcol and gval = sc.gval in
   let cursor = sc.cursor in
   Array.blit count 0 cursor 0 (n + 1);
+  (* a row's diagonal is its first grouped entry, before its triplets *)
+  for r = 0 to n - 1 do
+    if Array.unsafe_get has_diag r then begin
+      let at = cursor.(r) in
+      Array.unsafe_set gcol at r;
+      Array.unsafe_set gval at (Array.unsafe_get diag r);
+      cursor.(r) <- at + 1
+    end
+  done;
   for k = 0 to m - 1 do
     let r = Array.unsafe_get b.rows k in
     let at = cursor.(r) in
@@ -300,35 +346,39 @@ let find_slot (col : int array) lo hi c =
 let freeze_capture ?(scratch = create_scratch ()) b =
   let t = freeze_core scratch b in
   check_frozen ~site:"csr.freeze" t;
-  let m = b.count in
+  let m = b.count and n = b.dim in
+  let slot_in r c =
+    let slot = find_slot t.col t.row_start.(r) t.row_start.(r + 1) c in
+    (* every entry was folded into exactly one slot of its row *)
+    assert (slot >= 0);
+    slot
+  in
   let perm = Array.make m 0 in
   for k = 0 to m - 1 do
-    let r = Array.unsafe_get b.rows k in
-    let slot =
-      find_slot t.col t.row_start.(r) t.row_start.(r + 1)
-        (Array.unsafe_get b.cols k)
-    in
-    (* every triplet was folded into exactly one slot of its row *)
-    assert (slot >= 0);
-    perm.(k) <- slot
+    perm.(k) <- slot_in (Array.unsafe_get b.rows k) (Array.unsafe_get b.cols k)
+  done;
+  let s_diag = Array.make n (-1) in
+  for r = 0 to n - 1 do
+    if b.has_diag.(r) then s_diag.(r) <- slot_in r r
   done;
   let s =
     {
-      s_dim = b.dim;
       s_rows = Array.sub b.rows 0 m;
       s_cols = Array.sub b.cols 0 m;
       s_perm = perm;
+      s_diag;
       s_row_start = t.row_start;
       s_col = t.col;
     }
   in
   (t, s)
 
+(* Same off-diagonal stream and same diagonal pattern. *)
 let structure_matches s b =
-  b.dim = s.s_dim && b.count = Array.length s.s_rows
+  let n = b.dim and m = b.count in
+  n = Array.length s.s_diag && m = Array.length s.s_rows
   && begin
     let ok = ref true in
-    let m = b.count in
     let k = ref 0 in
     while !ok && !k < m do
       if
@@ -336,6 +386,15 @@ let structure_matches s b =
         || Array.unsafe_get b.cols !k <> Array.unsafe_get s.s_cols !k
       then ok := false;
       incr k
+    done;
+    let r = ref 0 in
+    while !ok && !r < n do
+      if
+        not
+          (Bool.equal (Array.unsafe_get b.has_diag !r)
+             (Array.unsafe_get s.s_diag !r >= 0))
+      then ok := false;
+      incr r
     done;
     !ok
   end
@@ -351,7 +410,12 @@ let refreeze s b =
       Array.unsafe_set value slot
         (Array.unsafe_get value slot +. Array.unsafe_get b.vals k)
     done;
-    let t = { n = s.s_dim; row_start = s.s_row_start; col = s.s_col; value } in
+    let s_diag = s.s_diag in
+    for r = 0 to b.dim - 1 do
+      let slot = Array.unsafe_get s_diag r in
+      if slot >= 0 then Array.unsafe_set value slot (Array.unsafe_get b.diag r)
+    done;
+    let t = { n = b.dim; row_start = s.s_row_start; col = s.s_col; value } in
     check_frozen ~site:"csr.refreeze" t;
     Some t
   end

@@ -1,29 +1,38 @@
 (** Compressed-sparse-row matrices assembled from triplets (duplicates are
     accumulated), for the QP's Laplacian-plus-diagonal systems.
 
-    The builder stores triplets in growable unboxed arrays; {!freeze} dedups
-    rows with stamp arrays (no per-row hashing), in a reusable {!scratch}.
-    Because the QP sparsity pattern is fixed across rounds,
-    {!freeze_capture} records the symbolic structure once and {!refreeze}
-    re-assembles later rounds as a flat value sweep — bit-identical to a
-    fresh {!freeze}.  {!mul} runs on the calling domain. *)
+    The builder sums the diagonal densely and stores only off-diagonal
+    triplets, in growable unboxed arrays; {!freeze} dedups rows with stamp
+    arrays (no per-row hashing), in a reusable {!scratch}.  Because the QP
+    sparsity pattern is fixed across rounds, {!freeze_capture} records the
+    symbolic structure once and {!refreeze} re-assembles later rounds as a
+    flat value sweep — bit-identical to a fresh {!freeze}.  {!mul} runs on
+    the calling domain. *)
 
 type t
 
-(** Triplets in insertion order: [rows], [cols], [vals] share one capacity
-    and hold [count] entries of an assembly of dimension [dim].  The fields
-    are public so that a hot assembly loop in another module can append
-    without a call per triplet (dune's dev profile compiles with
+(** An assembly of dimension [dim].  The diagonal is dense: [diag.(r)]
+    sums row [r]'s diagonal pushes in push order from 0.0, and
+    [has_diag.(r)] marks a row that got one, over the first [dim] entries
+    of both arrays.  Off-diagonal pushes are triplets in insertion order:
+    [rows], [cols], [vals] share one capacity and hold [count] entries.
+
+    The fields are public so that a hot assembly loop in another module
+    can push without a call per entry (dune's dev profile compiles with
     [-opaque], so a call into this module is never inlined and boxes its
-    float argument).  Such a writer keeps indices in [\[0, dim)], drops
-    zero values as {!add} does, and calls {!grow} when [count] reaches the
-    capacity. *)
+    float argument).  Such a writer follows {!add}: it keeps indices in
+    [\[0, dim)] and drops zero values; a push with [row = col] adds into
+    [diag] and sets [has_diag]; any other push appends a triplet, calling
+    {!grow} when [count] reaches the capacity.  Only {!reset} changes
+    [dim]. *)
 type builder = {
   mutable dim : int;
   mutable rows : int array;
   mutable cols : int array;
   mutable vals : float array;
   mutable count : int;
+  mutable diag : float array;
+  mutable has_diag : bool array;
 }
 
 (** Temporaries of {!freeze}, for a caller that freezes repeatedly: with
@@ -31,18 +40,23 @@ type builder = {
     concurrent use. *)
 type scratch
 
-(** Symbolic sparsity structure captured by {!freeze_capture}: the raw
-    triplet (row, col) stream plus the mapping from triplet slot to CSR
-    slot.  Valid for any later builder producing the same stream. *)
+(** Symbolic sparsity structure captured by {!freeze_capture}: the
+    off-diagonal (row, col) stream, the mapping from triplet slot to CSR
+    slot, and each row's diagonal slot (or none).  Valid for any later
+    builder with the same stream and the same rows holding a diagonal. *)
 type structure
 
 (** [builder n] starts an empty n×n assembly. *)
 val builder : int -> builder
 
+(** [reset b n] empties [b] for an n×n assembly, keeping its capacity. *)
+val reset : builder -> int -> unit
+
 (** Double the capacity of a full builder, keeping its triplets. *)
 val grow : builder -> unit
 
-(** Add a triplet; zero values are dropped. Raises on out-of-range. *)
+(** Add an entry; zero values are dropped, a diagonal one goes to the
+    row's dense sum.  Raises on out-of-range. *)
 val add : builder -> row:int -> col:int -> float -> unit
 
 (** Laplacian stencil of a spring between [i] and [j] with stiffness [w]. *)
@@ -65,11 +79,11 @@ val freeze_capture : ?scratch:scratch -> builder -> t * structure
 
 (** [refreeze s b] re-assembles [b] against the captured structure [s] as a
     flat value scatter (no sorting, no dedup bookkeeping), sharing the
-    frozen index arrays.  Returns [None] when [b]'s triplet stream differs
-    from the captured one — callers must then fall back to a full
-    {!freeze_capture}.  When it succeeds the result is bit-identical to
-    [freeze b]: value accumulation order is insertion order per duplicate
-    group in both paths. *)
+    frozen index arrays.  Returns [None] when [b]'s off-diagonal stream or
+    the set of rows holding a diagonal differs from the captured one —
+    callers must then fall back to a full {!freeze_capture}.  When it
+    succeeds the result is bit-identical to [freeze b]: value accumulation
+    order is insertion order per duplicate group in both paths. *)
 val refreeze : structure -> builder -> t option
 
 (** Checked invariants (sanitizer mode; also exposed for tests): monotone

@@ -1,11 +1,9 @@
 (** Half-perimeter wirelength, the quality metric of all paper tables. *)
 
-(** Absolute position of a pin under a placement. *)
-val pin_position : Netlist.t -> Placement.t -> Netlist.pin -> float * float
-
 (** Weighted half-perimeter of one net's pin bounding box. *)
 val of_net : Netlist.t -> Placement.t -> Netlist.net -> float
 
+(** Sum of {!of_net} over the nets, in net order.  Allocates nothing. *)
 val total : Netlist.t -> Placement.t -> float
 
 (** [total] scaled by 1e-6 (the paper's table units). *)

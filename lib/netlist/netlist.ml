@@ -1,8 +1,11 @@
 (* Circuits: rectangular cells connected by multi-pin nets.
 
-   Struct-of-arrays layout: placement algorithms sweep over millions of cells
-   and the hot loops (HPWL, QP system assembly, partitioning) only touch a
-   couple of attributes at a time.
+   Cell attributes are struct-of-arrays: placement algorithms sweep over
+   many cells and the hot loops (HPWL, QP system assembly, partitioning)
+   only touch a couple of attributes at a time.  Nets are not: a net is an
+   array of pin records, and since a pin record mixes an int with two
+   floats, each of its offsets is a separately boxed float (a pin costs a
+   4-word record, two 2-word floats and its array slot).
 
    A pin either belongs to a cell (offset from the cell's center) or is a
    fixed pad at absolute chip coordinates ([cell = -1]).  Fixed cells

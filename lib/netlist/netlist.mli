@@ -1,5 +1,6 @@
-(** Circuits: rectangular cells connected by multi-pin nets
-    (struct-of-arrays layout for the placement hot loops). *)
+(** Circuits: rectangular cells connected by multi-pin nets.  Cell
+    attributes are struct-of-arrays; a net is an array of pin records,
+    whose float offsets are boxed. *)
 
 type pin = {
   cell : int;  (** -1 for a fixed pad; otherwise a cell index *)

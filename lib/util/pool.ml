@@ -209,6 +209,12 @@ let rec helper wid seen =
   Mutex.unlock gang.lock;
   helper wid e
 
+(* Per-domain slot: 1 + id on helper [id], set once when it spawns; 0 on
+   every other domain. *)
+let slot_key = Domain.DLS.new_key (fun () -> 0)
+let slot () = Domain.DLS.get slot_key
+let n_slots = max_workers + 1
+
 (* Spawn helpers until [n] exist (capped at [max_workers]).  Only the claim
    owner calls this, between batches, so a new helper starts at the current
    epoch and waits for the next bump.  A failed spawn gives the claim
@@ -218,7 +224,11 @@ let grow n =
   try
     while Atomic.get gang.spawned < min n max_workers do
       let wid = Atomic.get gang.spawned in
-      ignore (Domain.spawn (fun () -> helper wid seen) : unit Domain.t);
+      let start () =
+        Domain.DLS.set slot_key (wid + 1);
+        helper wid seen
+      in
+      ignore (Domain.spawn start : unit Domain.t);
       Atomic.incr gang.spawned
     done
   with e ->

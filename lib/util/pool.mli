@@ -41,6 +41,18 @@ val chunk_bounds : n:int -> n_chunks:int -> int -> int * int
     on the calling domain. *)
 val run_chunks : ?domains:int -> n_chunks:int -> (int -> unit) -> unit
 
+(** The calling domain's slot, in [\[0, n_slots)]: [1 + id] on the gang's
+    helper [id], 0 on every other domain.  So the chunks of a region at
+    [d] domains opened outside the gang run on slots [0 .. d - 1], slot 0
+    being the region's owner, and a caller can keep per-domain state (a
+    chunk body's scratch) in an array indexed by slot that only the
+    slot's domain touches. *)
+val slot : unit -> int
+
+(** Number of distinct slots: one for each helper the gang can spawn, plus
+    slot 0. *)
+val n_slots : int
+
 (** [fork2 f g] is {!run_chunks} with two chunks: [f] and [g] run
     concurrently when [domains] resolves to at least 2 and the gang is
     free, else [f] then [g] on the caller.  If both raise, [f]'s exception

@@ -218,6 +218,144 @@ let test_check_detects_overlap () =
   Alcotest.(check bool) "overlap found" true (audit.Check.n_overlaps > 0);
   Alcotest.(check bool) "not legal" false audit.Check.legal
 
+(* The reference audit, straightforward and slow: rectangles rebuilt
+   inside the sort comparator, rows bucketed in a [Hashtbl] of lists
+   (descending cell id, since cells are prepended in ascending order),
+   each bucket sorted with [List.sort] (stable).  [Check.audit] must give
+   the same four counts. *)
+let reference_audit (design : Design.t) (pos : Placement.t) =
+  let nl = design.Design.netlist in
+  let chip = design.Design.chip in
+  let rh = design.Design.row_height in
+  let movable = ref [] in
+  for c = Netlist.n_cells nl - 1 downto 0 do
+    if not nl.Netlist.fixed.(c) then movable := c :: !movable
+  done;
+  let movable = !movable in
+  let n_off_row = ref 0 and n_outside = ref 0 and n_blocked = ref 0 in
+  List.iter
+    (fun c ->
+      let r = Placement.cell_rect nl pos c in
+      if not (Rect.contains chip r) then incr n_outside;
+      let rel = (r.Rect.y0 -. chip.Rect.y0) /. rh in
+      if Float.abs (rel -. Float.round rel) > 1e-6 then incr n_off_row;
+      if List.exists (fun b -> Rect.overlaps b r) design.Design.blockages then
+        incr n_blocked)
+    movable;
+  let by_row = Hashtbl.create 64 in
+  List.iter
+    (fun c ->
+      let r = Placement.cell_rect nl pos c in
+      let row = int_of_float (Float.round ((r.Rect.y0 -. chip.Rect.y0) /. rh)) in
+      Hashtbl.replace by_row row
+        (c :: (try Hashtbl.find by_row row with Not_found -> [])))
+    movable;
+  let n_overlaps = ref 0 in
+  Hashtbl.iter
+    (fun _ cells ->
+      let sorted =
+        List.sort
+          (fun a b ->
+            Float.compare
+              (Placement.cell_rect nl pos a).Rect.x0
+              (Placement.cell_rect nl pos b).Rect.x0)
+          cells
+      in
+      let reach = ref neg_infinity in
+      List.iter
+        (fun c ->
+          let r = Placement.cell_rect nl pos c in
+          if r.Rect.x0 < !reach -. 1e-9 then incr n_overlaps;
+          if r.Rect.x1 > !reach then reach := r.Rect.x1)
+        sorted)
+    by_row;
+  (!n_overlaps, !n_off_row, !n_outside, !n_blocked)
+
+(* A design of cells given as (left edge, bottom edge, width, fixed) on
+   the 10x6 chip, unit height, with one blockage in row 4. *)
+let audit_design cells =
+  let n = Array.length cells in
+  let netlist =
+    {
+      Netlist.n_cells = n;
+      names = Array.init n (Printf.sprintf "c%d");
+      widths = Array.map (fun (_, _, w, _) -> w) cells;
+      heights = Array.make n 1.0;
+      fixed = Array.map (fun (_, _, _, f) -> f) cells;
+      movebound = Array.make n (-1);
+      nets = [||];
+    }
+  in
+  let initial = Placement.create n in
+  Array.iteri
+    (fun c (x0, y0, w, _) ->
+      Placement.set initial c (Point.make (x0 +. (w /. 2.0)) (y0 +. 0.5)))
+    cells;
+  {
+    Design.name = "audit";
+    chip;
+    row_height = 1.0;
+    netlist;
+    blockages = [ Rect.make ~x0:8.0 ~y0:4.0 ~x1:9.0 ~y1:5.0 ];
+    initial;
+    target_density = 1.0;
+  }
+
+let audit_counts d =
+  let a = Check.audit d d.Design.initial in
+  (a.Check.n_overlaps, a.Check.n_off_row, a.Check.n_outside_chip,
+   a.Check.n_on_blockage)
+
+let counts = Alcotest.(pair (pair int int) (pair int int))
+let split (a, b, c, d) = ((a, b), (c, d))
+
+(* Tied left edges, nested and chained overlaps, zero-width cells, off-row,
+   outside and blocked cells, a fixed cell: the four counts equal the
+   reference's, on this fixture and on random piles of the same kinds. *)
+let test_check_audit_counts () =
+  let fixture =
+    [|
+      (* row 0: three tied left edges; a cell nested in a wider one *)
+      (1.0, 0.0, 2.0, false); (1.0, 0.0, 1.0, false); (1.0, 0.0, 0.5, false);
+      (5.0, 0.0, 4.0, false); (6.0, 0.0, 1.0, false);
+      (* row 1: a chain (each overlaps the next only), then two touching
+         cells *)
+      (0.0, 1.0, 2.0, false); (1.5, 1.0, 2.0, false); (3.0, 1.0, 2.0, false);
+      (6.0, 1.0, 1.0, false); (7.0, 1.0, 1.0, false);
+      (* row 2: a zero-width cell tied with a wider later one: the count
+         depends on which one the sweep meets first *)
+      (2.0, 2.0, 0.0, false); (2.0, 2.0, 2.0, false);
+      (* row 3: off-row, outside the chip, and a fixed cell on a movable
+         one (fixed cells are not audited) *)
+      (4.0, 3.3, 1.0, false); (-1.0, 3.0, 2.0, false);
+      (6.0, 3.0, 2.0, true); (6.5, 3.0, 1.0, false);
+      (* row 4: on the blockage *)
+      (8.5, 4.0, 1.0, false);
+    |]
+  in
+  let d = audit_design fixture in
+  let expected = reference_audit d d.Design.initial in
+  Alcotest.(check counts) "fixture" (split expected) (split (audit_counts d));
+  let ov, off, out, blk = expected in
+  Alcotest.(check bool) "the fixture exercises every count" true
+    (ov >= 5 && off = 1 && out = 1 && blk = 1);
+  for seed = 0 to 19 do
+    let rng = Fbp_util.Rng.create (1000 + seed) in
+    let widths = [| 0.0; 0.5; 1.0; 2.0; 3.0 |] in
+    let pile =
+      Array.init 300 (fun _ ->
+          let x0 = 0.5 *. float_of_int (Fbp_util.Rng.int rng 20) in
+          let row = float_of_int (Fbp_util.Rng.int rng 6) in
+          let y0 = if Fbp_util.Rng.int rng 10 = 0 then row +. 0.25 else row in
+          (x0, y0, widths.(Fbp_util.Rng.int rng 5), Fbp_util.Rng.int rng 20 = 0))
+    in
+    let d = audit_design pile in
+    Alcotest.(check counts)
+      (Printf.sprintf "random pile %d" seed)
+      (split (reference_audit d d.Design.initial))
+      (split (audit_counts d))
+  done
+
 let suite =
   [
     Alcotest.test_case "rows basic" `Quick test_rows_basic;
@@ -232,4 +370,6 @@ let suite =
     Alcotest.test_case "flow legalizer pile" `Quick test_flow_legalizer_pile;
     Alcotest.test_case "flow legalizer on generated" `Slow test_flow_legalizer_on_generated;
     Alcotest.test_case "check detects overlap" `Quick test_check_detects_overlap;
+    Alcotest.test_case "check audit counts match the reference" `Quick
+      test_check_audit_counts;
   ]

@@ -30,6 +30,101 @@ let test_csr_assembly_accumulates () =
   check_float "diag" 4.0 (Csr.get a 1 1);
   check_float "absent" 0.0 (Csr.get a 2 2)
 
+(* ---------- dense diagonal ---------- *)
+
+(* Every stored entry of [a] in CSR order, values as bits. *)
+let entries a =
+  let l = ref [] in
+  Csr.iter_entries a (fun r c v -> l := (r, c, Int64.bits_of_float v) :: !l);
+  List.rev !l
+
+let check_entries label expected a =
+  Alcotest.(check (list (triple int int int64))) label
+    (List.map (fun (r, c, v) -> (r, c, Int64.bits_of_float v)) expected)
+    (entries a);
+  match Csr.validate a with
+  | Ok () -> ()
+  | Error msg -> Alcotest.failf "%s: %s" label msg
+
+(* The diagonal is summed densely, in push order from 0.0; a frozen matrix
+   holds exactly the entries the pushes would have made as triplets. *)
+let test_csr_dense_diagonal () =
+  (* repeated diagonal pushes: ((0.1 + 0.2) + 0.3) is not 0.1 + (0.2 + 0.3) *)
+  let b = Csr.builder 2 in
+  List.iter (fun v -> Csr.add_diag b 1 v) [ 0.1; 0.2; 0.3 ];
+  Csr.add b ~row:0 ~col:0 0.3;
+  Csr.add b ~row:0 ~col:0 0.2;
+  Csr.add b ~row:0 ~col:0 0.1;
+  if Int64.equal (Int64.bits_of_float ((0.1 +. 0.2) +. 0.3))
+       (Int64.bits_of_float (0.1 +. (0.2 +. 0.3)))
+  then Alcotest.fail "the two summation orders must differ";
+  check_entries "sums in push order"
+    [ (0, 0, (0.3 +. 0.2) +. 0.1); (1, 1, (0.1 +. 0.2) +. 0.3) ]
+    (Csr.freeze b);
+  (* a zero push leaves no entry; pushes that cancel leave a stored 0.0 *)
+  let b = Csr.builder 3 in
+  Csr.add_diag b 0 0.0;
+  Csr.add b ~row:1 ~col:2 0.0;
+  Csr.add_diag b 2 1.5;
+  Csr.add_diag b 2 (-1.5);
+  check_entries "zero pushes" [ (2, 2, 0.0) ] (Csr.freeze b);
+  (* rows whose only entry is the diagonal, around a spring *)
+  let b = Csr.builder 4 in
+  Csr.add_diag b 0 2.0;
+  Csr.add_spring b 1 2 0.5;
+  Csr.add_diag b 3 7.0;
+  check_entries "diagonal-only rows"
+    [ (0, 0, 2.0); (1, 1, 0.5); (1, 2, -0.5); (2, 1, -0.5); (2, 2, 0.5);
+      (3, 3, 7.0) ]
+    (Csr.freeze b);
+  (* diagonal and off-diagonal pushes interleaved, duplicates on both *)
+  let b = Csr.builder 3 in
+  Csr.add b ~row:0 ~col:2 1.0;
+  Csr.add_diag b 0 2.0;
+  Csr.add b ~row:2 ~col:0 0.25;
+  Csr.add b ~row:0 ~col:1 3.0;
+  Csr.add_diag b 0 4.0;
+  Csr.add b ~row:0 ~col:2 5.0;
+  Csr.add_diag b 2 0.125;
+  Csr.add b ~row:2 ~col:0 0.5;
+  check_entries "interleaved"
+    [ (0, 0, 6.0); (0, 1, 3.0); (0, 2, 6.0); (2, 0, 0.75); (2, 2, 0.125) ]
+    (Csr.freeze b);
+  (* a reset builder starts over, with no diagonal left from before *)
+  Csr.reset b 2;
+  Csr.add b ~row:1 ~col:0 1.0;
+  check_entries "after reset" [ (1, 0, 1.0) ] (Csr.freeze b)
+
+(* [refreeze] checks the diagonal pattern as well as the off-diagonal
+   stream: one diagonal present at capture and absent later, or the
+   reverse, is a mismatch, and a fresh capture then serves the new
+   pattern. *)
+let test_csr_refreeze_diagonal_pattern () =
+  let stream ~diag_at_2 =
+    let b = Csr.builder 3 in
+    Csr.add_spring b 0 1 1.0;
+    Csr.add b ~row:1 ~col:2 (-0.5);
+    Csr.add b ~row:2 ~col:1 (-0.5);
+    if diag_at_2 then Csr.add_diag b 2 3.0;
+    b
+  in
+  List.iter
+    (fun (captured, later) ->
+      let label = Printf.sprintf "diagonal %b at capture, %b later" captured later in
+      let _, s = Csr.freeze_capture (stream ~diag_at_2:captured) in
+      (match Csr.refreeze s (stream ~diag_at_2:later) with
+      | Some _ -> Alcotest.failf "%s: refreeze accepted" label
+      | None -> ());
+      let _, s' = Csr.freeze_capture (stream ~diag_at_2:later) in
+      match Csr.refreeze s' (stream ~diag_at_2:later) with
+      | None -> Alcotest.failf "%s: the recaptured structure is rejected" label
+      | Some t ->
+        Alcotest.(check (list (triple int int int64)))
+          (label ^ ": recaptured equals freeze")
+          (entries (Csr.freeze (stream ~diag_at_2:later)))
+          (entries t))
+    [ (true, false); (false, true) ]
+
 let test_csr_mul () =
   let b = Csr.builder 2 in
   Csr.add b ~row:0 ~col:0 2.0;
@@ -233,6 +328,9 @@ let suite =
   [
     Alcotest.test_case "vec ops" `Quick test_vec_ops;
     Alcotest.test_case "csr accumulates duplicates" `Quick test_csr_assembly_accumulates;
+    Alcotest.test_case "csr dense diagonal" `Quick test_csr_dense_diagonal;
+    Alcotest.test_case "csr refreeze checks the diagonal pattern" `Quick
+      test_csr_refreeze_diagonal_pattern;
     Alcotest.test_case "csr mul" `Quick test_csr_mul;
     Alcotest.test_case "csr springs symmetric" `Quick test_csr_spring_symmetric;
     Alcotest.test_case "cg identity" `Quick test_cg_identity;

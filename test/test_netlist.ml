@@ -306,12 +306,58 @@ let test_bookshelf_rejects_garbage () =
       | exception e -> Alcotest.failf "wrong exception %s" (Printexc.to_string e)
       | _ -> Alcotest.fail "garbage accepted")
 
+(* The reference total: a fold over the nets of each net's bounding box,
+   taken in pin order over (x, y) pairs. *)
+let reference_total (nl : Netlist.t) (p : Placement.t) =
+  Array.fold_left
+    (fun acc (net : Netlist.net) ->
+      let pins = net.Netlist.pins in
+      let h =
+        if Array.length pins <= 1 then 0.0
+        else begin
+          let x0 = ref infinity and x1 = ref neg_infinity in
+          let y0 = ref infinity and y1 = ref neg_infinity in
+          Array.iter
+            (fun (pin : Netlist.pin) ->
+              let x, y =
+                if pin.Netlist.cell < 0 then (pin.Netlist.dx, pin.Netlist.dy)
+                else
+                  ( p.Placement.x.(pin.Netlist.cell) +. pin.Netlist.dx,
+                    p.Placement.y.(pin.Netlist.cell) +. pin.Netlist.dy )
+              in
+              if x < !x0 then x0 := x;
+              if x > !x1 then x1 := x;
+              if y < !y0 then y0 := y;
+              if y > !y1 then y1 := y)
+            pins;
+          net.Netlist.weight *. (!x1 -. !x0 +. !y1 -. !y0)
+        end
+      in
+      acc +. h)
+    0.0 nl.Netlist.nets
+
+(* A warmed [Hpwl.total] allocates nothing but its boxed result, and
+   equals the reference fold as a double. *)
+let test_hpwl_allocation_free () =
+  let d = Generator.quick ~seed:3 ~name:"hpwl" 1500 in
+  let nl = d.Design.netlist and p = d.Design.initial in
+  ignore (Hpwl.total nl p);
+  let h, words = Test_core.allocated_words (fun () -> Hpwl.total nl p) in
+  if words > 16 then
+    Alcotest.failf "Hpwl.total allocated %d words on %d nets" words
+      (Netlist.n_nets nl);
+  Alcotest.(check int64) "equals the reference fold"
+    (Int64.bits_of_float (reference_total nl p))
+    (Int64.bits_of_float h)
+
 let suite =
   [
     Alcotest.test_case "netlist basics" `Quick test_netlist_basics;
     Alcotest.test_case "netlist validation rejects" `Quick test_netlist_validate_rejects;
     Alcotest.test_case "hpwl known values" `Quick test_hpwl;
     Alcotest.test_case "hpwl single-pin net" `Quick test_hpwl_single_pin_net;
+    Alcotest.test_case "hpwl total allocation-free" `Quick
+      test_hpwl_allocation_free;
     Alcotest.test_case "placement helpers" `Quick test_placement_helpers;
     Alcotest.test_case "generator deterministic" `Quick test_generator_deterministic;
     Alcotest.test_case "generator valid design" `Quick test_generator_valid_design;

@@ -347,10 +347,10 @@ let test_snapshot_compact () =
   Alcotest.(check int64) "snapshot does not alias the placement"
     (bits pos.Placement.x.(3)) (bits xs.(0))
 
-(* ---------- realization: bitwise at 1 vs 8 domains + cost counters ----- *)
+(* ------- realization: bitwise at 1 vs 2, 4, 8 domains + cost counters ----- *)
 
 let test_realization_counters_and_bitwise () =
-  let d = Generator.quick ~seed:61 ~name:"rc" 600 in
+  let d = Generator.quick ~seed:61 ~name:"rc" 2000 in
   let inst = Fbp_movebound.Instance.unconstrained d in
   let design = inst.Fbp_movebound.Instance.design in
   let nl = design.Design.netlist in
@@ -381,18 +381,40 @@ let test_realization_counters_and_bitwise () =
         in
         let snap = Fbp_obs.Obs.counter_value "realization.snapshot_cells" in
         let disp = Fbp_obs.Obs.counter_value "pool.dispatches" in
+        let scratches =
+          Fbp_obs.Obs.histogram_values "realization.scratches"
+        in
         Fbp_obs.Obs.disable ();
+        (* one local-QP scratch per domain that drained a wave, never one
+           per chunk *)
+        (match scratches with
+        | [| n |] ->
+          if n < 1.0 || n > float_of_int domains then
+            Alcotest.failf "%g scratches at %d domains" n domains
+        | _ -> Alcotest.fail "one realization.scratches value per call");
         (pos, r, !stepped, snap, disp))
   in
   let p1, r1, s1, snap1, _ = run 1 in
+  let same_as_one domains (p, (r : Realization.result), s) =
+    let ctx = Printf.sprintf " at %d domains" domains in
+    Alcotest.(check (array (float 0.0)))
+      ("x bit-identical" ^ ctx) p1.Placement.x p.Placement.x;
+    Alcotest.(check (array (float 0.0)))
+      ("y bit-identical" ^ ctx) p1.Placement.y p.Placement.y;
+    Alcotest.(check (array int)) ("piece assignment identical" ^ ctx)
+      r1.Realization.piece_of_cell r.Realization.piece_of_cell;
+    Alcotest.(check int) ("on_step streams equal" ^ ctx) s1 s
+  in
+  List.iter
+    (fun domains ->
+      let p, r, s, _, disp = run domains in
+      if disp = 0 then
+        Alcotest.failf "no parallel wave at %d domains (%d waves)" domains
+          r.Realization.stats.Realization.n_waves;
+      same_as_one domains (p, r, s))
+    [ 2; 4 ];
   let p8, r8, s8, snap8, disp8 = run 8 in
-  Alcotest.(check (array (float 0.0)))
-    "x bit-identical" p1.Placement.x p8.Placement.x;
-  Alcotest.(check (array (float 0.0)))
-    "y bit-identical" p1.Placement.y p8.Placement.y;
-  Alcotest.(check (array int)) "piece assignment identical"
-    r1.Realization.piece_of_cell r8.Realization.piece_of_cell;
-  Alcotest.(check int) "on_step streams equal" s1 s8;
+  same_as_one 8 (p8, r8, s8);
   Alcotest.(check bool) "flow shipped cells" true
     (r1.Realization.stats.Realization.n_shipped_cells > 0);
   (* snapshot cost is O(wave): exactly the wave member cells (= the cells
