@@ -71,10 +71,7 @@ let () =
   let sol = Fbp_core.Fbp_model.solve model4 in
   Fbp_viz.Svg.write_file "out/fig4_step1_flow.svg"
     (Fbp_viz.Draw.realization_snapshot inst pos grid4 sol.Fbp_core.Fbp_model.externals);
-  let cell_nets = Netlist.cell_nets nl in
-  let _ =
-    Fbp_core.Realization.realize Fbp_core.Config.default inst regions2 sol pos ~cell_nets
-  in
+  let _ = Fbp_core.Realization.realize Fbp_core.Config.default inst regions2 sol pos in
   Fbp_viz.Svg.write_file "out/fig4_step2_realized.svg"
     (Fbp_viz.Draw.realization_snapshot inst pos grid4 []);
   Printf.printf "fig4: %d external arcs realized\n"

@@ -125,48 +125,48 @@ let[@inline] spring_rhs rhs coord w va da ca vb db cb =
   else if vb >= 0 then
     rhs.(vb) <- rhs.(vb) +. (w *. (fixed_at coord ca da -. db))
 
-let[@inline] var_of map (pin : Netlist.pin) =
-  if pin.Netlist.cell < 0 then -1 else map.(pin.Netlist.cell)
+let[@inline] var_of map c = if c < 0 then -1 else map.(c)
 
-(* The spring between two pins: its stencil, then its x and y
-   right-hand sides. *)
-let[@inline] pin_pair ws (pos : Placement.t) bx by w (pa : Netlist.pin)
-    (pb : Netlist.pin) =
-  let va = var_of ws.var_of_cell pa and vb = var_of ws.var_of_cell pb in
-  let ca = pa.Netlist.cell and cb = pb.Netlist.cell in
-  stencil ws.bld w va vb;
-  spring_rhs bx pos.Placement.x w va pa.Netlist.dx ca vb pb.Netlist.dx cb;
-  spring_rhs by pos.Placement.y w va pa.Netlist.dy ca vb pb.Netlist.dy cb
-
-(* The springs of one net with p >= 2 pins, as a clique of weight 2w/p per
-   pin pair or, when [s >= 0], as a star of weight 2w/(p-1) per pin to the
-   star var [s] (offset 0).  The weight stays a local so it is never
-   boxed: everything called per spring inlines. *)
-let net_springs ws pos bx by (net : Netlist.net) s =
-  let pins = net.Netlist.pins in
-  let p = Array.length pins in
-  let w_pair = 2.0 *. net.Netlist.weight /. float_of_int p in
+(* The springs of net [ni] with p >= 2 pins, read straight from the flat
+   pin arrays: a clique of weight 2w/p per pin pair or, when [s >= 0], a
+   star of weight 2w/(p-1) per pin to the star var [s] (offset 0).  Each
+   spring pushes its stencil, then its x and y right-hand sides.  The
+   weights and offsets stay locals so they are never boxed: everything
+   called per spring inlines. *)
+let net_springs ws (nl : Netlist.t) pos bx by ni s =
+  let lo = nl.Netlist.net_start.(ni) and hi = nl.Netlist.net_start.(ni + 1) in
+  let pin_cell = nl.Netlist.pin_cell in
+  let pin_dx = nl.Netlist.pin_dx and pin_dy = nl.Netlist.pin_dy in
+  let map = ws.var_of_cell and xs = pos.Placement.x and ys = pos.Placement.y in
+  let p = hi - lo in
+  let w_pair = 2.0 *. nl.Netlist.net_weight.(ni) /. float_of_int p in
   if s < 0 then
-    for i = 0 to p - 1 do
-      for j = i + 1 to p - 1 do
-        pin_pair ws pos bx by w_pair pins.(i) pins.(j)
+    for a = lo to hi - 1 do
+      let ca = pin_cell.(a) in
+      let va = var_of map ca in
+      for b = a + 1 to hi - 1 do
+        let cb = pin_cell.(b) in
+        let vb = var_of map cb in
+        stencil ws.bld w_pair va vb;
+        spring_rhs bx xs w_pair va pin_dx.(a) ca vb pin_dx.(b) cb;
+        spring_rhs by ys w_pair va pin_dy.(a) ca vb pin_dy.(b) cb
       done
     done
   else begin
     let w = w_pair *. float_of_int p /. float_of_int (p - 1) in
-    for i = 0 to p - 1 do
-      let pin = pins.(i) in
-      let v = var_of ws.var_of_cell pin and c = pin.Netlist.cell in
+    for k = lo to hi - 1 do
+      let c = pin_cell.(k) in
+      let v = var_of map c in
       stencil ws.bld w v s;
-      spring_rhs bx pos.Placement.x w v pin.Netlist.dx c s 0.0 (-1);
-      spring_rhs by pos.Placement.y w v pin.Netlist.dy c s 0.0 (-1)
+      spring_rhs bx xs w v pin_dx.(k) c s 0.0 (-1);
+      spring_rhs by ys w v pin_dy.(k) c s 0.0 (-1)
     done
   end
 
-let has_movable map (pins : Netlist.pin array) =
-  let i = ref 0 in
-  while !i < Array.length pins && var_of map pins.(!i) < 0 do incr i done;
-  !i < Array.length pins
+let has_movable map (nl : Netlist.t) ni =
+  let k = ref nl.Netlist.net_start.(ni) and hi = nl.Netlist.net_start.(ni + 1) in
+  while !k < hi && var_of map nl.Netlist.pin_cell.(!k) < 0 do incr k done;
+  !k < hi
 
 let build ws (nl : Netlist.t) (pos : Placement.t) ~cache ~movable ~net_ids
     ~clique_max_degree ~anchor =
@@ -179,9 +179,8 @@ let build ws (nl : Netlist.t) (pos : Placement.t) ~cache ~movable ~net_ids
   let n_vars = ref n_cell_vars in
   Array.iteri
     (fun k ni ->
-      let pins = nl.Netlist.nets.(ni).Netlist.pins in
-      if Array.length pins > clique_max_degree
-         && has_movable ws.var_of_cell pins
+      if Netlist.degree nl ni > clique_max_degree
+         && has_movable ws.var_of_cell nl ni
       then begin
         star_var.(k) <- !n_vars;
         incr n_vars
@@ -195,9 +194,7 @@ let build ws (nl : Netlist.t) (pos : Placement.t) ~cache ~movable ~net_ids
   (* cliques also for wide all-fixed nets, which cost nothing *)
   Array.iteri
     (fun k ni ->
-      let net = nl.Netlist.nets.(ni) in
-      if Array.length net.Netlist.pins >= 2 then
-        net_springs ws pos bx by net star_var.(k))
+      if Netlist.degree nl ni >= 2 then net_springs ws nl pos bx by ni star_var.(k))
     net_ids;
   (* anchors and regularization: one diagonal entry each, shared by both
      axes, so an anchor must weigh x and y alike *)

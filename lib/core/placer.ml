@@ -167,7 +167,6 @@ let place ?(config = Config.default) ?on_level ?fallback
             ~row_height:design.Design.row_height r.Fbp_movebound.Regions.area)
         regions.Fbp_movebound.Regions.regions
     in
-    let cell_nets = Netlist.cell_nets nl in
     (* Symbolic-structure cache for the global QPs: every round assembles
        the same net topology over the same movable set, so after the first
        capture each assembly is a flat value sweep (verified, never
@@ -387,7 +386,7 @@ let place ?(config = Config.default) ?on_level ?fallback
                       Fbp_obs.Obs.span "place.realization"
                         ~args:(fun () -> [ ("level", string_of_int level) ])
                         (fun () ->
-                          Realization.realize config inst regions sol pos ~cell_nets))
+                          Realization.realize config inst regions sol pos))
                 in
                 piece_of_cell := r.Realization.piece_of_cell;
                 final_grid := Some grid;

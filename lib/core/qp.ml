@@ -18,7 +18,7 @@ type stats = {
 (* Reusable scratch of a local QP.  For the net dedup: a stamp array over
    net ids (stamp.(ni) = current epoch means "already collected") plus a
    growable id buffer, so there is no hashing and the collection order is
-   fixed by construction (cells in order, each cell's net list in order).
+   fixed by construction (cells in order, each cell's nets in order).
    For the assembly: the Netmodel workspace.  For the solve: the lockstep
    CG's vectors. *)
 type scratch = {
@@ -147,54 +147,56 @@ let rec sort_ints (a : int array) lo hi =
       a.(!j + 1) <- x
     done
 
-(* Deduplicated, sorted ids of every net incident to [cells]; sorting fixes
-   the assembly order. *)
-let dedup_nets scratch ~n_nets ~(cell_nets : int list array)
-    ~(cells : int array) =
+(* Deduplicated, sorted ids of every net incident to [cells], read from
+   the netlist's incidence; sorting fixes the assembly order. *)
+let dedup_nets scratch (nl : Netlist.t) ~(cells : int array) =
+  let n_nets = Netlist.n_nets nl in
   if Array.length scratch.stamp < n_nets then begin
     scratch.stamp <- Array.make n_nets 0;
     scratch.epoch <- 0
   end;
   scratch.epoch <- scratch.epoch + 1;
   let epoch = scratch.epoch and stamp = scratch.stamp in
+  let start = nl.Netlist.cell_net_start and ids = nl.Netlist.cell_net in
   let count = ref 0 in
-  let push ni =
-    if Array.unsafe_get stamp ni <> epoch then begin
-      Array.unsafe_set stamp ni epoch;
-      if !count = Array.length scratch.buf then begin
-        let buf' = Array.make (2 * !count) 0 in
-        Array.blit scratch.buf 0 buf' 0 !count;
-        scratch.buf <- buf'
-      end;
-      scratch.buf.(!count) <- ni;
-      incr count
-    end
-  in
-  Array.iter (fun c -> List.iter push cell_nets.(c)) cells;
+  for i = 0 to Array.length cells - 1 do
+    let c = cells.(i) in
+    for k = start.(c) to start.(c + 1) - 1 do
+      let ni = ids.(k) in
+      if stamp.(ni) <> epoch then begin
+        stamp.(ni) <- epoch;
+        if !count = Array.length scratch.buf then begin
+          let buf' = Array.make (2 * !count) 0 in
+          Array.blit scratch.buf 0 buf' 0 !count;
+          scratch.buf <- buf'
+        end;
+        scratch.buf.(!count) <- ni;
+        incr count
+      end
+    done
+  done;
   sort_ints scratch.buf 0 (!count - 1);
   Array.sub scratch.buf 0 !count
 
 (* The local system over [cells], everything else fixed; only nets touching
    a cell are assembled. *)
 let assemble_local (cfg : Config.t) (nl : Netlist.t) (pos : Placement.t)
-    scratch ~(cell_nets : int list array) ~(cells : int array) ~anchor =
-  let nets =
-    dedup_nets scratch ~n_nets:(Netlist.n_nets nl) ~cell_nets ~cells
-  in
+    scratch ~(cells : int array) ~anchor =
+  let nets = dedup_nets scratch nl ~cells in
   Netmodel.assemble nl pos ~workspace:scratch.workspace ~movable:cells ~nets
     ~clique_max_degree:cfg.Config.clique_max_degree ~anchor ()
 
-(* Local QP over [cells] only; [cell_nets] is the cached incidence map.
-   [scratch] lets a sequential caller (the repartitioner) reuse the dedup
-   arrays and the assembly workspace across windows. *)
+(* Local QP over [cells] only.  [scratch] lets a sequential caller (the
+   repartitioner) reuse the dedup arrays and the assembly workspace across
+   windows. *)
 let solve_local (cfg : Config.t) (nl : Netlist.t) (pos : Placement.t) ?scratch
-    ~(cell_nets : int list array) ~(cells : int array) ~anchor () =
+    ~(cells : int array) ~anchor () =
   if Array.length cells = 0 then
     { vars = 0; cg_iterations = 0; residual = 0.0; converged = true }
   else begin
     let scratch =
       match scratch with Some s -> s | None -> create_scratch ()
     in
-    let sys = assemble_local cfg nl pos scratch ~cell_nets ~cells ~anchor in
+    let sys = assemble_local cfg nl pos scratch ~cells ~anchor in
     solve_system ~scratch cfg sys pos
   end

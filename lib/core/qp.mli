@@ -49,13 +49,13 @@ val solve_global :
   anchor:(int -> (float * float * float * float) option) -> unit -> stats
 
 (** The local system over [cells], everything else fixed: the sorted,
-    deduplicated nets incident to [cells] ([cell_nets] is the cached
-    incidence map from {!Netlist.cell_nets}) assembled with [scratch]'s
+    deduplicated nets incident to [cells] (read from the netlist's
+    incidence) assembled with [scratch]'s
     workspace, one matrix for both axes.  [anchor] weighs x and y alike
     (see {!Netmodel.assemble}).  Exposed for realization's per-node QP. *)
 val assemble_local :
   Config.t -> Netlist.t -> Placement.t -> scratch ->
-  cell_nets:int list array -> cells:int array ->
+  cells:int array ->
   anchor:(int -> (float * float * float * float) option) -> Netmodel.system
 
 (** Local QP over [cells] only, everything else fixed.  [scratch] reuses
@@ -64,5 +64,5 @@ val assemble_local :
 val solve_local :
   Config.t -> Netlist.t -> Placement.t ->
   ?scratch:scratch ->
-  cell_nets:int list array -> cells:int array ->
+  cells:int array ->
   anchor:(int -> (float * float * float * float) option) -> unit -> stats

@@ -181,8 +181,7 @@ let sorted_members (buf : int array) len =
 
 let realize ?(on_step : (step -> unit) option) (cfg : Config.t)
     (inst : Fbp_movebound.Instance.t) (regions : Fbp_movebound.Regions.t)
-    (sol : Fbp_model.solution) (pos : Placement.t)
-    ~(cell_nets : int list array) =
+    (sol : Fbp_model.solution) (pos : Placement.t) =
   let t_start = Fbp_util.Timer.now () in
   let model = sol.Fbp_model.model in
   let grid = model.Fbp_model.grid in
@@ -315,7 +314,7 @@ let realize ?(on_step : (step -> unit) option) (cfg : Config.t)
           let ctr = Rect.center win_rect in
           let pull = Some (1e-4, ctr.Point.x, 1e-4, ctr.Point.y) in
           let sys =
-            Qp.assemble_local cfg nl pos scratch ~cell_nets ~cells
+            Qp.assemble_local cfg nl pos scratch ~cells
               ~anchor:(fun _ -> pull)
           in
           let xv = Array.make sys.Netmodel.n_vars 0.0 in

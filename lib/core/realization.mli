@@ -39,8 +39,7 @@ val snapshot :
   Fbp_netlist.Placement.t -> int array -> float array * float array
 
 (** Realize the flow, updating [pos] in place; [on_step] is the Figure-4
-    trace hook.  [cell_nets] is the {!Fbp_netlist.Netlist.cell_nets}
-    cache.  With [Config.effective_domains cfg > 1], each wave large
+    trace hook.  With [Config.effective_domains cfg > 1], each wave large
     enough to pay for a wakeup is one {!Fbp_util.Pool.run_chunks} batch;
     commits stay in wave order on the calling domain, so results are
     bit-identical at any domain count.  Each call observes
@@ -53,5 +52,4 @@ val realize :
   Fbp_movebound.Regions.t ->
   Fbp_model.solution ->
   Fbp_netlist.Placement.t ->
-  cell_nets:int list array ->
   result

@@ -31,7 +31,7 @@ type stats = {
    window is visited once per sweep). *)
 let sweep ?(span = 2) (cfg : Config.t) (inst : Fbp_movebound.Instance.t)
     (regions : Fbp_movebound.Regions.t) (grid : Grid.t) (pos : Placement.t)
-    ~(piece_of_cell : int array) ~(cell_nets : int list array) =
+    ~(piece_of_cell : int array) =
   let t0 = Fbp_util.Timer.now () in
   let nl = inst.Fbp_movebound.Instance.design.Design.netlist in
   (* net-dedup and assembly scratch shared across this sweep's local QPs *)
@@ -68,7 +68,7 @@ let sweep ?(span = 2) (cfg : Config.t) (inst : Fbp_movebound.Instance.t)
         (* local QP over the block (everything else fixed) *)
         if cfg.Config.local_qp then
           ignore
-            (Qp.solve_local cfg nl pos ~scratch:qp_scratch ~cell_nets ~cells
+            (Qp.solve_local cfg nl pos ~scratch:qp_scratch ~cells
                ~anchor:(fun _ -> None) ());
         (* transportation among the block's pieces; capacities = the piece
            capacities (global feasibility already holds, so the block's
@@ -153,8 +153,6 @@ let refine ?(sweeps = 1) ?(span = 2) (cfg : Config.t)
   match report.Placer.final_grid with
   | None -> []
   | Some grid ->
-    let nl = inst.Fbp_movebound.Instance.design.Design.netlist in
-    let cell_nets = Netlist.cell_nets nl in
     List.init sweeps (fun _ ->
         sweep ~span cfg inst report.Placer.regions grid report.Placer.placement
-          ~piece_of_cell:report.Placer.piece_of_cell ~cell_nets)
+          ~piece_of_cell:report.Placer.piece_of_cell)

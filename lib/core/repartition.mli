@@ -21,7 +21,6 @@ val sweep :
   Grid.t ->
   Fbp_netlist.Placement.t ->
   piece_of_cell:int array ->
-  cell_nets:int list array ->
   stats
 
 (** [refine cfg inst report] runs [sweeps] passes over a finished

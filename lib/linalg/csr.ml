@@ -26,8 +26,8 @@
      freeze allocates only the matrix it returns;
    - across QP rounds the sparsity pattern is fixed (same nets, same
      movable set), so [freeze_capture] additionally records the symbolic
-     structure — the off-diagonal (row, col) stream, a permutation from
-     triplet slot to CSR slot and each row's diagonal slot — and
+     structure — a permutation from triplet slot to CSR slot, which names
+     each triplet's row and column, and each row's diagonal slot — and
      [refreeze] re-assembles the next round as a flat value sweep: verify
      the stream and the diagonal pattern match (falling back to a full
      freeze when the topology changed), zero the values, scatter-accumulate
@@ -68,9 +68,7 @@ type scratch = {
 }
 
 type structure = {
-  s_rows : int array;      (* expected off-diagonal stream *)
-  s_cols : int array;
-  s_perm : int array;      (* triplet slot -> CSR slot *)
+  s_perm : int array;      (* triplet slot -> CSR slot; the stream's length *)
   s_diag : int array;      (* row -> CSR slot of its diagonal, -1 if none;
                               its length is the dimension *)
   s_row_start : int array; (* shared with every refrozen matrix *)
@@ -363,8 +361,6 @@ let freeze_capture ?(scratch = create_scratch ()) b =
   done;
   let s =
     {
-      s_rows = Array.sub b.rows 0 m;
-      s_cols = Array.sub b.cols 0 m;
       s_perm = perm;
       s_diag;
       s_row_start = t.row_start;
@@ -373,17 +369,23 @@ let freeze_capture ?(scratch = create_scratch ()) b =
   in
   (t, s)
 
-(* Same off-diagonal stream and same diagonal pattern. *)
+(* Same off-diagonal stream and same diagonal pattern.  Triplet k's
+   captured slot holds its column and lies in its row's segment, and no
+   other (row, col) pair maps to that slot, so checking both against the
+   incoming triplet is checking the stream itself. *)
 let structure_matches s b =
   let n = b.dim and m = b.count in
-  n = Array.length s.s_diag && m = Array.length s.s_rows
+  n = Array.length s.s_diag && m = Array.length s.s_perm
   && begin
     let ok = ref true in
     let k = ref 0 in
+    let row_start = s.s_row_start in
     while !ok && !k < m do
+      let slot = Array.unsafe_get s.s_perm !k in
+      let r = Array.unsafe_get b.rows !k in
       if
-        Array.unsafe_get b.rows !k <> Array.unsafe_get s.s_rows !k
-        || Array.unsafe_get b.cols !k <> Array.unsafe_get s.s_cols !k
+        Array.unsafe_get b.cols !k <> Array.unsafe_get s.s_col slot
+        || slot < row_start.(r) || slot >= row_start.(r + 1)
       then ok := false;
       incr k
     done;

@@ -41,9 +41,10 @@ type builder = {
 type scratch
 
 (** Symbolic sparsity structure captured by {!freeze_capture}: the
-    off-diagonal (row, col) stream, the mapping from triplet slot to CSR
-    slot, and each row's diagonal slot (or none).  Valid for any later
-    builder with the same stream and the same rows holding a diagonal. *)
+    mapping from triplet slot to CSR slot (which names each off-diagonal
+    triplet's row and column) and each row's diagonal slot (or none).
+    Valid for any later builder with the same off-diagonal stream and the
+    same rows holding a diagonal. *)
 type structure
 
 (** [builder n] starts an empty n×n assembly. *)

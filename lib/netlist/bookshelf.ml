@@ -35,16 +35,14 @@ let write_channel oc (d : Design.t) =
       (if nl.Netlist.fixed.(c) then "fixed" else "movable")
       (if nl.Netlist.movebound.(c) < 0 then "-" else string_of_int nl.Netlist.movebound.(c))
   done;
-  Printf.fprintf oc "nets %d\n" (Array.length nl.Netlist.nets);
-  Array.iter
-    (fun (net : Netlist.net) ->
-      Printf.fprintf oc "net %.17g %d\n" net.Netlist.weight (Array.length net.Netlist.pins);
-      Array.iter
-        (fun (pin : Netlist.pin) ->
-          Printf.fprintf oc "pin %d %.17g %.17g\n" pin.Netlist.cell pin.Netlist.dx
-            pin.Netlist.dy)
-        net.Netlist.pins)
-    nl.Netlist.nets;
+  Printf.fprintf oc "nets %d\n" (Netlist.n_nets nl);
+  for i = 0 to Netlist.n_nets nl - 1 do
+    Printf.fprintf oc "net %.17g %d\n" nl.Netlist.net_weight.(i) (Netlist.degree nl i);
+    for k = nl.Netlist.net_start.(i) to nl.Netlist.net_start.(i + 1) - 1 do
+      Printf.fprintf oc "pin %d %.17g %.17g\n" nl.Netlist.pin_cell.(k)
+        nl.Netlist.pin_dx.(k) nl.Netlist.pin_dy.(k)
+    done
+  done;
   Printf.fprintf oc "blockages %d\n" (List.length d.blockages);
   List.iter
     (fun (b : Rect.t) ->
@@ -60,15 +58,65 @@ exception Parse_error of int * string
 
 let parse_failure line msg = raise (Parse_error (line, msg))
 
+(* [ensure a n fill]: [a], or a copy grown by doubling, with room for
+   [n] entries. *)
+let ensure a n fill =
+  if n <= Array.length a then a
+  else begin
+    let a' = Array.make (max n (2 * Array.length a)) fill in
+    Array.blit a 0 a' 0 (Array.length a);
+    a'
+  end
+
+let trim a n = if Array.length a = n then a else Array.sub a 0 n
+
+(* A record has at most 8 fields; a longer line is malformed whatever
+   its fields are, so only its count matters. *)
+let max_tokens = 8
+
+(* Splits [line] up to its first '#' at spaces into [starts]/[stops]
+   (the first [max_tokens] spans) and returns the token count. *)
+let split line starts stops =
+  let len = String.length line in
+  let n = ref 0 and i = ref 0 in
+  while !i < len && line.[!i] <> '#' do
+    if line.[!i] = ' ' then incr i
+    else begin
+      let s = !i in
+      while !i < len && line.[!i] <> ' ' && line.[!i] <> '#' do incr i done;
+      if !n < max_tokens then begin
+        starts.(!n) <- s;
+        stops.(!n) <- !i
+      end;
+      incr n
+    end
+  done;
+  !n
+
 let read_channel ?(name = "from-file") ic =
   let chip = ref None in
   let row_height = ref 1.0 in
   let density = ref 1.0 in
-  let cells = ref [] and n_cells = ref 0 in
-  let nets = ref [] and n_nets = ref None in
-  let blockages = ref [] and n_blockages = ref None in
+  let n_cells = ref 0 and n_nets = ref None and n_blockages = ref None in
+  (* One column per cell, net and pin attribute, filled in file order:
+     each grows by doubling and is cut to its length once, at the end.  A
+     line is split into token spans in place (no token list), and a
+     record's fields are read right to left, so a line with several bad
+     fields reports its last one. *)
+  let names = ref [||] and widths = ref [||] and heights = ref [||] in
+  let xs = ref [||] and ys = ref [||] and fixed = ref [||] in
+  let movebound = ref [||] and cells_read = ref 0 in
+  let net_start = ref [||] and net_weight = ref [||] and nets_read = ref 0 in
+  let pin_cell = ref [||] and pin_dx = ref [||] and pin_dy = ref [||] in
+  let pins_read = ref 0 in
+  let blockages = ref [] in
   let pending_pins = ref 0 in
-  let current_net = ref None in
+  (* Pin indices can only be checked once the cell count is known.  The
+     first pin out of range names a cell past those read so far, and a
+     larger one than any earlier pin that did (those are in range), so
+     [candidates] keeps (index, line) of each pin that does both, newest
+     first. *)
+  let candidates = ref [] and max_candidate = ref (-1) in
   let lineno = ref 0 in
   let float_of s ln =
     match float_of_string_opt s with
@@ -94,6 +142,7 @@ let read_channel ?(name = "from-file") ic =
     if i < 0 then parse_failure ln (Printf.sprintf "negative count %S" s);
     i
   in
+  let starts = Array.make max_tokens 0 and stops = Array.make max_tokens 0 in
   (try
      while true do
        let line = input_line ic in
@@ -105,92 +154,120 @@ let read_channel ?(name = "from-file") ic =
           (* fbp-lint: allow error-taxonomy — fires only when the fuzz harness arms the registry, which converts it; CLI runs never arm *)
           raise (Fbp_resilience.Inject.Injected msg)
         | _ -> ());
-       let line =
-         match String.index_opt line '#' with
-         | Some i -> String.sub line 0 i
-         | None -> line
+       let n_tok = split line starts stops in
+       let tok i = String.sub line starts.(i) (stops.(i) - starts.(i)) in
+       let rect () =
+         let y1 = float_of (tok 4) ln in
+         let x1 = float_of (tok 3) ln in
+         let y0 = float_of (tok 2) ln in
+         let x0 = float_of (tok 1) ln in
+         Rect.make ~x0 ~y0 ~x1 ~y1
        in
-       let tokens =
-         String.split_on_char ' ' line |> List.filter (fun s -> s <> "")
-       in
-       match tokens with
-       | [] -> ()
-       | "chip" :: [ a; b; c; d ] ->
-         let r = Rect.make ~x0:(float_of a ln) ~y0:(float_of b ln)
-             ~x1:(float_of c ln) ~y1:(float_of d ln) in
-         if r.Rect.x1 <= r.Rect.x0 || r.Rect.y1 <= r.Rect.y0 then
-           parse_failure ln "empty chip rectangle";
-         chip := Some r
-       | "rowheight" :: [ h ] ->
-         let h = float_of h ln in
-         if h <= 0.0 then parse_failure ln "rowheight must be positive";
-         row_height := h
-       | "density" :: [ d ] ->
-         let d = float_of d ln in
-         if d <= 0.0 then parse_failure ln "density must be positive";
-         density := d
-       | "cells" :: [ n ] -> n_cells := count_of n ln
-       | "cell" :: [ nm; w; h; x; y; mv; mb ] ->
-         let movebound = if mb = "-" then -1 else int_of mb ln in
-         if movebound < -1 then parse_failure ln "negative movebound id";
-         if mv <> "fixed" && mv <> "movable" then
-           parse_failure ln (Printf.sprintf "bad mobility %S (fixed|movable)" mv);
-         cells :=
-           (nm, dim_of w ln, dim_of h ln, float_of x ln, float_of y ln,
-            mv = "fixed", movebound)
-           :: !cells
-       | "nets" :: [ n ] -> n_nets := Some (count_of n ln)
-       | "net" :: [ w; np ] ->
-         (match !current_net with
-          | Some _ when !pending_pins > 0 -> parse_failure ln "previous net incomplete"
-          | _ -> ());
-         (match !current_net with
-          | Some (w', pins) ->
-            nets := { Netlist.weight = w'; pins = Array.of_list (List.rev pins) } :: !nets
-          | None -> ());
-         let w = float_of w ln in
-         if w < 0.0 then parse_failure ln "negative net weight";
-         current_net := Some (w, []);
-         pending_pins := count_of np ln
-       | "pin" :: [ c; dx; dy ] ->
-         (match !current_net with
-          | None -> parse_failure ln "pin outside net"
-          | Some (w, pins) ->
-            if !pending_pins <= 0 then parse_failure ln "too many pins for net";
-            let cell = int_of c ln in
-            if cell < -1 then parse_failure ln "bad pin cell index";
-            current_net :=
-              Some (w, { Netlist.cell; dx = float_of dx ln; dy = float_of dy ln } :: pins);
-            decr pending_pins)
-       | "blockages" :: [ n ] -> n_blockages := Some (count_of n ln)
-       | "blockage" :: [ a; b; c; d ] ->
-         let r = Rect.make ~x0:(float_of a ln) ~y0:(float_of b ln)
-             ~x1:(float_of c ln) ~y1:(float_of d ln) in
-         if r.Rect.x1 < r.Rect.x0 || r.Rect.y1 < r.Rect.y0 then
-           parse_failure ln "inverted blockage rectangle";
-         blockages := r :: !blockages
-       | ("chip" | "rowheight" | "density" | "cells" | "cell" | "nets" | "net"
-         | "pin" | "blockages" | "blockage") :: _ as toks ->
-         parse_failure ln
-           (Printf.sprintf "malformed %S record (wrong field count)" (List.hd toks))
-       | tok :: _ -> parse_failure ln (Printf.sprintf "unknown record %S" tok)
+       if n_tok > 0 then
+         match (tok 0, n_tok) with
+         | "chip", 5 ->
+           let r = rect () in
+           if r.Rect.x1 <= r.Rect.x0 || r.Rect.y1 <= r.Rect.y0 then
+             parse_failure ln "empty chip rectangle";
+           chip := Some r
+         | "rowheight", 2 ->
+           let h = float_of (tok 1) ln in
+           if h <= 0.0 then parse_failure ln "rowheight must be positive";
+           row_height := h
+         | "density", 2 ->
+           let d = float_of (tok 1) ln in
+           if d <= 0.0 then parse_failure ln "density must be positive";
+           density := d
+         | "cells", 2 -> n_cells := count_of (tok 1) ln
+         | "cell", 8 ->
+           let mb = tok 7 in
+           let mb = if String.equal mb "-" then -1 else int_of mb ln in
+           if mb < -1 then parse_failure ln "negative movebound id";
+           let mv = tok 6 in
+           if not (String.equal mv "fixed" || String.equal mv "movable") then
+             parse_failure ln (Printf.sprintf "bad mobility %S (fixed|movable)" mv);
+           let y = float_of (tok 5) ln in
+           let x = float_of (tok 4) ln in
+           let h = dim_of (tok 3) ln in
+           let w = dim_of (tok 2) ln in
+           let c = !cells_read in
+           if c = Array.length !widths then begin
+             names := ensure !names (c + 1) "";
+             widths := ensure !widths (c + 1) 0.0;
+             heights := ensure !heights (c + 1) 0.0;
+             xs := ensure !xs (c + 1) 0.0;
+             ys := ensure !ys (c + 1) 0.0;
+             fixed := ensure !fixed (c + 1) false;
+             movebound := ensure !movebound (c + 1) 0
+           end;
+           !names.(c) <- tok 1;
+           !widths.(c) <- w;
+           !heights.(c) <- h;
+           !xs.(c) <- x;
+           !ys.(c) <- y;
+           !fixed.(c) <- String.equal mv "fixed";
+           !movebound.(c) <- mb;
+           cells_read := c + 1
+         | "nets", 2 -> n_nets := Some (count_of (tok 1) ln)
+         | "net", 3 ->
+           if !pending_pins > 0 then parse_failure ln "previous net incomplete";
+           let w = float_of (tok 1) ln in
+           if w < 0.0 then parse_failure ln "negative net weight";
+           pending_pins := count_of (tok 2) ln;
+           let i = !nets_read in
+           if i = Array.length !net_weight then begin
+             net_weight := ensure !net_weight (i + 1) 0.0;
+             net_start := ensure !net_start (i + 1) 0
+           end;
+           !net_weight.(i) <- w;
+           !net_start.(i) <- !pins_read;
+           nets_read := i + 1
+         | "pin", 4 ->
+           if !nets_read = 0 then parse_failure ln "pin outside net";
+           if !pending_pins <= 0 then parse_failure ln "too many pins for net";
+           let cell = int_of (tok 1) ln in
+           if cell < -1 then parse_failure ln "bad pin cell index";
+           let dy = float_of (tok 3) ln in
+           let dx = float_of (tok 2) ln in
+           if cell >= !cells_read && cell > !max_candidate then begin
+             max_candidate := cell;
+             candidates := (cell, ln) :: !candidates
+           end;
+           let k = !pins_read in
+           if k = Array.length !pin_cell then begin
+             pin_cell := ensure !pin_cell (k + 1) 0;
+             pin_dx := ensure !pin_dx (k + 1) 0.0;
+             pin_dy := ensure !pin_dy (k + 1) 0.0
+           end;
+           !pin_cell.(k) <- cell;
+           !pin_dx.(k) <- dx;
+           !pin_dy.(k) <- dy;
+           pins_read := k + 1;
+           decr pending_pins
+         | "blockages", 2 -> n_blockages := Some (count_of (tok 1) ln)
+         | "blockage", 5 ->
+           let r = rect () in
+           if r.Rect.x1 < r.Rect.x0 || r.Rect.y1 < r.Rect.y0 then
+             parse_failure ln "inverted blockage rectangle";
+           blockages := r :: !blockages
+         | ( ( "chip" | "rowheight" | "density" | "cells" | "cell" | "nets"
+             | "net" | "pin" | "blockages" | "blockage" ) as kw ),
+           _ ->
+           parse_failure ln
+             (Printf.sprintf "malformed %S record (wrong field count)" kw)
+         | kw, _ -> parse_failure ln (Printf.sprintf "unknown record %S" kw)
      done
    with End_of_file -> ());
-  (match !current_net with
-   | Some (w, pins) ->
-     if !pending_pins > 0 then
-       parse_failure !lineno "truncated file: last net incomplete";
-     nets := { Netlist.weight = w; pins = Array.of_list (List.rev pins) } :: !nets
-   | None -> ());
-  let cells = Array.of_list (List.rev !cells) in
-  if Array.length cells <> !n_cells then
+  if !pending_pins > 0 then
+    parse_failure !lineno "truncated file: last net incomplete";
+  let n = !cells_read in
+  if n <> !n_cells then
     parse_failure !lineno
-      (Printf.sprintf "truncated file: expected %d cells, got %d" !n_cells
-         (Array.length cells));
+      (Printf.sprintf "truncated file: expected %d cells, got %d" !n_cells n);
   (match !n_nets with
-   | Some m when m <> List.length !nets ->
+   | Some m when m <> !nets_read ->
      parse_failure !lineno
-       (Printf.sprintf "truncated file: expected %d nets, got %d" m (List.length !nets))
+       (Printf.sprintf "truncated file: expected %d nets, got %d" m !nets_read)
    | _ -> ());
   (match !n_blockages with
    | Some m when m <> List.length !blockages ->
@@ -200,33 +277,19 @@ let read_channel ?(name = "from-file") ic =
   let chip =
     match !chip with Some c -> c | None -> parse_failure !lineno "missing chip record"
   in
-  let n = Array.length cells in
-  (* pin indices can only be checked once the cell count is known *)
-  List.iter
-    (fun (net : Netlist.net) ->
-      Array.iter
-        (fun (p : Netlist.pin) ->
-          if p.Netlist.cell >= n then
-            parse_failure !lineno
-              (Printf.sprintf "pin references cell %d of %d" p.Netlist.cell n))
-        net.Netlist.pins)
-    !nets;
+  (* the oldest candidate past the cell count is the first pin out of range *)
+  (match List.find_opt (fun (cell, _) -> cell >= n) (List.rev !candidates) with
+   | Some (cell, ln) ->
+     parse_failure ln (Printf.sprintf "pin references cell %d of %d" cell n)
+   | None -> ());
+  let m = !nets_read and p = !pins_read in
   let netlist =
-    {
-      Netlist.n_cells = n;
-      names = Array.map (fun (nm, _, _, _, _, _, _) -> nm) cells;
-      widths = Array.map (fun (_, w, _, _, _, _, _) -> w) cells;
-      heights = Array.map (fun (_, _, h, _, _, _, _) -> h) cells;
-      fixed = Array.map (fun (_, _, _, _, _, f, _) -> f) cells;
-      movebound = Array.map (fun (_, _, _, _, _, _, mb) -> mb) cells;
-      nets = Array.of_list (List.rev !nets);
-    }
-  in
-  let initial =
-    {
-      Placement.x = Array.map (fun (_, _, _, x, _, _, _) -> x) cells;
-      y = Array.map (fun (_, _, _, _, y, _, _) -> y) cells;
-    }
+    Netlist.make ~names:(trim !names n) ~widths:(trim !widths n)
+      ~heights:(trim !heights n) ~fixed:(trim !fixed n)
+      ~movebound:(trim !movebound n)
+      ~net_start:(Array.init (m + 1) (fun i -> if i = m then p else !net_start.(i)))
+      ~net_weight:(trim !net_weight m) ~pin_cell:(trim !pin_cell p)
+      ~pin_dx:(trim !pin_dx p) ~pin_dy:(trim !pin_dy p)
   in
   {
     Design.name;
@@ -234,7 +297,7 @@ let read_channel ?(name = "from-file") ic =
     row_height = !row_height;
     netlist;
     blockages = List.rev !blockages;
-    initial;
+    initial = { Placement.x = trim !xs n; y = trim !ys n };
     target_density = !density;
   }
 

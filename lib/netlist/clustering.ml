@@ -35,32 +35,29 @@ let best_choice ?(ratio = 5.0) ?(max_cluster_area = infinity) (nl : Netlist.t) =
   let mergeable c = not nl.Netlist.fixed.(c) in
   (* adjacency with weights: for each net, each pin pair gets w/(p-1) *)
   let adj = Hashtbl.create (4 * n) in
-  Array.iter
-    (fun (net : Netlist.net) ->
-      let pins =
-        Array.to_list net.Netlist.pins
-        |> List.filter_map (fun (p : Netlist.pin) ->
-               if p.Netlist.cell >= 0 && mergeable p.Netlist.cell then
-                 Some p.Netlist.cell
-               else None)
-        |> List.sort_uniq Int.compare
-      in
-      let p = List.length pins in
-      if p >= 2 && p <= 10 then begin
-        let w = net.Netlist.weight /. float_of_int (p - 1) in
-        List.iteri
-          (fun i u ->
-            List.iteri
-              (fun j v ->
-                if i < j then begin
-                  let key = (min u v, max u v) in
-                  Hashtbl.replace adj key
-                    (w +. (try Hashtbl.find adj key with Not_found -> 0.0))
-                end)
-              pins)
-          pins
-      end)
-    nl.Netlist.nets;
+  for ni = 0 to Netlist.n_nets nl - 1 do
+    let pins = ref [] in
+    for k = nl.Netlist.net_start.(ni) to nl.Netlist.net_start.(ni + 1) - 1 do
+      let c = nl.Netlist.pin_cell.(k) in
+      if c >= 0 && mergeable c then pins := c :: !pins
+    done;
+    let pins = List.sort_uniq Int.compare !pins in
+    let p = List.length pins in
+    if p >= 2 && p <= 10 then begin
+      let w = nl.Netlist.net_weight.(ni) /. float_of_int (p - 1) in
+      List.iteri
+        (fun i u ->
+          List.iteri
+            (fun j v ->
+              if i < j then begin
+                let key = (min u v, max u v) in
+                Hashtbl.replace adj key
+                  (w +. (try Hashtbl.find adj key with Not_found -> 0.0))
+              end)
+            pins)
+        pins
+    end
+  done;
   (* heap of candidate merges; keys are negated scores (min-heap) *)
   let pq : (int * int * int * int) Pq.t = Pq.create () in
   let score u v w = w /. (area.(u) +. area.(v)) in
@@ -124,37 +121,41 @@ let best_choice ?(ratio = 5.0) ?(max_cluster_area = infinity) (nl : Netlist.t) =
        | [] -> ()))
     members;
   (* nets: pins re-target clusters; degenerate nets (all pins in one
-     cluster) are dropped *)
-  let nets =
-    Array.to_list nl.Netlist.nets
-    |> List.filter_map (fun (net : Netlist.net) ->
-           let pins =
-             Array.map
-               (fun (p : Netlist.pin) ->
-                 if p.Netlist.cell < 0 then p
-                 else { p with Netlist.cell = cluster_of_raw.(p.Netlist.cell) })
-               net.Netlist.pins
-           in
-           let distinct =
-             Array.to_list pins
-             |> List.map (fun (p : Netlist.pin) -> p.Netlist.cell)
-             |> List.sort_uniq Int.compare
-           in
-           if List.length distinct >= 2 then Some { net with Netlist.pins = pins }
-           else None)
-    |> Array.of_list
+     cluster) are dropped, the others keep their pins, offsets and weight
+     in order *)
+  let coarse_cell k =
+    let c = nl.Netlist.pin_cell.(k) in
+    if c < 0 then c else cluster_of_raw.(c)
   in
+  let kept i =
+    let lo = nl.Netlist.net_start.(i) and hi = nl.Netlist.net_start.(i + 1) in
+    let rec differs k =
+      k < hi && (coarse_cell k <> coarse_cell lo || differs (k + 1))
+    in
+    differs (lo + 1)
+  in
+  let nets =
+    List.init (Netlist.n_nets nl) Fun.id |> List.filter kept |> Array.of_list
+  in
+  let m = Array.length nets in
+  let net_start = Array.make (m + 1) 0 in
+  Array.iteri
+    (fun j i -> net_start.(j + 1) <- net_start.(j) + Netlist.degree nl i)
+    nets;
+  let pin_src = Array.make net_start.(m) 0 in
+  Array.iteri
+    (fun j i ->
+      for d = 0 to Netlist.degree nl i - 1 do
+        pin_src.(net_start.(j) + d) <- nl.Netlist.net_start.(i) + d
+      done)
+    nets;
   {
     coarse =
-      {
-        Netlist.n_cells = n_coarse;
-        names;
-        widths;
-        heights;
-        fixed;
-        movebound;
-        nets;
-      };
+      Netlist.make ~names ~widths ~heights ~fixed ~movebound ~net_start
+        ~net_weight:(Array.map (fun i -> nl.Netlist.net_weight.(i)) nets)
+        ~pin_cell:(Array.map coarse_cell pin_src)
+        ~pin_dx:(Array.map (fun k -> nl.Netlist.pin_dx.(k)) pin_src)
+        ~pin_dy:(Array.map (fun k -> nl.Netlist.pin_dy.(k)) pin_src);
     cluster_of = cluster_of_raw;
     members;
   }

@@ -132,25 +132,50 @@ let generate (p : params) =
     else if d < (2.0 *. chip_w) +. chip_h then ((2.0 *. chip_w) +. chip_h -. d, chip_h)
     else (0.0, perim -. d)
   in
-  (* Nets. *)
+  (* Nets.  Pins go into growable columns in generation order, [ends]
+     closing each kept net.  A seed's design lists the nets, and each
+     net's pins, newest first: reversing the whole pin sequence gives
+     exactly that order. *)
   let n_nets =
     max 1 (int_of_float (float_of_int p.n_cells *. 4.0 /. p.avg_net_degree))
   in
-  let nets = ref [] in
-  for ni = 0 to n_nets - 1 do
+  let g_cell = ref (Array.make (4 * n_nets) 0) in
+  let g_dx = ref (Array.make (4 * n_nets) 0.0) in
+  let g_dy = ref (Array.make (4 * n_nets) 0.0) in
+  let count = ref 0 in
+  let push c dx dy =
+    let k = !count in
+    if k = Array.length !g_cell then begin
+      let grow a fill =
+        let a' = Array.make (2 * k) fill in
+        Array.blit a 0 a' 0 k;
+        a'
+      in
+      g_cell := grow !g_cell 0;
+      g_dx := grow !g_dx 0.0;
+      g_dy := grow !g_dy 0.0
+    end;
+    !g_cell.(k) <- c;
+    !g_dx.(k) <- dx;
+    !g_dy.(k) <- dy;
+    count := k + 1
+  in
+  let ends = Array.make n_nets 0 and n_kept = ref 0 in
+  for _ = 0 to n_nets - 1 do
     let deg = sample_degree rng in
     let anchor = Rng.int rng p.n_cells in
     let home = cluster_of.(anchor) in
+    let first = !count in
     let pin_of_cell c =
       let dx = Rng.range rng (-.widths.(c) /. 2.0) (widths.(c) /. 2.0) in
-      { Netlist.cell = c; dx; dy = 0.0 }
+      push c dx 0.0
     in
-    let pins = ref [ pin_of_cell anchor ] in
+    pin_of_cell anchor;
     for _ = 2 to deg do
       if p.n_pads > 0 && Rng.float rng < 0.02 then begin
         (* occasional IO connection *)
         let px, py = pad_position (Rng.int rng p.n_pads) in
-        pins := { Netlist.cell = -1; dx = px; dy = py } :: !pins
+        push (-1) px py
       end
       else begin
         let c =
@@ -158,27 +183,34 @@ let generate (p : params) =
             Rng.choose rng members.(home)
           else Rng.int rng p.n_cells
         in
-        pins := pin_of_cell c :: !pins
+        pin_of_cell c
       end
     done;
     (* Drop degenerate nets where all pins landed on the anchor. *)
-    let distinct =
-      List.sort_uniq Int.compare (List.map (fun pin -> pin.Netlist.cell) !pins)
-    in
-    if List.length distinct > 1 then
-      nets := { Netlist.pins = Array.of_list !pins; weight = 1.0 } :: !nets
-    else ignore ni
+    let distinct = ref false in
+    for k = first + 1 to !count - 1 do
+      if !g_cell.(k) <> !g_cell.(first) then distinct := true
+    done;
+    if !distinct then begin
+      ends.(!n_kept) <- !count;
+      incr n_kept
+    end
+    else count := first
   done;
+  let n_pins = !count and m = !n_kept in
+  let reversed a = Array.init n_pins (fun k -> a.(n_pins - 1 - k)) in
   let netlist =
-    {
-      Netlist.n_cells = p.n_cells;
-      names = Array.init p.n_cells (Printf.sprintf "c%d");
-      widths;
-      heights;
-      fixed = Array.make p.n_cells false;
-      movebound = Array.make p.n_cells (-1);
-      nets = Array.of_list !nets;
-    }
+    Netlist.make
+      ~names:(Array.init p.n_cells (Printf.sprintf "c%d"))
+      ~widths ~heights
+      ~fixed:(Array.make p.n_cells false)
+      ~movebound:(Array.make p.n_cells (-1))
+      ~net_start:
+        (Array.init (m + 1) (fun j ->
+             if j = m then n_pins else n_pins - ends.(m - 1 - j)))
+      ~net_weight:(Array.make m 1.0)
+      ~pin_cell:(reversed !g_cell) ~pin_dx:(reversed !g_dx)
+      ~pin_dy:(reversed !g_dy)
   in
   let initial = { Placement.x; y } in
   {

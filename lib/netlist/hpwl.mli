@@ -1,7 +1,8 @@
 (** Half-perimeter wirelength, the quality metric of all paper tables. *)
 
-(** Weighted half-perimeter of one net's pin bounding box. *)
-val of_net : Netlist.t -> Placement.t -> Netlist.net -> float
+(** [of_net nl p i]: weighted half-perimeter of net [i]'s pin bounding
+    box. *)
+val of_net : Netlist.t -> Placement.t -> int -> float
 
 (** Sum of {!of_net} over the nets, in net order.  Allocates nothing. *)
 val total : Netlist.t -> Placement.t -> float

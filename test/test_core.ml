@@ -8,6 +8,29 @@ open Fbp_core
 
 let check_float = Alcotest.(check (float 1e-6))
 
+(* A netlist over cells of the given [widths] (unit height, movable and
+   unbounded unless said otherwise); each net is its weight and its
+   (cell, dx, dy) pins. *)
+let netlist ?names ?heights ?fixed ?movebound ~widths
+    (nets : (float * (int * float * float) array) array) =
+  let n = Array.length widths in
+  let net_start = Array.make (Array.length nets + 1) 0 in
+  Array.iteri
+    (fun i (_, pins) -> net_start.(i + 1) <- net_start.(i) + Array.length pins)
+    nets;
+  let pins = Array.concat (Array.to_list (Array.map snd nets)) in
+  let default v = Option.value ~default:v in
+  Netlist.make
+    ~names:(default (Array.init n (Printf.sprintf "c%d")) names)
+    ~widths
+    ~heights:(default (Array.make n 1.0) heights)
+    ~fixed:(default (Array.make n false) fixed)
+    ~movebound:(default (Array.make n (-1)) movebound)
+    ~net_start ~net_weight:(Array.map fst nets)
+    ~pin_cell:(Array.map (fun (c, _, _) -> c) pins)
+    ~pin_dx:(Array.map (fun (_, dx, _) -> dx) pins)
+    ~pin_dy:(Array.map (fun (_, _, dy) -> dy) pins)
+
 (* ---------- Density ---------- *)
 
 let test_density_capacity () =
@@ -73,29 +96,13 @@ let test_grid_lookup () =
 
 (* two movable cells on a line between two pads: optimum is equidistant *)
 let test_qp_spring_chain () =
-  let nets =
-    [|
-      { Netlist.weight = 1.0;
-        pins = [| { Netlist.cell = -1; dx = 0.0; dy = 0.0 };
-                  { Netlist.cell = 0; dx = 0.0; dy = 0.0 } |] };
-      { Netlist.weight = 1.0;
-        pins = [| { Netlist.cell = 0; dx = 0.0; dy = 0.0 };
-                  { Netlist.cell = 1; dx = 0.0; dy = 0.0 } |] };
-      { Netlist.weight = 1.0;
-        pins = [| { Netlist.cell = 1; dx = 0.0; dy = 0.0 };
-                  { Netlist.cell = -1; dx = 9.0; dy = 0.0 } |] };
-    |]
-  in
   let nl =
-    {
-      Netlist.n_cells = 2;
-      names = [| "a"; "b" |];
-      widths = [| 1.0; 1.0 |];
-      heights = [| 1.0; 1.0 |];
-      fixed = [| false; false |];
-      movebound = [| -1; -1 |];
-      nets;
-    }
+    netlist ~widths:[| 1.0; 1.0 |]
+      [|
+        (1.0, [| (-1, 0.0, 0.0); (0, 0.0, 0.0) |]);
+        (1.0, [| (0, 0.0, 0.0); (1, 0.0, 0.0) |]);
+        (1.0, [| (1, 0.0, 0.0); (-1, 9.0, 0.0) |]);
+      |]
   in
   let pos = Placement.create 2 in
   let st = Qp.solve_global Config.default nl pos ~anchor:(fun _ -> None) () in
@@ -104,17 +111,7 @@ let test_qp_spring_chain () =
   Alcotest.(check (float 1e-3)) "x1 at 6" 6.0 pos.Placement.x.(1)
 
 let test_qp_anchor_pulls () =
-  let nl =
-    {
-      Netlist.n_cells = 1;
-      names = [| "a" |];
-      widths = [| 1.0 |];
-      heights = [| 1.0 |];
-      fixed = [| false |];
-      movebound = [| -1 |];
-      nets = [||];
-    }
-  in
+  let nl = netlist ~widths:[| 1.0 |] [||] in
   let pos = Placement.create 1 in
   ignore
     (Qp.solve_global Config.default nl pos
@@ -127,20 +124,9 @@ let test_qp_star_matches_small_clique_roughly () =
      pull all cells toward the pad symmetrically *)
   let pins =
     Array.init 6 (fun i ->
-        if i = 0 then { Netlist.cell = -1; dx = 10.0; dy = 10.0 }
-        else { Netlist.cell = i - 1; dx = 0.0; dy = 0.0 })
+        if i = 0 then (-1, 10.0, 10.0) else (i - 1, 0.0, 0.0))
   in
-  let nl =
-    {
-      Netlist.n_cells = 5;
-      names = Array.init 5 (Printf.sprintf "c%d");
-      widths = Array.make 5 1.0;
-      heights = Array.make 5 1.0;
-      fixed = Array.make 5 false;
-      movebound = Array.make 5 (-1);
-      nets = [| { Netlist.weight = 1.0; pins } |];
-    }
-  in
+  let nl = netlist ~widths:(Array.make 5 1.0) [| (1.0, pins) |] in
   let pos = Placement.create 5 in
   ignore (Qp.solve_global Config.default nl pos ~anchor:(fun _ -> None) ());
   for c = 0 to 4 do
@@ -152,11 +138,13 @@ let test_qp_star_matches_small_clique_roughly () =
 
 let local_system_inputs design ~lo ~hi =
   let nl = design.Design.netlist in
-  let cell_nets = Netlist.cell_nets nl in
   let movable = Array.init (hi - lo) (fun i -> lo + i) in
   let nets =
     Array.to_list movable
-    |> List.concat_map (fun c -> cell_nets.(c))
+    |> List.concat_map (fun c ->
+           let lo = nl.Netlist.cell_net_start.(c) in
+           Array.to_list
+             (Array.sub nl.Netlist.cell_net lo (nl.Netlist.cell_net_start.(c + 1) - lo)))
     |> List.sort_uniq Int.compare |> Array.of_list
   in
   (movable, nets)
@@ -325,20 +313,9 @@ let test_netmodel_allocation_budget () =
   let no_nets_words n_nets =
     let n_cells = 50 in
     let nl =
-      {
-        Netlist.n_cells;
-        names = Array.init n_cells (Printf.sprintf "c%d");
-        widths = Array.make n_cells 1.0;
-        heights = Array.make n_cells 1.0;
-        fixed = Array.make n_cells false;
-        movebound = Array.make n_cells (-1);
-        nets =
-          Array.init n_nets (fun i ->
-              { Netlist.weight = 1.0;
-                pins = [| { Netlist.cell = -1; dx = 0.0; dy = 0.0 };
-                          { Netlist.cell = 1 + (i mod (n_cells - 1));
-                            dx = 0.0; dy = 0.0 } |] });
-      }
+      netlist ~widths:(Array.make n_cells 1.0)
+        (Array.init n_nets (fun i ->
+             (1.0, [| (-1, 0.0, 0.0); (1 + (i mod (n_cells - 1)), 0.0, 0.0) |])))
     in
     let pos = Placement.create n_cells in
     let workspace = Netmodel.create_workspace () in
@@ -496,8 +473,7 @@ let test_realization_assigns_everything () =
   let regions, grid, model = build_model ~nx:4 inst in
   let sol = Fbp_model.solve model in
   let pos = Placement.copy design.Design.initial in
-  let cell_nets = Netlist.cell_nets design.Design.netlist in
-  let r = Realization.realize Config.default inst regions sol pos ~cell_nets in
+  let r = Realization.realize Config.default inst regions sol pos in
   let nl = design.Design.netlist in
   for c = 0 to Netlist.n_cells nl - 1 do
     if not nl.Netlist.fixed.(c) then begin
@@ -534,12 +510,11 @@ let test_realization_allocation_budget () =
   let design = inst.Fbp_movebound.Instance.design in
   let regions, _, model = build_model ~nx:4 inst in
   let sol = Fbp_model.solve model in
-  let cell_nets = Netlist.cell_nets design.Design.netlist in
   let cfg = { Config.default with domains = 1 } in
   let module Obs = Fbp_obs.Obs in
   let realize () =
     let pos = Placement.copy design.Design.initial in
-    fun () -> ignore (Realization.realize cfg inst regions sol pos ~cell_nets)
+    fun () -> ignore (Realization.realize cfg inst regions sol pos)
   in
   realize () ();
   let run = realize () in
@@ -566,8 +541,7 @@ let test_realization_follows_flow_prescriptions () =
   let regions, grid, model = build_model ~nx:4 inst in
   let sol = Fbp_model.solve model in
   let pos = Placement.copy design.Design.initial in
-  let cell_nets = Netlist.cell_nets design.Design.netlist in
-  let r = Realization.realize Config.default inst regions sol pos ~cell_nets in
+  let r = Realization.realize Config.default inst regions sol pos in
   let nl = design.Design.netlist in
   let max_cell = Array.fold_left Float.max 0.0 nl.Netlist.widths in
   (* per-piece load vs allotment *)
@@ -660,8 +634,7 @@ let test_realization_flushes_cycle_residue () =
   in
   let sol = { sol with Fbp_model.allot; externals } in
   let pos = Placement.copy design.Design.initial in
-  let cell_nets = Netlist.cell_nets design.Design.netlist in
-  let r = Realization.realize Config.default inst regions sol pos ~cell_nets in
+  let r = Realization.realize Config.default inst regions sol pos in
   (* the flush path must have fired... *)
   Alcotest.(check bool) "cycle residue went through fallback" true
     (r.Realization.stats.Realization.n_fallback_cells > 0);

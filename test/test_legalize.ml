@@ -35,17 +35,7 @@ let test_rows_partial_height_dropped () =
 
 (* small helper design: n unit cells piled at one point *)
 let pile_design n =
-  let netlist =
-    {
-      Netlist.n_cells = n;
-      names = Array.init n (Printf.sprintf "c%d");
-      widths = Array.make n 1.0;
-      heights = Array.make n 1.0;
-      fixed = Array.make n false;
-      movebound = Array.make n (-1);
-      nets = [||];
-    }
-  in
+  let netlist = Test_core.netlist ~widths:(Array.make n 1.0) [||] in
   let initial = Placement.create n in
   for c = 0 to n - 1 do
     Placement.set initial c (Point.make 5.0 3.0)
@@ -133,17 +123,7 @@ let test_legalize_generated_design_with_movebounds () =
 let test_legalize_displacement_reasonable () =
   (* legalizing an already near-legal placement must barely move cells *)
   let n = 30 in
-  let netlist =
-    {
-      Netlist.n_cells = n;
-      names = Array.init n (Printf.sprintf "c%d");
-      widths = Array.make n 1.0;
-      heights = Array.make n 1.0;
-      fixed = Array.make n false;
-      movebound = Array.make n (-1);
-      nets = [||];
-    }
-  in
+  let netlist = Test_core.netlist ~widths:(Array.make n 1.0) [||] in
   let initial = Placement.create n in
   (* already on a legal grid, slightly jittered *)
   for c = 0 to n - 1 do
@@ -276,15 +256,10 @@ let reference_audit (design : Design.t) (pos : Placement.t) =
 let audit_design cells =
   let n = Array.length cells in
   let netlist =
-    {
-      Netlist.n_cells = n;
-      names = Array.init n (Printf.sprintf "c%d");
-      widths = Array.map (fun (_, _, w, _) -> w) cells;
-      heights = Array.make n 1.0;
-      fixed = Array.map (fun (_, _, _, f) -> f) cells;
-      movebound = Array.make n (-1);
-      nets = [||];
-    }
+    Test_core.netlist
+      ~widths:(Array.map (fun (_, _, w, _) -> w) cells)
+      ~fixed:(Array.map (fun (_, _, _, f) -> f) cells)
+      [||]
   in
   let initial = Placement.create n in
   Array.iteri

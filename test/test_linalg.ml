@@ -125,6 +125,32 @@ let test_csr_refreeze_diagonal_pattern () =
           (entries t))
     [ (true, false); (false, true) ]
 
+(* [refreeze] checks the off-diagonal stream in order: the same triplets
+   with two distinct ones swapped are a mismatch, whether the two share
+   their column (only the row tells them apart), their row (only the
+   column does) or neither. *)
+let test_csr_refreeze_rejects_swapped_triplets () =
+  let stream = [| (0, 1); (2, 1); (1, 0); (1, 2); (0, 2) |] in
+  let builder order =
+    let b = Csr.builder 3 in
+    Array.iteri (fun i (r, c) -> Csr.add b ~row:r ~col:c (float_of_int (i + 1))) order;
+    Csr.add_diag b 1 4.0;
+    b
+  in
+  let _, s = Csr.freeze_capture (builder stream) in
+  (match Csr.refreeze s (builder stream) with
+   | None -> Alcotest.fail "refreeze rejected the captured stream"
+   | Some _ -> ());
+  List.iter
+    (fun (i, j, label) ->
+      let swapped = Array.copy stream in
+      swapped.(i) <- stream.(j);
+      swapped.(j) <- stream.(i);
+      match Csr.refreeze s (builder swapped) with
+      | Some _ -> Alcotest.failf "refreeze accepted a swap of %s" label
+      | None -> ())
+    [ (0, 1, "one column"); (2, 3, "one row"); (1, 4, "neither") ]
+
 let test_csr_mul () =
   let b = Csr.builder 2 in
   Csr.add b ~row:0 ~col:0 2.0;
@@ -331,6 +357,8 @@ let suite =
     Alcotest.test_case "csr dense diagonal" `Quick test_csr_dense_diagonal;
     Alcotest.test_case "csr refreeze checks the diagonal pattern" `Quick
       test_csr_refreeze_diagonal_pattern;
+    Alcotest.test_case "csr refreeze rejects swapped triplets" `Quick
+      test_csr_refreeze_rejects_swapped_triplets;
     Alcotest.test_case "csr mul" `Quick test_csr_mul;
     Alcotest.test_case "csr springs symmetric" `Quick test_csr_spring_symmetric;
     Alcotest.test_case "cg identity" `Quick test_cg_identity;

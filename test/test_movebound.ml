@@ -14,15 +14,11 @@ let chip = Rect.make ~x0:0.0 ~y0:0.0 ~x1:10.0 ~y1:10.0
 let design_of_cells ?(density = 1.0) cells =
   let n = Array.length cells in
   let netlist =
-    {
-      Netlist.n_cells = n;
-      names = Array.init n (Printf.sprintf "c%d");
-      widths = Array.map (fun (w, _, _) -> w) cells;
-      heights = Array.map (fun (_, h, _) -> h) cells;
-      fixed = Array.make n false;
-      movebound = Array.map (fun (_, _, mb) -> mb) cells;
-      nets = [||];
-    }
+    Test_core.netlist
+      ~widths:(Array.map (fun (w, _, _) -> w) cells)
+      ~heights:(Array.map (fun (_, h, _) -> h) cells)
+      ~movebound:(Array.map (fun (_, _, mb) -> mb) cells)
+      [||]
   in
   {
     Design.name = "test";

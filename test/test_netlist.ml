@@ -8,26 +8,11 @@ let check_float = Alcotest.(check (float 1e-6))
 
 (* A tiny 3-cell, 2-net fixture. *)
 let tiny () =
-  let nets =
+  Test_core.netlist ~names:[| "a"; "b"; "c" |] ~widths:[| 1.0; 2.0; 1.0 |]
     [|
-      { Netlist.weight = 1.0;
-        pins = [| { Netlist.cell = 0; dx = 0.0; dy = 0.0 };
-                  { Netlist.cell = 1; dx = 0.0; dy = 0.0 } |] };
-      { Netlist.weight = 2.0;
-        pins = [| { Netlist.cell = 1; dx = 0.5; dy = 0.0 };
-                  { Netlist.cell = 2; dx = 0.0; dy = 0.0 };
-                  { Netlist.cell = -1; dx = 10.0; dy = 10.0 } |] };
+      (1.0, [| (0, 0.0, 0.0); (1, 0.0, 0.0) |]);
+      (2.0, [| (1, 0.5, 0.0); (2, 0.0, 0.0); (-1, 10.0, 10.0) |]);
     |]
-  in
-  {
-    Netlist.n_cells = 3;
-    names = [| "a"; "b"; "c" |];
-    widths = [| 1.0; 2.0; 1.0 |];
-    heights = [| 1.0; 1.0; 1.0 |];
-    fixed = [| false; false; false |];
-    movebound = [| -1; -1; -1 |];
-    nets;
-  }
 
 let test_netlist_basics () =
   let nl = tiny () in
@@ -39,24 +24,20 @@ let test_netlist_basics () =
   (match Netlist.validate nl with
    | Ok () -> ()
    | Error e -> Alcotest.fail e);
-  let incident = Netlist.cell_nets nl in
-  Alcotest.(check int) "cell 1 on two nets" 2 (List.length incident.(1));
-  Alcotest.(check int) "cell 0 on one net" 1 (List.length incident.(0))
+  Alcotest.(check (array int)) "incidence offsets" [| 0; 1; 3; 4 |]
+    nl.Netlist.cell_net_start;
+  Alcotest.(check (array int)) "incident nets, ascending per cell"
+    [| 0; 0; 1; 1 |] nl.Netlist.cell_net
 
 let test_netlist_validate_rejects () =
-  let nl = tiny () in
-  let bad = { nl with Netlist.widths = [| 1.0; -1.0; 1.0 |] } in
+  let bad = Test_core.netlist ~widths:[| 1.0; -1.0; 1.0 |] [||] in
   (match Netlist.validate bad with
    | Ok () -> Alcotest.fail "negative width accepted"
    | Error _ -> ());
-  let bad_pin =
-    { nl with
-      Netlist.nets =
-        [| { Netlist.weight = 1.0; pins = [| { Netlist.cell = 99; dx = 0.0; dy = 0.0 } |] } |] }
-  in
-  match Netlist.validate bad_pin with
-  | Ok () -> Alcotest.fail "dangling pin accepted"
-  | Error _ -> ()
+  let dangling = [| (1.0, [| (0, 0.0, 0.0); (99, 0.0, 0.0) |]) |] in
+  match Test_core.netlist ~widths:[| 1.0 |] dangling with
+  | exception Invalid_argument _ -> ()
+  | _ -> Alcotest.fail "dangling pin accepted"
 
 let test_hpwl () =
   let nl = tiny () in
@@ -66,15 +47,14 @@ let test_hpwl () =
   Placement.set p 2 (Point.make 5.0 1.0);
   (* net 0: bbox (0,0)-(3,4): 7. net 1: pins (3.5,4),(5,1),(10,10):
      bbox width 6.5 height 9 -> 15.5, weight 2 -> 31 *)
-  check_float "net0" 7.0 (Hpwl.of_net nl p nl.Netlist.nets.(0));
-  check_float "net1" 31.0 (Hpwl.of_net nl p nl.Netlist.nets.(1));
+  check_float "net0" 7.0 (Hpwl.of_net nl p 0);
+  check_float "net1" 31.0 (Hpwl.of_net nl p 1);
   check_float "total" 38.0 (Hpwl.total nl p);
   check_float "millions" 38e-6 (Hpwl.total_millions nl p)
 
 let test_hpwl_single_pin_net () =
   let nl =
-    { (tiny ()) with
-      Netlist.nets = [| { Netlist.weight = 1.0; pins = [| { Netlist.cell = 0; dx = 0.0; dy = 0.0 } |] } |] }
+    Test_core.netlist ~widths:[| 1.0; 2.0; 1.0 |] [| (1.0, [| (0, 0.0, 0.0) |]) |]
   in
   let p = Placement.create 3 in
   check_float "degenerate net is free" 0.0 (Hpwl.total nl p)
@@ -121,14 +101,14 @@ let test_generator_net_structure () =
   let nl = d.Design.netlist in
   Alcotest.(check bool) "has nets" true (Netlist.n_nets nl > 500);
   (* all nets connect at least 2 distinct endpoints *)
-  Array.iter
-    (fun (net : Netlist.net) ->
-      let distinct =
-        List.sort_uniq compare
-          (Array.to_list (Array.map (fun p -> p.Netlist.cell) net.Netlist.pins))
-      in
-      Alcotest.(check bool) "net nondegenerate" true (List.length distinct >= 2))
-    nl.Netlist.nets;
+  for i = 0 to Netlist.n_nets nl - 1 do
+    let lo = nl.Netlist.net_start.(i) in
+    let distinct =
+      List.sort_uniq compare
+        (List.init (Netlist.degree nl i) (fun k -> nl.Netlist.pin_cell.(lo + k)))
+    in
+    Alcotest.(check bool) "net nondegenerate" true (List.length distinct >= 2)
+  done;
   (* average degree in a sane band *)
   let avg = float_of_int (Netlist.n_pins nl) /. float_of_int (Netlist.n_nets nl) in
   Alcotest.(check bool) "avg degree in [2,6]" true (avg >= 2.0 && avg <= 6.0)
@@ -254,44 +234,64 @@ let test_clustering_coarse_hpwl_sane () =
 
 (* ---------- Bookshelf ---------- *)
 
-let test_bookshelf_roundtrip () =
-  let d = Generator.quick ~seed:7 120 in
+(* The first way [d'] differs from [d] in what the Bookshelf format
+   carries, with every float compared as its bits. *)
+let design_diff (d : Design.t) (d' : Design.t) =
+  let nl = d.Design.netlist and nl' = d'.Design.netlist in
+  let bits = Array.map Int64.bits_of_float in
+  let same_floats a a' = bits a = bits a' in
+  let bits_of x = Int64.bits_of_float x in
+  let rect_bits (r : Rect.t) = bits [| r.Rect.x0; r.Rect.y0; r.Rect.x1; r.Rect.y1 |] in
+  let rects (d : Design.t) = List.map rect_bits (d.Design.chip :: d.Design.blockages) in
+  List.find_opt
+    (fun (_, same) -> not same)
+    [
+      ("names", nl.Netlist.names = nl'.Netlist.names);
+      ("widths", same_floats nl.Netlist.widths nl'.Netlist.widths);
+      ("heights", same_floats nl.Netlist.heights nl'.Netlist.heights);
+      ("fixed flags", nl.Netlist.fixed = nl'.Netlist.fixed);
+      ("movebounds", nl.Netlist.movebound = nl'.Netlist.movebound);
+      ("net offsets", nl.Netlist.net_start = nl'.Netlist.net_start);
+      ("net weights", same_floats nl.Netlist.net_weight nl'.Netlist.net_weight);
+      ("pin cells", nl.Netlist.pin_cell = nl'.Netlist.pin_cell);
+      ("pin dx", same_floats nl.Netlist.pin_dx nl'.Netlist.pin_dx);
+      ("pin dy", same_floats nl.Netlist.pin_dy nl'.Netlist.pin_dy);
+      ("incidence",
+       nl.Netlist.cell_net_start = nl'.Netlist.cell_net_start
+       && nl.Netlist.cell_net = nl'.Netlist.cell_net);
+      ("initial x",
+       same_floats d.Design.initial.Placement.x d'.Design.initial.Placement.x);
+      ("initial y",
+       same_floats d.Design.initial.Placement.y d'.Design.initial.Placement.y);
+      ("HPWL",
+       bits_of (Hpwl.total nl d.Design.initial)
+       = bits_of (Hpwl.total nl' d'.Design.initial));
+      ("chip and blockages", rects d = rects d');
+      ("row height", bits_of d.Design.row_height = bits_of d'.Design.row_height);
+      ("density", bits_of d.Design.target_density = bits_of d'.Design.target_density);
+    ]
+  |> Option.map fst
+
+let round_trip d =
   let path = Filename.temp_file "fbp" ".book" in
   Fun.protect
     ~finally:(fun () -> Sys.remove path)
     (fun () ->
       Bookshelf.write_file path d;
-      let d' = Bookshelf.read_file path in
-      let nl = d.Design.netlist and nl' = d'.Design.netlist in
-      Alcotest.(check int) "cells" (Netlist.n_cells nl) (Netlist.n_cells nl');
-      Alcotest.(check int) "nets" (Netlist.n_nets nl) (Netlist.n_nets nl');
-      Alcotest.(check int) "pins" (Netlist.n_pins nl) (Netlist.n_pins nl');
-      Alcotest.(check (array string)) "names" nl.Netlist.names nl'.Netlist.names;
-      check_float "same HPWL under initial placement"
-        (Hpwl.total nl d.Design.initial)
-        (Hpwl.total nl' d'.Design.initial);
-      check_float "chip width" (Rect.width d.Design.chip) (Rect.width d'.Design.chip);
-      Alcotest.(check int) "blockages" (List.length d.Design.blockages)
-        (List.length d'.Design.blockages))
+      Bookshelf.read_file path)
+
+let test_bookshelf_roundtrip () =
+  let d = Generator.quick ~seed:7 120 in
+  match design_diff d (round_trip d) with
+  | None -> ()
+  | Some what -> Alcotest.failf "round trip changed the %s" what
 
 let prop_bookshelf_roundtrip_random =
   QCheck.Test.make ~name:"bookshelf roundtrip over random designs" ~count:15
     QCheck.(pair (int_range 50 250) (int_range 1 1000))
     (fun (n, seed) ->
       let d = Generator.quick ~seed ~name:"fuzz" n in
-      let path = Filename.temp_file "fbpfuzz" ".book" in
-      Fun.protect
-        ~finally:(fun () -> Sys.remove path)
-        (fun () ->
-          Bookshelf.write_file path d;
-          let d' = Bookshelf.read_file path in
-          Netlist.n_cells d.Design.netlist = Netlist.n_cells d'.Design.netlist
-          && Netlist.n_pins d.Design.netlist = Netlist.n_pins d'.Design.netlist
-          && Float.abs
-               (Hpwl.total d.Design.netlist d.Design.initial
-               -. Hpwl.total d'.Design.netlist d'.Design.initial)
-             < 1e-6
-          && d.Design.target_density = d'.Design.target_density))
+      design_diff d (round_trip d) = None)
 
 let test_bookshelf_rejects_garbage () =
   let path = Filename.temp_file "fbp" ".book" in
@@ -309,32 +309,35 @@ let test_bookshelf_rejects_garbage () =
 (* The reference total: a fold over the nets of each net's bounding box,
    taken in pin order over (x, y) pairs. *)
 let reference_total (nl : Netlist.t) (p : Placement.t) =
-  Array.fold_left
-    (fun acc (net : Netlist.net) ->
-      let pins = net.Netlist.pins in
+  List.fold_left
+    (fun acc i ->
+      let pins =
+        List.init (Netlist.degree nl i) (fun d -> nl.Netlist.net_start.(i) + d)
+      in
       let h =
-        if Array.length pins <= 1 then 0.0
+        if List.length pins <= 1 then 0.0
         else begin
           let x0 = ref infinity and x1 = ref neg_infinity in
           let y0 = ref infinity and y1 = ref neg_infinity in
-          Array.iter
-            (fun (pin : Netlist.pin) ->
+          List.iter
+            (fun k ->
+              let c = nl.Netlist.pin_cell.(k) in
+              let dx = nl.Netlist.pin_dx.(k) and dy = nl.Netlist.pin_dy.(k) in
               let x, y =
-                if pin.Netlist.cell < 0 then (pin.Netlist.dx, pin.Netlist.dy)
-                else
-                  ( p.Placement.x.(pin.Netlist.cell) +. pin.Netlist.dx,
-                    p.Placement.y.(pin.Netlist.cell) +. pin.Netlist.dy )
+                if c < 0 then (dx, dy)
+                else (p.Placement.x.(c) +. dx, p.Placement.y.(c) +. dy)
               in
               if x < !x0 then x0 := x;
               if x > !x1 then x1 := x;
               if y < !y0 then y0 := y;
               if y > !y1 then y1 := y)
             pins;
-          net.Netlist.weight *. (!x1 -. !x0 +. !y1 -. !y0)
+          nl.Netlist.net_weight.(i) *. (!x1 -. !x0 +. !y1 -. !y0)
         end
       in
       acc +. h)
-    0.0 nl.Netlist.nets
+    0.0
+    (List.init (Netlist.n_nets nl) Fun.id)
 
 (* A warmed [Hpwl.total] allocates nothing but its boxed result, and
    equals the reference fold as a double. *)
@@ -349,6 +352,27 @@ let test_hpwl_allocation_free () =
   Alcotest.(check int64) "equals the reference fold"
     (Int64.bits_of_float (reference_total nl p))
     (Int64.bits_of_float h)
+
+(* The connectivity of a parsed design is flat: its net, pin and
+   incidence arrays together hold at most 5 words per pin (pin records,
+   each offset a boxed float, took 11.3 per pin for the nets alone on the
+   parsed plain_large design). *)
+let test_netlist_storage_bound () =
+  let d = round_trip (Generator.quick ~seed:3 ~name:"storage" 1500) in
+  let nl = d.Design.netlist in
+  let words =
+    List.fold_left
+      (fun acc a -> acc + Obj.reachable_words a)
+      0
+      [ Obj.repr nl.Netlist.net_start; Obj.repr nl.Netlist.net_weight;
+        Obj.repr nl.Netlist.pin_cell; Obj.repr nl.Netlist.pin_dx;
+        Obj.repr nl.Netlist.pin_dy; Obj.repr nl.Netlist.cell_net_start;
+        Obj.repr nl.Netlist.cell_net ]
+  in
+  let per_pin = float_of_int words /. float_of_int (Netlist.n_pins nl) in
+  if per_pin > 5.0 then
+    Alcotest.failf "%d words for %d pins: %.2f per pin" words (Netlist.n_pins nl)
+      per_pin
 
 let suite =
   [
@@ -365,6 +389,7 @@ let suite =
     Alcotest.test_case "generator macros disjoint" `Quick test_generator_macros_disjoint;
     Alcotest.test_case "golden beats random" `Quick test_generator_golden_hpwl_beats_random;
     Alcotest.test_case "bookshelf roundtrip" `Quick test_bookshelf_roundtrip;
+    Alcotest.test_case "netlist storage bound" `Quick test_netlist_storage_bound;
     Alcotest.test_case "clustering ratio + partition" `Quick test_clustering_ratio;
     Alcotest.test_case "clustering keeps fixed cells" `Quick test_clustering_fixed_not_merged;
     Alcotest.test_case "clustering expand roundtrip" `Quick test_clustering_roundtrip_positions;

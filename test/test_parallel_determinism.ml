@@ -364,7 +364,6 @@ let test_realization_counters_and_bitwise () =
   in
   let model = Fbp_model.build inst regions grid design.Design.initial in
   let sol = Fbp_model.solve model in
-  let cell_nets = Netlist.cell_nets nl in
   (* hw_clamp off so the parallel wave path actually runs on small CI
      machines *)
   let run domains =
@@ -377,7 +376,7 @@ let test_realization_counters_and_bitwise () =
           Realization.realize
             ~on_step:(fun s -> stepped := !stepped + s.Realization.n_cells)
             { Config.default with domains; hw_clamp = false }
-            inst regions sol pos ~cell_nets
+            inst regions sol pos
         in
         let snap = Fbp_obs.Obs.counter_value "realization.snapshot_cells" in
         let disp = Fbp_obs.Obs.counter_value "pool.dispatches" in

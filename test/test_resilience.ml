@@ -243,11 +243,14 @@ let with_tmp_design contents f =
       close_out oc;
       f path)
 
-let expect_parse_error ctx contents =
+let expect_parse_error ?line:expected ctx contents =
   with_tmp_design contents (fun path ->
       match Bookshelf.read_file_result path with
       | Error (Err.Parse_error { line; _ }) ->
-        Alcotest.(check bool) (ctx ^ ": positioned") true (line >= 1)
+        Alcotest.(check bool) (ctx ^ ": positioned") true (line >= 1);
+        Option.iter
+          (fun l -> Alcotest.(check int) (ctx ^ ": line") l line)
+          expected
       | Error e -> fail_err (ctx ^ ": expected Parse_error") e
       | Ok _ -> Alcotest.fail (ctx ^ ": malformed input accepted"))
 
@@ -263,7 +266,8 @@ let test_parser_rejects_malformed () =
   expect_parse_error "truncated cells" (preamble ^ "cells 5\ncell a 1 1 0 0 movable -\n");
   expect_parse_error "net count mismatch"
     (preamble ^ "cells 1\ncell a 1 1 0 0 movable -\nnets 2\nnet 1 0\nblockages 0\n");
-  expect_parse_error "pin index out of range"
+  (* the pin is on line 8; the file ends on line 9 *)
+  expect_parse_error ~line:8 "pin index out of range"
     (preamble
    ^ "cells 1\ncell a 1 1 0 0 movable -\nnets 1\nnet 1 1\npin 7 0 0\nblockages 0\n");
   expect_parse_error "truncated net pins"
