@@ -1,23 +1,24 @@
-(* fbp-lint CLI: lint the repo's own sources with the Fbp_analysis rules.
+(* fbp-lint CLI: lint the repo's own sources with the Fbp_analysis rules
+   and the typed whole-program pass, which needs the .cmt files of
+   `dune build @check`.
 
    Exit codes: 0 clean, 1 findings (or a refused baseline update), 2
-   file/parse errors (or bad usage).  Run from the repo root (paths are
-   repo-relative); the @lint alias does this under dune with the source
-   tree and .cmt artifacts as dependencies. *)
+   file/parse errors, a file no typed unit covers (or bad usage).  Run
+   from the repo root (paths are repo-relative); the @lint alias does this
+   under dune with the source tree and .cmt artifacts as dependencies. *)
 
 let usage =
   "usage: fbp_lint [--json] [--json-out FILE] [--baseline FILE] \
-   [--update-baseline] [--interproc] [--cmt-root DIR] [--rules] [PATH...]\n\
-   Lints .ml files under the given paths (default: lib bin bench).\n\
+   [--update-baseline] [--cmt-root DIR] [--rules] [PATH...]\n\
+   Lints .ml files under the given paths (default: lib bin bench) with the\n\
+   per-file rules and the typed pass; `dune build @check` must first build\n\
+   the .cmt files of every one of them.\n\
   \  --json             emit a JSON report instead of text\n\
   \  --json-out FILE    also write the JSON report to FILE\n\
   \  --baseline FILE    hide findings listed in FILE (one file:line:rule per \
    line)\n\
   \  --update-baseline  shrink FILE to the still-firing keys; refuses to add \
    entries\n\
-  \  --interproc        also run the typed whole-program pass (needs .cmt \
-   files\n\
-  \                     from `dune build @check`)\n\
   \  --cmt-root DIR     scan DIR for .cmt files (repeatable; default: the \
    build\n\
   \                     contexts of the lint paths)\n\
@@ -28,7 +29,6 @@ let () =
   let json_out = ref None in
   let baseline = ref None in
   let update = ref false in
-  let interproc = ref false in
   let cmt_roots = ref [] in
   let list_rules = ref false in
   let paths = ref [] in
@@ -51,9 +51,6 @@ let () =
     | "--baseline" :: [] -> bad "--baseline needs a file argument"
     | "--update-baseline" :: rest ->
       update := true;
-      parse rest
-    | "--interproc" :: rest ->
-      interproc := true;
       parse rest
     | "--cmt-root" :: dir :: rest ->
       cmt_roots := dir :: !cmt_roots;
@@ -81,15 +78,8 @@ let () =
   let roots =
     match List.rev !paths with [] -> [ "lib"; "bin"; "bench" ] | ps -> ps
   in
-  let ip_config =
-    if not !interproc then None
-    else
-      let cmt_roots =
-        match List.rev !cmt_roots with
-        | [] -> Fbp_analysis.Cmt_loader.default_roots roots
-        | rs -> rs
-      in
-      Some (Fbp_analysis.Interproc.default_config ~cmt_roots)
+  let cmt_roots =
+    match List.rev !cmt_roots with [] -> None | rs -> Some rs
   in
   if !update then begin
     let file =
@@ -100,7 +90,7 @@ let () =
     (* ratchet: run without the baseline filter, then keep only the
        intersection of old keys and current findings.  Any finding not
        already baselined is a refusal — fix or suppress it instead. *)
-    let report = Fbp_analysis.Lint.run_paths ?interproc:ip_config roots in
+    let report = Fbp_analysis.Lint.run_paths ?cmt_roots roots in
     let old_keys = Fbp_analysis.Lint.load_baseline (Some file) in
     let r =
       Fbp_analysis.Lint.ratchet ~old_keys
@@ -128,7 +118,7 @@ let () =
     exit 0
   end;
   let report =
-    Fbp_analysis.Lint.run_paths ?baseline:!baseline ?interproc:ip_config roots
+    Fbp_analysis.Lint.run_paths ?baseline:!baseline ?cmt_roots roots
   in
   (match !json_out with
   | None -> ()

@@ -33,14 +33,14 @@ if git -C . rev-parse --verify HEAD >/dev/null 2>&1; then
   fi
 fi
 
-echo "== interproc lint determinism (two runs, byte-identical, <10s each)"
+echo "== lint determinism (two runs, byte-identical, <10s each)"
 lint="./_build/default/bin/fbp_lint.exe"
-timeout 10 "$lint" --interproc --json lib bin bench > "$tmp/lint1.json" \
-  || { echo "interproc lint run 1 failed or exceeded 10s"; exit 1; }
-timeout 10 "$lint" --interproc --json lib bin bench > "$tmp/lint2.json" \
-  || { echo "interproc lint run 2 failed or exceeded 10s"; exit 1; }
+timeout 10 "$lint" --json lib bin bench > "$tmp/lint1.json" \
+  || { echo "lint run 1 failed or exceeded 10s"; exit 1; }
+timeout 10 "$lint" --json lib bin bench > "$tmp/lint2.json" \
+  || { echo "lint run 2 failed or exceeded 10s"; exit 1; }
 cmp -s "$tmp/lint1.json" "$tmp/lint2.json" \
-  || { echo "interproc lint output is not byte-stable across runs"; exit 1; }
+  || { echo "lint output is not byte-stable across runs"; exit 1; }
 
 if command -v ocamlformat >/dev/null 2>&1; then
   echo "== dune build @fmt"

@@ -237,10 +237,13 @@ let rec pattern_vars : type k. k general_pattern -> Ident.t list =
   | _ -> []
 
 (* Collect every ident bound anywhere inside [expr] (params, lets, for
-   loops), plus the subset let-bound to a fresh allocation.  Used both for
-   the per-node scope table and for the per-closure scope table. *)
+   loops), the subset let-bound to a fresh allocation, and the subset
+   let-bound to a function (with its definition).  Used both for the
+   per-node scope table and for the per-closure scope table. *)
 let collect_bound ctx expr =
-  let bound = Hashtbl.create 32 and allocs = Hashtbl.create 8 in
+  let bound = Hashtbl.create 32
+  and allocs = Hashtbl.create 8
+  and fns = Hashtbl.create 8 in
   let is_alloc e =
     match e.exp_desc with
     | Texp_apply ({ exp_desc = Texp_ident (p, _, _); _ }, _) -> (
@@ -272,15 +275,17 @@ let collect_bound ctx expr =
           Tast_iterator.default_iterator.expr sub e);
       value_binding =
         (fun sub vb ->
-          (match vb.vb_pat.pat_desc with
-          | Tpat_var (id, _) when is_alloc vb.vb_expr ->
+          (match (vb.vb_pat.pat_desc, vb.vb_expr.exp_desc) with
+          | Tpat_var (id, _), Texp_function _ ->
+            Hashtbl.replace fns (Ident.unique_name id) vb.vb_expr
+          | Tpat_var (id, _), _ when is_alloc vb.vb_expr ->
             Hashtbl.replace allocs (Ident.unique_name id) ()
           | _ -> ());
           Tast_iterator.default_iterator.value_binding sub vb);
     }
   in
   it.expr it expr;
-  (bound, allocs)
+  (bound, allocs, fns)
 
 (* ------------------------------------------------------------- unit pass A *)
 
@@ -379,6 +384,7 @@ type env = {
   sanctioned : bool;  (* nondet sources allowed in this unit (rng/timer) *)
   bound : (string, unit) Hashtbl.t;
   allocs : (string, unit) Hashtbl.t;
+  fns : (string, expression) Hashtbl.t;  (* let-bound local functions *)
   mutable filters : filter list;
   mutable hs : filter list;  (* every handler seen anywhere in the node *)
   mutable wg : site list;
@@ -560,8 +566,28 @@ let nolabel_args args =
 
 (* ------------------------------------------------------- closure analysis *)
 
+(* A work argument that names a function let-bound in the enclosing one,
+   or partially applies it, runs that function's body on the workers.
+   The body's own touches of captured and module-level state are checked
+   as in a literal [fun]: its parameters count as bound (a partial
+   application's prefix is evaluated by the caller), what it captures
+   does not.  Its callees are not followed (DESIGN.md §8 caveats). *)
+let rec local_work env e =
+  match e.exp_desc with
+  | Texp_ident (Path.Pident id, _, _) ->
+    Hashtbl.find_opt env.fns (Ident.unique_name id)
+  | Texp_apply (head, _) -> local_work env head
+  | _ -> None
+
 let analyze_work_arg env warg =
-  let bc, bc_allocs = collect_bound env.ctx warg in
+  let def = local_work env warg in
+  let bc = Hashtbl.create 32 and bc_allocs = Hashtbl.create 8 in
+  List.iter
+    (fun e ->
+      let b, a, _ = collect_bound env.ctx e in
+      Hashtbl.iter (Hashtbl.replace bc) b;
+      Hashtbl.iter (Hashtbl.replace bc_allocs) a)
+    (warg :: Option.to_list def);
   let refs = ref []
   and captured = ref []
   and global = ref []
@@ -574,9 +600,7 @@ let analyze_work_arg env warg =
       let key = Ident.unique_name id in
       if Hashtbl.mem bc_allocs key then Rlocal
       else if Hashtbl.mem bc key then Rbound (Ident.name id)
-      else if Hashtbl.mem env.bound key then
-        if Hashtbl.mem env.allocs key then Rbound (Ident.name id)
-        else Rbound (Ident.name id)
+      else if Hashtbl.mem env.bound key then Rbound (Ident.name id)
       else root_of ~bound:bc ~allocs:bc_allocs env.ctx e
     | _ -> root_of ~bound:bc ~allocs:bc_allocs env.ctx e
   in
@@ -597,13 +621,15 @@ let analyze_work_arg env warg =
     | Rglobal g ->
       global := site_of env loc (Printf.sprintf "%s '%s'" what g) :: !global
   in
-  let it =
+  (* [follow]: record the callees and container hand-offs that the
+     fixpoint follows *)
+  let iterator ~follow =
     {
       Tast_iterator.default_iterator with
       expr =
         (fun sub e ->
           (match e.exp_desc with
-          | Texp_ident (p, _, _) -> (
+          | Texp_ident (p, _, _) when follow -> (
             match resolve env.ctx p with
             | Some parts when not (is_raise_head (strip_stdlib parts)) ->
               refs :=
@@ -626,7 +652,7 @@ let analyze_work_arg env warg =
                 Option.iter
                   (fun a -> record_touch a e.exp_loc "reads")
                   (first_nolabel args)
-              else
+              else if follow then
                 (* hand-off of a captured mutable container to a callee *)
                 List.iter
                   (fun a ->
@@ -652,7 +678,13 @@ let analyze_work_arg env warg =
           Tast_iterator.default_iterator.expr sub e);
     }
   in
+  let it = iterator ~follow:true in
   it.expr it warg;
+  Option.iter
+    (fun d ->
+      let it = iterator ~follow:false in
+      it.expr it d)
+    def;
   {
     k_site = site_of env warg.exp_loc "closure";
     k_refs = List.sort_uniq compare_call (List.rev !refs);
@@ -828,7 +860,7 @@ let of_unit ~sanctioned (u : Cmt_loader.unit_info) =
   let nodes = collect_nodes u ctx in
   List.map
     (fun node ->
-      let bound, allocs = collect_bound ctx node.n_expr in
+      let bound, allocs, fns = collect_bound ctx node.n_expr in
       let env =
         {
           ctx;
@@ -836,6 +868,7 @@ let of_unit ~sanctioned (u : Cmt_loader.unit_info) =
           sanctioned = sanctioned u.source;
           bound;
           allocs;
+          fns;
           filters = [];
           hs = [];
           wg = [];

@@ -1,13 +1,13 @@
-(* Lint driver: file gathering, parsing, suppression, baselining,
-   rendering.  Pure except for reading source files — printing and exit
-   codes belong to bin/fbp_lint. *)
+(* Lint driver: file gathering, parsing, the typed pass, suppression,
+   baselining, rendering.  Pure except for reading source and .cmt files
+   — printing and exit codes belong to bin/fbp_lint. *)
 
 type report = {
   files_scanned : int;
   diagnostics : Diagnostic.t list;
   baselined : int;
   errors : (string * string) list;
-  interproc_units : int;  (* typed units loaded; 0 in syntactic-only runs *)
+  interproc_units : int;  (* typed units the interprocedural pass loaded *)
 }
 
 let parse ~path src =
@@ -91,65 +91,53 @@ let same_source a b =
   || String.ends_with ~suffix:("/" ^ b) a
   || String.ends_with ~suffix:("/" ^ a) b
 
-(* Rules the interprocedural pass owns the semantic version of.  In a
-   syntactic-only run, suppressions naming them are never reported
-   unused: only a run with both passes can declare them stale. *)
-let semantic_rules = [ "domain-safety"; "determinism"; "error-taxonomy" ]
+let uncovered =
+  "no typed unit covers this file: build the .cmt files with `dune build \
+   @check`, or pass the directory holding them as a cmt root"
 
-let run_paths ?baseline ?interproc roots =
+let run_paths ?baseline ?cmt_roots roots =
   let keys = load_baseline baseline in
   let in_baseline d = List.exists (String.equal (Diagnostic.key d)) keys in
   let files = gather_files roots in
-  let ip = Option.map Interproc.analyze interproc in
+  let cmt_roots =
+    match cmt_roots with
+    | Some rs -> rs
+    | None -> Cmt_loader.default_roots roots
+  in
+  let ip = Interproc.analyze (Interproc.default_config ~cmt_roots) in
   let covered file =
-    match ip with
-    | None -> false
-    | Some r ->
-      List.exists (same_source file) r.Interproc.covered_sources
+    List.exists (same_source file) ip.Interproc.covered_sources
   in
   (* interprocedural findings for one gathered file, rekeyed to the
      gathered path so suppressions and baselines match *)
   let matched = Hashtbl.create 16 in
   let ip_diags_for file =
-    match ip with
-    | None -> []
-    | Some r ->
-      List.filter_map
-        (fun (d : Diagnostic.t) ->
-          if same_source d.Diagnostic.file file then begin
-            Hashtbl.replace matched d.Diagnostic.file ();
-            Some { d with Diagnostic.file }
-          end
-          else None)
-        r.Interproc.diagnostics
-  in
-  let defer =
-    match ip with
-    | Some _ -> fun _ -> false
-    | None ->
-      fun rules ->
-        List.exists
-          (fun r -> List.exists (String.equal r) semantic_rules)
-          rules
+    List.filter_map
+      (fun (d : Diagnostic.t) ->
+        if same_source d.Diagnostic.file file then begin
+          Hashtbl.replace matched d.Diagnostic.file ();
+          Some { d with Diagnostic.file }
+        end
+        else None)
+      ip.Interproc.diagnostics
   in
   let diags = ref [] and errors = ref [] and hidden = ref 0 in
   List.iter
     (fun file ->
       let result =
-        match read_file file with
-        | exception Sys_error why -> Error why
-        | src -> (
-          try
-            let st = parse ~path:file src in
-            let findings =
-              Rules.run ~closure_capture:(not (covered file)) ~file st
-            in
-            let sups, malformed = Suppress.scan ~file src in
-            Ok
-              (List.sort Diagnostic.compare
-                 (Suppress.apply ~defer ~file sups
-                    (findings @ malformed @ ip_diags_for file)))
-          with exn -> Error (Printexc.to_string exn))
+        if not (covered file) then Error uncovered
+        else
+          match read_file file with
+          | exception Sys_error why -> Error why
+          | src -> (
+            try
+              let st = parse ~path:file src in
+              let sups, malformed = Suppress.scan ~file src in
+              Ok
+                (List.sort Diagnostic.compare
+                   (Suppress.apply ~file sups
+                      (Rules.run ~file st @ malformed @ ip_diags_for file)))
+            with exn -> Error (Printexc.to_string exn))
       in
       match result with
       | Error why -> errors := (file, why) :: !errors
@@ -160,27 +148,17 @@ let run_paths ?baseline ?interproc roots =
     files;
   (* interprocedural findings in sources outside the gathered roots (or
      whose path never matched) must not be dropped silently *)
-  (match ip with
-  | None -> ()
-  | Some r ->
-    List.iter
-      (fun (d : Diagnostic.t) ->
-        if not (Hashtbl.mem matched d.Diagnostic.file) then
-          if in_baseline d then incr hidden else diags := d :: !diags)
-      r.Interproc.diagnostics);
-  (match ip with
-  | None -> ()
-  | Some r ->
-    List.iter
-      (fun (path, why) -> errors := (path, why) :: !errors)
-      r.Interproc.load_errors);
+  List.iter
+    (fun (d : Diagnostic.t) ->
+      if not (Hashtbl.mem matched d.Diagnostic.file) then
+        if in_baseline d then incr hidden else diags := d :: !diags)
+    ip.Interproc.diagnostics;
   {
     files_scanned = List.length files;
     diagnostics = List.sort Diagnostic.compare !diags;
     baselined = !hidden;
-    errors = List.rev !errors;
-    interproc_units =
-      (match ip with None -> 0 | Some r -> r.Interproc.units_loaded);
+    errors = List.rev_append !errors ip.Interproc.load_errors;
+    interproc_units = ip.Interproc.units_loaded;
   }
 
 let failed r =
@@ -212,14 +190,12 @@ let ratchet ~old_keys ~current =
 (* ------------------------------------------------------------- rendering *)
 
 let summary_line r =
-  Printf.sprintf "fbp-lint: %d file%s scanned, %d finding%s%s%s%s"
+  Printf.sprintf "fbp-lint: %d file%s scanned, %d finding%s (%d typed units)%s%s"
     r.files_scanned
     (if r.files_scanned = 1 then "" else "s")
     (List.length r.diagnostics)
     (if List.length r.diagnostics = 1 then "" else "s")
-    (if r.interproc_units > 0 then
-       Printf.sprintf " (%d typed units)" r.interproc_units
-     else "")
+    r.interproc_units
     (if r.baselined > 0 then Printf.sprintf ", %d baselined" r.baselined
      else "")
     (match r.errors with

@@ -1,5 +1,6 @@
-(** Orchestration: gather sources, parse, run {!Rules}, apply
-    {!Suppress} directives, compare against a committed baseline.
+(** Orchestration: gather sources, parse, run {!Rules} on each file and
+    the typed whole-program {!Interproc} pass over the [.cmt] units,
+    apply {!Suppress} directives, compare against a committed baseline.
 
     The baseline file holds one {!Diagnostic.key} per line ([#] comments
     and blank lines ignored).  Policy for this repo: the committed
@@ -11,32 +12,36 @@ type report = {
   files_scanned : int;
   diagnostics : Diagnostic.t list;  (** post-suppression, sorted *)
   baselined : int;  (** findings hidden by the baseline *)
-  errors : (string * string) list;  (** (path, why) read/parse failures *)
-  interproc_units : int;
-      (** typed units the interprocedural pass loaded; 0 when it was off *)
+  errors : (string * string) list;
+      (** (path, why): read/parse failures, files no typed unit covers,
+          undecodable [.cmt] files *)
+  interproc_units : int;  (** typed units the interprocedural pass loaded *)
 }
 
-(** Lint source text as-if at [path] (drives path-scoped rules).  Used by
-    the test fixtures. *)
+(** Lint source text as-if at [path] (drives path-scoped rules) with the
+    per-file {!Rules} only: the fixture entry for those rules.  Capture
+    checks on [Fbp_util.Pool] closures, and the semantic determinism and
+    error-taxonomy checks, belong to the typed pass, which needs compiled
+    units; their fixtures go through {!Interproc.analyze_units}. *)
 val lint_string : path:string -> string -> Diagnostic.t list
 
-(** Read and lint one file. *)
+(** Read one file and lint it as {!lint_string} does. *)
 val lint_file : string -> (Diagnostic.t list, string) result
 
 (** Expand files/directories into a sorted list of [.ml] files;
     [_build], [_opam] and dot-directories are skipped. *)
 val gather_files : string list -> string list
 
-(** Lint every file under the roots; [baseline] is a path (missing or
-    unreadable baseline = empty).  With [interproc], the typed
-    whole-program pass also runs: its findings are merged per file
-    (suffix-tolerant source matching), the syntactic closure-capture
-    sub-check of [domain-safety] is superseded for covered files, and
-    suppression staleness is judged against *both* passes.  Without it,
-    suppressions naming the semantic-capable rules are never reported
-    unused (deferred to the next combined run). *)
+(** Lint every file under the roots with both passes; [baseline] is a
+    path (missing or unreadable baseline = empty).  The typed pass loads
+    the [.cmt] units under [cmt_roots] (default:
+    {!Cmt_loader.default_roots} of the roots); its findings are merged
+    per file (suffix-tolerant source matching), so suppression staleness
+    is judged against both passes.  A gathered file that no loaded unit
+    covers is a file error naming [dune build @check]: the lint never
+    runs a file without its typed pass. *)
 val run_paths :
-  ?baseline:string -> ?interproc:Interproc.config -> string list -> report
+  ?baseline:string -> ?cmt_roots:string list -> string list -> report
 
 (** Baseline file content for the given findings. *)
 val baseline_of : Diagnostic.t list -> string

@@ -86,41 +86,6 @@ let names_a_function s =
     done;
     !ok
 
-(* Variables bound by a pattern. *)
-let pattern_vars p =
-  let acc = ref [] in
-  let it =
-    object
-      inherit Ast_traverse.iter as super
-
-      method! pattern p =
-        (match p.ppat_desc with
-        | Ppat_var { txt; _ } | Ppat_alias (_, { txt; _ }) -> acc := txt :: !acc
-        | _ -> ());
-        super#pattern p
-    end
-  in
-  it#pattern p;
-  !acc
-
-module StrSet = Set.Make (String)
-
-let add_pattern_vars set p =
-  List.fold_left (fun acc v -> StrSet.add v acc) set (pattern_vars p)
-
-(* Apply [f] once to every direct subexpression of [e] (one level of
-   expression nesting; intervening patterns/bindings are crossed). *)
-let iter_child_exprs f e =
-  let root = e in
-  let it =
-    object
-      inherit Ast_traverse.iter as super
-
-      method! expression e' = if e' == root then super#expression e' else f e'
-    end
-  in
-  it#expression root
-
 (* Is [e] syntactically float-valued?  Conservative: float constants, the
    float special values, float arithmetic and conversions. *)
 let floatish e =
@@ -293,10 +258,9 @@ let expression_rules ~sc ~(add : adder) st =
 
 (* --------------------------------------------------- domain-safety rule *)
 
-(* Fbp_util.Pool entry points whose closures run on helper domains.  Every
-   positional argument is a closure there ([fork2] takes two;
-   [set_profile_hook]'s callback fires on every helper's scheduling
-   transitions). *)
+(* What a closure handed to these Fbp_util.Pool entry points captures is
+   checked by the typed pass (Interproc); here they only mark a module as
+   domain-parallel. *)
 let pool_entries = [ "run_chunks"; "fork2"; "set_profile_hook" ]
 
 let is_parallel_entry parts =
@@ -364,230 +328,14 @@ let module_level_mutables ~(add : adder) st =
   in
   items st
 
-(* Every [let name = expr] in the file (any nesting), for resolving a
-   function passed by name — or partially applied — to a Pool entry
-   point.  Shadowing keeps the last binding, which is good enough for a
-   lint. *)
-let binding_env st =
-  let env : (string, expression) Hashtbl.t = Hashtbl.create 64 in
-  let it =
-    object
-      inherit Ast_traverse.iter as super
-
-      method! value_binding vb =
-        (match vb.pvb_pat.ppat_desc with
-        | Ppat_var { txt; _ } -> Hashtbl.replace env txt vb.pvb_expr
-        | _ -> ());
-        super#value_binding vb
-    end
-  in
-  it#structure st;
-  env
-
-let hashtbl_mutators =
-  [ "add"; "replace"; "remove"; "reset"; "clear"; "filter_map_inplace" ]
-
-let hashtbl_readers =
-  [ "find"; "find_opt"; "find_all"; "mem"; "iter"; "fold"; "length"; "copy";
-    "to_seq"; "to_seq_keys"; "to_seq_values" ]
-
-(* Walk the body of a closure that runs on worker domains, tracking locally
-   bound names; report reads/writes of mutable state that is *free* in the
-   closure (i.e. shared across domains). *)
-let check_closure_body ~report bound0 body =
-  let free_name bound (l : Longident.t) =
-    match l with
-    | Lident x -> if StrSet.mem x bound then None else Some x
-    | l -> Some (String.concat "." (lid_parts l))
-  in
-  let rec walk bound e =
-    let sub = walk bound in
-    match e.pexp_desc with
-    | Pexp_apply ({ pexp_desc = Pexp_ident { txt; loc }; _ }, args) ->
-      let parts = lid_parts txt in
-      let first_ident () =
-        match args with
-        | (_, { pexp_desc = Pexp_ident { txt = v; _ }; _ }) :: _ ->
-          free_name bound v
-        | _ -> None
-      in
-      (match parts with
-      | [ "!" ] -> (
-        match first_ident () with
-        | Some x ->
-          report loc
-            (Printf.sprintf
-               "parallel closure dereferences ref '%s' from the enclosing \
-                scope"
-               x)
-        | None -> ())
-      | [ ":=" ] -> (
-        match first_ident () with
-        | Some x ->
-          report loc
-            (Printf.sprintf
-               "parallel closure assigns ref '%s' from the enclosing scope" x)
-        | None -> ())
-      | [ ("incr" | "decr") ] -> (
-        match first_ident () with
-        | Some x ->
-          report loc
-            (Printf.sprintf
-               "parallel closure mutates counter ref '%s' from the enclosing \
-                scope"
-               x)
-        | None -> ())
-      | [ "Hashtbl"; op ] when one_of hashtbl_mutators op -> (
-        match first_ident () with
-        | Some x ->
-          report loc
-            (Printf.sprintf
-               "parallel closure mutates shared Hashtbl '%s' (Hashtbl.%s)" x op)
-        | None -> ())
-      | [ "Hashtbl"; op ] when one_of hashtbl_readers op -> (
-        match first_ident () with
-        | Some x ->
-          report loc
-            (Printf.sprintf
-               "parallel closure reads shared Hashtbl '%s' (Hashtbl.%s); \
-                unsynchronized reads race with any resize"
-               x op)
-        | None -> ())
-      | _ -> ());
-      List.iter (fun (_, a) -> sub a) args
-    | Pexp_setfield (({ pexp_desc = Pexp_ident { txt = v; _ }; _ } as b), _, rhs)
-      ->
-      (match free_name bound v with
-      | Some x ->
-        report e.pexp_loc
-          (Printf.sprintf
-             "parallel closure writes a mutable field of '%s' from the \
-              enclosing scope"
-             x)
-      | None -> ());
-      sub b;
-      sub rhs
-    | Pexp_let (rf, vbs, body) ->
-      let bound' =
-        List.fold_left (fun acc vb -> add_pattern_vars acc vb.pvb_pat) bound vbs
-      in
-      let inner = match rf with Recursive -> bound' | Nonrecursive -> bound in
-      List.iter (fun vb -> walk inner vb.pvb_expr) vbs;
-      walk bound' body
-    | Pexp_function (params, _, fbody) ->
-      let bound' =
-        List.fold_left
-          (fun acc p ->
-            match p.pparam_desc with
-            | Pparam_val (_, _, pat) -> add_pattern_vars acc pat
-            | Pparam_newtype _ -> acc)
-          bound params
-      in
-      (match fbody with
-      | Pfunction_body e -> walk bound' e
-      | Pfunction_cases (cases, _, _) ->
-        List.iter
-          (fun c ->
-            let b = add_pattern_vars bound' c.pc_lhs in
-            Option.iter (walk b) c.pc_guard;
-            walk b c.pc_rhs)
-          cases)
-    | Pexp_match (e0, cases) | Pexp_try (e0, cases) ->
-      sub e0;
-      List.iter
-        (fun c ->
-          let b = add_pattern_vars bound c.pc_lhs in
-          Option.iter (walk b) c.pc_guard;
-          walk b c.pc_rhs)
-        cases
-    | Pexp_for (pat, lo, hi, _, body) ->
-      sub lo;
-      sub hi;
-      walk (add_pattern_vars bound pat) body
-    | _ ->
-      (* No new binders at this node: recurse one level down.  Binder
-         constructs not handled above (letop, objects, local modules) do
-         not occur in this codebase's parallel closures. *)
-      iter_child_exprs sub e
-  in
-  walk bound0 body
-
-(* Analyze the work argument of a Pool entry point.  The argument may
-   be a literal [fun], a named function, or a partial application of one;
-   for the latter two we resolve the name through the whole-file binding
-   environment.  All of the function's own parameters count as bound —
-   partially-applied prefix arguments come from the enclosing scope, but
-   what matters is how the *body* touches what it captures. *)
-let rec check_work_arg ~report env e =
-  match e.pexp_desc with
-  | Pexp_function (params, _, fbody) ->
-    let bound =
-      List.fold_left
-        (fun acc p ->
-          match p.pparam_desc with
-          | Pparam_val (_, _, pat) -> add_pattern_vars acc pat
-          | Pparam_newtype _ -> acc)
-        StrSet.empty params
-    in
-    (match fbody with
-    | Pfunction_body body -> check_closure_body ~report bound body
-    | Pfunction_cases (cases, _, _) ->
-      List.iter
-        (fun c ->
-          let b = add_pattern_vars bound c.pc_lhs in
-          Option.iter (check_closure_body ~report b) c.pc_guard;
-          check_closure_body ~report b c.pc_rhs)
-        cases)
-  | Pexp_ident { txt = Lident name; _ } -> (
-    match Hashtbl.find_opt env name with
-    | Some ({ pexp_desc = Pexp_function _; _ } as f) ->
-      check_work_arg ~report env f
-    | _ -> ())
-  | Pexp_apply (head, _) -> check_work_arg ~report env head
-  | _ -> ()
-
-let domain_safety ~closure_capture ~(add : adder) st =
-  if uses_parallelism st then module_level_mutables ~add st;
-  if closure_capture then begin
-  let env = binding_env st in
-  let it =
-    object
-      inherit Ast_traverse.iter as super
-
-      method! expression e =
-        (match e.pexp_desc with
-        | Pexp_apply ({ pexp_desc = Pexp_ident { txt; _ }; _ }, args)
-          when is_parallel_entry (lid_parts txt) ->
-          (* every positional argument of a Pool entry point is a closure
-             that runs on helper domains *)
-          let works =
-            List.filter_map
-              (fun (l, a) -> match l with Nolabel -> Some a | _ -> None)
-              args
-          in
-          let report loc msg =
-            add ~rule:"domain-safety" ~loc
-              ~hint:
-                "snapshot the data into immutable structures before the \
-                 parallel region, or protect it with Atomic/Mutex"
-              msg
-          in
-          List.iter (check_work_arg ~report env) works
-        | _ -> ());
-        super#expression e
-    end
-  in
-  it#structure st
-  end
-
 (* ------------------------------------------------------------------ run *)
 
-let run ?(closure_capture = true) ~file st =
+let run ~file st =
   let sc = scope_of_file file in
   let diags = ref [] in
   let add ~rule ~loc ?hint msg =
     diags := Diagnostic.make ~rule ~file ~loc ?hint msg :: !diags
   in
   expression_rules ~sc ~add st;
-  domain_safety ~closure_capture ~add st;
+  if uses_parallelism st then module_level_mutables ~add st;
   List.sort_uniq Diagnostic.compare !diags

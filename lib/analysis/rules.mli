@@ -3,11 +3,10 @@
     Rules (see DESIGN.md "Static analysis & sanitizers" for the catalogue
     and rationale):
 
-    - [domain-safety] — mutable state ([ref], [Hashtbl], mutable fields)
-      captured by closures passed to [Fbp_util.Pool] entry points, and
-      module-level mutable bindings in domain-parallel modules.  Use
-      [Atomic], a [Mutex], or restructure so the closure only sees
-      immutable snapshots.
+    - [domain-safety] — module-level mutable bindings ([ref], [Hashtbl])
+      in domain-parallel modules.  Use [Atomic] or a [Mutex].  What the
+      closures passed to [Fbp_util.Pool] entry points capture is checked
+      by the typed pass ({!Interproc}), not here.
     - [float-discipline] — polymorphic [compare] / [List.assoc] family /
       [List.mem] / [=] against float-bearing operands ([nan] comparisons
       included).  Use the monomorphic [Float.compare] / [Int.compare] /
@@ -28,11 +27,5 @@ val catalogue : (string * string) list
 
 (** Run every rule over one parsed implementation.  [file] is the
     repo-relative path; it decides which scopes ([lib/], [bin/], [bench/])
-    apply.  [closure_capture] (default true) controls the syntactic
-    closure-capture sub-check of [domain-safety]; the driver turns it off
-    for files covered by the interprocedural pass, which supersedes it
-    with a transitive version (module-level-mutable detection always
-    runs). *)
-val run :
-  ?closure_capture:bool -> file:string -> Ppxlib.structure ->
-  Diagnostic.t list
+    apply. *)
+val run : file:string -> Ppxlib.structure -> Diagnostic.t list

@@ -128,7 +128,7 @@ let scan ~file src =
     lines;
   (List.rev !sups, List.rev !diags)
 
-let apply ?(defer = fun _ -> false) ~file sups diags =
+let apply ~file sups diags =
   let survives (d : Diagnostic.t) =
     String.equal d.Diagnostic.rule directive_rule
     ||
@@ -147,7 +147,7 @@ let apply ?(defer = fun _ -> false) ~file sups diags =
   let unused =
     List.filter_map
       (fun s ->
-        if s.used || defer s.rules then None
+        if s.used then None
         else
           let loc = Ppxlib.Location.none in
           Some

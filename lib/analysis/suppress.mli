@@ -23,11 +23,8 @@ val scan : file:string -> string -> t list * Diagnostic.t list
 
 (** [apply ~file sups diags] drops suppressed findings (same line or the
     line directly below the comment), marks the suppressions used, and
-    appends a [lint-directive] finding per unused suppression.  [defer]
-    (default: never) silences the unused report for suppressions whose
-    rule list it accepts — the driver uses this in syntactic-only runs
-    for the rules the interprocedural pass may yet match, so a
-    suppression is only declared stale once both passes have run. *)
-val apply :
-  ?defer:(string list -> bool) -> file:string -> t list ->
-  Diagnostic.t list -> Diagnostic.t list
+    appends a [lint-directive] finding per unused suppression.
+    {!Lint.run_paths} passes the findings of both passes for the file
+    (the per-file {!Rules} and the typed {!Interproc}), so a suppression
+    it reports unused matches neither. *)
+val apply : file:string -> t list -> Diagnostic.t list -> Diagnostic.t list

@@ -365,12 +365,11 @@ let run_impl ?(movebound_aware = true) (inst : Fbp_movebound.Instance.t)
           (fun c ->
             if place_cell nl pos [ pool ] c then incr n_legalized
             else begin
-              (* spill: any region admissible for this cell's movebound *)
-              let mb = nl.Netlist.movebound.(c) in
-              let m = if mb < 0 then k else mb in
-              (* spill chain: free slot anywhere admissible → segment
-                 compaction → eviction (re-homing victims recursively, with
-                 a depth bound against cross-class ping-pong) *)
+              (* spill into any region admissible for the cell's
+                 movebound, along the chain: free slot anywhere admissible
+                 → segment compaction → eviction (re-homing victims
+                 recursively, with a depth bound against cross-class
+                 ping-pong) *)
               let rec place_hard depth v =
                 let vm =
                   let mb = nl.Netlist.movebound.(v) in
@@ -394,31 +393,7 @@ let run_impl ?(movebound_aware = true) (inst : Fbp_movebound.Instance.t)
                 incr n_legalized;
                 incr n_spilled
               end
-              else begin
-                (if Sys.getenv_opt "FBP_LEGALIZE_DEBUG" <> None then begin
-                   let wc = nl.Netlist.widths.(c) in
-                   let maxfree = ref 0.0 and total = ref 0.0 and npools = ref 0 in
-                   List.iter
-                     (fun pool ->
-                       incr npools;
-                       Array.iter
-                         (fun slots ->
-                           List.iter
-                             (fun slot ->
-                               List.iter
-                                 (fun (f0, f1) ->
-                                   total := !total +. (f1 -. f0);
-                                   if f1 -. f0 > !maxfree then maxfree := f1 -. f0)
-                                 slot.free)
-                             slots)
-                         pool.by_row)
-                     admissible_pools.(m);
-                   Printf.eprintf
-                     "[legalize-debug] cell %d class %d w %.1f: %d pools, max contiguous %.2f, total free %.1f\n"
-                     c m wc !npools !maxfree !total
-                 end);
-                pending_failures := c :: !pending_failures
-              end
+              else pending_failures := c :: !pending_failures
             end)
           order
       end)

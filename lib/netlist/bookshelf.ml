@@ -156,20 +156,22 @@ let read_channel ?(name = "from-file") ic =
         | _ -> ());
        let n_tok = split line starts stops in
        let tok i = String.sub line starts.(i) (stops.(i) - starts.(i)) in
-       let rect () =
+       (* the callers check the corners before [Rect.make], which rejects
+          an inverted rectangle with an unpositioned [Invalid_argument] *)
+       let corners () =
          let y1 = float_of (tok 4) ln in
          let x1 = float_of (tok 3) ln in
          let y0 = float_of (tok 2) ln in
          let x0 = float_of (tok 1) ln in
-         Rect.make ~x0 ~y0 ~x1 ~y1
+         (x0, y0, x1, y1)
        in
        if n_tok > 0 then
          match (tok 0, n_tok) with
          | "chip", 5 ->
-           let r = rect () in
-           if r.Rect.x1 <= r.Rect.x0 || r.Rect.y1 <= r.Rect.y0 then
-             parse_failure ln "empty chip rectangle";
-           chip := Some r
+           let x0, y0, x1, y1 = corners () in
+           if x1 <= x0 || y1 <= y0 then
+             parse_failure ln "empty or inverted chip rectangle";
+           chip := Some (Rect.make ~x0 ~y0 ~x1 ~y1)
          | "rowheight", 2 ->
            let h = float_of (tok 1) ln in
            if h <= 0.0 then parse_failure ln "rowheight must be positive";
@@ -246,10 +248,10 @@ let read_channel ?(name = "from-file") ic =
            decr pending_pins
          | "blockages", 2 -> n_blockages := Some (count_of (tok 1) ln)
          | "blockage", 5 ->
-           let r = rect () in
-           if r.Rect.x1 < r.Rect.x0 || r.Rect.y1 < r.Rect.y0 then
+           let x0, y0, x1, y1 = corners () in
+           if x1 < x0 || y1 < y0 then
              parse_failure ln "inverted blockage rectangle";
-           blockages := r :: !blockages
+           blockages := Rect.make ~x0 ~y0 ~x1 ~y1 :: !blockages
          | ( ( "chip" | "rowheight" | "density" | "cells" | "cell" | "nets"
              | "net" | "pin" | "blockages" | "blockage" ) as kw ),
            _ ->

@@ -1,4 +1,4 @@
-(* The seeded transitive race the syntactic rule cannot see: the closure
+(* The seeded transitive race the per-file rules cannot see: the closure
    handed to Pool.run_chunks is textually clean — the write to shared
    state sits two calls down, in another module.  Only the
    interprocedural pass connects launch -> middle -> work ->

@@ -530,29 +530,27 @@ let test_transport_allocation_flat () =
     Alcotest.failf "%d words beyond the result, above the %d-word set-up budget" loose
       (8 * n * k)
 
-let qcheck = QCheck_alcotest.to_alcotest
-
 let suite =
   [
     Alcotest.test_case "graph arcs and twins" `Quick test_graph_arcs;
     Alcotest.test_case "graph iter_out" `Quick test_graph_iter_out;
     Alcotest.test_case "maxflow known" `Quick test_maxflow_known;
     Alcotest.test_case "maxflow disconnected" `Quick test_maxflow_disconnected;
-    qcheck prop_maxflow_equals_mincut;
-    qcheck prop_maxflow_conservation;
+    Prop.qcheck prop_maxflow_equals_mincut;
+    Prop.qcheck prop_maxflow_conservation;
     Alcotest.test_case "mcf known" `Quick test_mcf_known;
     Alcotest.test_case "mcf infeasible" `Quick test_mcf_infeasible;
     Alcotest.test_case "mcf demand slack" `Quick test_mcf_demand_slack;
     Alcotest.test_case "mcf rejects negative cost" `Quick test_mcf_rejects_negative_cost;
-    qcheck prop_mcf_optimal_and_conserving;
-    qcheck prop_mcf_general_optimal;
-    qcheck prop_mcf_unrouted_is_maxflow_gap;
+    Prop.qcheck prop_mcf_optimal_and_conserving;
+    Prop.qcheck prop_mcf_general_optimal;
+    Prop.qcheck prop_mcf_unrouted_is_maxflow_gap;
     Alcotest.test_case "transport simple" `Quick test_transport_simple;
     Alcotest.test_case "transport inadmissible" `Quick test_transport_inadmissible;
     Alcotest.test_case "transport fractional split" `Quick test_transport_fractional_split;
-    qcheck prop_transport_respects_capacities;
+    Prop.qcheck prop_transport_respects_capacities;
     Alcotest.test_case "transport exact vs MCF (deterministic)" `Quick test_transport_exact;
-    qcheck prop_exact_transport_optimal;
+    Prop.qcheck prop_exact_transport_optimal;
     Alcotest.test_case "transport round integral" `Quick test_transport_round_integral;
     Alcotest.test_case "transport allocation flat in paths" `Quick
       test_transport_allocation_flat;

@@ -230,8 +230,6 @@ let prop_hanan_quadratic_bound =
       let l = List.length rs in
       Hanan.n_cells h <= ((2 * l) + 1) * ((2 * l) + 1))
 
-let qcheck = QCheck_alcotest.to_alcotest
-
 let suite =
   [
     Alcotest.test_case "rect basics" `Quick test_rect_basic;
@@ -240,19 +238,19 @@ let suite =
     Alcotest.test_case "rect contains" `Quick test_rect_contains;
     Alcotest.test_case "rect clamp/dist" `Quick test_rect_clamp_dist;
     Alcotest.test_case "rect subtract pieces" `Quick test_rect_subtract_disjoint_pieces;
-    qcheck prop_subtract_area;
-    qcheck prop_subtract_no_overlap_with_b;
+    Prop.qcheck prop_subtract_area;
+    Prop.qcheck prop_subtract_no_overlap_with_b;
     Alcotest.test_case "rect adjacency" `Quick test_rect_adjacent;
     Alcotest.test_case "set union overlapping" `Quick test_set_union_overlapping;
     Alcotest.test_case "set covers (L-shape)" `Quick test_set_covers;
     Alcotest.test_case "set subtract" `Quick test_set_subtract;
     Alcotest.test_case "set project point" `Quick test_set_project;
     Alcotest.test_case "set center of gravity" `Quick test_set_cog;
-    qcheck prop_set_area_superadditive;
-    qcheck prop_set_covers_members;
-    qcheck prop_subtract_then_disjoint;
+    Prop.qcheck prop_set_area_superadditive;
+    Prop.qcheck prop_set_covers_members;
+    Prop.qcheck prop_subtract_then_disjoint;
     Alcotest.test_case "hanan tiles chip" `Quick test_hanan_cells_partition_chip;
     Alcotest.test_case "hanan indexing" `Quick test_hanan_indexing;
     Alcotest.test_case "hanan neighbors" `Quick test_hanan_neighbors;
-    qcheck prop_hanan_quadratic_bound;
+    Prop.qcheck prop_hanan_quadratic_bound;
   ]

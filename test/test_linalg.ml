@@ -348,8 +348,6 @@ let test_cg_lockstep_equals_two_solves () =
        (random_vec rng m 20.0) (random_vec rng m 1.0) (random_vec rng m 0.5)
        (random_vec rng m 1.0))
 
-let qcheck = QCheck_alcotest.to_alcotest
-
 let suite =
   [
     Alcotest.test_case "vec ops" `Quick test_vec_ops;
@@ -363,8 +361,8 @@ let suite =
     Alcotest.test_case "csr springs symmetric" `Quick test_csr_spring_symmetric;
     Alcotest.test_case "cg identity" `Quick test_cg_identity;
     Alcotest.test_case "cg small spd" `Quick test_cg_small_spd;
-    qcheck prop_cg_solves_spd;
-    qcheck prop_csr_mul_matches_dense;
+    Prop.qcheck prop_cg_solves_spd;
+    Prop.qcheck prop_csr_mul_matches_dense;
     Alcotest.test_case "cg lockstep equals two solves" `Quick
       test_cg_lockstep_equals_two_solves;
   ]

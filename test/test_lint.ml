@@ -33,58 +33,32 @@ let check_clean ctx ?path src =
 (* ---------- domain-safety ---------- *)
 
 let test_domain_safety () =
-  (* flags both the module-level mutable itself and its capture sites *)
+  (* the per-file rule flags module-level mutables in a module that uses
+     domain parallelism; what closures capture is the typed pass's
+     (test_ip_capture_kinds) *)
   let ds =
     lint
       {|let total = ref 0
 let f xs = Fbp_util.Pool.run_chunks ~n_chunks:4 (fun c -> total := !total + xs.(c))
 |}
   in
-  Alcotest.(check bool) "module-level ref flagged" true
-    (List.exists
-       (fun (d : D.t) -> String.equal d.D.rule "domain-safety" && d.D.line = 1)
-       ds);
-  Alcotest.(check bool) "closure capture flagged" true
-    (List.exists
-       (fun (d : D.t) -> String.equal d.D.rule "domain-safety" && d.D.line = 2)
+  Alcotest.(check (list int)) "module-level ref flagged at its binding" [ 1 ]
+    (List.filter_map
+       (fun (d : D.t) ->
+         if String.equal d.D.rule "domain-safety" then Some d.D.line else None)
        ds);
   check_finds "module-level Hashtbl in parallel closure" "domain-safety"
     {|let cache = Hashtbl.create 16
 let f xs =
   Fbp_util.Pool.run_chunks ~n_chunks:4 (fun c -> Hashtbl.replace cache xs.(c) c)
 |};
-  check_clean "pure closure"
-    {|let f xs out = Fbp_util.Pool.run_chunks ~n_chunks:4 (fun c -> out.(c) <- xs.(c) + 1)
-|};
-  check_clean "closure mutating its own local state"
-    {|let f xs out =
-  Fbp_util.Pool.run_chunks ~n_chunks:4
-    (fun c ->
-      let acc = ref 0 in
-      acc := xs.(c);
-      out.(c) <- !acc)
-|};
-  (* the Pool entry points are covered too, across every closure argument *)
-  check_finds "capture in Pool.run_chunks closure" "domain-safety"
-    {|let hits = ref 0
-let f () = Fbp_util.Pool.run_chunks ~n_chunks:4 (fun _c -> incr hits)
-|};
-  check_finds "capture in second fork2 closure" "domain-safety"
-    {|let hits = ref 0
-let f () =
-  Fbp_util.Pool.fork2 (fun () -> 1) (fun () -> incr hits; 2)
-|};
-  check_clean "pure fork2"
-    {|let f () = Fbp_util.Pool.fork2 (fun () -> 1) (fun () -> 2)
-|};
-  (* profiler hooks run on worker domains: their closures get the same
-     capture analysis as work closures *)
-  check_finds "capture in Pool.set_profile_hook callback" "domain-safety"
+  check_finds "module-level ref beside a profile hook" "domain-safety"
     {|let n = ref 0
 let arm () = Fbp_util.Pool.set_profile_hook (fun _ev -> incr n)
 |};
-  check_clean "hook forwarding to a named handler"
-    {|let arm st = Fbp_util.Pool.set_profile_hook (fun ev -> handle st ev)
+  check_clean "module-level ref in a sequential module"
+    {|let hits = ref 0
+let f () = incr hits
 |}
 
 (* ---------- float-discipline ---------- *)
@@ -259,32 +233,6 @@ let test_ratchet () =
   Alcotest.(check (list string))
     "clean run retires everything" [ "gone.ml:1:determinism" ] r.Lint.retired
 
-(* ---------- deferred staleness for semantic rules ---------- *)
-
-let test_suppression_defer () =
-  let module S = Fbp_analysis.Suppress in
-  let src =
-    {|(* fbp-|} ^ {|lint: allow domain-safety |} ^ "\xe2\x80\x94"
-    ^ {| maybe the interproc pass matches it *)
-let x = 1
-|}
-  in
-  let file = "lib/fake/fixture.ml" in
-  let sups, malformed = S.scan ~file src in
-  Alcotest.(check int) "directive parses" 0 (List.length malformed);
-  (* syntactic-only run: unused semantic-rule suppressions are deferred *)
-  let deferred =
-    S.apply
-      ~defer:(fun rules -> List.exists (String.equal "domain-safety") rules)
-      ~file sups []
-  in
-  Alcotest.(check int) "deferred, not reported" 0 (List.length deferred);
-  (* combined run: no deferral — the suppression is genuinely stale *)
-  let sups, _ = S.scan ~file src in
-  let reported = S.apply ~file sups [] in
-  Alcotest.(check bool) "stale in a combined run" true
-    (has_rule "lint-directive" reported)
-
 (* ---------- interprocedural (typed fixtures) ---------- *)
 
 module Ip = Fbp_analysis.Interproc
@@ -366,7 +314,7 @@ let test_ip_signatures () =
 
 let test_ip_seeded_race () =
   with_fixtures (fun _ _ r ->
-      (* the syntactic rule sees nothing: fix_writer.ml has no mutable
+      (* the per-file rules see nothing: fix_writer.ml has no mutable
          state and fix_state.ml has no parallelism *)
       (match fixture_root with
       | Some root when Sys.file_exists (Filename.concat root "fix_writer.ml")
@@ -377,7 +325,7 @@ let test_ip_seeded_race () =
             ~finally:(fun () -> close_in_noerr ic)
             (fun () -> really_input_string ic (in_channel_length ic))
         in
-        Alcotest.(check bool) "syntactic pass misses the race" false
+        Alcotest.(check bool) "per-file rules miss the race" false
           (has_rule "domain-safety" (lint ~path:"lib/fake/fix_writer.ml" src))
       | _ -> ());
       (* the interprocedural pass reports it with the cross-module chain *)
@@ -421,6 +369,91 @@ let test_ip_determinism_and_raises () =
              && (contains d.D.msg "safe_main"
                 || contains d.D.msg "typed_main"))
            r.Ip.diagnostics))
+
+(* Every capture kind, under every Pool entry point (fix_capture.ml):
+   each case names its own state, and the finding must name it too. *)
+let capture_cases =
+  List.concat_map
+    (fun (prefix, entry) ->
+      List.map
+        (fun kind -> (prefix ^ "_" ^ kind, entry))
+        [ "ref_read"; "ref_write"; "incr"; "tbl_add"; "tbl_find"; "field";
+          "named"; "partial" ])
+    [ ("rc", "run_chunks"); ("f2", "fork2"); ("hk", "set_profile_hook") ]
+  @ [ ("rc_decr", "run_chunks") ]
+  @ List.map
+      (fun kind -> ("g_" ^ kind, "run_chunks"))
+      [ "ref_read"; "ref_write"; "incr"; "tbl_add"; "tbl_find"; "field";
+        "named"; "partial" ]
+  @ [ ("g_f2_incr", "fork2"); ("g_hk_incr", "set_profile_hook") ]
+
+let test_ip_capture_kinds () =
+  with_fixtures (fun _ _ r ->
+      let in_file file (d : D.t) =
+        String.equal d.D.rule "domain-safety" && contains d.D.file file
+      in
+      let flagged (name, entry) =
+        List.exists
+          (fun (d : D.t) ->
+            in_file "fix_capture.ml" d
+            && contains d.D.msg ("Pool." ^ entry ^ " ")
+            && (contains d.D.msg ("'" ^ name ^ "'")
+               || contains d.D.msg ("." ^ name ^ "'")))
+          r.Ip.diagnostics
+      in
+      Alcotest.(check (list string))
+        "every capture kind flagged under its entry point" []
+        (List.filter_map
+           (fun ((name, entry) as case) ->
+             if flagged case then None else Some (name ^ " under Pool." ^ entry))
+           capture_cases);
+      Alcotest.(check (list string))
+        "clean closures stay clean" []
+        (List.filter_map
+           (fun d ->
+             if in_file "fix_capture_clean.ml" d then Some (D.to_text d)
+             else None)
+           r.Ip.diagnostics))
+
+(* The driver always runs the typed pass: over the fixture sources its
+   findings come out per file, and a file no typed unit covers is an
+   error, never a per-file-rules-only run. *)
+let test_run_paths_typed () =
+  Option.iter
+    (fun root ->
+      let report = Lint.run_paths [ root ] in
+      Alcotest.(check (list string)) "every fixture covered" []
+        (List.map fst report.Lint.errors);
+      Alcotest.(check bool) "typed capture findings merged" true
+        (List.exists
+           (fun (d : D.t) ->
+             String.equal d.D.rule "domain-safety"
+             && contains d.D.file "fix_capture.ml"
+             && contains d.D.msg "'rc_named'")
+           report.Lint.diagnostics))
+    fixture_root
+
+let test_uncovered_file_is_error () =
+  Option.iter
+    (fun root ->
+      let report =
+        Lint.run_paths ~cmt_roots:[ "/nonexistent-cmt-root" ] [ root ]
+      in
+      Alcotest.(check bool) "the run fails" true (Lint.failed report);
+      Alcotest.(check int) "no typed units" 0 report.Lint.interproc_units;
+      Alcotest.(check (list string)) "no per-file-only findings" []
+        (List.map D.to_text report.Lint.diagnostics);
+      Alcotest.(check int) "one error per file" report.Lint.files_scanned
+        (List.length report.Lint.errors);
+      List.iter
+        (fun (file, why) ->
+          Alcotest.(check bool) (file ^ " names dune build @check") true
+            (contains why "dune build @check"))
+        report.Lint.errors;
+      Alcotest.(check bool) "the text report names the file" true
+        (contains (Lint.render_text report)
+           (Filename.concat root "fix_capture.ml" ^ ": error: ")))
+    fixture_root
 
 let render_result r =
   String.concat "\n" (List.map D.to_text r.Ip.diagnostics)
@@ -477,10 +510,13 @@ let suite =
     Alcotest.test_case "report shapes" `Quick test_report_shapes;
     Alcotest.test_case "unreadable file" `Quick test_parse_error_is_reported;
     Alcotest.test_case "baseline ratchet" `Quick test_ratchet;
-    Alcotest.test_case "deferred suppression staleness" `Quick
-      test_suppression_defer;
     Alcotest.test_case "interproc signatures" `Quick test_ip_signatures;
     Alcotest.test_case "interproc seeded race" `Quick test_ip_seeded_race;
+    Alcotest.test_case "interproc capture kinds" `Quick test_ip_capture_kinds;
+    Alcotest.test_case "run_paths runs the typed pass" `Quick
+      test_run_paths_typed;
+    Alcotest.test_case "uncovered file is an error" `Quick
+      test_uncovered_file_is_error;
     Alcotest.test_case "interproc determinism+raises" `Quick
       test_ip_determinism_and_raises;
     Alcotest.test_case "interproc byte-stable" `Quick test_ip_byte_stable;

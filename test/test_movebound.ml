@@ -321,8 +321,6 @@ let test_legality_report () =
   Alcotest.(check bool) "legal after fix" true (Legality.is_legal inst p);
   Alcotest.(check int) "all inside chip" 0 (Legality.count_outside_chip inst p)
 
-let qcheck = QCheck_alcotest.to_alcotest
-
 let suite =
   [
     Alcotest.test_case "movebound basics" `Quick test_movebound_basics;
@@ -330,13 +328,13 @@ let suite =
     Alcotest.test_case "normalize vanishing movebound" `Quick test_normalize_vanishing_movebound;
     Alcotest.test_case "figure-1 regions" `Quick test_fig1_regions;
     Alcotest.test_case "regions partition chip" `Quick test_regions_partition_chip;
-    qcheck prop_region_signature_matches_geometry;
+    Prop.qcheck prop_region_signature_matches_geometry;
     Alcotest.test_case "feasibility: simple feasible" `Quick test_feasibility_simple_feasible;
     Alcotest.test_case "feasibility: overfull movebound" `Quick test_feasibility_overfull_movebound;
     Alcotest.test_case "feasibility: exclusive steals capacity" `Quick
       test_feasibility_exclusive_steals_capacity;
     Alcotest.test_case "feasibility: nested exclusive infeasible" `Quick
       test_feasibility_nested_exclusive_infeasible;
-    qcheck prop_feasibility_matches_enumeration;
+    Prop.qcheck prop_feasibility_matches_enumeration;
     Alcotest.test_case "legality report" `Quick test_legality_report;
   ]

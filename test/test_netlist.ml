@@ -394,6 +394,6 @@ let suite =
     Alcotest.test_case "clustering keeps fixed cells" `Quick test_clustering_fixed_not_merged;
     Alcotest.test_case "clustering expand roundtrip" `Quick test_clustering_roundtrip_positions;
     Alcotest.test_case "clustering coarse hpwl sane" `Quick test_clustering_coarse_hpwl_sane;
-    QCheck_alcotest.to_alcotest prop_bookshelf_roundtrip_random;
+    Prop.qcheck prop_bookshelf_roundtrip_random;
     Alcotest.test_case "bookshelf rejects garbage" `Quick test_bookshelf_rejects_garbage;
   ]

@@ -274,7 +274,13 @@ let test_parser_rejects_malformed () =
     (preamble ^ "cells 1\ncell a 1 1 0 0 movable -\nnets 1\nnet 1 3\npin 0 0 0\n");
   expect_parse_error "bad mobility"
     (preamble ^ "cells 1\ncell a 1 1 0 0 sideways -\nnets 0\nblockages 0\n");
-  expect_parse_error "empty chip" "chip 3 3 3 3\ncells 0\nnets 0\nblockages 0\n"
+  expect_parse_error "empty chip" "chip 3 3 3 3\ncells 0\nnets 0\nblockages 0\n";
+  (* inverted rectangles: positioned at their own line, not the
+     unpositioned Invalid_argument of Rect.make *)
+  expect_parse_error ~line:1 "inverted chip"
+    "chip 5 5 1 1\ncells 0\nnets 0\nblockages 0\n";
+  expect_parse_error ~line:7 "inverted blockage"
+    (preamble ^ "cells 0\nnets 0\nblockages 1\nblockage 2 6 4 4\n")
 
 let test_parser_injected_corruption () =
   with_inject (fun () ->

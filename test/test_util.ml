@@ -229,8 +229,6 @@ let test_timer_monotone () =
   ignore (Sys.opaque_identity (Array.init 10000 (fun i -> i * i)));
   check_float "frozen when stopped" before (Timer.elapsed t)
 
-let qcheck = QCheck_alcotest.to_alcotest
-
 let suite =
   [
     Alcotest.test_case "rng deterministic" `Quick test_rng_deterministic;
@@ -241,9 +239,9 @@ let suite =
     Alcotest.test_case "rng shuffle permutation" `Quick test_rng_shuffle_permutation;
     Alcotest.test_case "pq ordering" `Quick test_pq_ordering;
     Alcotest.test_case "pq clear" `Quick test_pq_clear;
-    qcheck prop_pq_heap_sort;
+    Prop.qcheck prop_pq_heap_sort;
     Alcotest.test_case "union-find basic" `Quick test_union_find;
-    qcheck prop_union_find_transitive;
+    Prop.qcheck prop_union_find_transitive;
     Alcotest.test_case "stats basic" `Quick test_stats_basic;
     Alcotest.test_case "stats edge cases" `Quick test_stats_edge_cases;
     Alcotest.test_case "stats geomean" `Quick test_stats_geomean;
