@@ -153,6 +153,11 @@ scratches="$(grep -o '"realization\.scratches":{[^}]*}' "$tmp/budget2.metrics.js
   | grep -o '"max":[0-9.e+-]*' | sed 's/"max"://')"
 [ -n "$scratches" ] && awk -v m="$scratches" 'BEGIN { exit !(m <= 2) }' \
   || { echo "realization.scratches max at --domains 2 is '$scratches', want <= 2"; exit 1; }
+# the sanitizer at two domains: the parallel waves check every per-domain
+# view (a local system's matrix, a transport assignment) with CSR
+# validation and the transport audit
+FBP_SANITIZE=1 $fbp place "$tmp/budget.book" --domains 2 >/dev/null \
+  || { echo "sanitized placement at --domains 2 failed"; exit 1; }
 # the degraded path (no runtime events) must still produce a summary
 FBP_PROFILE_FORCE_UNAVAILABLE=1 $fbp profile "$tmp/smoke.book" --movebounds 2 \
   --json "$tmp/profile-na.json" >/dev/null \

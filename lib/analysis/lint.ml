@@ -55,10 +55,10 @@ let gather_files roots =
     end
     else if String.ends_with ~suffix:".ml" path then acc := path :: !acc
   in
-  List.iter
-    (fun root -> if Sys.file_exists root then visit root else acc := !acc)
-    roots;
+  List.iter (fun root -> if Sys.file_exists root then visit root) roots;
   List.sort String.compare !acc
+
+let missing_root = "no such file or directory: a lint root must exist"
 
 (* -------------------------------------------------------------- baseline *)
 
@@ -99,6 +99,13 @@ let run_paths ?baseline ?cmt_roots roots =
   let keys = load_baseline baseline in
   let in_baseline d = List.exists (String.equal (Diagnostic.key d)) keys in
   let files = gather_files roots in
+  (* a mistyped root would lint nothing and pass *)
+  let missing =
+    List.filter_map
+      (fun root ->
+        if Sys.file_exists root then None else Some (root, missing_root))
+      roots
+  in
   let cmt_roots =
     match cmt_roots with
     | Some rs -> rs
@@ -157,7 +164,7 @@ let run_paths ?baseline ?cmt_roots roots =
     files_scanned = List.length files;
     diagnostics = List.sort Diagnostic.compare !diags;
     baselined = !hidden;
-    errors = List.rev_append !errors ip.Interproc.load_errors;
+    errors = missing @ List.rev_append !errors ip.Interproc.load_errors;
     interproc_units = ip.Interproc.units_loaded;
   }
 

@@ -29,7 +29,8 @@ val lint_string : path:string -> string -> Diagnostic.t list
 val lint_file : string -> (Diagnostic.t list, string) result
 
 (** Expand files/directories into a sorted list of [.ml] files;
-    [_build], [_opam] and dot-directories are skipped. *)
+    [_build], [_opam] and dot-directories are skipped, and so is a root
+    that does not exist ({!run_paths} reports it). *)
 val gather_files : string list -> string list
 
 (** Lint every file under the roots with both passes; [baseline] is a
@@ -39,7 +40,9 @@ val gather_files : string list -> string list
     per file (suffix-tolerant source matching), so suppression staleness
     is judged against both passes.  A gathered file that no loaded unit
     covers is a file error naming [dune build @check]: the lint never
-    runs a file without its typed pass. *)
+    runs a file without its typed pass.  A root that does not exist is an
+    error naming it, so a mistyped path fails instead of linting
+    nothing. *)
 val run_paths :
   ?baseline:string -> ?cmt_roots:string list -> string list -> report
 

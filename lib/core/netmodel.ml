@@ -34,14 +34,19 @@ type cache = { mutable structure : Csr.structure option }
 
 let create_cache () = { structure = None }
 
-(* Everything [assemble] needs besides what it returns.  [var_of_cell] is
-   -1 everywhere between calls; [star_var] maps a position in the net list
-   to its star var or -1. *)
+(* Everything [assemble] needs, and what a caller-owned workspace hands
+   out.  [var_of_cell] is -1 everywhere between calls; [star_var] maps a
+   position in the net list to its star var or -1.  [cells], [bx] and [by]
+   become a system's arrays (only ever grown), as [freeze]'s arrays become
+   its matrix. *)
 type workspace = {
   mutable var_of_cell : int array;
   mutable star_var : int array;
   bld : Csr.builder;
   freeze : Csr.scratch;
+  mutable cells : int array;
+  mutable bx : float array;
+  mutable by : float array;
 }
 
 let create_workspace () =
@@ -50,7 +55,30 @@ let create_workspace () =
     star_var = [||];
     bld = Csr.builder 0;
     freeze = Csr.create_scratch ();
+    cells = [||];
+    bx = [||];
+    by = [||];
   }
+
+(* The system's var-indexed arrays: the workspace's, grown to [nv] and
+   cleared over their first [nv] entries, when the caller owns it
+   ([owned]); fresh exact-length ones otherwise. *)
+let system_arrays ws ~owned nv =
+  if not owned then (Array.make nv (-1), Array.make nv 0.0, Array.make nv 0.0)
+  else begin
+    if Array.length ws.cells < nv then begin
+      let cap = max nv (2 * Array.length ws.cells) in
+      ws.cells <- Array.make cap (-1);
+      ws.bx <- Array.make cap 0.0;
+      ws.by <- Array.make cap 0.0
+    end
+    else begin
+      Array.fill ws.cells 0 nv (-1);
+      Array.fill ws.bx 0 nv 0.0;
+      Array.fill ws.by 0 nv 0.0
+    end;
+    (ws.cells, ws.bx, ws.by)
+  end
 
 let freeze_cached ~scratch cache bld =
   match
@@ -168,29 +196,36 @@ let has_movable map (nl : Netlist.t) ni =
   while !k < hi && var_of map nl.Netlist.pin_cell.(!k) < 0 do incr k done;
   !k < hi
 
-let build ws (nl : Netlist.t) (pos : Placement.t) ~cache ~movable ~net_ids
-    ~clique_max_degree ~anchor =
+let build ws ~owned (nl : Netlist.t) (pos : Placement.t) ~cache ~movable
+    ~net_ids ~clique_max_degree ~anchor =
   let n_cell_vars = Array.length movable in
-  (* star variables: one per sufficiently wide net with >= 1 movable pin *)
+  (* star variables: one per sufficiently wide net with >= 1 movable pin;
+     beside them a bound on the off-diagonal pushes: p(p-1) for a clique
+     of p pins, 2p for a star, none for a wide net with no movable pin *)
   let n_nets = Array.length net_ids in
   if Array.length ws.star_var < n_nets then
     ws.star_var <- Array.make (max n_nets (2 * Array.length ws.star_var)) 0;
   let star_var = ws.star_var in
-  let n_vars = ref n_cell_vars in
+  let n_vars = ref n_cell_vars and bound = ref 0 in
   Array.iteri
     (fun k ni ->
-      if Netlist.degree nl ni > clique_max_degree
-         && has_movable ws.var_of_cell nl ni
-      then begin
+      let p = Netlist.degree nl ni in
+      if p <= clique_max_degree then begin
+        star_var.(k) <- -1;
+        bound := !bound + (p * (p - 1))
+      end
+      else if has_movable ws.var_of_cell nl ni then begin
         star_var.(k) <- !n_vars;
-        incr n_vars
+        incr n_vars;
+        bound := !bound + (2 * p)
       end
       else star_var.(k) <- -1)
     net_ids;
   let nv = !n_vars in
   let bld = ws.bld in
   Csr.reset bld nv;
-  let bx = Array.make nv 0.0 and by = Array.make nv 0.0 in
+  Csr.reserve bld !bound;
+  let cells, bx, by = system_arrays ws ~owned nv in
   (* cliques also for wide all-fixed nets, which cost nothing *)
   Array.iteri
     (fun k ni ->
@@ -218,14 +253,14 @@ let build ws (nl : Netlist.t) (pos : Placement.t) ~cache ~movable ~net_ids
   for v = n_cell_vars to nv - 1 do
     push_diag bld v 1e-9
   done;
-  let cells = Array.make nv (-1) in
   Array.blit movable 0 cells 0 n_cell_vars;
   Fbp_obs.Obs.count ~n:bld.Csr.count "netmodel.triplets";
   let scratch = ws.freeze in
   let a =
     match cache with
-    | None -> Csr.freeze ~scratch bld
     | Some c -> freeze_cached ~scratch c bld
+    | None when owned -> Csr.freeze ~scratch bld
+    | None -> Csr.freeze bld
   in
   { n_vars = nv; cells; ax = a; bx; ay = a; by }
 
@@ -236,6 +271,7 @@ let build ws (nl : Netlist.t) (pos : Placement.t) ~cache ~movable ~net_ids
 let assemble (nl : Netlist.t) (pos : Placement.t) ?cache ?workspace
     ~(movable : int array) ?nets ~(clique_max_degree : int)
     ~(anchor : int -> (float * float * float * float) option) () =
+  let owned = Option.is_some workspace in
   let ws =
     match workspace with Some ws -> ws | None -> create_workspace ()
   in
@@ -255,4 +291,5 @@ let assemble (nl : Netlist.t) (pos : Placement.t) ?cache ?workspace
         movable)
     (fun () ->
       Array.iteri (fun v c -> map.(c) <- v) movable;
-      build ws nl pos ~cache ~movable ~net_ids ~clique_max_degree ~anchor)
+      build ws ~owned nl pos ~cache ~movable ~net_ids ~clique_max_degree
+        ~anchor)

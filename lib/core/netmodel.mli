@@ -6,6 +6,10 @@
 
 open Fbp_netlist
 
+(** An assembled system.  [cells], [bx] and [by] hold at least [n_vars]
+    entries, and only the first [n_vars] count: a system assembled with a
+    {!workspace} is a view of it (see {!assemble}); one assembled without
+    has exact-length arrays. *)
 type system = {
   n_vars : int;  (** movable-cell vars first, then star vars *)
   cells : int array;  (** var → cell id, -1 for star vars *)
@@ -24,10 +28,11 @@ type cache
 
 val create_cache : unit -> cache
 
-(** Scratch of {!assemble}: the cell→var map, the triplet builder and
-    the CSR freeze temporaries, kept between calls so that an
-    assembly allocates only the system it returns.  One per sequential
-    caller; not safe for concurrent use. *)
+(** Scratch of {!assemble}: the cell→var map, the star-var table, the
+    triplet builder, the CSR freeze temporaries and the system's [cells],
+    [bx] and [by], kept between calls and only ever grown, so that a
+    warmed assembly allocates nothing.  One per sequential caller; not
+    safe for concurrent use. *)
 type workspace
 
 val create_workspace : unit -> workspace
@@ -41,9 +46,14 @@ val create_workspace : unit -> workspace
     ([Float.equal]); otherwise [assemble] raises [Invalid_argument], and
     [workspace] stays fit for reuse.  Cells outside [movable] contribute
     constants evaluated at [pos] — the "fixed cells outside W" of the
-    local QP.  [cache] enables symbolic sparsity reuse across calls,
-    [workspace] reuses the scratch (a fresh one otherwise); results are
-    bit-identical with or without either. *)
+    local QP.  [cache] enables symbolic sparsity reuse across calls.  The
+    triplet builder is reserved once, to a bound on the off-diagonal
+    pushes computed from the net degrees.  With [workspace] the returned
+    system is a view of it — [cells], [bx], [by] and, without [cache], the
+    matrix ({!Fbp_linalg.Csr.freeze} with its scratch) — valid until the
+    next assembly with that workspace; without, the scratch is fresh and
+    the system owns exact-length arrays.  The first [n_vars] entries, and
+    the matrix entries, are bit-identical with or without either. *)
 val assemble :
   Netlist.t ->
   Placement.t ->

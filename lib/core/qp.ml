@@ -19,20 +19,57 @@ type stats = {
    net ids (stamp.(ni) = current epoch means "already collected") plus a
    growable id buffer, so there is no hashing and the collection order is
    fixed by construction (cells in order, each cell's nets in order).
-   For the assembly: the Netmodel workspace.  For the solve: the lockstep
-   CG's vectors. *)
+   For the assembly: the Netmodel workspace, which owns the system.  For
+   the solve: the x/y iterates (grow-only) and the lockstep CG's vectors.
+   For the caller's transportation problem: a Transport workspace. *)
 type scratch = {
   mutable stamp : int array;
   mutable buf : int array;
   mutable epoch : int;
   workspace : Netmodel.workspace;
+  mutable x : float array;
+  mutable y : float array;
   cg : Fbp_linalg.Cg.workspace;
+  transport : Fbp_flow.Transport.workspace;
 }
 
 let create_scratch () =
   { stamp = [||]; buf = Array.make 64 0; epoch = 0;
-    workspace = Netmodel.create_workspace ();
-    cg = Fbp_linalg.Cg.create_workspace () }
+    workspace = Netmodel.create_workspace (); x = [||]; y = [||];
+    cg = Fbp_linalg.Cg.create_workspace ();
+    transport = Fbp_flow.Transport.create_workspace () }
+
+let transport_workspace s = s.transport
+
+(* Iterates over [sys]'s vars warm-started from [pos]: a cell var at its
+   position, a star var at 0 (the regularizer pulls it to its net).  With
+   [scratch] they are its arrays, grown to [n_vars] and valid until its
+   next use; fresh exact-length ones otherwise. *)
+let iterates ?scratch (sys : Netmodel.system) (pos : Placement.t) =
+  let nv = sys.Netmodel.n_vars in
+  let x, y =
+    match scratch with
+    | None -> (Array.make nv 0.0, Array.make nv 0.0)
+    | Some s ->
+      if Array.length s.x < nv then begin
+        let cap = max nv (2 * Array.length s.x) in
+        s.x <- Array.make cap 0.0;
+        s.y <- Array.make cap 0.0
+      end;
+      (s.x, s.y)
+  in
+  for v = 0 to nv - 1 do
+    let c = sys.Netmodel.cells.(v) in
+    if c >= 0 then begin
+      x.(v) <- pos.Placement.x.(c);
+      y.(v) <- pos.Placement.y.(c)
+    end
+    else begin
+      x.(v) <- 0.0;
+      y.(v) <- 0.0
+    end
+  done;
+  (x, y)
 
 (* Below this many variables the two axis solves run in lockstep on the
    calling domain: a CG on a small system finishes in less time than a
@@ -50,34 +87,31 @@ let solve_axes ?scratch ~max_iter ~tol (sys : Netmodel.system) x y =
 let solve_system ?scratch (cfg : Config.t) (sys : Netmodel.system)
     (pos : Placement.t) =
   let nv = sys.Netmodel.n_vars in
-  let x = Array.make nv 0.0 and y = Array.make nv 0.0 in
-  (* warm start from current positions; star vars start at the mean of their
-     net, approximated by 0 + regularizer pull (harmless) *)
-  for v = 0 to nv - 1 do
-    let c = sys.Netmodel.cells.(v) in
-    if c >= 0 then begin
-      x.(v) <- pos.Placement.x.(c);
-      y.(v) <- pos.Placement.y.(c)
-    end
-  done;
+  let x, y = iterates ?scratch sys pos in
   (* The two axis solves share the matrix, which neither writes, and are
      otherwise independent.  On one domain they run in lockstep over it;
      a large system at two or more domains solves them concurrently on
      the pool, within the config's domain budget, with the CG kernels of
-     each solve on its domain.  Metrics are deferred and recorded after
-     the join in fixed x-then-y order, keeping observation streams
-     deterministic regardless of interleaving. *)
+     each solve on its domain.  The fault registry is not synchronized,
+     so both axes' faults are drawn here first, x then y, as the lockstep
+     solve draws them.  Metrics are deferred and recorded after the join
+     in fixed x-then-y order, keeping observation streams deterministic
+     regardless of interleaving. *)
   let max_iter = cfg.Config.cg_max_iter and tol = cfg.Config.cg_tol in
   let domains = Config.effective_domains cfg in
   let sx, sy =
     if nv < qp_seq_vars || domains < 2 then
       solve_axes ?scratch ~max_iter ~tol sys x y
-    else
-      let solve b v () =
-        Fbp_linalg.Cg.solve ~record:false ~max_iter ~tol sys.Netmodel.ax b v
+    else begin
+      let stag_x = Fbp_linalg.Cg.draw_fault () in
+      let stag_y = Fbp_linalg.Cg.draw_fault () in
+      let solve stagnate b v () =
+        Fbp_linalg.Cg.iterate ~stagnate ~max_iter ~tol sys.Netmodel.ax b v
       in
       Fbp_util.Pool.fork2 ~domains
-        (solve sys.Netmodel.bx x) (solve sys.Netmodel.by y)
+        (solve stag_x sys.Netmodel.bx x)
+        (solve stag_y sys.Netmodel.by y)
+    end
   in
   Fbp_linalg.Cg.record_stats sx;
   Fbp_linalg.Cg.record_stats sy;

@@ -299,7 +299,9 @@ let realize ?(on_step : (step -> unit) option) (cfg : Config.t)
      final positions (into [nqx]/[nqy]) and the local-QP solver stats
      (recorded by the caller post-join in wave order, so the metrics
      stream stays deterministic at any domain count).  [scratch] is the
-     running domain's own (net dedup, assembly and CG workspace). *)
+     running domain's own (net dedup, the assembled system, the iterates,
+     the CG vectors and the transportation workspace); what it hands out
+     does not outlive the node. *)
   let process_node ~scratch ni =
     let cells = ni.ncells in
     let n = Array.length cells in
@@ -317,15 +319,7 @@ let realize ?(on_step : (step -> unit) option) (cfg : Config.t)
             Qp.assemble_local cfg nl pos scratch ~cells
               ~anchor:(fun _ -> pull)
           in
-          let xv = Array.make sys.Netmodel.n_vars 0.0 in
-          let yv = Array.make sys.Netmodel.n_vars 0.0 in
-          Array.iteri
-            (fun v c ->
-              if c >= 0 then begin
-                xv.(v) <- pos.Placement.x.(c);
-                yv.(v) <- pos.Placement.y.(c)
-              end)
-            sys.Netmodel.cells;
+          let xv, yv = Qp.iterates ~scratch sys pos in
           let st = Qp.solve_axes ~scratch ~max_iter:60 ~tol:1e-4 sys xv yv in
           Array.blit xv 0 qx 0 n;
           Array.blit yv 0 qy 0 n;
@@ -401,11 +395,11 @@ let realize ?(on_step : (step -> unit) option) (cfg : Config.t)
           done
         done;
         match
-          Transport.solve { Transport.sizes; capacities = caps; cost }
+          Transport.solve ~workspace:(Qp.transport_workspace scratch)
+            { Transport.sizes; capacities = caps; cost }
         with
         | Error _ -> for i = 0 to n - 1 do fallback i done
         | Ok assignment ->
-          let choice = Transport.round_integral assignment in
           (* Cells staying in a piece are not merely projected (that piles
              them on the nearest boundary): each piece-group's QP positions
              are linearly remapped into the piece's bounding box, preserving
@@ -420,7 +414,7 @@ let realize ?(on_step : (step -> unit) option) (cfg : Config.t)
             qbox.((4 * j) + 3) <- neg_infinity
           done;
           for i = n - 1 downto 0 do
-            let j = choice.(i) in
+            let j = Transport.choice assignment i in
             if j >= 0 && j < np then begin
               let o = 4 * j in
               if qx.(i) < qbox.(o) then qbox.(o) <- qx.(i);
@@ -446,7 +440,7 @@ let realize ?(on_step : (step -> unit) option) (cfg : Config.t)
               arcs
           in
           for i = 0 to n - 1 do
-            let j = choice.(i) in
+            let j = Transport.choice assignment i in
             if j < 0 then fallback i
             else if j < np then begin
               let pid = pieces.(j) and o = 4 * j in

@@ -7,7 +7,10 @@
     [w * n_classes + m], and members, arcs, in-degrees and per-cell
     destinations live in arrays: no tuple, boxed float or hash-table
     entry is allocated per cell.  Each node solves both axes of its local QP in lockstep
-    ({!Qp.solve_axes}) with its chunk's scratch. *)
+    ({!Qp.solve_axes}) and its transportation problem out of its domain's
+    {!Qp.scratch}: the local system, the iterates, the CG vectors and the
+    transport set-up and assignment are views of it that do not outlive
+    the node. *)
 
 type step = {
   node_w : int;

@@ -34,7 +34,8 @@ let sweep ?(span = 2) (cfg : Config.t) (inst : Fbp_movebound.Instance.t)
     ~(piece_of_cell : int array) =
   let t0 = Fbp_util.Timer.now () in
   let nl = inst.Fbp_movebound.Instance.design.Design.netlist in
-  (* net-dedup and assembly scratch shared across this sweep's local QPs *)
+  (* net-dedup, assembly, solve and transportation scratch shared across
+     this sweep's blocks *)
   let qp_scratch = Qp.create_scratch () in
   let hpwl_before = Hpwl.total nl pos in
   let n_blocks = ref 0 and n_moved = ref 0 in
@@ -108,13 +109,14 @@ let sweep ?(span = 2) (cfg : Config.t) (inst : Fbp_movebound.Instance.t)
             cost;
           }
         in
-        match Transport.solve problem with
+        match
+          Transport.solve ~workspace:(Qp.transport_workspace qp_scratch) problem
+        with
         | Error _ -> ()
         | Ok assignment ->
-          let choice = Transport.round_integral assignment in
           Array.iteri
             (fun i c ->
-              let j = choice.(i) in
+              let j = Transport.choice assignment i in
               if j >= 0 then begin
                 let pid = piece_arr.(j) in
                 if piece_of_cell.(c) <> pid then begin

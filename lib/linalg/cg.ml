@@ -106,7 +106,7 @@ let record_stats s =
    numerical stagnation (the iterate is left untouched, as after a
    breakdown-stop) or a domain exception, to exercise the placer's
    safeguarded-restart path.  [true] means the axis stagnates. *)
-let injected_stagnation () =
+let draw_fault () =
   match Fbp_resilience.Inject.fire Fbp_resilience.Inject.Cg with
   | Some Fbp_resilience.Inject.Stagnate -> true
   | Some (Fbp_resilience.Inject.Raise msg) ->
@@ -116,35 +116,43 @@ let injected_stagnation () =
 
 let stagnated ~max_iter = { iterations = max_iter; residual = 1.0; converged = false }
 
+(* Vectors may be longer than the matrix (a caller's grow-only
+   workspace); only the first [n] entries are read or written. *)
 let prepare name ~max_iter a vs =
   let n = Csr.dim a in
-  if List.exists (fun v -> Array.length v <> n) vs then
+  if List.exists (fun v -> Array.length v < n) vs then
     invalid_arg ("Cg." ^ name ^ ": dimension mismatch");
   (n, if max_iter > 0 then max_iter else max 100 (2 * n))
 
+(* One axis's iteration, its fault already drawn. *)
+let run ~stagnate ~n ~max_iter ~tol a b x =
+  if stagnate then stagnated ~max_iter
+  else begin
+    let inv_diag = Vec.create n in
+    inv_diagonal a inv_diag;
+    let s =
+      axis ~b ~x ~r:(Vec.create n) ~z:(Vec.create n) ~p:(Vec.create n)
+        ~ap:(Vec.create n)
+    in
+    start a inv_diag ~n ~tol s;
+    while running ~max_iter s do
+      Csr.mul a s.p s.ap;
+      step inv_diag ~n ~tol s
+    done;
+    stats_of ~tol s
+  end
+
+let iterate ~stagnate ~max_iter ~tol a b x =
+  let n, max_iter = prepare "iterate" ~max_iter a [ b; x ] in
+  run ~stagnate ~n ~max_iter ~tol a b x
+
 (* [record:false] defers metric recording to the caller (via
-   [record_stats]): the QP may solve the x- and y-systems concurrently,
-   and observation order must stay deterministic. *)
+   [record_stats]): solves that run concurrently must be observed in a
+   deterministic order. *)
 let solve ?(record = true) ?(max_iter = 0) ?(tol = 1e-7) (a : Csr.t)
     (b : float array) (x : float array) =
   let n, max_iter = prepare "solve" ~max_iter a [ b; x ] in
-  let st =
-    if injected_stagnation () then stagnated ~max_iter
-    else begin
-      let inv_diag = Vec.create n in
-      inv_diagonal a inv_diag;
-      let s =
-        axis ~b ~x ~r:(Vec.create n) ~z:(Vec.create n) ~p:(Vec.create n)
-          ~ap:(Vec.create n)
-      in
-      start a inv_diag ~n ~tol s;
-      while running ~max_iter s do
-        Csr.mul a s.p s.ap;
-        step inv_diag ~n ~tol s
-      done;
-      stats_of ~tol s
-    end
-  in
+  let st = run ~stagnate:(draw_fault ()) ~n ~max_iter ~tol a b x in
   if record then record_stats st;
   st
 
@@ -170,8 +178,8 @@ let solve2 ?workspace ?(max_iter = 0) ?(tol = 1e-7) (a : Csr.t)
     =
   let n, max_iter = prepare "solve2" ~max_iter a [ bx; x; by; y ] in
   (* the site fires once per axis, x then y, as two [solve] calls would *)
-  let stag_x = injected_stagnation () in
-  let stag_y = injected_stagnation () in
+  let stag_x = draw_fault () in
+  let stag_y = draw_fault () in
   let ws = match workspace with Some ws -> ws | None -> create_workspace () in
   reserve ws n;
   let d = ws.inv_diag and v = ws.vecs in

@@ -20,14 +20,32 @@ type stats = {
 }
 
 (** [solve a b x] improves [x] in place toward A x = b.
-    [max_iter] defaults to max(100, 2n); [tol] to 1e-7.
-    [record] (default true) controls whether solver metrics are recorded
-    immediately; pass [~record:false] when solves run concurrently and
-    call {!record_stats} afterwards in a deterministic order.  Polls the
-    {!Fbp_resilience.Inject.Cg} site once.
-    Raises [Invalid_argument] on dimension mismatch. *)
+    [max_iter] defaults to max(100, 2n) (as does any value <= 0); [tol]
+    to 1e-7.  [record] (default true) controls whether solver metrics are
+    recorded immediately; pass [~record:false] to call {!record_stats}
+    afterwards in a deterministic order.  Polls the
+    {!Fbp_resilience.Inject.Cg} site once: [solve] is {!draw_fault}, then
+    {!iterate}.  The vectors hold at least n entries (only the first n
+    are read or written); a shorter one raises [Invalid_argument]. *)
 val solve :
   ?record:bool -> ?max_iter:int -> ?tol:float -> Csr.t -> float array ->
+  float array -> stats
+
+(** Poll the {!Fbp_resilience.Inject.Cg} site once, for one axis: [true]
+    when that axis must stagnate; raises
+    {!Fbp_resilience.Inject.Injected} on a [Raise] fault.  The registry
+    is not synchronized, so solves that run concurrently draw their
+    faults on the calling domain first, in a fixed order, and hand each
+    its verdict ({!iterate}). *)
+val draw_fault : unit -> bool
+
+(** [iterate ~stagnate ~max_iter ~tol a b x] is {!solve}'s iteration with
+    its fault already drawn: with [stagnate] it returns the stagnated
+    stats and leaves [x] untouched.  Polls no site and records no
+    metrics, so it may run on any domain.  Same [max_iter], [tol] and
+    length rules as {!solve}. *)
+val iterate :
+  stagnate:bool -> max_iter:int -> tol:float -> Csr.t -> float array ->
   float array -> stats
 
 (** Grow-only vectors of {!solve2}: the inverse diagonal and four vectors
@@ -44,8 +62,8 @@ val create_workspace : unit -> workspace
     holds the vectors (a fresh one otherwise).  Metrics are not recorded:
     call {!record_stats} on the x, then the y stats.  The
     {!Fbp_resilience.Inject.Cg} site is polled once per axis, x then y,
-    before either iterates, as two {!solve} calls poll it.
-    Raises [Invalid_argument] on dimension mismatch. *)
+    before either iterates, as two {!solve} calls poll it.  Same length
+    rules as {!solve}. *)
 val solve2 :
   ?workspace:workspace -> ?max_iter:int -> ?tol:float -> Csr.t ->
   float array -> float array -> float array -> float array -> stats * stats

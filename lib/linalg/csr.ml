@@ -93,17 +93,23 @@ let reset b n =
   b.dim <- n;
   b.count <- 0
 
-let grow b =
+(* Triplet capacity of at least [m], keeping the triplets; grows at least
+   twofold, so a push-by-push growth stays amortized. *)
+let reserve b m =
   let cap = Array.length b.rows in
-  let cap' = cap * 2 in
-  let rows' = Array.make cap' 0 and cols' = Array.make cap' 0 in
-  let vals' = Array.make cap' 0.0 in
-  Array.blit b.rows 0 rows' 0 cap;
-  Array.blit b.cols 0 cols' 0 cap;
-  Array.blit b.vals 0 vals' 0 cap;
-  b.rows <- rows';
-  b.cols <- cols';
-  b.vals <- vals'
+  if cap < m then begin
+    let cap' = max m (2 * cap) in
+    let rows' = Array.make cap' 0 and cols' = Array.make cap' 0 in
+    let vals' = Array.make cap' 0.0 in
+    Array.blit b.rows 0 rows' 0 b.count;
+    Array.blit b.cols 0 cols' 0 b.count;
+    Array.blit b.vals 0 vals' 0 b.count;
+    b.rows <- rows';
+    b.cols <- cols';
+    b.vals <- vals'
+  end
+
+let grow b = reserve b (Array.length b.rows + 1)
 
 let add b ~row ~col v =
   if row < 0 || row >= b.dim || col < 0 || col >= b.dim then
@@ -139,7 +145,7 @@ let create_scratch () =
 
 (* Grow [sc] to dimension [n] and [m] grouped entries; contents are not
    kept. *)
-let reserve sc n m =
+let reserve_scratch sc n m =
   let ints a k =
     if Array.length a >= k then a else Array.make (max k (2 * Array.length a)) 0
   in
@@ -152,22 +158,25 @@ let reserve sc n m =
   sc.slot_of <- ints sc.slot_of n
 
 (* Structural well-formedness: monotone row pointers, strictly increasing
-   in-range columns per row, finite values.  Returns the first violation. *)
+   in-range columns per row, finite values, over the stored entries.  The
+   arrays may run past them (a view of a freeze scratch), never short of
+   them.  Returns the first violation. *)
 let validate t =
   let bad = ref None in
   let report msg = if Option.is_none !bad then bad := Some msg in
-  let m = Array.length t.col in
-  if Array.length t.row_start <> t.n + 1 then
+  let stored = ref 0 in
+  if Array.length t.row_start < t.n + 1 then
     report
       (Printf.sprintf "row_start has %d entries for dimension %d"
          (Array.length t.row_start) t.n)
   else begin
+    stored := t.row_start.(t.n);
     if t.row_start.(0) <> 0 then
       report (Printf.sprintf "row_start.(0) = %d, not 0" t.row_start.(0));
-    if t.row_start.(t.n) <> m then
+    if Array.length t.col < !stored || Array.length t.value < !stored then
       report
-        (Printf.sprintf "row_start.(n) = %d but %d stored entries"
-           t.row_start.(t.n) m);
+        (Printf.sprintf "row_start.(n) = %d but col holds %d and value %d entries"
+           !stored (Array.length t.col) (Array.length t.value));
     for r = 0 to t.n - 1 do
       if t.row_start.(r) > t.row_start.(r + 1) then
         report
@@ -176,10 +185,7 @@ let validate t =
              t.row_start.(r + 1))
     done
   end;
-  if Array.length t.value <> m then
-    report
-      (Printf.sprintf "col/value length mismatch (%d vs %d)" m
-         (Array.length t.value));
+  let m = min !stored (min (Array.length t.col) (Array.length t.value)) in
   for r = 0 to t.n - 1 do
     if r + 1 < Array.length t.row_start then begin
       let lo = max 0 t.row_start.(r) and hi = min m t.row_start.(r + 1) in
@@ -242,7 +248,7 @@ let freeze_core sc b =
   let n = b.dim in
   let m = b.count in
   let diag = b.diag and has_diag = b.has_diag in
-  reserve sc n (m + n);
+  reserve_scratch sc n (m + n);
   (* counting sort by row, each present diagonal counted in its row; the
      scatter is stable, so within a row the insertion order is preserved
      (duplicate accumulation order below is therefore the insertion order
@@ -281,8 +287,9 @@ let freeze_core sc b =
   (* per-row dedup via stamp arrays over column ids: stamp.(c) = r marks
      column c as seen in row r, slot_of.(c) its accumulation slot.  Slots
      are compacted in place: slot !nnz never lies past the entry being
-     read, and every entry before it has been consumed *)
-  let row_start = Array.make (n + 1) 0 in
+     read, and every entry before it has been consumed.  The scatter is
+     done with [cursor], so it takes the row starts *)
+  let row_start = cursor in
   let stamp = sc.stamp and slot_of = sc.slot_of in
   Array.fill stamp 0 n (-1);
   let nnz = ref 0 in
@@ -312,19 +319,28 @@ let freeze_core sc b =
     let lo = row_start.(r) and hi = row_start.(r + 1) in
     if hi - lo > 1 then sort_segment gcol gval lo (hi - 1)
   done;
+  { n; row_start; col = gcol; value = gval }
+
+(* The matrix in [sc]'s arrays, copied to exact lengths. *)
+let copy_out t =
+  let nnz = t.row_start.(t.n) in
   {
-    n;
-    row_start;
-    col = Array.sub gcol 0 !nnz;
-    value = Array.sub gval 0 !nnz;
+    n = t.n;
+    row_start = Array.sub t.row_start 0 (t.n + 1);
+    col = Array.sub t.col 0 nnz;
+    value = Array.sub t.value 0 nnz;
   }
 
 let check_frozen ~site t =
   Fbp_resilience.Sanitize.check ~site ~invariant:"CSR well-formedness"
     (fun () -> validate t)
 
-let freeze ?(scratch = create_scratch ()) b =
-  let t = freeze_core scratch b in
+let freeze ?scratch b =
+  let t =
+    match scratch with
+    | Some sc -> freeze_core sc b
+    | None -> copy_out (freeze_core (create_scratch ()) b)
+  in
   check_frozen ~site:"csr.freeze" t;
   t
 
@@ -342,7 +358,7 @@ let find_slot (col : int array) lo hi c =
   !found
 
 let freeze_capture ?(scratch = create_scratch ()) b =
-  let t = freeze_core scratch b in
+  let t = copy_out (freeze_core scratch b) in
   check_frozen ~site:"csr.freeze" t;
   let m = b.count and n = b.dim in
   let slot_in r c =

@@ -36,7 +36,8 @@ type builder = {
 }
 
 (** Temporaries of {!freeze}, for a caller that freezes repeatedly: with
-    one, a freeze allocates only the matrix it returns.  Not safe for
+    one, a freeze allocates nothing once the scratch has grown, and the
+    matrix it returns is a view of the scratch's arrays.  Not safe for
     concurrent use. *)
 type scratch
 
@@ -52,6 +53,11 @@ val builder : int -> builder
 
 (** [reset b n] empties [b] for an n×n assembly, keeping its capacity. *)
 val reset : builder -> int -> unit
+
+(** [reserve b m] grows [b]'s triplet capacity to at least [m] (at least
+    twofold when it grows), keeping its triplets: an assembly that knows
+    a bound on its off-diagonal pushes reserves once. *)
+val reserve : builder -> int -> unit
 
 (** Double the capacity of a full builder, keeping its triplets. *)
 val grow : builder -> unit
@@ -69,13 +75,18 @@ val add_diag : builder -> int -> float -> unit
 val create_scratch : unit -> scratch
 
 (** Assemble into CSR: rows sorted by column, duplicates accumulated.
-    [scratch] holds the temporaries (fresh ones otherwise); the result is
-    the same with or without it.  In sanitizer mode the result is
-    validated (site ["csr.freeze"]). *)
+    With [scratch], the result is a view of the scratch's row-start,
+    column and value arrays, which may be longer than the matrix needs;
+    it is valid until the next freeze or {!freeze_capture} with that
+    scratch.  Without one, the temporaries are fresh and the result owns
+    exact-length arrays.  The entries are the same either way.  In sanitizer mode the result
+    is validated (site ["csr.freeze"]). *)
 val freeze : ?scratch:scratch -> builder -> t
 
 (** Like {!freeze}, but also captures the symbolic structure for
-    {!refreeze}. *)
+    {!refreeze}.  The matrix always owns exact-length arrays, because the
+    structure shares them and outlives the call; [scratch] only holds the
+    temporaries. *)
 val freeze_capture : ?scratch:scratch -> builder -> t * structure
 
 (** [refreeze s b] re-assembles [b] against the captured structure [s] as a
@@ -89,7 +100,9 @@ val refreeze : structure -> builder -> t option
 
 (** Checked invariants (sanitizer mode; also exposed for tests): monotone
     row pointers, strictly increasing in-range columns per row, finite
-    values.  Returns the first violation. *)
+    values, over the stored entries; the arrays are at least as long as
+    those entries (a view may run past them).  Returns the first
+    violation. *)
 val validate : t -> (unit, string) result
 
 val dim : t -> int

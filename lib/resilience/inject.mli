@@ -18,7 +18,10 @@ type site =
       (** once per axis solve: at the entry of {!Fbp_linalg.Cg.solve}, and
           twice at the entry of the lockstep {!Fbp_linalg.Cg.solve2}, x
           then y, before either axis iterates — the polls two [solve] calls
-          would make.  [Stagnate] stops that axis only. *)
+          would make.  The global QP's x ‖ y fork polls it the same way,
+          twice on the calling domain before it forks
+          ({!Fbp_linalg.Cg.draw_fault}).  [Stagnate] stops that axis
+          only. *)
   | Parse  (** each input line of {!Fbp_netlist.Bookshelf.read_channel} *)
   | Level
       (** polled 3x per placer refinement level: at level start, after the

@@ -160,9 +160,11 @@ let system_bits (sys : Netmodel.system) =
         l := (r, c, Int64.bits_of_float v) :: !l);
     List.rev !l
   in
-  let bits = Array.map Int64.bits_of_float in
-  ( sys.Netmodel.n_vars,
-    sys.Netmodel.cells,
+  (* a reused workspace's arrays run past [n_vars] by design *)
+  let n = sys.Netmodel.n_vars in
+  let bits a = Array.map Int64.bits_of_float (Array.sub a 0 n) in
+  ( n,
+    Array.sub sys.Netmodel.cells 0 n,
     entries sys.Netmodel.ax,
     (bits sys.Netmodel.bx, bits sys.Netmodel.by) )
 
@@ -291,9 +293,10 @@ let allocated_words f =
   let w1 = words () in
   (r, int_of_float (w1 -. w0))
 
-(* With a warmed workspace an assembly allocates only the system it returns
-   (plus closures and option boxes), and [~nets:[||]] assembles no net at
-   all, whatever the size of the netlist. *)
+(* A warmed workspace owns the system it hands out, so an assembly
+   allocates only closures, option boxes and the system record, and
+   [~nets:[||]] assembles no net at all, whatever the size of the
+   netlist. *)
 let test_netmodel_allocation_budget () =
   let slack = 256 in
   let design = Generator.quick ~seed:5 300 in
@@ -305,10 +308,9 @@ let test_netmodel_allocation_budget () =
   let sys, words =
     allocated_words (fun () -> assemble ~workspace design ~movable ~nets ~anchor)
   in
-  let returned = Obj.reachable_words (Obj.repr sys) in
-  if words > returned + slack then
-    Alcotest.failf "local assembly allocated %d words for a %d-word system"
-      words returned;
+  if words > slack then
+    Alcotest.failf "a warmed local assembly allocated %d words (%d vars)" words
+      sys.Netmodel.n_vars;
   (* cell 0 has no net; every other cell hangs off a pad by [n_nets] nets *)
   let no_nets_words n_nets =
     let n_cells = 50 in
@@ -499,13 +501,15 @@ let test_realization_assigns_everything () =
           p.Grid.capacity)
     grid.Grid.pieces
 
-(* Realization's node pipeline is flat: per wave-touched cell it
-   allocates a bounded number of words (node inputs, transport and the
-   local assembly's system), not a tuple, boxed floats and hash-table
-   entries per cell.  The second call at one domain is measured, with the
-   cells counted by [realization.snapshot_cells]. *)
+(* Realization's node pipeline is flat and its local solves run out of
+   the per-domain scratch: per wave-touched cell it allocates a bounded
+   number of words (node inputs, the net ids, the transportation problem
+   and [dest]), not the local system, the iterates or the transport
+   set-up, let alone a tuple, boxed floats and hash-table entries per
+   cell.  The second call at one domain is measured, with the cells
+   counted by [realization.snapshot_cells]; it takes 77 words per cell. *)
 let test_realization_allocation_budget () =
-  let budget = 200 in
+  let budget = 84 in
   let inst = small_instance ~n_cells:600 ~seed:13 () in
   let design = inst.Fbp_movebound.Instance.design in
   let regions, _, model = build_model ~nx:4 inst in

@@ -328,7 +328,8 @@ let test_transport_fractional_split () =
   | Ok a ->
     Alcotest.(check bool) "capacities respected" true (Transport.max_overflow p a <= 1e-6);
     Alcotest.(check int) "one fractional cell" 1 (Transport.n_fractional a);
-    let fr = a.Transport.frac.(0) in
+    let fr = Transport.fractions a 0 in
+    Alcotest.(check int) "two entries" 2 (List.length fr);
     check_float "fractions sum to 1" 1.0 (List.fold_left (fun acc (_, f) -> acc +. f) 0.0 fr)
 
 let random_transport_problem =
@@ -357,10 +358,12 @@ let prop_transport_respects_capacities =
       | Error _ -> false
       | Ok a ->
         Transport.max_overflow p a <= 1e-6
-        && Array.for_all
-             (fun fr ->
+        && a.Transport.n = Array.length sizes
+        && List.for_all
+             (fun i ->
+               let fr = Transport.fractions a i in
                Float.abs (List.fold_left (fun acc (_, f) -> acc +. f) 0.0 fr -. 1.0) < 1e-6)
-             a.Transport.frac)
+             (List.init a.Transport.n Fun.id))
 
 (* Total size minus the max flow from a super source through the admissible
    (cell, sink) pairs into the sink capacities — the overload no assignment
@@ -406,7 +409,7 @@ let check_transport_exact name p =
   | Error _ ->
     let over =
       Array.fold_left ( +. ) 0.0
-        (Array.mapi (fun j l -> Float.max 0.0 (l -. p.capacities.(j))) a.load)
+        (Array.mapi (fun j c -> Float.max 0.0 (a.load.(j) -. c)) p.capacities)
     and gap = maxflow_gap p in
     if Float.abs (over -. gap) > 1e-6 *. Float.max 1.0 gap then
       Alcotest.failf "%s: overload %.9g, max-flow gap %.9g" name over gap;
@@ -472,7 +475,7 @@ let prop_exact_transport_optimal =
       | Error _ -> false
       | Ok a ->
         Transport.max_overflow p a <= 1e-6
-        && Float.abs (Transport.total_cost p a.Transport.frac -. a.Transport.cost) < 1e-4)
+        && Float.abs (Transport.total_cost p a -. a.Transport.cost) < 1e-4)
 
 let test_transport_round_integral () =
   let cost _ j = float_of_int j in
@@ -481,15 +484,91 @@ let test_transport_round_integral () =
   | Error e -> Alcotest.fail e
   | Ok a ->
     let assign = Transport.round_integral a in
+    Alcotest.(check int) "one sink per cell" 2 (Array.length assign);
     Array.iter (fun j -> Alcotest.(check bool) "sink valid" true (j >= 0 && j < 2)) assign
 
-(* 300 cells and 10 sinks at seeded random points with L1 costs; every
-   sink holds [factor] times an even share of the total size, so a smaller
-   factor needs more augmenting paths. *)
-let scattered_instance ~factor =
+(* The rounding rule on a cell's list of fractions: the largest, the first
+   in list order on a tie; -1 for no entry.  The reference the flat
+   [round_integral] must match. *)
+let list_rule = function
+  | [] -> -1
+  | (j0, f0) :: rest ->
+    fst (List.fold_left (fun ((_, bf) as acc) (j, f) -> if f > bf then (j, f) else acc)
+           (j0, f0) rest)
+
+let check_rounding name (a : Transport.assignment) =
+  let flat = Transport.round_integral a in
+  Alcotest.(check int) (name ^ ": one sink per cell") a.Transport.n (Array.length flat);
+  Array.iteri
+    (fun i j ->
+      let expect = list_rule (Transport.fractions a i) in
+      if j <> expect || Transport.choice a i <> j then
+        Alcotest.failf "%s: cell %d rounds to %d, the list rule to %d" name i j expect)
+    flat
+
+(* Flat rounding against the list rule.  Solver outputs: the seeded
+   random instances, some split and some tied in cost.  Synthetic chains:
+   fractions from a small set, so ties are common, over shuffled entry
+   slots, with empty cells. *)
+let test_transport_round_integral_flat () =
+  let module Rng = Fbp_util.Rng in
+  let rng = Rng.create 4242 in
+  let split = ref 0 in
+  for trial = 1 to 400 do
+    match Transport.solve (random_transport_instance rng) with
+    | Error e -> Alcotest.failf "instance %d: %s" trial e
+    | Ok a ->
+      split := !split + Transport.n_fractional a;
+      check_rounding (Printf.sprintf "instance %d" trial) a
+  done;
+  Alcotest.(check bool) (Printf.sprintf "splits drawn (%d)" !split) true (!split > 50);
+  let ties = ref 0 in
+  for trial = 1 to 400 do
+    let n = 1 + Rng.int rng 20 and k = 1 + Rng.int rng 6 in
+    let lens = Array.init n (fun _ -> Rng.int rng (k + 1)) in
+    let m = Array.fold_left ( + ) 0 lens in
+    (* entry slots in a random order *)
+    let slot = Array.init m Fun.id in
+    for t = m - 1 downto 1 do
+      let u = Rng.int rng (t + 1) in
+      let x = slot.(t) in
+      slot.(t) <- slot.(u);
+      slot.(u) <- x
+    done;
+    let head = Array.make n (-1) and sink = Array.make m 0 in
+    let frac = Array.make m 0.0 and next = Array.make m (-1) in
+    let used = ref 0 in
+    Array.iteri
+      (fun i len ->
+        for _ = 1 to len do
+          let e = slot.(!used) in
+          incr used;
+          sink.(e) <- Rng.int rng k;
+          frac.(e) <- [| 0.25; 0.5; 0.75 |].(Rng.int rng 3);
+          next.(e) <- head.(i);
+          head.(i) <- e
+        done)
+      lens;
+    let a =
+      { Transport.n; k; head; sink; frac; next; load = Array.make k 0.0;
+        cost = 0.0; prices = Array.make k 0.0 }
+    in
+    for i = 0 to n - 1 do
+      match Transport.fractions a i with
+      | (_, f0) :: rest when List.exists (fun (_, f) -> Float.equal f f0) rest -> incr ties
+      | _ -> ()
+    done;
+    check_rounding (Printf.sprintf "chains %d" trial) a
+  done;
+  Alcotest.(check bool) (Printf.sprintf "ties drawn (%d)" !ties) true (!ties > 50)
+
+(* [n] cells (300 by default) and 10 sinks at seeded random points with
+   L1 costs; every sink holds [factor] times an even share of the total
+   size, so a smaller factor needs more augmenting paths. *)
+let scattered_instance ?(n = 300) ~factor () =
   let module Rng = Fbp_util.Rng in
   let rng = Rng.create 7 in
-  let n = 300 and k = 10 in
+  let k = 10 in
   let point () = (Rng.range rng 0.0 100.0, Rng.range rng 0.0 100.0) in
   let cells = Array.init n (fun _ -> point ()) in
   let sinks = Array.init k (fun _ -> point ()) in
@@ -505,7 +584,7 @@ let scattered_instance ~factor =
 let test_transport_allocation_flat () =
   let module Obs = Fbp_obs.Obs in
   let run factor =
-    let p = scattered_instance ~factor in
+    let p = scattered_instance ~factor () in
     Obs.reset ();
     Obs.enable ();
     ignore (Transport.solve p);
@@ -530,6 +609,27 @@ let test_transport_allocation_flat () =
     Alcotest.failf "%d words beyond the result, above the %d-word set-up budget" loose
       (8 * n * k)
 
+(* A warmed workspace holds the whole set-up and the result: once it has
+   served the larger instance, a solve allocates the same few words at
+   300 cells as at 1 200, whatever the number of augmenting paths. *)
+let test_transport_workspace_allocation () =
+  let workspace = Transport.create_workspace () in
+  let small = scattered_instance ~n:300 ~factor:1.184 ()
+  and large = scattered_instance ~n:1200 ~factor:1.184 () in
+  let solve p =
+    match Transport.solve ~workspace p with
+    | Error e -> Alcotest.fail e
+    | Ok a -> a
+  in
+  ignore (solve large);
+  let words p = snd (Test_core.allocated_words (fun () -> solve p)) in
+  let at_small = words small and at_large = words large in
+  (* 123 words at both sizes: closures, the records and the result box *)
+  let bound = 160 and slack = 16 in
+  if at_small > bound || at_large > bound || abs (at_large - at_small) > slack then
+    Alcotest.failf "a warmed solve allocated %d words at 300 cells, %d at 1 200"
+      at_small at_large
+
 let suite =
   [
     Alcotest.test_case "graph arcs and twins" `Quick test_graph_arcs;
@@ -552,6 +652,10 @@ let suite =
     Alcotest.test_case "transport exact vs MCF (deterministic)" `Quick test_transport_exact;
     Prop.qcheck prop_exact_transport_optimal;
     Alcotest.test_case "transport round integral" `Quick test_transport_round_integral;
+    Alcotest.test_case "transport flat rounding equals the list rule" `Quick
+      test_transport_round_integral_flat;
     Alcotest.test_case "transport allocation flat in paths" `Quick
       test_transport_allocation_flat;
+    Alcotest.test_case "transport workspace allocation" `Quick
+      test_transport_workspace_allocation;
   ]

@@ -455,6 +455,18 @@ let test_uncovered_file_is_error () =
            (Filename.concat root "fix_capture.ml" ^ ": error: ")))
     fixture_root
 
+(* A mistyped root lints nothing; it must fail, naming the root, not pass
+   with "0 files scanned". *)
+let test_missing_root_is_error () =
+  let root = "no_such_dir" in
+  let report = Lint.run_paths [ root ] in
+  Alcotest.(check bool) "the run fails" true (Lint.failed report);
+  Alcotest.(check int) "nothing scanned" 0 report.Lint.files_scanned;
+  Alcotest.(check (list string)) "the error names the root" [ root ]
+    (List.map fst report.Lint.errors);
+  Alcotest.(check bool) "the text report names it" true
+    (contains (Lint.render_text report) (root ^ ": error: "))
+
 let render_result r =
   String.concat "\n" (List.map D.to_text r.Ip.diagnostics)
   ^ "\n"
@@ -517,6 +529,8 @@ let suite =
       test_run_paths_typed;
     Alcotest.test_case "uncovered file is an error" `Quick
       test_uncovered_file_is_error;
+    Alcotest.test_case "missing root is an error" `Quick
+      test_missing_root_is_error;
     Alcotest.test_case "interproc determinism+raises" `Quick
       test_ip_determinism_and_raises;
     Alcotest.test_case "interproc byte-stable" `Quick test_ip_byte_stable;

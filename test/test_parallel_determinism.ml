@@ -161,6 +161,41 @@ let test_config_domains_bound_global_qp () =
   Alcotest.(check (array (float 0.0))) "x bit-identical" p1.Placement.x p2.Placement.x;
   Alcotest.(check (array (float 0.0))) "y bit-identical" p1.Placement.y p2.Placement.y
 
+(* The global QP's x ‖ y fork draws both axes' Cg faults on the calling
+   domain before it forks, x then y, as the lockstep solve draws them:
+   armed to skip one hit and fire once, the fault stagnates the y axis
+   (its positions stay put) at one domain and at two, the site counts two
+   hits per solve, and the positions agree bit for bit. *)
+let test_global_qp_faults_drawn_before_fork () =
+  let module Inject = Fbp_resilience.Inject in
+  let d = Generator.quick ~seed:9 ~name:"qp" 5000 in
+  let nl = d.Design.netlist in
+  let init = d.Design.initial in
+  let run domains =
+    with_domains 4 (fun () ->
+        Fun.protect ~finally:Inject.reset (fun () ->
+            Inject.arm ~after:1 ~times:1 Inject.Cg Inject.Stagnate;
+            let pos = Placement.copy init in
+            let solve () =
+              Qp.solve_global { Config.default with domains; hw_clamp = false }
+                nl pos ~anchor:(fun _ -> None) ()
+            in
+            let st = solve () in
+            Alcotest.(check bool) "at least 4096 variables" true (st.Qp.vars >= 4096);
+            Alcotest.(check int) "two hits for the first solve" 2 (Inject.hits Inject.Cg);
+            Alcotest.(check bool) "the stagnated solve did not converge" false
+              st.Qp.converged;
+            Alcotest.(check (array (float 0.0))) "y stagnated" init.Placement.y
+              pos.Placement.y;
+            Alcotest.(check bool) "x moved" false (pos.Placement.x = init.Placement.x);
+            ignore (solve ());
+            Alcotest.(check int) "two more for the second" 4 (Inject.hits Inject.Cg);
+            pos))
+  in
+  let p1 = run 1 and p2 = run 2 in
+  Alcotest.(check (array (float 0.0))) "x bit-identical" p1.Placement.x p2.Placement.x;
+  Alcotest.(check (array (float 0.0))) "y bit-identical" p1.Placement.y p2.Placement.y
+
 (* ---------- symbolic reuse equals fresh assembly ---------- *)
 
 (* Fixed topology (seed 31), values drawn from an independent stream — so
@@ -476,6 +511,8 @@ let suite =
       test_kernels_stay_on_caller;
     Alcotest.test_case "config domains bound the global QP" `Quick
       test_config_domains_bound_global_qp;
+    Alcotest.test_case "global QP draws its CG faults before the fork" `Quick
+      test_global_qp_faults_drawn_before_fork;
     Alcotest.test_case "refreeze bitwise equals freeze" `Quick
       test_refreeze_bitwise;
     Alcotest.test_case "refreeze rejects changed topology" `Quick

@@ -166,6 +166,23 @@ let transport_problem () =
           Float.abs (float_of_int i -. (3.0 *. float_of_int j)));
   }
 
+(* [a] with cell [i]'s chain replaced by new entries holding [entries] in
+   order, appended past [a]'s own. *)
+let with_chain (a : Transport.assignment) i entries =
+  let used = Array.length a.Transport.sink and m = List.length entries in
+  let extend arr fill = Array.append arr (Array.make m fill) in
+  let head = Array.copy a.Transport.head and sink = extend a.Transport.sink 0 in
+  let frac = extend a.Transport.frac 0.0 and next = extend a.Transport.next (-1) in
+  List.iteri
+    (fun t (j, f) ->
+      let e = used + t in
+      sink.(e) <- j;
+      frac.(e) <- f;
+      next.(e) <- (if t + 1 < m then e + 1 else -1))
+    entries;
+  head.(i) <- (if m = 0 then -1 else used);
+  { a with Transport.head; sink; frac; next }
+
 let test_transport_audit_accepts_solver_output () =
   let p = transport_problem () in
   match Transport.solve p with
@@ -189,10 +206,26 @@ let test_transport_audit_catches_tampering () =
     (match Transport.solve p with
     | Error e -> Alcotest.fail e
     | Ok a2 ->
-      a2.Transport.frac.(0) <- [ (0, 0.25) ];
+      (match Transport.audit p (with_chain a2 0 [ (0, 0.25) ]) with
+      | Ok () -> Alcotest.fail "short row must not verify"
+      | Error _ -> ());
+      (* the same tamper in place, on the solver's own entry *)
+      let e = a2.Transport.head.(0) in
+      a2.Transport.sink.(e) <- 0;
+      a2.Transport.frac.(e) <- 0.25;
+      a2.Transport.next.(e) <- -1;
       (match Transport.audit p a2 with
       | Ok () -> Alcotest.fail "short row must not verify"
-      | Error _ -> ()))
+      | Error _ -> ());
+      (* a chain that never ends *)
+      (match Transport.solve p with
+      | Error e -> Alcotest.fail e
+      | Ok a3 ->
+        let e = a3.Transport.head.(1) in
+        a3.Transport.next.(e) <- e;
+        (match Transport.audit p a3 with
+        | Ok () -> Alcotest.fail "a cyclic chain must not verify"
+        | Error _ -> ())))
 
 let test_transport_solve_under_sanitizer () =
   with_sanitize (fun () ->
@@ -225,7 +258,7 @@ let test_transport_certificate_accepts_solver_output () =
             match Transport.audit p a with
             | Ok () -> ()
             | Error msg -> Alcotest.failf "%s output must verify: %s" what msg))
-        [ ("solve", Transport.solve); ("solve_exact", Transport.solve_exact) ])
+        [ ("solve", fun p -> Transport.solve p); ("solve_exact", Transport.solve_exact) ])
 
 let test_transport_certificate_catches_perturbed_price () =
   let p = overloaded_transport () in
@@ -245,12 +278,12 @@ let test_transport_certificate_catches_costlier_swap () =
   | Ok a ->
     (* cell 0 (size 1) to sink 1 and two thirds of cell 2 (size 1.5) to sink
        0: every load stays, the cost rises by 4 *)
-    let frac = Array.copy a.Transport.frac in
-    frac.(0) <- [ (1, 1.0) ];
-    frac.(2) <- [ (0, 2.0 /. 3.0); (1, 1.0 /. 3.0) ];
-    let swapped = { a with Transport.frac } in
+    let swapped =
+      with_chain (with_chain a 0 [ (1, 1.0) ]) 2
+        [ (0, 2.0 /. 3.0); (1, 1.0 /. 3.0) ]
+    in
     Alcotest.(check bool) "costlier" true
-      (Transport.total_cost p frac > a.Transport.cost +. 3.0);
+      (Transport.total_cost p swapped > a.Transport.cost +. 3.0);
     certificate_rejects "a costlier swap" p swapped
 
 (* ---------- CSR structure ---------- *)
