@@ -60,7 +60,7 @@ for span in place.level place.qp place.flow place.realization realization.wave; 
   grep -q "\"name\":\"$span\"" "$tmp/trace.json" \
     || { echo "trace missing span: $span"; exit 1; }
 done
-for metric in cg.iterations mcf.dijkstra_rounds transport.pivots \
+for metric in cg.iterations mcf.dijkstra_rounds mcf.priced_arcs transport.pivots \
               realization.shipped_cells realization.wave_width \
               realization.seq_s realization.scratches netmodel.triplets \
               gc.major_collections gc.heap_words; do

@@ -567,27 +567,54 @@ let nolabel_args args =
 (* ------------------------------------------------------- closure analysis *)
 
 (* A work argument that names a function let-bound in the enclosing one,
-   or partially applies it, runs that function's body on the workers.
-   The body's own touches of captured and module-level state are checked
-   as in a literal [fun]: its parameters count as bound (a partial
+   or partially applies it, runs that function's body on the workers, and
+   so does every local function that the closure, or such a body, calls:
+   both shapes reach their callees from a worker.  Each body is walked as
+   the closure is: its parameters and locals count as bound (a partial
    application's prefix is evaluated by the caller), what it captures
-   does not.  Its callees are not followed (DESIGN.md §8 caveats). *)
-let rec local_work env e =
-  match e.exp_desc with
-  | Texp_ident (Path.Pident id, _, _) ->
-    Hashtbl.find_opt env.fns (Ident.unique_name id)
-  | Texp_apply (head, _) -> local_work env head
-  | _ -> None
+   from the enclosing function does not, and the module-level functions
+   it references are the callees the fixpoint follows. *)
+(* The bodies of the local functions that [warg] runs: each local
+   function referenced from the closure (the work function it names
+   included) or from a body already found, once each. *)
+let local_bodies env warg =
+  let seen = Hashtbl.create 8 and bodies = ref [] in
+  let rec add key body =
+    if not (Hashtbl.mem seen key) then begin
+      Hashtbl.replace seen key ();
+      bodies := body :: !bodies;
+      scan body
+    end
+  and scan e =
+    let it =
+      {
+        Tast_iterator.default_iterator with
+        expr =
+          (fun sub e ->
+            (match e.exp_desc with
+            | Texp_ident (Path.Pident id, _, _) -> (
+              let key = Ident.unique_name id in
+              match Hashtbl.find_opt env.fns key with
+              | Some body -> add key body
+              | None -> ())
+            | _ -> ());
+            Tast_iterator.default_iterator.expr sub e);
+      }
+    in
+    it.expr it e
+  in
+  scan warg;
+  List.rev !bodies
 
 let analyze_work_arg env warg =
-  let def = local_work env warg in
+  let bodies = local_bodies env warg in
   let bc = Hashtbl.create 32 and bc_allocs = Hashtbl.create 8 in
   List.iter
     (fun e ->
       let b, a, _ = collect_bound env.ctx e in
       Hashtbl.iter (Hashtbl.replace bc) b;
       Hashtbl.iter (Hashtbl.replace bc_allocs) a)
-    (warg :: Option.to_list def);
+    (warg :: bodies);
   let refs = ref []
   and captured = ref []
   and global = ref []
@@ -621,15 +648,15 @@ let analyze_work_arg env warg =
     | Rglobal g ->
       global := site_of env loc (Printf.sprintf "%s '%s'" what g) :: !global
   in
-  (* [follow]: record the callees and container hand-offs that the
-     fixpoint follows *)
-  let iterator ~follow =
+  (* records the callees and container hand-offs that the fixpoint
+     follows *)
+  let iterator =
     {
       Tast_iterator.default_iterator with
       expr =
         (fun sub e ->
           (match e.exp_desc with
-          | Texp_ident (p, _, _) when follow -> (
+          | Texp_ident (p, _, _) -> (
             match resolve env.ctx p with
             | Some parts when not (is_raise_head (strip_stdlib parts)) ->
               refs :=
@@ -652,7 +679,7 @@ let analyze_work_arg env warg =
                 Option.iter
                   (fun a -> record_touch a e.exp_loc "reads")
                   (first_nolabel args)
-              else if follow then
+              else
                 (* hand-off of a captured mutable container to a callee *)
                 List.iter
                   (fun a ->
@@ -678,13 +705,8 @@ let analyze_work_arg env warg =
           Tast_iterator.default_iterator.expr sub e);
     }
   in
-  let it = iterator ~follow:true in
-  it.expr it warg;
-  Option.iter
-    (fun d ->
-      let it = iterator ~follow:false in
-      it.expr it d)
-    def;
+  let it = iterator in
+  List.iter (it.expr it) (warg :: bodies);
   {
     k_site = site_of env warg.exp_loc "closure";
     k_refs = List.sort_uniq compare_call (List.rev !refs);

@@ -6,9 +6,10 @@
 
    - domain-safety: mutable state reached *transitively* by any closure
      handed to the Pool entry points (not just directly captured).  The
-     pool itself is the trusted synchronization layer: its own
-     mutex-guarded internals are the implementation of the safe
-     abstraction, so propagation is cut at that unit.
+     pool and the observability registry are the trusted synchronization
+     layers: their module-level state is touched only under their own
+     mutex (or through atomics), which implements the safe abstraction,
+     so propagation is cut at those units.
    - determinism: Random/Sys.time/Unix.gettimeofday taint, reported on
      every function reachable from the placer or fuzzer entry points,
      outside the sanctioned rng/timer wrappers.
@@ -46,7 +47,7 @@ let default_config ~cmt_roots =
     det_entries = [ "Fbp_core.Placer.place"; "Fbp_workloads.Fuzz." ];
     cli_entries = [ "Fbp_place." ];
     sanctioned_nondet = [ "lib/util/rng.ml"; "lib/util/timer.ml" ];
-    trusted = [ "Fbp_util.Pool." ];
+    trusted = [ "Fbp_util.Pool."; "Fbp_obs.Obs." ];
     sanctioned_exns =
       [ "Fbp_resilience.Fbp_error.Error"; "Invalid_argument"; "Assert_failure" ];
   }

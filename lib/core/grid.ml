@@ -29,7 +29,9 @@ type t = {
   ny : int;
   windows : window array;
   pieces : piece array;
-  pieces_of_window : int list array;  (* window -> piece ids *)
+  piece_start : int array;
+      (* pieces are numbered window by window: window w's are the ids
+         [piece_start.(w), piece_start.(w + 1)) *)
 }
 
 let n_windows t = Array.length t.windows
@@ -92,10 +94,11 @@ let create ?(usable : Rect_set.t array option) ?(capacity_factor = 1.0)
         { index; wx; wy; rect })
   in
   let pieces = ref [] in
-  let pieces_of_window = Array.make (nx * ny) [] in
+  let piece_start = Array.make ((nx * ny) + 1) 0 in
   let next = ref 0 in
   Array.iter
     (fun win ->
+      piece_start.(win.index) <- !next;
       Array.iter
         (fun (r : Fbp_movebound.Regions.region) ->
           let inter = Rect_set.intersect_rect r.Fbp_movebound.Regions.area win.rect in
@@ -115,12 +118,10 @@ let create ?(usable : Rect_set.t array option) ?(capacity_factor = 1.0)
                 area = inter; capacity; centroid }
             in
             incr next;
-            pieces := piece :: !pieces;
-            pieces_of_window.(win.index) <- piece.id :: pieces_of_window.(win.index)
+            pieces := piece :: !pieces
           end)
         regions.Fbp_movebound.Regions.regions)
     windows;
+  piece_start.(nx * ny) <- !next;
   let pieces = Array.of_list (List.rev !pieces) in
-  (* keep per-window lists in ascending piece order for determinism *)
-  let pieces_of_window = Array.map List.rev pieces_of_window in
-  { chip; nx; ny; windows; pieces; pieces_of_window }
+  { chip; nx; ny; windows; pieces; piece_start }

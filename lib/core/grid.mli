@@ -25,7 +25,10 @@ type t = {
   ny : int;
   windows : window array;
   pieces : piece array;
-  pieces_of_window : int list array;
+  piece_start : int array;
+      (** length [n_windows + 1]: pieces are numbered window by window, so
+          the pieces of window [w] are exactly the ids
+          [piece_start.(w) .. piece_start.(w + 1) - 1] *)
 }
 
 val n_windows : t -> int

@@ -79,10 +79,10 @@ let iterates ?scratch (sys : Netmodel.system) (pos : Placement.t) =
    its own [Cg.solve]. *)
 let qp_seq_vars = 4096
 
-let solve_axes ?scratch ~max_iter ~tol (sys : Netmodel.system) x y =
-  Fbp_linalg.Cg.solve2
+let solve_axes ?scratch ~stagnate ~max_iter ~tol (sys : Netmodel.system) x y =
+  Fbp_linalg.Cg.iterate2
     ?workspace:(Option.map (fun s -> s.cg) scratch)
-    ~max_iter ~tol sys.Netmodel.ax sys.Netmodel.bx x sys.Netmodel.by y
+    ~stagnate ~max_iter ~tol sys.Netmodel.ax sys.Netmodel.bx x sys.Netmodel.by y
 
 let solve_system ?scratch (cfg : Config.t) (sys : Netmodel.system)
     (pos : Placement.t) =
@@ -93,18 +93,18 @@ let solve_system ?scratch (cfg : Config.t) (sys : Netmodel.system)
      a large system at two or more domains solves them concurrently on
      the pool, within the config's domain budget, with the CG kernels of
      each solve on its domain.  The fault registry is not synchronized,
-     so both axes' faults are drawn here first, x then y, as the lockstep
-     solve draws them.  Metrics are deferred and recorded after the join
-     in fixed x-then-y order, keeping observation streams deterministic
-     regardless of interleaving. *)
+     so both axes' faults are drawn here first, x then y, on either path.
+     Metrics are deferred and recorded after the join in fixed x-then-y
+     order, keeping observation streams deterministic regardless of
+     interleaving. *)
   let max_iter = cfg.Config.cg_max_iter and tol = cfg.Config.cg_tol in
   let domains = Config.effective_domains cfg in
+  let stag_x = Fbp_linalg.Cg.draw_fault () in
+  let stag_y = Fbp_linalg.Cg.draw_fault () in
   let sx, sy =
     if nv < qp_seq_vars || domains < 2 then
-      solve_axes ?scratch ~max_iter ~tol sys x y
+      solve_axes ?scratch ~stagnate:(stag_x, stag_y) ~max_iter ~tol sys x y
     else begin
-      let stag_x = Fbp_linalg.Cg.draw_fault () in
-      let stag_y = Fbp_linalg.Cg.draw_fault () in
       let solve stagnate b v () =
         Fbp_linalg.Cg.iterate ~stagnate ~max_iter ~tol sys.Netmodel.ax b v
       in
@@ -149,38 +149,6 @@ let solve_global (cfg : Config.t) (nl : Netlist.t) (pos : Placement.t) ?cache
       in
       solve_system cfg sys pos)
 
-(* In-place ascending sort of a.(lo..hi), specialised to ints: [Array.sort
-   Int.compare] pays a closure call per comparison, most of dedup's time on
-   small nodes. *)
-let rec sort_ints (a : int array) lo hi =
-  if hi - lo > 8 then begin
-    let pivot = a.((lo + hi) / 2) in
-    let i = ref lo and j = ref hi in
-    while !i <= !j do
-      while a.(!i) < pivot do incr i done;
-      while a.(!j) > pivot do decr j done;
-      if !i <= !j then begin
-        let t = a.(!i) in
-        a.(!i) <- a.(!j);
-        a.(!j) <- t;
-        incr i;
-        decr j
-      end
-    done;
-    sort_ints a lo !j;
-    sort_ints a !i hi
-  end
-  else
-    for i = lo + 1 to hi do
-      let x = a.(i) in
-      let j = ref (i - 1) in
-      while !j >= lo && a.(!j) > x do
-        a.(!j + 1) <- a.(!j);
-        decr j
-      done;
-      a.(!j + 1) <- x
-    done
-
 (* Deduplicated, sorted ids of every net incident to [cells], read from
    the netlist's incidence; sorting fixes the assembly order. *)
 let dedup_nets scratch (nl : Netlist.t) ~(cells : int array) =
@@ -209,7 +177,7 @@ let dedup_nets scratch (nl : Netlist.t) ~(cells : int array) =
       end
     done
   done;
-  sort_ints scratch.buf 0 (!count - 1);
+  Fbp_util.Int_sort.sort scratch.buf 0 (!count - 1);
   Array.sub scratch.buf 0 !count
 
 (* The local system over [cells], everything else fixed; only nets touching

@@ -32,23 +32,27 @@ val transport_workspace : scratch -> Fbp_flow.Transport.workspace
 val iterates :
   ?scratch:scratch -> Netmodel.system -> Placement.t -> float array * float array
 
-(** [solve_axes sys x y] improves [x] and [y] toward the x and y systems
-    of [sys] with {!Fbp_linalg.Cg.solve2}: in lockstep over the one shared
-    matrix, on the calling domain, with [scratch]'s CG vectors (fresh ones
-    otherwise).  Returns the x and the y stats, unrecorded. *)
+(** [solve_axes ~stagnate sys x y] improves [x] and [y] toward the x and
+    y systems of [sys] with {!Fbp_linalg.Cg.iterate2}: in lockstep over
+    the one shared matrix, on the calling domain, with [scratch]'s CG
+    vectors (fresh ones otherwise).  [stagnate] holds the x and y faults
+    the caller drew ({!Fbp_linalg.Cg.draw_fault}, x then y); no site is
+    polled here, so it may run on any domain.  Returns the x and the y
+    stats, unrecorded. *)
 val solve_axes :
-  ?scratch:scratch -> max_iter:int -> tol:float -> Netmodel.system ->
-  float array -> float array -> Fbp_linalg.Cg.stats * Fbp_linalg.Cg.stats
+  ?scratch:scratch -> stagnate:bool * bool -> max_iter:int -> tol:float ->
+  Netmodel.system -> float array -> float array ->
+  Fbp_linalg.Cg.stats * Fbp_linalg.Cg.stats
 
 (** Solve an assembled system, writing cell positions back into the
     placement (star variables are discarded).  The iterates are
-    {!iterates}' (the scratch's when given).  Both axis solves read the
-    one shared matrix ([ax]).  Below 4096 variables, or at one domain,
-    they run in lockstep ({!solve_axes}, with [scratch]'s vectors); from
-    4096 variables on at two or more domains ({!Config.effective_domains})
-    they run concurrently on the domain pool, one {!Fbp_linalg.Cg.iterate}
-    each, their faults drawn first on the calling domain, x then y
-    ({!Fbp_linalg.Cg.draw_fault}), as the lockstep solve draws them.
+    {!iterates}' (the scratch's when given).  Both axes' faults are drawn
+    first on the calling domain, x then y ({!Fbp_linalg.Cg.draw_fault}).
+    Both axis solves read the one shared matrix ([ax]).  Below 4096
+    variables, or at one domain, they run in lockstep ({!solve_axes},
+    with [scratch]'s vectors); from 4096 variables on at two or more
+    domains ({!Config.effective_domains}) they run concurrently on the
+    domain pool, one {!Fbp_linalg.Cg.iterate} each.
     Metrics are recorded after the solves in fixed x-then-y order, so
     observation streams stay deterministic. *)
 val solve_system :

@@ -89,13 +89,18 @@ let snapshot (pos : Placement.t) (cells : int array) =
 
 (* Read-only inputs of one node, gathered on the coordinating domain
    between waves.  [nqx]/[nqy] seed the node's local QP and receive its
-   cells' final positions — node-private by construction. *)
+   cells' final positions — node-private by construction.  The fault
+   registry is not synchronized, so the node's faults are drawn there
+   too, in node order, and handed over as verdicts. *)
 type node_input = {
   nid : int;
   ncells : int array;  (* sorted member cell ids *)
   nqx : float array;  (* compact pre-wave position snapshot *)
   nqy : float array;
+  npieces : int array;  (* the window's pieces prescribed to the class *)
   narcs : Fbp_model.external_flow list;  (* outgoing external arcs *)
+  stagnate : bool * bool;  (* the local QP's x and y CG faults *)
+  corrupt : bool;  (* the transportation fault *)
 }
 
 type node_result = {
@@ -169,7 +174,7 @@ let[@inline] project_into (g : float array) (xs : float array)
    [List.sort_uniq Int.compare] gives on the same members. *)
 let sorted_members (buf : int array) len =
   let a = Array.sub buf 0 len in
-  Array.sort Int.compare a;
+  Fbp_util.Int_sort.sort a 0 (len - 1);
   let k = ref (min len 1) in
   for i = 1 to len - 1 do
     if a.(i) <> a.(!k - 1) then begin
@@ -210,8 +215,8 @@ let realize ?(on_step : (step -> unit) option) (cfg : Config.t)
   Array.iter
     (fun (g : Fbp_model.group) ->
       let id = (g.Fbp_model.w * n_classes) + g.Fbp_model.m in
-      mem.(id) <- Array.of_list g.Fbp_model.cells;
-      mem_len.(id) <- Array.length mem.(id);
+      mem.(id) <- Array.sub model.Fbp_model.cells g.Fbp_model.first g.Fbp_model.len;
+      mem_len.(id) <- g.Fbp_model.len;
       live.(id) <- true)
     model.Fbp_model.groups;
   (* outgoing external arcs per node (prepended: the order fixes the
@@ -277,11 +282,32 @@ let realize ?(on_step : (step -> unit) option) (cfg : Config.t)
         end
       end
     in
-    List.iter consider grid.Grid.pieces_of_window.(w);
+    for pid = grid.Grid.piece_start.(w) to grid.Grid.piece_start.(w + 1) - 1 do
+      consider pid
+    done;
     if !best < 0 then
       (* widen to the whole grid (rare: window fully inadmissible) *)
       Array.iter (fun (p : Grid.piece) -> consider p.Grid.id) grid.Grid.pieces;
     !best
+  in
+  (* the node's piece sinks: its window's pieces with a prescription for
+     its class, in id order *)
+  let allot = sol.Fbp_model.allot in
+  let prescribed_pieces id =
+    let w = id / n_classes and m = id mod n_classes in
+    let p0 = grid.Grid.piece_start.(w) and p1 = grid.Grid.piece_start.(w + 1) in
+    let np = ref 0 in
+    for pid = p0 to p1 - 1 do
+      if allot.((pid * n_classes) + m) > eps then incr np
+    done;
+    let pieces = Array.make !np 0 and j = ref 0 in
+    for pid = p0 to p1 - 1 do
+      if allot.((pid * n_classes) + m) > eps then begin
+        pieces.(!j) <- pid;
+        incr j
+      end
+    done;
+    pieces
   in
   (* Inputs of one node, snapshotted from the shared member buffers
      *before* the parallel map: worker domains never touch them (the
@@ -293,7 +319,20 @@ let realize ?(on_step : (step -> unit) option) (cfg : Config.t)
   let node_input id =
     let cells = sorted_members mem.(id) mem_len.(id) in
     let nqx, nqy = snapshot pos cells in
-    { nid = id; ncells = cells; nqx; nqy; narcs = outgoing.(id) }
+    let n = Array.length cells and narcs = outgoing.(id) in
+    let pieces = if n = 0 then [||] else prescribed_pieces id in
+    (* the faults [process_node] would poll: CG x and y for a local QP,
+       then transport for a node with a sink *)
+    let stagnate =
+      if n > 1 && cfg.Config.local_qp then
+        let sx = Fbp_linalg.Cg.draw_fault () in
+        (sx, Fbp_linalg.Cg.draw_fault ())
+      else (false, false)
+    in
+    let corrupt =
+      n > 0 && (Array.length pieces > 0 || narcs <> []) && Transport.draw_fault ()
+    in
+    { nid = id; ncells = cells; nqx; nqy; npieces = pieces; narcs; stagnate; corrupt }
   in
   (* Process one node against read-only inputs: the destinations, the
      final positions (into [nqx]/[nqy]) and the local-QP solver stats
@@ -320,7 +359,10 @@ let realize ?(on_step : (step -> unit) option) (cfg : Config.t)
               ~anchor:(fun _ -> pull)
           in
           let xv, yv = Qp.iterates ~scratch sys pos in
-          let st = Qp.solve_axes ~scratch ~max_iter:60 ~tol:1e-4 sys xv yv in
+          let st =
+            Qp.solve_axes ~scratch ~stagnate:ni.stagnate ~max_iter:60 ~tol:1e-4 sys
+              xv yv
+          in
           Array.blit xv 0 qx 0 n;
           Array.blit yv 0 qy 0 n;
           Some st
@@ -338,14 +380,9 @@ let realize ?(on_step : (step -> unit) option) (cfg : Config.t)
         incr fallbacks
       in
       (* 2. transportation sinks: region pieces + outgoing transit buffers *)
-      let pieces =
-        Array.of_list
-          (List.filter
-             (fun pid -> sol.Fbp_model.allot.((pid * n_classes) + m) > eps)
-             grid.Grid.pieces_of_window.(w))
-      in
-      let arcs = Array.of_list ni.narcs in
+      let pieces = ni.npieces in
       let np = Array.length pieces in
+      let arcs = Array.of_list ni.narcs in
       let ks = np + Array.length arcs in
       let caps = Array.make ks 0.0 in
       for j = 0 to np - 1 do
@@ -395,7 +432,8 @@ let realize ?(on_step : (step -> unit) option) (cfg : Config.t)
           done
         done;
         match
-          Transport.solve ~workspace:(Qp.transport_workspace scratch)
+          Transport.solve_drawn ~workspace:(Qp.transport_workspace scratch)
+            ~corrupt:ni.corrupt
             { Transport.sizes; capacities = caps; cost }
         with
         | Error _ -> for i = 0 to n - 1 do fallback i done

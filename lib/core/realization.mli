@@ -45,7 +45,10 @@ val snapshot :
     trace hook.  With [Config.effective_domains cfg > 1], each wave large
     enough to pay for a wakeup is one {!Fbp_util.Pool.run_chunks} batch;
     commits stay in wave order on the calling domain, so results are
-    bit-identical at any domain count.  Each call observes
+    bit-identical at any domain count.  The calling domain also draws
+    every node's {!Fbp_resilience.Inject} faults (CG x, CG y, transport)
+    in node order before a wave runs, so an armed registry fires the same
+    sites in the same order at any domain count.  Each call observes
     [realization.seq_s]: the seconds the calling domain spent outside
     [run_chunks] (node inputs, commits, waves run sequentially). *)
 val realize :

@@ -58,7 +58,11 @@ let sweep ?(span = 2) (cfg : Config.t) (inst : Fbp_movebound.Instance.t)
         done
       done;
       let pieces =
-        List.concat_map (fun w -> grid.Grid.pieces_of_window.(w)) !windows
+        List.concat_map
+          (fun w ->
+            let p0 = grid.Grid.piece_start.(w) in
+            List.init (grid.Grid.piece_start.(w + 1) - p0) (fun i -> p0 + i))
+          !windows
       in
       let cells =
         List.concat_map (fun p -> cells_of_piece.(p)) pieces

@@ -36,19 +36,27 @@ let create n =
 let n_nodes t = t.n
 let n_arcs t = t.m
 
+(* Grow the arena to [cap] arcs, keeping the first [t.m]. *)
+let resize t cap =
+  let grow_i a = let b = Array.make cap 0 in Array.blit a 0 b 0 t.m; b in
+  let grow_f a = let b = Array.make cap 0.0 in Array.blit a 0 b 0 t.m; b in
+  t.dst <- grow_i t.dst;
+  t.src <- grow_i t.src;
+  t.next <- grow_i t.next;
+  t.cap <- grow_f t.cap;
+  t.cap0 <- grow_f t.cap0;
+  t.cost <- grow_f t.cost
+
+(* Room for [e] edges in all (2e arcs with the twins): a builder that
+   knows its edge count sizes the arena once, exactly when it starts
+   empty. *)
+let reserve t e =
+  let capm = Array.length t.dst in
+  if capm < 2 * e then resize t (max (2 * e) (2 * capm))
+
 let ensure_capacity t =
   let capm = Array.length t.dst in
-  if t.m + 2 > capm then begin
-    let ncap = max 16 (2 * capm) in
-    let grow_i a = let b = Array.make ncap 0 in Array.blit a 0 b 0 t.m; b in
-    let grow_f a = let b = Array.make ncap 0.0 in Array.blit a 0 b 0 t.m; b in
-    t.dst <- grow_i t.dst;
-    t.src <- grow_i t.src;
-    t.next <- grow_i t.next;
-    t.cap <- grow_f t.cap;
-    t.cap0 <- grow_f t.cap0;
-    t.cost <- grow_f t.cost
-  end
+  if t.m + 2 > capm then resize t (max 16 (2 * capm))
 
 (* Add a directed arc [u -> v]; returns the forward arc id (always even). *)
 let add_edge t ~u ~v ~cap ~cost =

@@ -14,6 +14,12 @@ val n_nodes : t -> int
 (** Total number of arcs including residual twins. *)
 val n_arcs : t -> int
 
+(** [reserve t e] grows the arc arena to hold at least [e] edges (2e arcs
+    with their twins), at least twofold when it grows, keeping the arcs:
+    a builder that knows its edge count reserves once, and on an empty
+    network the arena is then exactly that size. *)
+val reserve : t -> int -> unit
+
 (** Add a directed arc; returns the (even) forward arc id.
     Raises [Invalid_argument] on bad endpoints or negative capacity. *)
 val add_edge : t -> u:int -> v:int -> cap:float -> cost:float -> int

@@ -121,30 +121,57 @@ let solve_real g ~supply =
   let next_arc = ref 0 in
   (* thread positions whose successor changed in a tree update *)
   let dirty = Array.make (n + 2) 0 in
-  let pivots = ref 0 in
+  let pivots = ref 0 and priced = ref 0 in
   let running = ref true in
   while !running do
-    (* Pricing: scan blocks of arcs cyclically, stop after the first block
-       holding an improving arc and enter the best one seen. *)
+    (* Pricing: scan blocks of arcs cyclically from [next_arc], stop after
+       the first block holding an improving arc (or after every arc) and
+       enter the best one seen.  A block is one or two plain loops, split
+       where it wraps past the last arc; every index is below [n_arcs], and
+       [src]/[dst] hold nodes of [pi], so the reads go unchecked.  The body
+       is written out twice: a local function would capture [best] and
+       [in_arc] and box them. *)
     let in_arc = ref (-1) and best = ref (-.tol) in
-    let e = ref !next_arc and left = ref n_arcs and cnt = ref block in
-    while !left > 0 do
-      let a = !e in
-      let st = state.(a) in
-      if st <> in_tree then begin
-        let rc = cost.(a) +. pi.(src.(a)) -. pi.(dst.(a)) in
-        let c = if st = lower then rc else -.rc in
-        if c < !best then begin
-          best := c;
-          in_arc := a
+    let scanned = ref 0 in
+    while !scanned < n_arcs && (!scanned = 0 || !in_arc < 0) do
+      let lo = !next_arc + !scanned in
+      let lo = if lo >= n_arcs then lo - n_arcs else lo in
+      let len = min block (n_arcs - !scanned) in
+      for a = lo to min (lo + len) n_arcs - 1 do
+        let st = Array.unsafe_get state a in
+        if st <> in_tree then begin
+          let rc =
+            Array.unsafe_get cost a
+            +. Array.unsafe_get pi (Array.unsafe_get src a)
+            -. Array.unsafe_get pi (Array.unsafe_get dst a)
+          in
+          let c = if st = lower then rc else -.rc in
+          if c < !best then begin
+            best := c;
+            in_arc := a
+          end
         end
-      end;
-      e := if a + 1 = n_arcs then 0 else a + 1;
-      decr left;
-      decr cnt;
-      if !cnt = 0 then if !in_arc >= 0 then left := 0 else cnt := block
+      done;
+      for a = 0 to lo + len - n_arcs - 1 do
+        let st = Array.unsafe_get state a in
+        if st <> in_tree then begin
+          let rc =
+            Array.unsafe_get cost a
+            +. Array.unsafe_get pi (Array.unsafe_get src a)
+            -. Array.unsafe_get pi (Array.unsafe_get dst a)
+          in
+          let c = if st = lower then rc else -.rc in
+          if c < !best then begin
+            best := c;
+            in_arc := a
+          end
+        end
+      done;
+      scanned := !scanned + len
     done;
-    next_arc := !e;
+    priced := !priced + !scanned;
+    let e = !next_arc + !scanned in
+    next_arc := if e >= n_arcs then e - n_arcs else e;
     if !in_arc < 0 then running := false
     else begin
       incr pivots;
@@ -343,6 +370,7 @@ let solve_real g ~supply =
   done;
   Fbp_obs.Obs.count "mcf.solves";
   Fbp_obs.Obs.observe "mcf.dijkstra_rounds" (float_of_int !pivots);
+  Fbp_obs.Obs.count ~n:!priced "mcf.priced_arcs";
   let verdict =
     if !unrouted > eps then Infeasible { unrouted = !unrouted }
     else Feasible { cost = !total_cost }

@@ -2,7 +2,9 @@
 
     The exact solver behind the FBP model (Section IV-A), and the paper's
     algorithm: a strongly feasible spanning-tree basis with block-search
-    pricing.  Arc costs must be non-negative.  The graph is expected to
+    pricing.  Each solve adds the arcs its pricing scanned to the
+    [mcf.priced_arcs] counter, beside its pivots in the
+    [mcf.dijkstra_rounds] histogram.  Arc costs must be non-negative.  The graph is expected to
     carry no flow; a forward arc's capacity is its residual capacity.
     After a call the graph holds the computed flow (read per-arc with
     {!Graph.flow}), and every basic arc is a tree arc, so the flow-carrying

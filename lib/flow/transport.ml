@@ -613,33 +613,43 @@ let audit p (a : assignment) =
 let corrupt_assignment (a : assignment) =
   if a.k > 0 then a.load.(0) <- a.load.(0) +. 1.0
 
-(* Fault-injection shim: tests can force a domain exception or a
-   post-solve assignment corruption (caught by the sanitizer) here to
-   exercise the fault matrix. *)
-let solve ?workspace p =
+(* Fault-injection shim, polled once per solve: tests can force a domain
+   exception or a post-solve assignment corruption (caught by the
+   sanitizer) here to exercise the fault matrix.  [true] means the
+   assignment must be corrupted. *)
+let draw_fault () =
+  match Fbp_resilience.Inject.fire Fbp_resilience.Inject.Transport with
+  | Some (Fbp_resilience.Inject.Raise msg) ->
+    (* fbp-lint: allow error-taxonomy — fires only when the fuzz harness arms the registry, which converts it; CLI runs never arm *)
+    raise (Fbp_resilience.Inject.Injected msg)
+  | Some Fbp_resilience.Inject.Corrupt -> true
+  | _ -> false
+
+(* The solve and its audit, the fault drawn: [corrupt] tampers the
+   result before the sanitizer sees it. *)
+let run ?workspace ~corrupt p =
+  let ws = match workspace with Some ws -> ws | None -> create_workspace () in
+  let r = solve_impl ws p in
+  (match r with
+  | Ok a ->
+    if corrupt then corrupt_assignment a;
+    Fbp_resilience.Sanitize.check ~site:"transport.solve"
+      ~invariant:"balance and sink-price certificate" (fun () -> audit p a)
+  | Error _ -> ());
+  r
+
+let observed p f =
   Fbp_obs.Obs.count "transport.solves";
   Fbp_obs.Obs.span "transport.solve"
     ~args:(fun () ->
       [ ("cells", string_of_int (n_cells p)); ("sinks", string_of_int (n_sinks p)) ])
-    (fun () ->
-      match Fbp_resilience.Inject.fire Fbp_resilience.Inject.Transport with
-      | Some (Fbp_resilience.Inject.Raise msg) ->
-        (* fbp-lint: allow error-taxonomy — fires only when the fuzz harness arms the registry, which converts it; CLI runs never arm *)
-        raise (Fbp_resilience.Inject.Injected msg)
-      | fired ->
-        let ws =
-          match workspace with Some ws -> ws | None -> create_workspace ()
-        in
-        let r = solve_impl ws p in
-        (match r with
-        | Ok a ->
-          (match fired with
-          | Some Fbp_resilience.Inject.Corrupt -> corrupt_assignment a
-          | _ -> ());
-          Fbp_resilience.Sanitize.check ~site:"transport.solve"
-            ~invariant:"balance and sink-price certificate" (fun () -> audit p a)
-        | Error _ -> ());
-        r)
+    f
+
+let solve ?workspace p =
+  observed p (fun () -> run ?workspace ~corrupt:(draw_fault ()) p)
+
+let solve_drawn ?workspace ~corrupt p =
+  observed p (fun () -> run ?workspace ~corrupt p)
 
 (* Round a fractional assignment to an integral one: each split cell goes to
    its largest-fraction sink, the first in chain order on a tie.  A sink

@@ -58,6 +58,21 @@ val create_workspace : unit -> workspace
     or the cost matrix does not have n·k entries. *)
 val solve : ?workspace:workspace -> problem -> (assignment, string) result
 
+(** Poll the {!Fbp_resilience.Inject.Transport} site once, for one solve:
+    [true] when its assignment must be corrupted; raises
+    {!Fbp_resilience.Inject.Injected} on a [Raise] fault.  The registry
+    is not synchronized, so solves that run concurrently draw their
+    faults on the calling domain first, in a fixed order, and hand each
+    its verdict ({!solve_drawn}). *)
+val draw_fault : unit -> bool
+
+(** {!solve} with its fault already drawn ([solve] is {!draw_fault}, then
+    [solve_drawn]): with [corrupt] the assignment is tampered after
+    solving, as a [Corrupt] fault does.  Polls no site, so it may run on
+    any domain. *)
+val solve_drawn :
+  ?workspace:workspace -> corrupt:bool -> problem -> (assignment, string) result
+
 (** Exact reference via min-cost flow with one node per cell — O(n·k) arcs,
     only for small instances (tests, ablations).  Its [prices] are the MCF
     potentials of the sink nodes relative to the artificial root, capped at

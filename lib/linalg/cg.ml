@@ -14,11 +14,11 @@
    exactly once per convergence check and the final reported residual
    reuses it.
 
-   Both axes of a QP share one matrix, so [solve2] runs the x and y
+   Both axes of a QP share one matrix, so [iterate2] runs the x and y
    recurrences in lockstep: one [Csr.mul2] pass per iteration computes
    both products, and one inverse diagonal serves both.  Each axis keeps
    its own alpha, beta, stop test and iteration count, and [step] is the
-   one iteration body of [solve] and [solve2], so each axis's iterates
+   one iteration body of [solve] and [iterate2], so each axis's iterates
    equal a [solve] call's bit for bit.  When one axis stops, the other
    goes on with [Csr.mul]. *)
 
@@ -156,7 +156,7 @@ let solve ?(record = true) ?(max_iter = 0) ?(tol = 1e-7) (a : Csr.t)
   if record then record_stats st;
   st
 
-(* Grow-only vectors of [solve2]: the inverse diagonal and each axis's
+(* Grow-only vectors of [iterate2]: the inverse diagonal and each axis's
    r, z, p and A p. *)
 type workspace = {
   mutable inv_diag : float array;
@@ -173,13 +173,11 @@ let reserve ws n =
     ws.vecs <- Array.init 8 (fun _ -> Vec.create cap)
   end
 
-let solve2 ?workspace ?(max_iter = 0) ?(tol = 1e-7) (a : Csr.t)
-    (bx : float array) (x : float array) (by : float array) (y : float array)
-    =
-  let n, max_iter = prepare "solve2" ~max_iter a [ bx; x; by; y ] in
-  (* the site fires once per axis, x then y, as two [solve] calls would *)
-  let stag_x = draw_fault () in
-  let stag_y = draw_fault () in
+(* Both axes' iterations in lockstep, their faults already drawn by the
+   caller, x then y, as two [solve] calls draw them. *)
+let iterate2 ?workspace ~stagnate:(stag_x, stag_y) ~max_iter ~tol (a : Csr.t)
+    bx x by y =
+  let n, max_iter = prepare "iterate2" ~max_iter a [ bx; x; by; y ] in
   let ws = match workspace with Some ws -> ws | None -> create_workspace () in
   reserve ws n;
   let d = ws.inv_diag and v = ws.vecs in

@@ -6,11 +6,11 @@
     computed exactly once per convergence check, never re-derived from a
     separate [norm2] sweep.
 
-    {!solve2} solves the two axes of one matrix in lockstep: one
+    {!iterate2} solves the two axes of one matrix in lockstep: one
     {!Csr.mul2} pass per iteration, one inverse diagonal, and vectors from
     a reusable {!workspace}.  Each axis keeps its own recurrence, stop
     test and iteration count, and both functions run the same iteration
-    body, so each axis of {!solve2} is bit-identical to a {!solve} call
+    body, so each axis of {!iterate2} is bit-identical to a {!solve} call
     with the same arguments. *)
 
 type stats = {
@@ -48,27 +48,30 @@ val iterate :
   stagnate:bool -> max_iter:int -> tol:float -> Csr.t -> float array ->
   float array -> stats
 
-(** Grow-only vectors of {!solve2}: the inverse diagonal and four vectors
-    per axis, reallocated only when a larger system arrives.  Not safe
-    for concurrent use; give each sequential caller its own. *)
+(** Grow-only vectors of {!iterate2}: the inverse diagonal and four
+    vectors per axis, reallocated only when a larger system arrives.  Not
+    safe for concurrent use; give each sequential caller its own. *)
 type workspace
 
 val create_workspace : unit -> workspace
 
-(** [solve2 a bx x by y] improves [x] toward A x = bx and [y] toward
-    A y = by, in lockstep on the calling domain, and returns the x and
-    the y stats.  Each equals {!solve}[ ~max_iter ~tol a bx x] (resp.
-    [by y]) bit for bit, in the iterates and in the stats.  [workspace]
-    holds the vectors (a fresh one otherwise).  Metrics are not recorded:
-    call {!record_stats} on the x, then the y stats.  The
-    {!Fbp_resilience.Inject.Cg} site is polled once per axis, x then y,
-    before either iterates, as two {!solve} calls poll it.  Same length
-    rules as {!solve}. *)
-val solve2 :
-  ?workspace:workspace -> ?max_iter:int -> ?tol:float -> Csr.t ->
-  float array -> float array -> float array -> float array -> stats * stats
+(** [iterate2 ~stagnate:(sx, sy) ~max_iter ~tol a bx x by y] improves [x]
+    toward A x = bx and [y] toward A y = by, in lockstep on the calling
+    domain, and returns the x and the y stats.  Each equals
+    {!solve}[ ~max_iter ~tol a bx x] (resp. [by y]) bit for bit, in the
+    iterates and in the stats, when [sx] (resp. [sy]) is what that
+    [solve] would draw: the caller draws both axes' faults first, x then
+    y ({!draw_fault}), and an axis whose flag is set returns the
+    stagnated stats and keeps its iterate.  [workspace] holds the vectors
+    (a fresh one otherwise).  Polls no site and records no metrics, so it
+    may run on any domain: call {!record_stats} on the x, then the y
+    stats.  Same [max_iter], [tol] and length rules as {!solve}. *)
+val iterate2 :
+  ?workspace:workspace -> stagnate:bool * bool -> max_iter:int -> tol:float ->
+  Csr.t -> float array -> float array -> float array -> float array ->
+  stats * stats
 
 (** Record the per-solve metrics ([cg.solves] / [cg.nonconverged] counters,
-    [cg.iterations] histogram) for a solve run with [~record:false] or by
-    {!solve2}. *)
+    [cg.iterations] histogram) for a solve run with [~record:false], by
+    {!iterate} or by {!iterate2}. *)
 val record_stats : stats -> unit

@@ -35,11 +35,16 @@ type t = {
 
 let n_regions t = Array.length t.regions
 
+(* [List.exists (Int.equal x)] without the closure that partial
+   application allocates on every call: every flow model asks
+   [admissible] once or more per (class, piece) pair. *)
+let rec mem_int (x : int) = function [] -> false | y :: l -> x = y || mem_int x l
+
 (* May a cell of movebound [mb] ([-1] = unconstrained) be placed in [r]? *)
 let admissible r ~mb =
   if r.signature.exclusive_owner >= 0 then mb = r.signature.exclusive_owner
   else if mb < 0 then true
-  else List.exists (Int.equal mb) r.signature.inclusive
+  else mem_int mb r.signature.inclusive
 
 (* Which movebound ids "cover" region [r] in the sense of Definition 2
    (area of r contained in A(M))? *)

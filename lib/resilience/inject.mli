@@ -15,12 +15,12 @@
 type site =
   | Mcf  (** entry of {!Fbp_flow.Mcf.solve} *)
   | Cg
-      (** once per axis solve: at the entry of {!Fbp_linalg.Cg.solve}, and
-          twice at the entry of the lockstep {!Fbp_linalg.Cg.solve2}, x
-          then y, before either axis iterates — the polls two [solve] calls
-          would make.  The global QP's x ‖ y fork polls it the same way,
-          twice on the calling domain before it forks
-          ({!Fbp_linalg.Cg.draw_fault}).  [Stagnate] stops that axis
+      (** once per axis solve: at the entry of {!Fbp_linalg.Cg.solve}.
+          A QP solve polls it twice on the calling domain, x then y,
+          before either axis runs — the polls two [solve] calls would
+          make — and realization polls it so for each node of a wave, in
+          node order, before the wave runs ({!Fbp_linalg.Cg.draw_fault});
+          the axes then run on any domain.  [Stagnate] stops that axis
           only. *)
   | Parse  (** each input line of {!Fbp_netlist.Bookshelf.read_channel} *)
   | Level
@@ -28,7 +28,9 @@ type site =
           QP solve and after the flow solve (the two mid-level deadline
           checks) *)
   | Transport
-      (** entry of {!Fbp_flow.Transport.solve}; supports [Raise] (solver
+      (** entry of {!Fbp_flow.Transport.solve}, and for each node of a
+          realization wave, in node order, before the wave runs
+          ({!Fbp_flow.Transport.draw_fault}); supports [Raise] (solver
           failure) and [Corrupt] (tamper the assignment after solving, so
           the balance audit sees a wrong answer) *)
   | Legalize

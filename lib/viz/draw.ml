@@ -94,9 +94,8 @@ let flow_model (model : Fbp_core.Fbp_model.t) =
       Hashtbl.replace node_pos (`P p.Fbp_core.Grid.id) p.Fbp_core.Grid.centroid)
     grid.Fbp_core.Grid.pieces;
   let transit w dir = Fbp_core.Grid.boundary_point grid w dir in
-  Array.iter
-    (fun (_, kind) ->
-      match kind with
+  Fbp_flow.Graph.iter_edges model.Fbp_core.Fbp_model.graph (fun a ->
+      match Fbp_core.Fbp_model.arc_kind model a with
       | Fbp_core.Fbp_model.Cell_to_piece { group; piece } ->
         let a = Hashtbl.find node_pos (`G group) and b = Hashtbl.find node_pos (`P piece) in
         Svg.line svg ~x1:a.Point.x ~y1:a.Point.y ~x2:b.Point.x ~y2:b.Point.y
@@ -119,8 +118,7 @@ let flow_model (model : Fbp_core.Fbp_model.t) =
         let a = transit from_w from_dir in
         let b = transit to_w (Fbp_core.Grid.opposite_dir from_dir) in
         Svg.arrow svg ~x1:a.Point.x ~y1:a.Point.y ~x2:b.Point.x ~y2:b.Point.y
-          ~stroke:"#e15759" ~stroke_width:0.08 ())
-    model.Fbp_core.Fbp_model.arcs;
+          ~stroke:"#e15759" ~stroke_width:0.08 ());
   (* nodes on top *)
   Array.iter
     (fun (g : Fbp_core.Fbp_model.group) ->

@@ -467,6 +467,307 @@ let test_fbp_externals_acyclic () =
     (sol.Fbp_model.externals <> []);
   check_externals_acyclic sol
 
+(* ---------- flat flow model vs the list/Hashtbl reference ---------- *)
+
+(* The per-window piece lists that [Grid.create] used to keep: each
+   window's piece ids, ascending. *)
+let old_pieces_of_window (grid : Grid.t) =
+  let lists = Array.make (Grid.n_windows grid) [] in
+  for p = Grid.n_pieces grid - 1 downto 0 do
+    let w = grid.Grid.pieces.(p).Grid.window in
+    lists.(w) <- p :: lists.(w)
+  done;
+  lists
+
+type ref_arc = {
+  ra_src : int;
+  ra_dst : int;
+  ra_cap : float;
+  ra_cost : float;
+  ra_kind : Fbp_model.arc_kind;
+}
+
+type ref_model = {
+  r_groups : (int * int * int list * float * Point.t) array;  (* w m cells total cog *)
+  r_nodes : int;
+  r_supply : float array;
+  r_arcs : ref_arc array;
+}
+
+(* The builder the flat one replaced, kept as the reference: tuple-keyed
+   tables, a cell list and a [Point] per group, a boxed kind per arc. *)
+let reference_build ?relax_penalty (inst : Fbp_movebound.Instance.t)
+    (regions : Fbp_movebound.Regions.t) (grid : Grid.t) (pos : Placement.t) =
+  let nl = inst.Fbp_movebound.Instance.design.Design.netlist in
+  let k = Fbp_movebound.Instance.n_movebounds inst in
+  let n_classes = k + 1 in
+  let nw = Grid.n_windows grid in
+  let pieces_of_window = old_pieces_of_window grid in
+  let group_cells : (int * int, int list ref) Hashtbl.t = Hashtbl.create 256 in
+  for c = Netlist.n_cells nl - 1 downto 0 do
+    if not nl.Netlist.fixed.(c) then begin
+      let w = Grid.window_at grid (Placement.get pos c) in
+      let mb = nl.Netlist.movebound.(c) in
+      let m = if mb < 0 then k else mb in
+      match Hashtbl.find_opt group_cells (w, m) with
+      | Some l -> l := c :: !l
+      | None -> Hashtbl.add group_cells (w, m) (ref [ c ])
+    end
+  done;
+  let groups =
+    Hashtbl.fold
+      (fun (w, m) cells acc ->
+        let cells = !cells in
+        let total = List.fold_left (fun a c -> a +. Netlist.size nl c) 0.0 cells in
+        let cog =
+          match Placement.center_of_gravity nl pos cells with
+          | Some p -> p
+          | None -> Rect.center grid.Grid.windows.(w).Grid.rect
+        in
+        (w, m, cells, total, cog) :: acc)
+      group_cells []
+    |> List.sort (fun (wa, ma, _, _, _) (wb, mb, _, _, _) ->
+           match Int.compare wa wb with 0 -> Int.compare ma mb | c -> c)
+    |> Array.of_list
+  in
+  let cell_windows = Array.make n_classes [] in
+  Array.iter (fun (w, m, _, _, _) -> cell_windows.(m) <- w :: cell_windows.(m)) groups;
+  let ranges =
+    Array.init n_classes (fun m ->
+        let x0 = ref max_int and x1 = ref min_int in
+        let y0 = ref max_int and y1 = ref min_int in
+        let add w =
+          let win = grid.Grid.windows.(w) in
+          x0 := min !x0 win.Grid.wx; x1 := max !x1 win.Grid.wx;
+          y0 := min !y0 win.Grid.wy; y1 := max !y1 win.Grid.wy
+        in
+        if m = k then begin
+          x0 := 0; x1 := grid.Grid.nx - 1; y0 := 0; y1 := grid.Grid.ny - 1
+        end
+        else begin
+          let bb =
+            Rect_set.bbox
+              inst.Fbp_movebound.Instance.movebounds.(m).Fbp_movebound.Movebound.area
+          in
+          add (Grid.window_at grid (Point.make bb.Rect.x0 bb.Rect.y0));
+          add (Grid.window_at grid (Point.make bb.Rect.x1 bb.Rect.y1))
+        end;
+        List.iter add cell_windows.(m);
+        (!x0, !x1, !y0, !y1))
+  in
+  let in_range m w =
+    let x0, x1, y0, y1 = ranges.(m) and win = grid.Grid.windows.(w) in
+    win.Grid.wx >= x0 && win.Grid.wx <= x1 && win.Grid.wy >= y0 && win.Grid.wy <= y1
+  in
+  let present = Array.map (fun ws -> ws <> []) cell_windows in
+  let n_groups = Array.length groups in
+  let transit = Hashtbl.create 256 in
+  let next = ref n_groups in
+  for w = 0 to nw - 1 do
+    for m = 0 to n_classes - 1 do
+      if present.(m) && in_range m w then
+        for dir = 0 to 3 do
+          Hashtbl.add transit (w, m, dir) !next;
+          incr next
+        done
+    done
+  done;
+  let piece_base = !next in
+  let n_nodes = piece_base + Grid.n_pieces grid in
+  let supply = Array.make n_nodes 0.0 in
+  Array.iteri (fun i (_, _, _, total, _) -> supply.(i) <- total) groups;
+  Array.iter
+    (fun (p : Grid.piece) -> supply.(piece_base + p.Grid.id) <- -.p.Grid.capacity)
+    grid.Grid.pieces;
+  let big = 1.0 +. Array.fold_left (fun a (_, _, _, t, _) -> a +. t) 0.0 groups in
+  let arcs = ref [] in
+  let add u v cost kind =
+    arcs := { ra_src = u; ra_dst = v; ra_cap = big; ra_cost = cost; ra_kind = kind } :: !arcs
+  in
+  let piece_cost m (p : Grid.piece) base =
+    let mb = if m = k then -1 else m in
+    if
+      Fbp_movebound.Regions.admissible
+        regions.Fbp_movebound.Regions.regions.(p.Grid.region) ~mb
+    then Some base
+    else Option.map (fun pen -> base +. pen) relax_penalty
+  in
+  Array.iteri
+    (fun gi (w, m, _, _, cog) ->
+      List.iter
+        (fun pid ->
+          let p = grid.Grid.pieces.(pid) in
+          match piece_cost m p (Point.dist_l1 cog p.Grid.centroid) with
+          | Some cost ->
+            add gi (piece_base + pid) cost (Fbp_model.Cell_to_piece { group = gi; piece = pid })
+          | None -> ())
+        pieces_of_window.(w);
+      for dir = 0 to 3 do
+        match Hashtbl.find_opt transit (w, m, dir) with
+        | Some tn ->
+          add gi tn
+            (Point.dist_l1 cog (Grid.boundary_point grid w dir))
+            (Fbp_model.Cell_to_transit { group = gi; dir })
+        | None -> ()
+      done)
+    groups;
+  for w = 0 to nw - 1 do
+    for m = 0 to n_classes - 1 do
+      if present.(m) && in_range m w then begin
+        for d1 = 0 to 3 do
+          for d2 = 0 to 3 do
+            if d1 <> d2 then
+              add (Hashtbl.find transit (w, m, d1)) (Hashtbl.find transit (w, m, d2))
+                (Point.dist_l1 (Grid.boundary_point grid w d1) (Grid.boundary_point grid w d2))
+                (Fbp_model.Transit_to_transit { w; m; from_dir = d1; to_dir = d2 })
+          done
+        done;
+        for dir = 0 to 3 do
+          List.iter
+            (fun pid ->
+              let p = grid.Grid.pieces.(pid) in
+              match
+                piece_cost m p (Point.dist_l1 (Grid.boundary_point grid w dir) p.Grid.centroid)
+              with
+              | Some cost ->
+                add (Hashtbl.find transit (w, m, dir)) (piece_base + pid) cost
+                  (Fbp_model.Transit_to_piece { w; m; dir; piece = pid })
+              | None -> ())
+            pieces_of_window.(w)
+        done;
+        List.iter
+          (fun (dir, w') ->
+            if in_range m w' then
+              add (Hashtbl.find transit (w, m, dir))
+                (Hashtbl.find transit (w', m, Grid.opposite_dir dir))
+                0.0
+                (Fbp_model.External { m; from_w = w; to_w = w'; from_dir = dir }))
+          (Grid.neighbors grid w)
+      end
+    done
+  done;
+  { r_groups = groups; r_nodes = n_nodes; r_supply = supply;
+    r_arcs = Array.of_list (List.rev !arcs) }
+
+(* Designs with and without movebounds, on square and oblong grids. *)
+let model_cases () =
+  let plain seed n = Fbp_movebound.Instance.unconstrained (Generator.quick ~seed ~name:"t" n) in
+  let bound seed n shape kind =
+    let d = Generator.quick ~seed ~name:"t" n in
+    Fbp_workloads.Mb_gen.attach
+      { Fbp_workloads.Mb_gen.design = Printf.sprintf "t%d" seed; shape;
+        coverage = 0.6; max_density = 0.8; kind }
+      d
+  in
+  [
+    ("plain 4x4", plain 3 400, 4, 4);
+    ("plain 5x3", plain 8 700, 5, 3);
+    ("flatten 5x5", bound 4 600 (Fbp_workloads.Mb_gen.Flatten 5) Fbp_movebound.Movebound.Inclusive, 5, 5);
+    ("islands 6x4", bound 5 800 (Fbp_workloads.Mb_gen.Islands 3) Fbp_movebound.Movebound.Exclusive, 6, 4);
+    ("overlapping 3x7", bound 6 500 (Fbp_workloads.Mb_gen.Overlapping 4) Fbp_movebound.Movebound.Inclusive, 3, 7);
+  ]
+
+let case_grid inst nx ny =
+  let design = inst.Fbp_movebound.Instance.design in
+  let regions =
+    Fbp_movebound.Regions.decompose ~chip:design.Design.chip
+      inst.Fbp_movebound.Instance.movebounds
+  in
+  let density = Density.create design in
+  (regions, Grid.create ~chip:design.Design.chip ~nx ~ny ~regions ~density ())
+
+let test_grid_piece_ranges () =
+  List.iter
+    (fun (name, inst, nx, ny) ->
+      let _, grid = case_grid inst nx ny in
+      let ps = grid.Grid.piece_start in
+      Alcotest.(check int) (name ^ ": one start per window, plus the end")
+        (Grid.n_windows grid + 1) (Array.length ps);
+      Alcotest.(check int) (name ^ ": the last range ends at the last piece")
+        (Grid.n_pieces grid) ps.(Grid.n_windows grid);
+      Array.iteri
+        (fun w old ->
+          Alcotest.(check (list int)) (Printf.sprintf "%s: window %d" name w) old
+            (List.init (ps.(w + 1) - ps.(w)) (fun i -> ps.(w) + i)))
+        (old_pieces_of_window grid))
+    (model_cases ())
+
+let test_fbp_model_matches_reference () =
+  let bits = Int64.bits_of_float in
+  List.iter
+    (fun (name, inst, nx, ny) ->
+      let regions, grid = case_grid inst nx ny in
+      let pos = inst.Fbp_movebound.Instance.design.Design.initial in
+      List.iter
+        (fun relax_penalty ->
+          let name =
+            name ^ match relax_penalty with Some _ -> ", relaxed" | None -> ""
+          in
+          let r = reference_build ?relax_penalty inst regions grid pos in
+          let m = Fbp_model.build ?relax_penalty inst regions grid pos in
+          Alcotest.(check int) (name ^ ": nodes") r.r_nodes m.Fbp_model.n_nodes;
+          Alcotest.(check (array int64)) (name ^ ": supply bits")
+            (Array.map bits r.r_supply) (Array.map bits m.Fbp_model.supply);
+          Alcotest.(check int) (name ^ ": groups") (Array.length r.r_groups)
+            (Array.length m.Fbp_model.groups);
+          Array.iteri
+            (fun gi (w, cls, cells, total, (cog : Point.t)) ->
+              let g = m.Fbp_model.groups.(gi) in
+              let ctx = Printf.sprintf "%s: group %d" name gi in
+              Alcotest.(check (pair int int)) (ctx ^ " (w, m)") (w, cls)
+                (g.Fbp_model.w, g.Fbp_model.m);
+              Alcotest.(check (list int)) (ctx ^ " cells") cells
+                (Array.to_list (Array.sub m.Fbp_model.cells g.Fbp_model.first g.Fbp_model.len));
+              Alcotest.(check (list int64)) (ctx ^ " total and cog bits")
+                [ bits total; bits cog.Point.x; bits cog.Point.y ]
+                [ bits g.Fbp_model.total; bits g.Fbp_model.cog.Point.x;
+                  bits g.Fbp_model.cog.Point.y ])
+            r.r_groups;
+          Alcotest.(check int) (name ^ ": edges") (Array.length r.r_arcs)
+            m.Fbp_model.n_edges;
+          Alcotest.(check int) (name ^ ": graph arcs") (2 * Array.length r.r_arcs)
+            (Fbp_flow.Graph.n_arcs m.Fbp_model.graph);
+          let g = m.Fbp_model.graph in
+          Array.iteri
+            (fun e ra ->
+              let a = 2 * e in
+              let ctx = Printf.sprintf "%s: arc %d" name e in
+              Alcotest.(check (list int)) (ctx ^ " endpoints") [ ra.ra_src; ra.ra_dst ]
+                [ Fbp_flow.Graph.src g a; Fbp_flow.Graph.dst g a ];
+              Alcotest.(check (list int64)) (ctx ^ " cap and cost bits")
+                [ bits ra.ra_cap; bits ra.ra_cost ]
+                [ bits (Fbp_flow.Graph.original_capacity g a);
+                  bits (Fbp_flow.Graph.cost g a) ];
+              if Fbp_model.arc_kind m a <> ra.ra_kind then
+                Alcotest.failf "%s: decoded kind differs" ctx)
+            r.r_arcs)
+        [ None; Some 25.0 ])
+    (model_cases ())
+
+(* [Fbp_model.build] allocates the arc arena once, at its exact size (12
+   words per edge), plus O(1) words per cell, per group and per (window,
+   class): the list-and-table builder it replaced took about 100 words
+   per edge. *)
+let test_fbp_model_allocation_budget () =
+  List.iter
+    (fun (name, inst, nx, ny) ->
+      let regions, grid = case_grid inst nx ny in
+      let pos = inst.Fbp_movebound.Instance.design.Design.initial in
+      ignore (Fbp_model.build inst regions grid pos);
+      let m, words =
+        allocated_words (fun () -> Fbp_model.build inst regions grid pos)
+      in
+      let n_cells = Netlist.n_cells inst.Fbp_movebound.Instance.design.Design.netlist in
+      let budget =
+        (16 * m.Fbp_model.n_edges) + (4 * n_cells)
+        + (3 * Grid.n_windows grid * m.Fbp_model.n_classes)
+        + (16 * Array.length m.Fbp_model.groups) + 4096
+      in
+      if words > budget then
+        Alcotest.failf "%s: build allocated %d words, budget %d (%d edges, %d cells)"
+          name words budget m.Fbp_model.n_edges n_cells)
+    (model_cases ())
+
 (* ---------- Realization + placer ---------- *)
 
 let test_realization_assigns_everything () =
@@ -626,9 +927,9 @@ let test_realization_flushes_cycle_residue () =
   in
   (* zero window 1's allotments so node (1, cls) only has its transit sink *)
   let allot = Array.copy sol.Fbp_model.allot in
-  List.iter
-    (fun pid -> allot.((pid * n_classes) + cls) <- 0.0)
-    grid.Grid.pieces_of_window.(1);
+  for pid = grid.Grid.piece_start.(1) to grid.Grid.piece_start.(2) - 1 do
+    allot.((pid * n_classes) + cls) <- 0.0
+  done;
   let externals =
     [
       { Fbp_model.xm = cls; from_w = 0; to_w = 1; from_dir = 1; amount = 1e-3 };
@@ -768,6 +1069,11 @@ let suite =
     Alcotest.test_case "fbp model detects infeasible" `Quick test_fbp_model_infeasible_detected;
     Alcotest.test_case "fbp flow is min-cost" `Quick test_fbp_flow_min_cost;
     Alcotest.test_case "fbp externals acyclic" `Quick test_fbp_externals_acyclic;
+    Alcotest.test_case "grid piece ranges" `Quick test_grid_piece_ranges;
+    Alcotest.test_case "fbp model matches reference" `Quick
+      test_fbp_model_matches_reference;
+    Alcotest.test_case "fbp model allocation budget" `Quick
+      test_fbp_model_allocation_budget;
     Alcotest.test_case "realization assigns everything" `Quick test_realization_assigns_everything;
     Alcotest.test_case "realization allocation budget" `Quick
       test_realization_allocation_budget;

@@ -277,7 +277,7 @@ let random_vec rng n scale =
 
 let bits = Int64.bits_of_float
 
-(* [Cg.solve2]'s result for one axis must equal [Cg.solve]'s bit for bit:
+(* [Cg.iterate2]'s result for one axis must equal [Cg.solve]'s bit for bit:
    the iterate, the iteration count, the residual and the verdict. *)
 let check_axis ctx ((st : Cg.stats), v) ((ref_st : Cg.stats), ref_v) =
   Alcotest.(check int) (ctx ^ ": iterations") ref_st.Cg.iterations st.Cg.iterations;
@@ -296,7 +296,10 @@ let check_axis ctx ((st : Cg.stats), v) ((ref_st : Cg.stats), ref_v) =
 let compare_lockstep ?workspace ?max_iter ctx a bx x0 by y0 =
   let tol = 1e-9 in
   let x = Array.copy x0 and y = Array.copy y0 in
-  let sx, sy = Cg.solve2 ?workspace ?max_iter ~tol a bx x by y in
+  let sx, sy =
+    Cg.iterate2 ?workspace ~stagnate:(false, false)
+      ~max_iter:(Option.value max_iter ~default:0) ~tol a bx x by y
+  in
   let alone b v0 =
     let v = Array.copy v0 in
     let st = Cg.solve ~record:false ?max_iter ~tol a b v in

@@ -245,12 +245,20 @@ module Cl = Fbp_analysis.Cmt_loader
 let fixture_root =
   List.find_opt Sys.file_exists [ "fixtures"; "test/fixtures" ]
 
+(* The resilience library's units load beside the fixtures, so that a
+   fixture's chain into [Inject.fire] reaches the registry's state. *)
+let resilience_root = "../lib/resilience"
+
 let fixture_result =
   lazy
     (match fixture_root with
     | None -> None
     | Some root ->
-      let units, errors = Cl.scan ~roots:[ root ] in
+      let roots =
+        if Sys.file_exists resilience_root then [ root; resilience_root ]
+        else [ root ]
+      in
+      let units, errors = Cl.scan ~roots in
       let cfg =
         {
           (Ip.default_config ~cmt_roots:[ root ]) with
@@ -415,6 +423,36 @@ let test_ip_capture_kinds () =
              else None)
            r.Ip.diagnostics))
 
+(* The callees of a local work function (fix_work_fn.ml, by name and by
+   partial application) and of the local helpers a closure calls
+   (fix_helper.ml) run on the workers: a chain from either shape to
+   [Inject.fire] is a finding, reported at the first call outside the
+   local functions. *)
+let test_ip_follows_local_callees () =
+  with_fixtures (fun _ _ r ->
+      if not (Sys.file_exists resilience_root) then
+        Alcotest.failf "no typed units under %s" resilience_root;
+      let fire_lines file =
+        List.sort_uniq Int.compare
+          (List.filter_map
+             (fun (d : D.t) ->
+               if
+                 String.equal d.D.rule "domain-safety"
+                 && contains d.D.file file
+                 && contains d.D.msg "Pool.run_chunks "
+                 && contains d.D.msg "Fbp_resilience.Inject.fire"
+               then Some d.D.line
+               else None)
+             r.Ip.diagnostics)
+      in
+      let all = String.concat "\n" (List.map D.to_text r.Ip.diagnostics) in
+      (* [poll_fault]'s call in each of the two work functions *)
+      Alcotest.(check (list int)) ("work-function callees followed:\n" ^ all)
+        [ 12; 16 ] (fire_lines "fix_work_fn.ml");
+      (* [poll]'s call of [Inject.fire], two helpers below the closure *)
+      Alcotest.(check (list int)) ("local helpers followed:\n" ^ all) [ 10 ]
+        (fire_lines "fix_helper.ml"))
+
 (* The driver always runs the typed pass: over the fixture sources its
    findings come out per file, and a file no typed unit covers is an
    error, never a per-file-rules-only run. *)
@@ -525,6 +563,8 @@ let suite =
     Alcotest.test_case "interproc signatures" `Quick test_ip_signatures;
     Alcotest.test_case "interproc seeded race" `Quick test_ip_seeded_race;
     Alcotest.test_case "interproc capture kinds" `Quick test_ip_capture_kinds;
+    Alcotest.test_case "interproc follows local callees" `Quick
+      test_ip_follows_local_callees;
     Alcotest.test_case "run_paths runs the typed pass" `Quick
       test_run_paths_typed;
     Alcotest.test_case "uncovered file is an error" `Quick

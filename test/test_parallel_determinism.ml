@@ -196,6 +196,76 @@ let test_global_qp_faults_drawn_before_fork () =
   Alcotest.(check (array (float 0.0))) "x bit-identical" p1.Placement.x p2.Placement.x;
   Alcotest.(check (array (float 0.0))) "y bit-identical" p1.Placement.y p2.Placement.y
 
+(* Realization draws each node's CG x, CG y and transport faults on the
+   coordinating domain, in node order, before the wave runs, and hands
+   the node its verdicts.  Armed to stagnate CG solves at random, a run
+   at two domains, whose large waves run in parallel, fires the same
+   sites in the same order as a run at one domain: the site hit counts
+   and the placement bits agree.  Armed to raise at a given transport
+   hit, both runs stop at exactly that hit. *)
+let test_realization_faults_drawn_before_wave () =
+  let module Inject = Fbp_resilience.Inject in
+  let d = Generator.quick ~seed:61 ~name:"rf" 2000 in
+  let inst = Fbp_movebound.Instance.unconstrained d in
+  let design = inst.Fbp_movebound.Instance.design in
+  let regions =
+    Fbp_movebound.Regions.decompose ~chip:design.Design.chip
+      inst.Fbp_movebound.Instance.movebounds
+  in
+  let density = Density.create design in
+  let grid =
+    Grid.create ~chip:design.Design.chip ~nx:4 ~ny:4 ~regions ~density ()
+  in
+  let sol = Fbp_model.solve (Fbp_model.build inst regions grid design.Design.initial) in
+  let run domains arm =
+    with_domains domains (fun () ->
+        Fun.protect ~finally:Inject.reset (fun () ->
+            arm ();
+            Fbp_obs.Obs.enable ();
+            Fbp_obs.Obs.reset ();
+            let pos = Placement.copy design.Design.initial in
+            let outcome =
+              match
+                Realization.realize
+                  { Config.default with domains; hw_clamp = false }
+                  inst regions sol pos
+              with
+              | r -> Ok r.Realization.piece_of_cell
+              | exception Inject.Injected msg -> Error msg
+            in
+            let disp = Fbp_obs.Obs.counter_value "pool.dispatches" in
+            Fbp_obs.Obs.disable ();
+            (pos, outcome, (Inject.hits Inject.Cg, Inject.hits Inject.Transport), disp)))
+  in
+  (* CG stagnation at random; the transport site only counts its hits *)
+  let random () =
+    Inject.arm ~seed:5 ~prob:0.3 Inject.Cg Inject.Stagnate;
+    Inject.arm ~seed:6 ~prob:0.0 Inject.Transport Inject.Corrupt
+  in
+  let p1, o1, h1, _ = run 1 random in
+  let p2, o2, h2, disp = run 2 random in
+  if disp = 0 then Alcotest.fail "no parallel wave at 2 domains";
+  Alcotest.(check bool) "some CG solves polled" true (fst h1 > 0);
+  Alcotest.(check (pair int int)) "CG and transport hits" h1 h2;
+  Alcotest.(check (array int64)) "x bits" (Array.map bits p1.Placement.x)
+    (Array.map bits p2.Placement.x);
+  Alcotest.(check (array int64)) "y bits" (Array.map bits p1.Placement.y)
+    (Array.map bits p2.Placement.y);
+  (match (o1, o2) with
+  | Ok a1, Ok a2 -> Alcotest.(check (array int)) "piece assignment" a1 a2
+  | _ -> Alcotest.fail "the random schedule raises nothing");
+  (* a raise at the middle transport hit stops both runs right there *)
+  let after = snd h1 / 2 in
+  let raise_at () =
+    Inject.arm ~after ~times:1 Inject.Transport (Inject.Raise "transport")
+  in
+  let _, r1, k1, _ = run 1 raise_at in
+  let _, r2, k2, _ = run 2 raise_at in
+  Alcotest.(check bool) "the raise escapes at 1 domain" true (Result.is_error r1);
+  Alcotest.(check bool) "the raise escapes at 2 domains" true (Result.is_error r2);
+  Alcotest.(check int) "stopped at the armed hit" (after + 1) (snd k1);
+  Alcotest.(check (pair int int)) "same hits when stopped" k1 k2
+
 (* ---------- symbolic reuse equals fresh assembly ---------- *)
 
 (* Fixed topology (seed 31), values drawn from an independent stream — so
@@ -524,6 +594,8 @@ let suite =
     Alcotest.test_case "fork2 inside a claimed gang" `Quick
       test_fork2_inside_claimed_gang;
     Alcotest.test_case "compact wave snapshot" `Quick test_snapshot_compact;
+    Alcotest.test_case "realization draws its faults before the wave" `Quick
+      test_realization_faults_drawn_before_wave;
     Alcotest.test_case "realization counters + bitwise" `Slow
       test_realization_counters_and_bitwise;
     Alcotest.test_case "placer bitwise + run records" `Slow
