@@ -63,7 +63,7 @@ done
 for metric in cg.iterations mcf.dijkstra_rounds mcf.priced_arcs transport.pivots \
               realization.shipped_cells realization.wave_width \
               realization.seq_s realization.scratches netmodel.triplets \
-              gc.major_collections gc.heap_words; do
+              legalize.scanned_intervals gc.major_collections gc.heap_words; do
   grep -q "\"$metric\"" "$tmp/metrics.json" \
     || { echo "metrics missing: $metric"; exit 1; }
 done

@@ -382,9 +382,11 @@ let solve (t : t) =
   let nc = t.n_classes and n_groups = Array.length t.groups in
   let allot = Array.make (Grid.n_pieces t.grid * nc) 0.0 in
   let externals = ref [] in
+  let flows = Array.create_float (Graph.n_arcs t.graph / 2) in
+  Graph.edge_flows t.graph flows;
   for e = 0 to t.n_edges - 1 do
     let a = 2 * e in
-    let f = Graph.flow t.graph a in
+    let f = flows.(e) in
     if f > eps then begin
       let u = Graph.src t.graph a and v = Graph.dst t.graph a in
       if v >= t.piece_base then begin

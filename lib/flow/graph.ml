@@ -85,6 +85,26 @@ let cost t a = t.cost.(a)
 (* Flow currently on a forward arc (meaningless on residual twins). *)
 let flow t a = t.cap0.(a) -. t.cap.(a)
 
+(* Forward arc [2e]'s tail, head, residual capacity and cost into entry
+   [e] of [src], [dst], [cap] and [cost], for every edge [e].  A caller
+   that reads every arc copies them here: under [-opaque] each [cost] or
+   [capacity] call across modules returns a boxed float. *)
+let copy_edges t ~src ~dst ~cap ~cost =
+  for e = 0 to (t.m / 2) - 1 do
+    let a = 2 * e in
+    src.(e) <- t.src.(a);
+    dst.(e) <- t.dst.(a);
+    cap.(e) <- t.cap.(a);
+    cost.(e) <- t.cost.(a)
+  done
+
+(* [flow t (2e)] into [out.(e)], for every edge [e]. *)
+let edge_flows t out =
+  for e = 0 to (t.m / 2) - 1 do
+    let a = 2 * e in
+    out.(e) <- t.cap0.(a) -. t.cap.(a)
+  done
+
 (* Push [delta] units over arc [a] (consuming residual capacity and opening
    the twin). *)
 let push t a delta =

@@ -41,6 +41,16 @@ val cost : t -> int -> float
 (** Flow currently on a forward arc. *)
 val flow : t -> int -> float
 
+(** [copy_edges t ~src ~dst ~cap ~cost] writes forward arc [2e]'s tail,
+    head, residual capacity and cost into entry [e] of each array, for
+    every edge [e] ([n_arcs t / 2] of them; the arrays may be longer). *)
+val copy_edges :
+  t -> src:int array -> dst:int array -> cap:float array -> cost:float array -> unit
+
+(** [edge_flows t out] writes [flow t (2e)] into [out.(e)] for every edge
+    [e] ([out] may be longer). *)
+val edge_flows : t -> float array -> unit
+
 (** [push t a delta] sends [delta] units over arc [a]. *)
 val push : t -> int -> float -> unit
 

@@ -42,19 +42,20 @@ let upper = -1
 let in_tree = 0
 let lower = 1
 
-(* The unrouted-arc cost M, more than any simple path costs; tolerances on
-   reduced costs scale with it. *)
+(* The unrouted-arc cost M = (max cost + 1)(n + 1), more than any simple
+   path costs; tolerances on reduced costs scale with it.  [max_cost] is
+   the running [Float.max] of the forward arcs' costs in arc order, from
+   0. *)
+let big_m_of ~max_cost n = (max_cost +. 1.0) *. float_of_int (n + 1)
+
 let big_m g =
   let max_cost = ref 0.0 in
   Graph.iter_edges g (fun a -> max_cost := Float.max !max_cost (Graph.cost g a));
-  (!max_cost +. 1.0) *. float_of_int (Graph.n_nodes g + 1)
+  big_m_of ~max_cost:!max_cost (Graph.n_nodes g)
 
 let solve_real g ~supply =
   let n = Graph.n_nodes g in
   if Array.length supply <> n then invalid_arg "Mcf.solve: supply length";
-  Graph.iter_edges g (fun a ->
-      if Graph.cost g a < 0.0 then
-        invalid_arg "Mcf.solve: negative arc cost");
   (* arcs 0 .. m-1 are the graph's forward arcs (graph id 2e), arc m + v is
      node v's tree arc to the root, and the supply nodes' unrouted arcs
      follow; node n is the root *)
@@ -62,17 +63,16 @@ let solve_real g ~supply =
   let n_supply = Array.fold_left (fun k b -> if b > 0.0 then k + 1 else k) 0 supply in
   let n_arcs = m + n + n_supply in
   let root = n in
-  let big_m = big_m g in
   let src = Array.make n_arcs root and dst = Array.make n_arcs root in
   let cap = Array.make n_arcs infinity and cost = Array.make n_arcs 0.0 in
-  let flow = Array.make n_arcs 0.0 and state = Array.make n_arcs lower in
+  Graph.copy_edges g ~src ~dst ~cap ~cost;
+  let max_cost = ref 0.0 in
   for e = 0 to m - 1 do
-    let a = 2 * e in
-    src.(e) <- Graph.src g a;
-    dst.(e) <- Graph.dst g a;
-    cap.(e) <- Graph.capacity g a;
-    cost.(e) <- Graph.cost g a
+    if cost.(e) < 0.0 then invalid_arg "Mcf.solve: negative arc cost";
+    max_cost := Float.max !max_cost cost.(e)
   done;
+  let big_m = big_m_of ~max_cost:!max_cost n in
+  let flow = Array.make n_arcs 0.0 and state = Array.make n_arcs lower in
   (* initial tree: every node hangs off the root by its root arc *)
   let parent = Array.make (n + 1) (-1) and pred = Array.make (n + 1) (-1) in
   (* +1: the pred arc points up (node -> parent); -1: it points down *)

@@ -17,7 +17,10 @@ type stats = {
     assigned piece (the paper's ρ : C → R); cells without a piece fall back
     to the region containing their position.  [movebound_aware:false] lets
     spills land in any region (the RQL baseline's behaviour — violations
-    then possible and counted upstream). *)
+    then possible and counted upstream).  Each run adds to the counters
+    [legalize.scanned_intervals] (free intervals the spot search
+    examined), [legalize.compactions] and [legalize.evictions] (firings
+    of the two last-resort rungs). *)
 val run :
   ?movebound_aware:bool ->
   Fbp_movebound.Instance.t ->
@@ -26,3 +29,15 @@ val run :
   piece_of_cell:int array ->
   grid:Fbp_core.Grid.t option ->
   stats
+
+(** {!run} without its fault-injection site and containment audit, also
+    returning the cells that found no admissible space (ascending ids);
+    the tests compare it against a reference legalizer. *)
+val legalize :
+  ?movebound_aware:bool ->
+  Fbp_movebound.Instance.t ->
+  Fbp_movebound.Regions.t ->
+  Placement.t ->
+  piece_of_cell:int array ->
+  grid:Fbp_core.Grid.t option ->
+  stats * int list

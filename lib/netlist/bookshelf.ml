@@ -93,6 +93,33 @@ let split line starts stops =
   done;
   !n
 
+(* Is the span [line.[start] .. line.[stop - 1]] the string [kw]? *)
+let span_is line start stop kw =
+  let n = String.length kw in
+  stop - start = n
+  && begin
+    let i = ref 0 in
+    while !i < n && Char.equal line.[start + !i] kw.[!i] do incr i done;
+    !i = n
+  end
+
+(* The value of the span [line.[start] .. line.[stop - 1]] when it is
+   plain decimal: an optional '-' and 1 to 18 digits, which cannot
+   overflow.  Any other span gives [min_int], which no plain span
+   reaches, and is left to [int_of_string_opt]. *)
+let plain_decimal line start stop =
+  let neg = start < stop && Char.equal line.[start] '-' in
+  let first = if neg then start + 1 else start in
+  if first >= stop || stop - first > 18 then min_int
+  else begin
+    let v = ref 0 and i = ref first in
+    while !i < stop && line.[!i] >= '0' && line.[!i] <= '9' do
+      v := (10 * !v) + (Char.code line.[!i] - Char.code '0');
+      incr i
+    done;
+    if !i < stop then min_int else if neg then - !v else !v
+  end
+
 let read_channel ?(name = "from-file") ic =
   let chip = ref None in
   let row_height = ref 1.0 in
@@ -143,6 +170,66 @@ let read_channel ?(name = "from-file") ic =
     i
   in
   let starts = Array.make max_tokens 0 and stops = Array.make max_tokens 0 in
+  (* token [i] of the line [split] last cut *)
+  let tok line i = String.sub line starts.(i) (stops.(i) - starts.(i)) in
+  (* [int_of]/[count_of] of token [i], read in place when it is plain
+     decimal *)
+  let int_at line i ln =
+    let v = plain_decimal line starts.(i) stops.(i) in
+    if v = min_int then int_of (tok line i) ln else v
+  in
+  let count_at line i ln =
+    let v = int_at line i ln in
+    if v < 0 then parse_failure ln (Printf.sprintf "negative count %S" (tok line i));
+    v
+  in
+  (* the callers check the corners before [Rect.make], which rejects
+     an inverted rectangle with an unpositioned [Invalid_argument] *)
+  let corners line ln =
+    let y1 = float_of (tok line 4) ln in
+    let x1 = float_of (tok line 3) ln in
+    let y0 = float_of (tok line 2) ln in
+    let x0 = float_of (tok line 1) ln in
+    (x0, y0, x1, y1)
+  in
+  (* the two records of nearly every line *)
+  let read_net line ln =
+    if !pending_pins > 0 then parse_failure ln "previous net incomplete";
+    let w = float_of (tok line 1) ln in
+    if w < 0.0 then parse_failure ln "negative net weight";
+    pending_pins := count_at line 2 ln;
+    let i = !nets_read in
+    if i = Array.length !net_weight then begin
+      net_weight := ensure !net_weight (i + 1) 0.0;
+      net_start := ensure !net_start (i + 1) 0
+    end;
+    !net_weight.(i) <- w;
+    !net_start.(i) <- !pins_read;
+    nets_read := i + 1
+  in
+  let read_pin line ln =
+    if !nets_read = 0 then parse_failure ln "pin outside net";
+    if !pending_pins <= 0 then parse_failure ln "too many pins for net";
+    let cell = int_at line 1 ln in
+    if cell < -1 then parse_failure ln "bad pin cell index";
+    let dy = float_of (tok line 3) ln in
+    let dx = float_of (tok line 2) ln in
+    if cell >= !cells_read && cell > !max_candidate then begin
+      max_candidate := cell;
+      candidates := (cell, ln) :: !candidates
+    end;
+    let k = !pins_read in
+    if k = Array.length !pin_cell then begin
+      pin_cell := ensure !pin_cell (k + 1) 0;
+      pin_dx := ensure !pin_dx (k + 1) 0.0;
+      pin_dy := ensure !pin_dy (k + 1) 0.0
+    end;
+    !pin_cell.(k) <- cell;
+    !pin_dx.(k) <- dx;
+    !pin_dy.(k) <- dy;
+    pins_read := k + 1;
+    decr pending_pins
+  in
   (try
      while true do
        let line = input_line ic in
@@ -155,43 +242,38 @@ let read_channel ?(name = "from-file") ic =
           raise (Fbp_resilience.Inject.Injected msg)
         | _ -> ());
        let n_tok = split line starts stops in
-       let tok i = String.sub line starts.(i) (stops.(i) - starts.(i)) in
-       (* the callers check the corners before [Rect.make], which rejects
-          an inverted rectangle with an unpositioned [Invalid_argument] *)
-       let corners () =
-         let y1 = float_of (tok 4) ln in
-         let x1 = float_of (tok 3) ln in
-         let y0 = float_of (tok 2) ln in
-         let x0 = float_of (tok 1) ln in
-         (x0, y0, x1, y1)
-       in
-       if n_tok > 0 then
-         match (tok 0, n_tok) with
+       (* pins and nets are matched in place, before the keyword is cut
+          out of the line; every other line, and a pin or net line with
+          the wrong field count, goes through the match *)
+       if n_tok = 4 && span_is line starts.(0) stops.(0) "pin" then read_pin line ln
+       else if n_tok = 3 && span_is line starts.(0) stops.(0) "net" then read_net line ln
+       else if n_tok > 0 then
+         match (tok line 0, n_tok) with
          | "chip", 5 ->
-           let x0, y0, x1, y1 = corners () in
+           let x0, y0, x1, y1 = corners line ln in
            if x1 <= x0 || y1 <= y0 then
              parse_failure ln "empty or inverted chip rectangle";
            chip := Some (Rect.make ~x0 ~y0 ~x1 ~y1)
          | "rowheight", 2 ->
-           let h = float_of (tok 1) ln in
+           let h = float_of (tok line 1) ln in
            if h <= 0.0 then parse_failure ln "rowheight must be positive";
            row_height := h
          | "density", 2 ->
-           let d = float_of (tok 1) ln in
+           let d = float_of (tok line 1) ln in
            if d <= 0.0 then parse_failure ln "density must be positive";
            density := d
-         | "cells", 2 -> n_cells := count_of (tok 1) ln
+         | "cells", 2 -> n_cells := count_of (tok line 1) ln
          | "cell", 8 ->
-           let mb = tok 7 in
+           let mb = tok line 7 in
            let mb = if String.equal mb "-" then -1 else int_of mb ln in
            if mb < -1 then parse_failure ln "negative movebound id";
-           let mv = tok 6 in
+           let mv = tok line 6 in
            if not (String.equal mv "fixed" || String.equal mv "movable") then
              parse_failure ln (Printf.sprintf "bad mobility %S (fixed|movable)" mv);
-           let y = float_of (tok 5) ln in
-           let x = float_of (tok 4) ln in
-           let h = dim_of (tok 3) ln in
-           let w = dim_of (tok 2) ln in
+           let y = float_of (tok line 5) ln in
+           let x = float_of (tok line 4) ln in
+           let h = dim_of (tok line 3) ln in
+           let w = dim_of (tok line 2) ln in
            let c = !cells_read in
            if c = Array.length !widths then begin
              names := ensure !names (c + 1) "";
@@ -202,7 +284,7 @@ let read_channel ?(name = "from-file") ic =
              fixed := ensure !fixed (c + 1) false;
              movebound := ensure !movebound (c + 1) 0
            end;
-           !names.(c) <- tok 1;
+           !names.(c) <- tok line 1;
            !widths.(c) <- w;
            !heights.(c) <- h;
            !xs.(c) <- x;
@@ -210,45 +292,10 @@ let read_channel ?(name = "from-file") ic =
            !fixed.(c) <- String.equal mv "fixed";
            !movebound.(c) <- mb;
            cells_read := c + 1
-         | "nets", 2 -> n_nets := Some (count_of (tok 1) ln)
-         | "net", 3 ->
-           if !pending_pins > 0 then parse_failure ln "previous net incomplete";
-           let w = float_of (tok 1) ln in
-           if w < 0.0 then parse_failure ln "negative net weight";
-           pending_pins := count_of (tok 2) ln;
-           let i = !nets_read in
-           if i = Array.length !net_weight then begin
-             net_weight := ensure !net_weight (i + 1) 0.0;
-             net_start := ensure !net_start (i + 1) 0
-           end;
-           !net_weight.(i) <- w;
-           !net_start.(i) <- !pins_read;
-           nets_read := i + 1
-         | "pin", 4 ->
-           if !nets_read = 0 then parse_failure ln "pin outside net";
-           if !pending_pins <= 0 then parse_failure ln "too many pins for net";
-           let cell = int_of (tok 1) ln in
-           if cell < -1 then parse_failure ln "bad pin cell index";
-           let dy = float_of (tok 3) ln in
-           let dx = float_of (tok 2) ln in
-           if cell >= !cells_read && cell > !max_candidate then begin
-             max_candidate := cell;
-             candidates := (cell, ln) :: !candidates
-           end;
-           let k = !pins_read in
-           if k = Array.length !pin_cell then begin
-             pin_cell := ensure !pin_cell (k + 1) 0;
-             pin_dx := ensure !pin_dx (k + 1) 0.0;
-             pin_dy := ensure !pin_dy (k + 1) 0.0
-           end;
-           !pin_cell.(k) <- cell;
-           !pin_dx.(k) <- dx;
-           !pin_dy.(k) <- dy;
-           pins_read := k + 1;
-           decr pending_pins
-         | "blockages", 2 -> n_blockages := Some (count_of (tok 1) ln)
+         | "nets", 2 -> n_nets := Some (count_of (tok line 1) ln)
+         | "blockages", 2 -> n_blockages := Some (count_of (tok line 1) ln)
          | "blockage", 5 ->
-           let x0, y0, x1, y1 = corners () in
+           let x0, y0, x1, y1 = corners line ln in
            if x1 < x0 || y1 < y0 then
              parse_failure ln "inverted blockage rectangle";
            blockages := Rect.make ~x0 ~y0 ~x1 ~y1 :: !blockages

@@ -21,6 +21,19 @@ let test_graph_arcs () =
   Graph.push g a 2.0;
   check_float "flow recorded" 2.0 (Graph.flow g a);
   check_float "residual opened" 2.0 (Graph.capacity g (Graph.rev a));
+  (* the bulk copies fill one entry per edge, of arrays that may be longer *)
+  Graph.push g b 1.5;
+  let src = Array.make 3 (-1) and dst = Array.make 3 (-1) in
+  let cap = Array.make 3 0.0 and cost = Array.make 3 0.0 in
+  let flows = Array.make 3 0.0 in
+  Graph.copy_edges g ~src ~dst ~cap ~cost;
+  Graph.edge_flows g flows;
+  Alcotest.(check (array int)) "copied tails" [| 0; 1; -1 |] src;
+  Alcotest.(check (array int)) "copied heads" [| 1; 2; -1 |] dst;
+  Alcotest.(check (array (float 0.0))) "copied residual capacities"
+    [| 3.0; 1.5; 0.0 |] cap;
+  Alcotest.(check (array (float 0.0))) "copied costs" [| 2.0; 1.0; 0.0 |] cost;
+  Alcotest.(check (array (float 0.0))) "edge flows" [| 2.0; 1.5; 0.0 |] flows;
   Graph.reset_flow g;
   check_float "reset" 0.0 (Graph.flow g a)
 

@@ -306,6 +306,95 @@ let test_bookshelf_rejects_garbage () =
       | exception e -> Alcotest.failf "wrong exception %s" (Printexc.to_string e)
       | _ -> Alcotest.fail "garbage accepted")
 
+(* [Bookshelf.read_file] of a file holding [text]. *)
+let read_text text =
+  let path = Filename.temp_file "fbp" ".book" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      let oc = open_out path in
+      output_string oc text;
+      close_out oc;
+      Bookshelf.read_file path)
+
+(* Pin indices and net pin counts are read in place when they are plain
+   decimal; every other spelling still goes through [int_of_string_opt],
+   so each span reads as it always did: the pin's cell or the net's pin
+   count, or the same message on the same line. *)
+let test_bookshelf_integer_spans () =
+  let outcome text get =
+    match read_text text with
+    | d -> Ok (get d.Design.netlist)
+    | exception Bookshelf.Parse_error (line, msg) -> Error (line, msg)
+  in
+  let cells = "chip 0 0 10 10\ncells 2\ncell a 1 1 1 1 movable -\ncell b 1 1 2 2 movable -\n" in
+  let pin span =
+    outcome
+      (cells ^ "nets 1\nnet 1 1\npin " ^ span ^ " 0 0\nblockages 0\n")
+      (fun nl -> nl.Netlist.pin_cell.(0))
+  in
+  let net span =
+    outcome
+      (cells ^ "nets 1\nnet 1 " ^ span ^ "\npin 0 0 0\nblockages 0\n")
+      (fun nl -> Netlist.degree nl 0)
+  in
+  let outcome_t = Alcotest.(result int (pair int string)) in
+  List.iter
+    (fun (span, expected) ->
+      Alcotest.check outcome_t ("pin index " ^ span) expected (pin span))
+    [
+      ("1", Ok 1); ("-1", Ok (-1)); ("-0", Ok 0); ("01", Ok 1); ("+1", Ok 1);
+      ("0x1", Ok 1); ("0b1", Ok 1); ("1_0", Error (7, "pin references cell 10 of 2"));
+      ("-2", Error (7, "bad pin cell index"));
+      ("100000000000000000", Error (7, "pin references cell 100000000000000000 of 2"));
+      ("1000000000000000000", Error (7, "pin references cell 1000000000000000000 of 2"));
+      ("9999999999999999999", Error (7, "bad integer \"9999999999999999999\""));
+      ("-", Error (7, "bad integer \"-\"")); ("--1", Error (7, "bad integer \"--1\""));
+      ("1a", Error (7, "bad integer \"1a\"")); ("a", Error (7, "bad integer \"a\""));
+    ];
+  List.iter
+    (fun (span, expected) ->
+      Alcotest.check outcome_t ("net pin count " ^ span) expected (net span))
+    [
+      ("1", Ok 1); ("+1", Ok 1); ("0x1", Ok 1); ("001", Ok 1);
+      ("-1", Error (6, "negative count \"-1\""));
+      ("-0x1", Error (6, "negative count \"-0x1\""));
+      ("1_0", Error (8, "truncated file: last net incomplete"));
+      ("-", Error (6, "bad integer \"-\""));
+      ("99999999999999999999", Error (6, "bad integer \"99999999999999999999\""));
+    ];
+  (* the keyword is matched in place, the field count still decides *)
+  Alcotest.check outcome_t "pin with a missing field"
+    (Error (7, "malformed \"pin\" record (wrong field count)"))
+    (outcome (cells ^ "nets 1\nnet 1 1\npin 0 0\n") (fun _ -> 0));
+  Alcotest.check outcome_t "a keyword sharing a prefix"
+    (Error (7, "unknown record \"pins\""))
+    (outcome (cells ^ "nets 1\nnet 1 1\npins 0 0 0\n") (fun _ -> 0))
+
+(* Reading a design allocates per line little beyond the line itself,
+   the floats it parses and the columns it fills: no closure per line,
+   and no keyword or index substring for a pin or a net.  This design
+   reads at 42 words per line; cutting out every keyword and index and
+   making two closures per line took 59. *)
+let test_bookshelf_read_allocation () =
+  let d = Generator.quick ~seed:3 ~name:"reader" 1500 in
+  let path = Filename.temp_file "fbp" ".book" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      Bookshelf.write_file path d;
+      let lines =
+        In_channel.with_open_bin path (fun ic ->
+            let n = ref 0 in
+            String.iter (fun ch -> if ch = '\n' then incr n) (In_channel.input_all ic);
+            !n)
+      in
+      ignore (Bookshelf.read_file path);
+      let _, words = Test_core.allocated_words (fun () -> Bookshelf.read_file path) in
+      if words > 48 * lines then
+        Alcotest.failf "reading %d lines allocated %d words (%.1f per line)" lines
+          words (float_of_int words /. float_of_int lines))
+
 (* The reference total: a fold over the nets of each net's bounding box,
    taken in pin order over (x, y) pairs. *)
 let reference_total (nl : Netlist.t) (p : Placement.t) =
@@ -396,4 +485,6 @@ let suite =
     Alcotest.test_case "clustering coarse hpwl sane" `Quick test_clustering_coarse_hpwl_sane;
     Prop.qcheck prop_bookshelf_roundtrip_random;
     Alcotest.test_case "bookshelf rejects garbage" `Quick test_bookshelf_rejects_garbage;
+    Alcotest.test_case "bookshelf integer spans" `Quick test_bookshelf_integer_spans;
+    Alcotest.test_case "bookshelf read allocation" `Quick test_bookshelf_read_allocation;
   ]
