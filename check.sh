@@ -56,14 +56,17 @@ $fbp place "$tmp/smoke.book" --movebounds 2 \
   --trace "$tmp/trace.json" --metrics "$tmp/metrics.json" >/dev/null
 $fbp trace-check "$tmp/trace.json" >/dev/null \
   || { echo "emitted trace failed validation"; exit 1; }
-for span in place.level place.qp place.flow place.realization realization.wave; do
+# fbp_place place runs one repartition sweep (Runner.run_fbp)
+for span in place.level place.qp place.flow place.realization realization.wave \
+            repartition.sweep; do
   grep -q "\"name\":\"$span\"" "$tmp/trace.json" \
     || { echo "trace missing span: $span"; exit 1; }
 done
 for metric in cg.iterations mcf.dijkstra_rounds mcf.priced_arcs transport.pivots \
               realization.shipped_cells realization.wave_width \
               realization.seq_s realization.scratches netmodel.triplets \
-              legalize.scanned_intervals gc.major_collections gc.heap_words; do
+              legalize.scanned_intervals repartition.blocks \
+              gc.major_collections gc.heap_words; do
   grep -q "\"$metric\"" "$tmp/metrics.json" \
     || { echo "metrics missing: $metric"; exit 1; }
 done

@@ -94,7 +94,8 @@ let place ?(config = Fbp_core.Config.default) (inst0 : Fbp_movebound.Instance.t)
           in
           let sizes = Array.map (fun c -> Netlist.size nl c) cells in
           let problem =
-            { Fbp_flow.Transport.sizes; capacities = caps; cost }
+            { Fbp_flow.Transport.n = Array.length cells; k = 4; sizes;
+              capacities = caps; cost }
           in
           let choice =
             match Fbp_flow.Transport.solve problem with

@@ -32,6 +32,7 @@ type t = {
   piece_start : int array;
       (* pieces are numbered window by window: window w's are the ids
          [piece_start.(w), piece_start.(w + 1)) *)
+  geom : float array array;  (* per piece, [flat_area] of its area *)
 }
 
 let n_windows t = Array.length t.windows
@@ -66,6 +67,72 @@ let boundary_point t w dir =
   | 2 -> Point.make ((r.Rect.x0 +. r.Rect.x1) /. 2.0) r.Rect.y0  (* S *)
   | 3 -> Point.make r.Rect.x0 ((r.Rect.y0 +. r.Rect.y1) /. 2.0)  (* W *)
   | _ -> invalid_arg "Grid.boundary_point: direction must be 0..3"
+
+(* The per-cell geometry of realization and repartition reads piece
+   areas as flat floats: no [Point] per cell, and no float crosses a call
+   (under [-opaque] every float argument or result of a call that is not
+   inlined is boxed), so a point is (array, index) and a result is
+   written into an array. *)
+
+(* A piece area as floats: its bounding box ([Rect_set.bbox]), then x0 y0
+   x1 y1 of each rectangle in [Rect_set.rects] order.  Empty for an empty
+   area. *)
+let flat_area (area : Rect_set.t) =
+  match Rect_set.rects area with
+  | [] -> [||]
+  | rects ->
+    let bb = Rect_set.bbox area in
+    let g = Array.make (4 * (1 + List.length rects)) 0.0 in
+    List.iteri
+      (fun t (r : Rect.t) ->
+        let o = 4 * (t + 1) in
+        g.(o) <- r.Rect.x0;
+        g.(o + 1) <- r.Rect.y0;
+        g.(o + 2) <- r.Rect.x1;
+        g.(o + 3) <- r.Rect.y1)
+      rects;
+    g.(0) <- bb.Rect.x0;
+    g.(1) <- bb.Rect.y0;
+    g.(2) <- bb.Rect.x1;
+    g.(3) <- bb.Rect.y1;
+    g
+
+(* [Rect_set.dist_l1_point] on a flat area, for point [i] of [xs]/[ys],
+   written into [out.(o)]: the clamp of [Rect.clamp_point] and the fold
+   of [Rect_set] from [infinity], in the same order. *)
+let dist_l1 (g : float array) (xs : float array) (ys : float array) i
+    (out : float array) o =
+  let px = xs.(i) and py = ys.(i) in
+  let d = ref infinity in
+  for t = 1 to (Array.length g / 4) - 1 do
+    let b = 4 * t in
+    let cx = Float.max g.(b) (Float.min g.(b + 2) px)
+    and cy = Float.max g.(b + 1) (Float.min g.(b + 3) py) in
+    d := Float.min !d (Float.abs (px -. cx) +. Float.abs (py -. cy))
+  done;
+  out.(o) <- !d
+
+(* [Rect_set.project_point] on a flat area, for point [i] of [xs]/[ys],
+   written back in place: the nearest clamp in L2, the first rectangle
+   winning ties. *)
+let project_into (g : float array) (xs : float array) (ys : float array) i =
+  if Array.length g = 0 then invalid_arg "Rect_set.project_point: empty set";
+  let px = xs.(i) and py = ys.(i) in
+  let bx = ref 0.0 and by = ref 0.0 and bd = ref infinity in
+  for t = 1 to (Array.length g / 4) - 1 do
+    let o = 4 * t in
+    let cx = Float.max g.(o) (Float.min g.(o + 2) px)
+    and cy = Float.max g.(o + 1) (Float.min g.(o + 3) py) in
+    let dx = px -. cx and dy = py -. cy in
+    let d = sqrt ((dx *. dx) +. (dy *. dy)) in
+    if t = 1 || d < !bd then begin
+      bx := cx;
+      by := cy;
+      bd := d
+    end
+  done;
+  xs.(i) <- !bx;
+  ys.(i) <- !by
 
 let opposite_dir = function 0 -> 2 | 1 -> 3 | 2 -> 0 | 3 -> 1 | _ -> invalid_arg "Grid.opposite_dir: direction must be 0..3"
 
@@ -124,4 +191,5 @@ let create ?(usable : Rect_set.t array option) ?(capacity_factor = 1.0)
     windows;
   piece_start.(nx * ny) <- !next;
   let pieces = Array.of_list (List.rev !pieces) in
-  { chip; nx; ny; windows; pieces; piece_start }
+  let geom = Array.map (fun p -> flat_area p.area) pieces in
+  { chip; nx; ny; windows; pieces; piece_start; geom }

@@ -29,6 +29,12 @@ type t = {
       (** length [n_windows + 1]: pieces are numbered window by window, so
           the pieces of window [w] are exactly the ids
           [piece_start.(w) .. piece_start.(w + 1) - 1] *)
+  geom : float array array;
+      (** per piece, its area as flat floats, made once: the bounding box
+          ({!Rect_set.bbox}: x0 y0 x1 y1), then x0 y0 x1 y1 of each
+          rectangle in {!Rect_set.rects} order; [[||]] for an empty area.
+          What the per-cell geometry of realization and repartition
+          reads. *)
 }
 
 val n_windows : t -> int
@@ -45,6 +51,25 @@ val neighbors : t -> int -> (int * int) list
 val boundary_point : t -> int -> int -> Point.t
 
 val opposite_dir : int -> int
+
+(** {2 Flat piece geometry}
+
+    Per-cell distances and projections against flat piece areas, with no
+    [Point] per cell and no float crossing a call (under [-opaque] each
+    would be boxed): a point is point [i] of two coordinate arrays, and a
+    result is written into an array.  Each reproduces its {!Rect_set}
+    counterpart bit for bit on a piece's {!geom} entry. *)
+
+(** [dist_l1 g xs ys i out o] writes {!Rect_set.dist_l1_point} of the
+    area [g] and the point [(xs.(i), ys.(i))] into [out.(o)]: [infinity]
+    for an empty area. *)
+val dist_l1 :
+  float array -> float array -> float array -> int -> float array -> int -> unit
+
+(** [project_into g xs ys i] replaces point [i] by
+    {!Rect_set.project_point} of the area [g] (the first rectangle wins
+    ties); raises [Invalid_argument] for an empty area. *)
+val project_into : float array -> float array -> float array -> int -> unit
 
 (** Build the grid and its region pieces.  [usable] maps region ids to
     row-usable areas (capacities are then measured against them);

@@ -197,40 +197,39 @@ let has_movable map (nl : Netlist.t) ni =
   !k < hi
 
 let build ws ~owned (nl : Netlist.t) (pos : Placement.t) ~cache ~movable
-    ~net_ids ~clique_max_degree ~anchor =
+    ~net_ids ~n_nets ~clique_max_degree ~anchor =
   let n_cell_vars = Array.length movable in
   (* star variables: one per sufficiently wide net with >= 1 movable pin;
      beside them a bound on the off-diagonal pushes: p(p-1) for a clique
      of p pins, 2p for a star, none for a wide net with no movable pin *)
-  let n_nets = Array.length net_ids in
   if Array.length ws.star_var < n_nets then
     ws.star_var <- Array.make (max n_nets (2 * Array.length ws.star_var)) 0;
   let star_var = ws.star_var in
   let n_vars = ref n_cell_vars and bound = ref 0 in
-  Array.iteri
-    (fun k ni ->
-      let p = Netlist.degree nl ni in
-      if p <= clique_max_degree then begin
-        star_var.(k) <- -1;
-        bound := !bound + (p * (p - 1))
-      end
-      else if has_movable ws.var_of_cell nl ni then begin
-        star_var.(k) <- !n_vars;
-        incr n_vars;
-        bound := !bound + (2 * p)
-      end
-      else star_var.(k) <- -1)
-    net_ids;
+  for k = 0 to n_nets - 1 do
+    let ni = net_ids.(k) in
+    let p = Netlist.degree nl ni in
+    if p <= clique_max_degree then begin
+      star_var.(k) <- -1;
+      bound := !bound + (p * (p - 1))
+    end
+    else if has_movable ws.var_of_cell nl ni then begin
+      star_var.(k) <- !n_vars;
+      incr n_vars;
+      bound := !bound + (2 * p)
+    end
+    else star_var.(k) <- -1
+  done;
   let nv = !n_vars in
   let bld = ws.bld in
   Csr.reset bld nv;
   Csr.reserve bld !bound;
   let cells, bx, by = system_arrays ws ~owned nv in
   (* cliques also for wide all-fixed nets, which cost nothing *)
-  Array.iteri
-    (fun k ni ->
-      if Netlist.degree nl ni >= 2 then net_springs ws nl pos bx by ni star_var.(k))
-    net_ids;
+  for k = 0 to n_nets - 1 do
+    let ni = net_ids.(k) in
+    if Netlist.degree nl ni >= 2 then net_springs ws nl pos bx by ni star_var.(k)
+  done;
   (* anchors and regularization: one diagonal entry each, shared by both
      axes, so an anchor must weigh x and y alike *)
   Array.iteri
@@ -264,12 +263,12 @@ let build ws ~owned (nl : Netlist.t) (pos : Placement.t) ~cache ~movable
   in
   { n_vars = nv; cells; ax = a; bx; ay = a; by }
 
-(* [assemble nl pos ~movable ?nets ~clique_max_degree ~anchor] builds the
-   shared matrix and both right-hand sides.  [anchor cell] returns optional
-   (wx, tx, wy, ty) pulling the cell toward (tx, ty), with [wx] equal to
-   [wy]. *)
+(* [assemble nl pos ~movable ?nets ?n_nets ~clique_max_degree ~anchor]
+   builds the shared matrix and both right-hand sides over the first
+   [n_nets] ids of [nets].  [anchor cell] returns optional (wx, tx, wy, ty)
+   pulling the cell toward (tx, ty), with [wx] equal to [wy]. *)
 let assemble (nl : Netlist.t) (pos : Placement.t) ?cache ?workspace
-    ~(movable : int array) ?nets ~(clique_max_degree : int)
+    ~(movable : int array) ?nets ?n_nets ~(clique_max_degree : int)
     ~(anchor : int -> (float * float * float * float) option) () =
   let owned = Option.is_some workspace in
   let ws =
@@ -281,7 +280,18 @@ let assemble (nl : Netlist.t) (pos : Placement.t) ?cache ?workspace
   let net_ids =
     match nets with
     | Some ids -> ids
-    | None -> Array.init (Netlist.n_nets nl) Fun.id
+    | None ->
+      if Option.is_some n_nets then
+        invalid_arg "Netmodel.assemble: ~n_nets without ~nets";
+      Array.init (Netlist.n_nets nl) Fun.id
+  in
+  let n_nets =
+    match n_nets with
+    | None -> Array.length net_ids
+    | Some m ->
+      if m < 0 || m > Array.length net_ids then
+        invalid_arg "Netmodel.assemble: ~n_nets outside [0, length nets]";
+      m
   in
   (* the map must read -1 again after the call, also when [anchor] raises *)
   Fun.protect
@@ -291,5 +301,5 @@ let assemble (nl : Netlist.t) (pos : Placement.t) ?cache ?workspace
         movable)
     (fun () ->
       Array.iteri (fun v c -> map.(c) <- v) movable;
-      build ws ~owned nl pos ~cache ~movable ~net_ids ~clique_max_degree
-        ~anchor)
+      build ws ~owned nl pos ~cache ~movable ~net_ids ~n_nets
+        ~clique_max_degree ~anchor)

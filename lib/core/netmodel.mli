@@ -40,7 +40,10 @@ val create_workspace : unit -> workspace
 (** [assemble nl pos ~movable ~nets ~clique_max_degree ~anchor ()] builds
     both axis systems: one matrix, returned as both [ax] and [ay], and the
     two right-hand sides.  [nets] restricts assembly to a net subset
-    (absent: all nets; [[||]]: none); [anchor cell] returns an optional
+    (absent: all nets; [[||]]: none): its first [n_nets] ids (default: all
+    of them), so a caller's grow-only id buffer serves as a view; [n_nets]
+    without [nets], or outside [0, length nets], raises
+    [Invalid_argument].  [anchor cell] returns an optional
     [(wx, tx, wy, ty)] pulling the cell toward [(tx, ty)].  The shared
     matrix holds one anchor weight, so [wx] and [wy] must be equal
     ([Float.equal]); otherwise [assemble] raises [Invalid_argument], and
@@ -61,6 +64,7 @@ val assemble :
   ?workspace:workspace ->
   movable:int array ->
   ?nets:int array ->
+  ?n_nets:int ->
   clique_max_degree:int ->
   anchor:(int -> (float * float * float * float) option) ->
   unit ->

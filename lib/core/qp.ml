@@ -21,7 +21,9 @@ type stats = {
    fixed by construction (cells in order, each cell's nets in order).
    For the assembly: the Netmodel workspace, which owns the system.  For
    the solve: the x/y iterates (grow-only) and the lockstep CG's vectors.
-   For the caller's transportation problem: a Transport workspace. *)
+   For the caller's transportation problem: its sizes, capacities and cost
+   matrix (grow-only), a Transport workspace, and a float buffer for
+   realization's per-sink QP boxes. *)
 type scratch = {
   mutable stamp : int array;
   mutable buf : int array;
@@ -30,16 +32,35 @@ type scratch = {
   mutable x : float array;
   mutable y : float array;
   cg : Fbp_linalg.Cg.workspace;
+  mutable sizes : float array;
+  mutable caps : float array;
+  mutable cost : float array;
+  mutable boxes : float array;
   transport : Fbp_flow.Transport.workspace;
 }
 
 let create_scratch () =
   { stamp = [||]; buf = Array.make 64 0; epoch = 0;
     workspace = Netmodel.create_workspace (); x = [||]; y = [||];
-    cg = Fbp_linalg.Cg.create_workspace ();
+    cg = Fbp_linalg.Cg.create_workspace (); sizes = [||]; caps = [||];
+    cost = [||]; boxes = [||];
     transport = Fbp_flow.Transport.create_workspace () }
 
 let transport_workspace s = s.transport
+
+(* [a] with room for [m] floats; contents are not kept. *)
+let fit (a : float array) m =
+  if Array.length a >= m then a else Array.make (max m (2 * Array.length a)) 0.0
+
+let transport_problem s ~n ~k =
+  s.sizes <- fit s.sizes n;
+  s.caps <- fit s.caps k;
+  s.cost <- fit s.cost (n * k);
+  { Fbp_flow.Transport.n; k; sizes = s.sizes; capacities = s.caps; cost = s.cost }
+
+let boxes s m =
+  s.boxes <- fit s.boxes m;
+  s.boxes
 
 (* Iterates over [sys]'s vars warm-started from [pos]: a cell var at its
    position, a star var at 0 (the regularizer pulls it to its net).  With
@@ -130,11 +151,19 @@ let solve_system ?scratch (cfg : Config.t) (sys : Netmodel.system)
   }
 
 let all_movable (nl : Netlist.t) =
-  let out = ref [] in
-  for c = Netlist.n_cells nl - 1 downto 0 do
-    if not nl.Netlist.fixed.(c) then out := c :: !out
+  let fixed = nl.Netlist.fixed and n = Netlist.n_cells nl in
+  let count = ref 0 in
+  for c = 0 to n - 1 do
+    if not fixed.(c) then incr count
   done;
-  Array.of_list !out
+  let out = Array.make !count 0 and j = ref 0 in
+  for c = 0 to n - 1 do
+    if not fixed.(c) then begin
+      out.(!j) <- c;
+      incr j
+    end
+  done;
+  out
 
 (* Global QP over every movable cell. *)
 let solve_global (cfg : Config.t) (nl : Netlist.t) (pos : Placement.t) ?cache
@@ -150,7 +179,8 @@ let solve_global (cfg : Config.t) (nl : Netlist.t) (pos : Placement.t) ?cache
       solve_system cfg sys pos)
 
 (* Deduplicated, sorted ids of every net incident to [cells], read from
-   the netlist's incidence; sorting fixes the assembly order. *)
+   the netlist's incidence, as the first entries of [scratch.buf]; returns
+   their count.  Sorting fixes the assembly order. *)
 let dedup_nets scratch (nl : Netlist.t) ~(cells : int array) =
   let n_nets = Netlist.n_nets nl in
   if Array.length scratch.stamp < n_nets then begin
@@ -178,15 +208,16 @@ let dedup_nets scratch (nl : Netlist.t) ~(cells : int array) =
     done
   done;
   Fbp_util.Int_sort.sort scratch.buf 0 (!count - 1);
-  Array.sub scratch.buf 0 !count
+  !count
 
 (* The local system over [cells], everything else fixed; only nets touching
    a cell are assembled. *)
 let assemble_local (cfg : Config.t) (nl : Netlist.t) (pos : Placement.t)
     scratch ~(cells : int array) ~anchor =
-  let nets = dedup_nets scratch nl ~cells in
-  Netmodel.assemble nl pos ~workspace:scratch.workspace ~movable:cells ~nets
-    ~clique_max_degree:cfg.Config.clique_max_degree ~anchor ()
+  let n_nets = dedup_nets scratch nl ~cells in
+  Netmodel.assemble nl pos ~workspace:scratch.workspace ~movable:cells
+    ~nets:scratch.buf ~n_nets ~clique_max_degree:cfg.Config.clique_max_degree
+    ~anchor ()
 
 (* Local QP over [cells] only.  [scratch] lets a sequential caller (the
    repartitioner) reuse the dedup arrays and the assembly workspace across

@@ -11,19 +11,30 @@ type stats = {
 
 (** Reusable scratch of the local QP: the net-dedup stamp array and id
     buffer, a {!Netmodel.workspace} (which owns the assembled system), the
-    x/y iterates, a {!Fbp_linalg.Cg.workspace} and a
-    {!Fbp_flow.Transport.workspace} for the caller's transportation
-    problem, all grow-only, so a warmed local assembly and solve allocate
-    only the net ids.  What a scratch hands out — the system, the
-    iterates, a transport assignment — is valid until its next use of the
-    same kind.  Not safe for concurrent use; give each sequential caller
-    its own. *)
+    x/y iterates, a {!Fbp_linalg.Cg.workspace}, and for the caller's
+    transportation problem its sizes, capacities and cost matrix, a
+    {!Fbp_flow.Transport.workspace} and a float buffer for per-sink
+    boxes, all grow-only, so a warmed local assembly, solve and transport
+    set-up allocate nothing for their arrays.  What a scratch hands out —
+    the system, the iterates, a transport problem or assignment, the
+    boxes — is valid until its next use of the same kind.  Not safe for
+    concurrent use; give each sequential caller its own. *)
 type scratch
 
 val create_scratch : unit -> scratch
 
 (** The scratch's transportation workspace. *)
 val transport_workspace : scratch -> Fbp_flow.Transport.workspace
+
+(** [transport_problem s ~n ~k]: a problem of [n] cells and [k] sinks
+    over the scratch's buffers, of at least [n], [k] and [n * k] entries.
+    Their contents are stale: the caller writes the first [n] sizes, [k]
+    capacities and [n * k] costs before solving. *)
+val transport_problem : scratch -> n:int -> k:int -> Fbp_flow.Transport.problem
+
+(** [boxes s m]: the scratch's float buffer, of at least [m] entries,
+    contents stale. *)
+val boxes : scratch -> int -> float array
 
 (** [iterates sys pos]: x and y vectors over [sys]'s variables,
     warm-started from [pos] (a star variable at 0).  With [scratch] they
@@ -58,7 +69,7 @@ val solve_axes :
 val solve_system :
   ?scratch:scratch -> Config.t -> Netmodel.system -> Placement.t -> stats
 
-(** All movable cell ids of a netlist. *)
+(** All movable cell ids of a netlist, ascending. *)
 val all_movable : Netlist.t -> int array
 
 (** Global QP over every movable cell.  [cache] enables symbolic-structure
@@ -72,7 +83,8 @@ val solve_global :
 
 (** The local system over [cells], everything else fixed: the sorted,
     deduplicated nets incident to [cells] (read from the netlist's
-    incidence) assembled with [scratch]'s workspace, one matrix for both
+    incidence into [scratch]'s id buffer, which {!Netmodel.assemble}
+    reads as a view) assembled with [scratch]'s workspace, one matrix for both
     axes.  The system is a view of that workspace (arrays of at least
     [n_vars] entries), valid until the scratch's next assembly.  [anchor]
     weighs x and y alike (see {!Netmodel.assemble}).  Exposed for

@@ -84,8 +84,9 @@ let snapshot (pos : Placement.t) (cells : int array) =
    arrays indexed by id.  Per cell, a node produces one [dest] entry and
    writes the final position into its own snapshot: no tuple, no boxed
    float and no [Point] per cell.  Under [-opaque] a call boxes each float
-   argument and result, so the per-cell geometry below reads rectangle
-   fields in [@inline] helpers and passes points as (array, index). *)
+   argument and result, so the per-cell geometry reads the grid's flat
+   piece areas ([Grid.geom], [Grid.dist_l1], [Grid.project_into]) and
+   passes points as (array, index). *)
 
 (* Read-only inputs of one node, gathered on the coordinating domain
    between waves.  [nqx]/[nqy] seed the node's local QP and receive its
@@ -113,63 +114,6 @@ type node_result = {
 
 let no_result = { dest = [||]; n_fallback = 0; qp = None }
 
-(* A piece area as floats: its bounding box ([Rect_set.bbox]), then x0 y0
-   x1 y1 of each rectangle in [Rect_set.rects] order.  Empty for an empty
-   area. *)
-let flat_area (area : Rect_set.t) =
-  match Rect_set.rects area with
-  | [] -> [||]
-  | rects ->
-    let bb = Rect_set.bbox area in
-    let g = Array.make (4 * (1 + List.length rects)) 0.0 in
-    List.iteri
-      (fun t (r : Rect.t) ->
-        let o = 4 * (t + 1) in
-        g.(o) <- r.Rect.x0;
-        g.(o + 1) <- r.Rect.y0;
-        g.(o + 2) <- r.Rect.x1;
-        g.(o + 3) <- r.Rect.y1)
-      rects;
-    g.(0) <- bb.Rect.x0;
-    g.(1) <- bb.Rect.y0;
-    g.(2) <- bb.Rect.x1;
-    g.(3) <- bb.Rect.y1;
-    g
-
-(* [Rect_set.dist_l1_point] on a flat area: the clamp of [Rect.clamp_point]
-   and the fold of [Rect_set], in the same order. *)
-let[@inline] dist_l1 (g : float array) px py =
-  let d = ref infinity in
-  for t = 1 to (Array.length g / 4) - 1 do
-    let o = 4 * t in
-    let cx = Float.max g.(o) (Float.min g.(o + 2) px)
-    and cy = Float.max g.(o + 1) (Float.min g.(o + 3) py) in
-    d := Float.min !d (Float.abs (px -. cx) +. Float.abs (py -. cy))
-  done;
-  !d
-
-(* [Rect_set.project_point] on a flat area, for point [i] of [xs]/[ys],
-   written back in place. *)
-let[@inline] project_into (g : float array) (xs : float array)
-    (ys : float array) i =
-  if Array.length g = 0 then invalid_arg "Rect_set.project_point: empty set";
-  let px = xs.(i) and py = ys.(i) in
-  let bx = ref 0.0 and by = ref 0.0 and bd = ref infinity in
-  for t = 1 to (Array.length g / 4) - 1 do
-    let o = 4 * t in
-    let cx = Float.max g.(o) (Float.min g.(o + 2) px)
-    and cy = Float.max g.(o + 1) (Float.min g.(o + 3) py) in
-    let dx = px -. cx and dy = py -. cy in
-    let d = sqrt ((dx *. dx) +. (dy *. dy)) in
-    if t = 1 || d < !bd then begin
-      bx := cx;
-      by := cy;
-      bd := d
-    end
-  done;
-  xs.(i) <- !bx;
-  ys.(i) <- !by
-
 (* The sorted, deduplicated first [len] entries of [buf]: what
    [List.sort_uniq Int.compare] gives on the same members. *)
 let sorted_members (buf : int array) len =
@@ -196,7 +140,7 @@ let realize ?(on_step : (step -> unit) option) (cfg : Config.t)
   let n_classes = model.Fbp_model.n_classes in
   let n_nodes = Grid.n_windows grid * n_classes in
   let piece_of_cell = Array.make (Netlist.n_cells nl) (-1) in
-  let geom = Array.map (fun (p : Grid.piece) -> flat_area p.Grid.area) grid.Grid.pieces in
+  let geom = grid.Grid.geom in
   (* current members of each node: the first [mem_len.(id)] entries of
      [mem.(id)], in no particular order *)
   let mem = Array.make n_nodes [||] and mem_len = Array.make n_nodes 0 in
@@ -270,12 +214,13 @@ let realize ?(on_step : (step -> unit) option) (cfg : Config.t)
      in/near the window *)
   let fallback_piece w m (xs : float array) (ys : float array) i =
     let mb = if m = k then -1 else m in
-    let best = ref (-1) and bestd = ref infinity in
+    let best = ref (-1) and bestd = ref infinity and d = Array.make 1 0.0 in
     let consider pid =
       let p = grid.Grid.pieces.(pid) in
       let reg = regions.Fbp_movebound.Regions.regions.(p.Grid.region) in
       if Fbp_movebound.Regions.admissible reg ~mb then begin
-        let d = dist_l1 geom.(pid) xs.(i) ys.(i) in
+        Grid.dist_l1 geom.(pid) xs ys i d 0;
+        let d = d.(0) in
         if d < !bestd then begin
           bestd := d;
           best := pid
@@ -375,23 +320,27 @@ let realize ?(on_step : (step -> unit) option) (cfg : Config.t)
          hold even off the flow path *)
       let fallback i =
         let pid = fallback_piece w m qx qy i in
-        if pid >= 0 then project_into geom.(pid) qx qy i;
+        if pid >= 0 then Grid.project_into geom.(pid) qx qy i;
         dest.(i) <- pid;
         incr fallbacks
       in
-      (* 2. transportation sinks: region pieces + outgoing transit buffers *)
+      (* 2. transportation sinks: region pieces + outgoing transit buffers;
+         the problem's arrays are the scratch's *)
       let pieces = ni.npieces in
       let np = Array.length pieces in
       let arcs = Array.of_list ni.narcs in
       let ks = np + Array.length arcs in
-      let caps = Array.make ks 0.0 in
+      let problem = Qp.transport_problem scratch ~n ~k:ks in
+      let sizes = problem.Transport.sizes
+      and caps = problem.Transport.capacities
+      and cost = problem.Transport.cost in
       for j = 0 to np - 1 do
         caps.(j) <- sol.Fbp_model.allot.((pieces.(j) * n_classes) + m)
       done;
       for j = np to ks - 1 do
         caps.(j) <- arcs.(j - np).Fbp_model.amount
       done;
-      let sizes = Array.make n 0.0 and total_size = ref 0.0 in
+      let total_size = ref 0.0 in
       for i = 0 to n - 1 do
         let c = cells.(i) in
         sizes.(i) <- widths.(c) *. heights.(c);
@@ -417,11 +366,10 @@ let realize ?(on_step : (step -> unit) option) (cfg : Config.t)
         done;
         (* per-unit cost: L1 distance from the cell's QP position to the
            piece, or to the window boundary the transit arc leaves by *)
-        let cost = Array.make (n * ks) 0.0 in
         for j = 0 to np - 1 do
           let g = geom.(pieces.(j)) in
           for i = 0 to n - 1 do
-            cost.((i * ks) + j) <- dist_l1 g qx.(i) qy.(i)
+            Grid.dist_l1 g qx qy i cost ((i * ks) + j)
           done
         done;
         for j = np to ks - 1 do
@@ -433,8 +381,7 @@ let realize ?(on_step : (step -> unit) option) (cfg : Config.t)
         done;
         match
           Transport.solve_drawn ~workspace:(Qp.transport_workspace scratch)
-            ~corrupt:ni.corrupt
-            { Transport.sizes; capacities = caps; cost }
+            ~corrupt:ni.corrupt problem
         with
         | Error _ -> for i = 0 to n - 1 do fallback i done
         | Ok assignment ->
@@ -444,7 +391,7 @@ let realize ?(on_step : (step -> unit) option) (cfg : Config.t)
              relative order — then projected into the (possibly non-convex)
              piece area.  The QP box of each piece sink (x0 x1 y0 y1) is
              scanned in descending cell index. *)
-          let qbox = Array.make (4 * np) 0.0 in
+          let qbox = Qp.boxes scratch (4 * np) in
           for j = 0 to np - 1 do
             qbox.(4 * j) <- infinity;
             qbox.((4 * j) + 1) <- neg_infinity;
@@ -488,7 +435,7 @@ let realize ?(on_step : (step -> unit) option) (cfg : Config.t)
               let fy = if sy > 1e-9 then (qy.(i) -. qbox.(o + 2)) /. sy else 0.5 in
               qx.(i) <- g.(0) +. (fx *. (g.(2) -. g.(0)));
               qy.(i) <- g.(1) +. (fy *. (g.(3) -. g.(1)));
-              project_into g qx qy i;
+              Grid.project_into g qx qy i;
               dest.(i) <- pid
             end
             else begin
@@ -648,7 +595,7 @@ let realize ?(on_step : (step -> unit) option) (cfg : Config.t)
             incr n_fallback;
             Fbp_obs.Obs.count "realization.flushed_cells";
             if pid >= 0 then begin
-              project_into geom.(pid) xs ys c;
+              Grid.project_into geom.(pid) xs ys c;
               piece_load.(pid) <- piece_load.(pid) +. (widths.(c) *. heights.(c))
             end
           end)

@@ -15,7 +15,6 @@
    one or two repartition sweeps trade extra runtime for a few percent of
    HPWL. *)
 
-open Fbp_geometry
 open Fbp_netlist
 open Fbp_flow
 
@@ -28,47 +27,79 @@ type stats = {
 }
 
 (* One sweep over all [span] x [span] window blocks (stride = span so each
-   window is visited once per sweep). *)
+   window is visited once per sweep), on flat arrays (DESIGN §9, "Flat
+   repartition").  The blocks of one sweep are disjoint, and a block moves
+   cells only between its own pieces, so no block reads what an earlier
+   block of the sweep moved: the members of every piece are counted once,
+   at the start of the sweep, from [piece_of_cell]. *)
 let sweep ?(span = 2) (cfg : Config.t) (inst : Fbp_movebound.Instance.t)
     (regions : Fbp_movebound.Regions.t) (grid : Grid.t) (pos : Placement.t)
     ~(piece_of_cell : int array) =
+  Fbp_obs.Obs.span "repartition.sweep" @@ fun () ->
   let t0 = Fbp_util.Timer.now () in
   let nl = inst.Fbp_movebound.Instance.design.Design.netlist in
+  let widths = nl.Netlist.widths and heights = nl.Netlist.heights in
+  let xs = pos.Placement.x and ys = pos.Placement.y in
+  let pieces = grid.Grid.pieces and geom = grid.Grid.geom in
+  let piece_start = grid.Grid.piece_start in
   (* net-dedup, assembly, solve and transportation scratch shared across
      this sweep's blocks *)
   let qp_scratch = Qp.create_scratch () in
   let hpwl_before = Hpwl.total nl pos in
   let n_blocks = ref 0 and n_moved = ref 0 in
-  (* cells per piece, from the current assignment *)
-  let cells_of_piece = Array.make (Grid.n_pieces grid) [] in
-  for c = Netlist.n_cells nl - 1 downto 0 do
+  (* cells per piece, a counting sort of the current assignment: piece
+     [p]'s cells, ascending, are [members.(mstart.(p) .. mstart.(p+1)-1)] *)
+  let n_cells = Netlist.n_cells nl and n_pieces = Grid.n_pieces grid in
+  let mstart = Array.make (n_pieces + 1) 0 in
+  for c = 0 to n_cells - 1 do
     let p = piece_of_cell.(c) in
-    if p >= 0 then cells_of_piece.(p) <- c :: cells_of_piece.(p)
+    if p >= 0 then mstart.(p + 1) <- mstart.(p + 1) + 1
   done;
+  for p = 0 to n_pieces - 1 do
+    mstart.(p + 1) <- mstart.(p + 1) + mstart.(p)
+  done;
+  let members = Array.make mstart.(n_pieces) 0 in
+  let next = Array.sub mstart 0 n_pieces in
+  for c = 0 to n_cells - 1 do
+    let p = piece_of_cell.(c) in
+    if p >= 0 then begin
+      members.(next.(p)) <- c;
+      next.(p) <- next.(p) + 1
+    end
+  done;
+  (* The block's pieces in sink order, which decides transport ties: its
+     windows by dx descending, then dy descending, each window's pieces
+     ascending.  [f w] runs over those windows. *)
+  let block_windows bx by f =
+    for dx = span - 1 downto 0 do
+      for dy = span - 1 downto 0 do
+        if bx + dx < grid.Grid.nx && by + dy < grid.Grid.ny then
+          f (Grid.window_index grid ~wx:(bx + dx) ~wy:(by + dy))
+      done
+    done
+  in
   let bx = ref 0 in
   while !bx < grid.Grid.nx do
     let by = ref 0 in
     while !by < grid.Grid.ny do
-      (* the block's windows and pieces *)
-      let windows = ref [] in
-      for dx = 0 to span - 1 do
-        for dy = 0 to span - 1 do
-          if !bx + dx < grid.Grid.nx && !by + dy < grid.Grid.ny then
-            windows := Grid.window_index grid ~wx:(!bx + dx) ~wy:(!by + dy) :: !windows
-        done
-      done;
-      let pieces =
-        List.concat_map
-          (fun w ->
-            let p0 = grid.Grid.piece_start.(w) in
-            List.init (grid.Grid.piece_start.(w + 1) - p0) (fun i -> p0 + i))
-          !windows
-      in
-      let cells =
-        List.concat_map (fun p -> cells_of_piece.(p)) pieces
-        |> List.sort Int.compare |> Array.of_list
-      in
-      if Array.length cells > 1 && List.length pieces > 1 then begin
+      let k = ref 0 and n = ref 0 in
+      block_windows !bx !by (fun w ->
+          k := !k + piece_start.(w + 1) - piece_start.(w);
+          n := !n + mstart.(piece_start.(w + 1)) - mstart.(piece_start.(w)));
+      let k = !k and n = !n in
+      let piece_arr = Array.make k 0 and cells = Array.make n 0 in
+      let j = ref 0 and i = ref 0 in
+      block_windows !bx !by (fun w ->
+          for p = piece_start.(w) to piece_start.(w + 1) - 1 do
+            piece_arr.(!j) <- p;
+            incr j;
+            for m = mstart.(p) to mstart.(p + 1) - 1 do
+              cells.(!i) <- members.(m);
+              incr i
+            done
+          done);
+      Fbp_util.Int_sort.sort cells 0 (n - 1);
+      if n > 1 && k > 1 then begin
         incr n_blocks;
         (* local QP over the block (everything else fixed) *)
         if cfg.Config.local_qp then
@@ -78,71 +109,67 @@ let sweep ?(span = 2) (cfg : Config.t) (inst : Fbp_movebound.Instance.t)
         (* transportation among the block's pieces; capacities = the piece
            capacities (global feasibility already holds, so the block's
            cells fit its pieces by induction) *)
-        let piece_arr = Array.of_list pieces in
-        let admissible c pid =
+        let problem = Qp.transport_problem qp_scratch ~n ~k in
+        let sizes = problem.Transport.sizes
+        and caps = problem.Transport.capacities
+        and cost = problem.Transport.cost in
+        for i = 0 to n - 1 do
+          let c = cells.(i) in
           let mb = nl.Netlist.movebound.(c) in
-          let mbi = if mb < 0 then -1 else mb in
-          Fbp_movebound.Regions.admissible
-            regions.Fbp_movebound.Regions.regions.(grid.Grid.pieces.(pid).Grid.region)
-            ~mb:mbi
-        in
-        let k = Array.length piece_arr in
-        let cost = Array.make (Array.length cells * k) infinity in
-        Array.iteri
-          (fun i c ->
-            let pt = Placement.get pos c in
-            for j = 0 to k - 1 do
-              let pid = piece_arr.(j) in
-              if admissible c pid then
-                cost.((i * k) + j) <-
-                  Rect_set.dist_l1_point grid.Grid.pieces.(pid).Grid.area pt
-            done)
-          cells;
-        let sizes = Array.map (fun c -> Netlist.size nl c) cells in
-        let caps = Array.map (fun pid -> grid.Grid.pieces.(pid).Grid.capacity) piece_arr in
+          let mb = if mb < 0 then -1 else mb in
+          for j = 0 to k - 1 do
+            let pid = piece_arr.(j) in
+            let region =
+              regions.Fbp_movebound.Regions.regions.(pieces.(pid).Grid.region)
+            in
+            if Fbp_movebound.Regions.admissible region ~mb then
+              Grid.dist_l1 geom.(pid) xs ys c cost ((i * k) + j)
+            else cost.((i * k) + j) <- infinity
+          done
+        done;
         (* the incoming assignment may exceed nominal capacities by the
            rounding slack; inflate proportionally so the block problem is
            feasible and the slack stays spread instead of concentrating *)
-        let total_size = Array.fold_left ( +. ) 0.0 sizes in
-        let total_cap = Array.fold_left ( +. ) 0.0 caps in
+        let total_size = ref 0.0 in
+        for i = 0 to n - 1 do
+          let c = cells.(i) in
+          sizes.(i) <- widths.(c) *. heights.(c);
+          total_size := !total_size +. sizes.(i)
+        done;
+        let total_cap = ref 0.0 in
+        for j = 0 to k - 1 do
+          caps.(j) <- pieces.(piece_arr.(j)).Grid.capacity;
+          total_cap := !total_cap +. caps.(j)
+        done;
+        let total_size = !total_size and total_cap = !total_cap in
         let scale = if total_cap < total_size then total_size /. total_cap +. 1e-6 else 1.0 in
-        let problem =
-          {
-            Transport.sizes;
-            capacities = Array.map (fun c -> c *. scale) caps;
-            cost;
-          }
-        in
+        for j = 0 to k - 1 do
+          caps.(j) <- caps.(j) *. scale
+        done;
         match
           Transport.solve ~workspace:(Qp.transport_workspace qp_scratch) problem
         with
         | Error _ -> ()
         | Ok assignment ->
-          Array.iteri
-            (fun i c ->
-              let j = Transport.choice assignment i in
-              if j >= 0 then begin
-                let pid = piece_arr.(j) in
-                if piece_of_cell.(c) <> pid then begin
-                  (* move between pieces: update bookkeeping *)
-                  cells_of_piece.(piece_of_cell.(c)) <-
-                    List.filter (fun x -> x <> c) cells_of_piece.(piece_of_cell.(c));
-                  cells_of_piece.(pid) <- c :: cells_of_piece.(pid);
-                  piece_of_cell.(c) <- pid;
-                  incr n_moved
-                end;
-                let proj =
-                  Rect_set.project_point grid.Grid.pieces.(pid).Grid.area
-                    (Placement.get pos c)
-                in
-                Placement.set pos c proj
-              end)
-            cells
+          for i = 0 to n - 1 do
+            let c = cells.(i) in
+            let j = Transport.choice assignment i in
+            if j >= 0 then begin
+              let pid = piece_arr.(j) in
+              if piece_of_cell.(c) <> pid then begin
+                piece_of_cell.(c) <- pid;
+                incr n_moved
+              end;
+              Grid.project_into geom.(pid) xs ys c
+            end
+          done
       end;
       by := !by + span
     done;
     bx := !bx + span
   done;
+  Fbp_obs.Obs.count ~n:!n_blocks "repartition.blocks";
+  Fbp_obs.Obs.count ~n:!n_moved "repartition.moved_cells";
   {
     n_blocks = !n_blocks;
     n_moved = !n_moved;

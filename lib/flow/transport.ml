@@ -31,7 +31,11 @@
 
 let eps = 1e-9
 
+(* n cells and k sinks.  The arrays may be longer than n, k and n·k (a
+   caller's grow-only buffers); only those first entries are read. *)
 type problem = {
+  n : int;
+  k : int;
   sizes : float array;  (* cell sizes (mass) *)
   capacities : float array;  (* sink capacities *)
   cost : float array;
@@ -115,8 +119,23 @@ let reserve (ws : workspace) ~n ~k =
   ws.path <- fit ws.path k 0;
   ws.stuck <- fit ws.stuck k false
 
-let n_cells p = Array.length p.sizes
-let n_sinks p = Array.length p.capacities
+let n_cells (p : problem) = p.n
+let n_sinks (p : problem) = p.k
+
+(* Why [p]'s arrays cannot hold its counts, if they cannot. *)
+let short (p : problem) =
+  if p.n < 0 || p.k < 0 then
+    Some (Printf.sprintf "negative counts (%d cells, %d sinks)" p.n p.k)
+  else if Array.length p.sizes < p.n then
+    Some (Printf.sprintf "%d sizes for %d cells" (Array.length p.sizes) p.n)
+  else if Array.length p.capacities < p.k then
+    Some
+      (Printf.sprintf "%d capacities for %d sinks" (Array.length p.capacities) p.k)
+  else if Array.length p.cost < p.n * p.k then
+    Some
+      (Printf.sprintf "cost matrix has %d entries for %d cells and %d sinks"
+         (Array.length p.cost) p.n p.k)
+  else None
 
 (* Overload and slack below this much mass count as zero. *)
 let mass_tol p =
@@ -299,9 +318,10 @@ let arc_pop a u v =
 
 let solve_impl ws p =
   let n = n_cells p and k = n_sinks p in
+  (match short p with
+   | Some why -> invalid_arg ("Transport.solve: " ^ why)
+   | None -> ());
   if k = 0 then invalid_arg "Transport.solve: no sinks";
-  if Array.length p.cost <> n * k then
-    invalid_arg "Transport.solve: cost matrix is not n * k";
   let cost = p.cost and sizes = p.sizes and caps = p.capacities in
   reserve ws ~n ~k;
   (* Greedy start: every cell at its independently cheapest admissible
@@ -504,14 +524,13 @@ let solve_impl ws p =
    maximum price. *)
 let audit p (a : assignment) =
   let n = n_cells p and k = n_sinks p in
-  let load = Array.make k 0.0 in
   let bad = ref None in
   let report msg = if Option.is_none !bad then bad := Some msg in
-  if Array.length p.cost <> n * k then
-    report
-      (Printf.sprintf "cost matrix has %d entries for %d cells and %d sinks"
-         (Array.length p.cost) n k);
-  if a.n <> n || a.k <> k || Array.length a.head < n then
+  (match short p with Some why -> report why | None -> ());
+  let k = max 0 k in
+  let load = Array.make k 0.0 in
+  if Option.is_some !bad then ()
+  else if a.n <> n || a.k <> k || Array.length a.head < n then
     report
       (Printf.sprintf
          "assignment of %d cells (%d heads) and %d sinks for %d cells and %d sinks"
@@ -676,6 +695,9 @@ let round_integral (a : assignment) = Array.init a.n (choice a)
    small instances (tests, ablations). *)
 let solve_exact p =
   let n = n_cells p and k = n_sinks p in
+  (match short p with
+   | Some why -> invalid_arg ("Transport.solve_exact: " ^ why)
+   | None -> ());
   let g = Graph.create (n + k) in
   let arc = Array.make_matrix n k (-1) in
   let n_arcs = ref 0 in
@@ -689,8 +711,12 @@ let solve_exact p =
     done
   done;
   let supply = Array.make (n + k) 0.0 in
-  Array.iteri (fun i s -> supply.(i) <- s) p.sizes;
-  Array.iteri (fun j c -> supply.(n + j) <- -.c) p.capacities;
+  for i = 0 to n - 1 do
+    supply.(i) <- p.sizes.(i)
+  done;
+  for j = 0 to k - 1 do
+    supply.(n + j) <- -.p.capacities.(j)
+  done;
   match Mcf.solve_stats g ~supply with
   | Infeasible _, _ -> Error "no fractional assignment exists"
   | Feasible { cost }, { Mcf.potentials = pot; _ } ->

@@ -9,7 +9,12 @@
     result live in a {!workspace}: a warmed one allocates nothing for
     them, and nothing is allocated per augmenting path. *)
 
+(** [n] cells and [k] sinks.  The arrays may be longer than [n], [k] and
+    [n * k] (a caller's grow-only buffers, as an {!assignment}'s may be);
+    only their first [n], [k] and [n * k] entries are read. *)
 type problem = {
+  n : int;  (** cells *)
+  k : int;  (** sinks *)
   sizes : float array;  (** cell sizes (mass) *)
   capacities : float array;  (** sink capacities *)
   cost : float array;
@@ -54,8 +59,9 @@ val create_workspace : unit -> workspace
     fractional assignment exists the result is a minimum-overload one,
     seen as [max_overflow > 0].  With [workspace] the assignment is a view
     of its arrays, valid until that workspace's next solve (a fresh
-    workspace otherwise).  Raises [Invalid_argument] when there is no sink
-    or the cost matrix does not have n·k entries. *)
+    workspace otherwise).  Raises [Invalid_argument] when there is no sink,
+    a count is negative, or an array is shorter than its count ([sizes]
+    than [n], [capacities] than [k], [cost] than [n * k]). *)
 val solve : ?workspace:workspace -> problem -> (assignment, string) result
 
 (** Poll the {!Fbp_resilience.Inject.Transport} site once, for one solve:
@@ -74,7 +80,8 @@ val solve_drawn :
   ?workspace:workspace -> corrupt:bool -> problem -> (assignment, string) result
 
 (** Exact reference via min-cost flow with one node per cell — O(n·k) arcs,
-    only for small instances (tests, ablations).  Its [prices] are the MCF
+    only for small instances (tests, ablations).  Same length rules as
+    {!solve}.  Its [prices] are the MCF
     potentials of the sink nodes relative to the artificial root, capped at
     the root's; [Error] when the instance is infeasible.  Its chains list
     each cell's sinks in descending order. *)
@@ -103,7 +110,8 @@ val max_overflow : problem -> assignment -> float
 val n_fractional : assignment -> int
 
 (** Checked invariants (sanitizer mode): the assignment covers the
-    problem's cells and sinks; every cell's chain ends within the entries,
+    problem's cells and sinks, whose arrays hold their counts; every
+    cell's chain ends within the entries,
     and its fractions are positive, in-range and sum to 1; the reported
     per-sink loads match the recomputed mass sums; and the [prices]
     certify optimality in O(n·k) — each cell sits at sinks of minimum

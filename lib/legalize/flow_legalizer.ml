@@ -123,8 +123,9 @@ let run (inst : Fbp_movebound.Instance.t) (regions : Fbp_movebound.Regions.t)
             cells;
           let problem =
             {
-              Fbp_flow.Transport.sizes =
-                Array.map (fun c -> nl.Netlist.widths.(c)) cells;
+              Fbp_flow.Transport.n = Array.length cells;
+              k;
+              sizes = Array.map (fun c -> nl.Netlist.widths.(c)) cells;
               capacities = Array.map Rows.width segments;
               cost;
             }

@@ -30,7 +30,12 @@ type stats = {
 
 (* One axis's recurrence.  The vectors hold at least [n] entries (the
    workspace's are longer when it last served a bigger system); only the
-   first [n] are read or written. *)
+   first [n] are read or written.  [f] holds the axis's floats: the
+   partials of its reductions (the first [Vec.partials_len] entries, with
+   each reduction's totals in [f.(0)] and [f.(1)]), then r.z, r.r and
+   max(1, ||b||) at [rz], [rr] and [bnorm].  A float array stores them
+   unboxed, where a mutable float field of this mixed record would box
+   every write. *)
 type axis = {
   b : float array;
   x : float array;  (* the iterate, improved in place *)
@@ -38,16 +43,23 @@ type axis = {
   z : float array;
   p : float array;
   ap : float array;
-  mutable rz : float;
-  mutable rr : float;
-  mutable bnorm : float;
+  f : float array;
   mutable iter : int;
   mutable finished : bool;
 }
 
-let axis ~b ~x ~r ~z ~p ~ap =
-  { b; x; r; z; p; ap; rz = 0.0; rr = 0.0; bnorm = 1.0; iter = 0;
-    finished = false }
+let rz = Vec.partials_len
+let rr = rz + 1
+let bnorm = rz + 2
+
+(* An axis's [f]. *)
+let floats () = Array.make (bnorm + 1) 0.0
+
+let axis ~f ~b ~x ~r ~z ~p ~ap =
+  f.(rz) <- 0.0;
+  f.(rr) <- 0.0;
+  f.(bnorm) <- 1.0;
+  { b; x; r; z; p; ap; f; iter = 0; finished = false }
 
 (* The Jacobi preconditioner: the inverse diagonal (1 where it vanishes),
    written into [d]. *)
@@ -61,40 +73,45 @@ let inv_diagonal a d =
 (* r = b - A x; z = D^-1 r, with rz = r.z and rr = r.r from the same
    sweep; p = z. *)
 let start a inv_diag ~n ~tol s =
+  let f = s.f in
   Csr.mul a s.x s.ap;
   Vec.sub ~n s.b s.ap s.r;
-  s.bnorm <- Float.max 1.0 (Vec.norm2 ~n s.b);
-  let rz0, rr0 = Vec.precond_dot2 ~n inv_diag s.r s.z in
+  Vec.dot_into f ~n s.b s.b;
+  f.(bnorm) <- Float.max 1.0 (sqrt f.(0));
+  Vec.precond_dot2 f ~n inv_diag s.r s.z;
   Array.blit s.z 0 s.p 0 n;
-  s.rz <- rz0;
-  s.rr <- rr0;
-  s.finished <- sqrt rr0 /. s.bnorm <= tol
+  f.(rz) <- f.(0);
+  f.(rr) <- f.(1);
+  s.finished <- sqrt f.(rr) /. f.(bnorm) <= tol
 
 let running ~max_iter s = (not s.finished) && s.iter < max_iter
 
 (* One iteration, once [s.ap] holds A p. *)
 let step inv_diag ~n ~tol s =
+  let f = s.f in
   s.iter <- s.iter + 1;
-  let pap = Vec.dot ~n s.p s.ap in
+  Vec.dot_into f ~n s.p s.ap;
+  let pap = f.(0) in
   if pap <= 0.0 then
     (* matrix not SPD along p (numerical breakdown): stop with current x *)
     s.finished <- true
   else begin
-    let alpha = s.rz /. pap in
+    let alpha = f.(rz) /. pap in
     Vec.axpy ~n ~alpha s.p s.x;
     (* r -= alpha*ap; z = D^-1 r; rz' = r.z; rr' = r.r — one pass *)
-    let rz', rr' = Vec.update_residual ~n ~alpha s.ap s.r inv_diag s.z in
-    s.rr <- rr';
-    if sqrt rr' /. s.bnorm <= tol then s.finished <- true
+    Vec.update_residual f ~n ~alpha s.ap s.r inv_diag s.z;
+    let rz' = f.(0) and rr' = f.(1) in
+    f.(rr) <- rr';
+    if sqrt rr' /. f.(bnorm) <= tol then s.finished <- true
     else begin
-      let beta = rz' /. s.rz in
-      s.rz <- rz';
+      let beta = rz' /. f.(rz) in
+      f.(rz) <- rz';
       Vec.xpby ~n ~beta s.z s.p
     end
   end
 
 let stats_of ~tol s =
-  let residual = sqrt s.rr /. s.bnorm in
+  let residual = sqrt s.f.(rr) /. s.f.(bnorm) in
   { iterations = s.iter; residual; converged = residual <= tol *. 10.0 }
 
 let record_stats s =
@@ -124,15 +141,16 @@ let prepare name ~max_iter a vs =
     invalid_arg ("Cg." ^ name ^ ": dimension mismatch");
   (n, if max_iter > 0 then max_iter else max 100 (2 * n))
 
-(* One axis's iteration, its fault already drawn. *)
+(* One axis's iteration, its fault already drawn; the axis owns its
+   vectors and floats. *)
 let run ~stagnate ~n ~max_iter ~tol a b x =
   if stagnate then stagnated ~max_iter
   else begin
     let inv_diag = Vec.create n in
     inv_diagonal a inv_diag;
     let s =
-      axis ~b ~x ~r:(Vec.create n) ~z:(Vec.create n) ~p:(Vec.create n)
-        ~ap:(Vec.create n)
+      axis ~f:(floats ()) ~b ~x ~r:(Vec.create n) ~z:(Vec.create n)
+        ~p:(Vec.create n) ~ap:(Vec.create n)
     in
     start a inv_diag ~n ~tol s;
     while running ~max_iter s do
@@ -157,13 +175,16 @@ let solve ?(record = true) ?(max_iter = 0) ?(tol = 1e-7) (a : Csr.t)
   st
 
 (* Grow-only vectors of [iterate2]: the inverse diagonal and each axis's
-   r, z, p and A p. *)
+   r, z, p and A p; and each axis's floats, made once. *)
 type workspace = {
   mutable inv_diag : float array;
   mutable vecs : float array array;  (* rx zx px apx ry zy py apy *)
+  fx : float array;
+  fy : float array;
 }
 
-let create_workspace () = { inv_diag = [||]; vecs = Array.make 8 [||] }
+let create_workspace () =
+  { inv_diag = [||]; vecs = Array.make 8 [||]; fx = floats (); fy = floats () }
 
 let reserve ws n =
   let cap = Array.length ws.inv_diag in
@@ -182,8 +203,8 @@ let iterate2 ?workspace ~stagnate:(stag_x, stag_y) ~max_iter ~tol (a : Csr.t)
   reserve ws n;
   let d = ws.inv_diag and v = ws.vecs in
   inv_diagonal a d;
-  let sx = axis ~b:bx ~x ~r:v.(0) ~z:v.(1) ~p:v.(2) ~ap:v.(3) in
-  let sy = axis ~b:by ~x:y ~r:v.(4) ~z:v.(5) ~p:v.(6) ~ap:v.(7) in
+  let sx = axis ~f:ws.fx ~b:bx ~x ~r:v.(0) ~z:v.(1) ~p:v.(2) ~ap:v.(3) in
+  let sy = axis ~f:ws.fy ~b:by ~x:y ~r:v.(4) ~z:v.(5) ~p:v.(6) ~ap:v.(7) in
   if stag_x then sx.finished <- true else start a d ~n ~tol sx;
   if stag_y then sy.finished <- true else start a d ~n ~tol sy;
   while running ~max_iter sx || running ~max_iter sy do

@@ -49,8 +49,12 @@ val iterate :
   float array -> stats
 
 (** Grow-only vectors of {!iterate2}: the inverse diagonal and four
-    vectors per axis, reallocated only when a larger system arrives.  Not
-    safe for concurrent use; give each sequential caller its own. *)
+    vectors per axis, reallocated only when a larger system arrives, and
+    per axis one float array for its reductions' partials and its
+    scalars, made once.  A warmed {!iterate2} allocates per solve its
+    axis and stats records, and per iteration only the boxed step sizes
+    it passes to {!Vec}.  Not safe for concurrent use; give each
+    sequential caller its own. *)
 type workspace
 
 val create_workspace : unit -> workspace

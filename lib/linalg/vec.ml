@@ -15,7 +15,9 @@
    the partials combined in a fixed binary tree over chunk order.  The
    shape is a pure function of [n] and part of the numerical contract:
    every CG iterate, and so every placement, depends on its last bits.
-   Elementwise kernels are plain loops.
+   The partials live in a buffer the caller owns ([partials]), so a
+   reduction allocates nothing; [dot], [sqnorm2] and [norm2] make their
+   own.  Elementwise kernels are plain loops.
 
    The fused kernels ([precond_dot2], [update_residual]) exist for CG:
    folding the preconditioner application and both residual dot products
@@ -53,22 +55,25 @@ let rec tree (parts : float array) w lo hi =
       (Array.unsafe_get parts at +. Array.unsafe_get parts ((2 * mid) + w))
   end
 
-(* Two sums over [0, n) in the fixed shape.  [body parts c lo hi] sums
-   chunk [c] = [lo, hi) into [parts.(2c)] and [parts.(2c + 1)]; the totals
-   end in [parts.(0)] and [parts.(1)].  Bodies are partial applications of
-   the top-level [*_chunk] loops below, which take their vectors as
-   arguments: a loop over a closure's captured vectors reloads them from
-   the closure on every iteration. *)
-let sums n body =
+(* A reduction sums chunk [c] = [lo, hi) into [parts.(2c)] (and
+   [parts.(2c + 1)]) and leaves its totals in [parts.(0)] and
+   [parts.(1)], so the caller owns every partial: one buffer of
+   [partials_len] floats serves any [n].  Each reduction calls its
+   top-level [*_chunk] loop directly, with its vectors as arguments (a
+   loop over a closure's captured vectors reloads them from the closure
+   on every iteration), at [Pool.chunk_bounds]'s bounds computed in
+   place, without its tuple. *)
+let partials_len = 2 * Pool.max_chunks
+
+let partials () = Array.make partials_len 0.0
+
+(* The chunk count of a reduction over [n] entries, once [parts] is
+   known to hold its partials. *)
+let chunks name (parts : float array) n =
   let k = max 1 (Pool.n_chunks ~grain n) in
-  let parts = Array.make (2 * k) 0.0 in
-  for c = 0 to k - 1 do
-    let lo, hi = Pool.chunk_bounds ~n ~n_chunks:k c in
-    body parts c lo hi
-  done;
-  tree parts 0 0 k;
-  tree parts 1 0 k;
-  parts
+  if Array.length parts < 2 * k then
+    invalid_arg ("Vec." ^ name ^ ": partials shorter than 2 * chunks");
+  k
 
 let[@inline never] dot_chunk (a : t) (b : t) (parts : float array) c lo hi =
   let acc = ref 0.0 in
@@ -77,9 +82,18 @@ let[@inline never] dot_chunk (a : t) (b : t) (parts : float array) c lo hi =
   done;
   parts.(2 * c) <- !acc
 
-let dot ~n a b =
+let dot_into parts ~n a b =
   check2 "dot" n a b;
-  (sums n (dot_chunk a b)).(0)
+  let k = chunks "dot" parts n in
+  for c = 0 to k - 1 do
+    dot_chunk a b parts c (c * n / k) ((c + 1) * n / k)
+  done;
+  tree parts 0 0 k
+
+let dot ~n a b =
+  let parts = partials () in
+  dot_into parts ~n a b;
+  parts.(0)
 
 let sqnorm2 ~n a = dot ~n a a
 
@@ -134,12 +148,17 @@ let[@inline never] precond_chunk (d : t) (r : t) (z : t) (parts : float array) c
   parts.(2 * c) <- !rz;
   parts.((2 * c) + 1) <- !rr
 
-(* z <- d * r (Jacobi preconditioner); returns (r.z, r.r) in one sweep. *)
-let precond_dot2 ~n d r z =
+(* z <- d * r (Jacobi preconditioner); r.z into [parts.(0)] and r.r into
+   [parts.(1)], in one sweep. *)
+let precond_dot2 parts ~n d r z =
   check2 "precond_dot2" n d r;
   check1 "precond_dot2" n z;
-  let parts = sums n (precond_chunk d r z) in
-  (parts.(0), parts.(1))
+  let k = chunks "precond_dot2" parts n in
+  for c = 0 to k - 1 do
+    precond_chunk d r z parts c (c * n / k) ((c + 1) * n / k)
+  done;
+  tree parts 0 0 k;
+  tree parts 1 0 k
 
 let[@inline never] residual_chunk alpha (ap : t) (r : t) (d : t) (z : t)
     (parts : float array) c lo hi =
@@ -155,10 +174,14 @@ let[@inline never] residual_chunk alpha (ap : t) (r : t) (d : t) (z : t)
   parts.(2 * c) <- !rz;
   parts.((2 * c) + 1) <- !rr
 
-(* r <- r - alpha * ap;  z <- d * r;  returns (r.z, r.r) — the whole CG
-   residual update in one memory pass. *)
-let update_residual ~n ~alpha ap r d z =
+(* r <- r - alpha * ap;  z <- d * r;  r.z into [parts.(0)] and r.r into
+   [parts.(1)] — the whole CG residual update in one memory pass. *)
+let update_residual parts ~n ~alpha ap r d z =
   check2 "update_residual" n ap r;
   check2 "update_residual" n d z;
-  let parts = sums n (residual_chunk alpha ap r d z) in
-  (parts.(0), parts.(1))
+  let k = chunks "update_residual" parts n in
+  for c = 0 to k - 1 do
+    residual_chunk alpha ap r d z parts c (c * n / k) ((c + 1) * n / k)
+  done;
+  tree parts 0 0 k;
+  tree parts 1 0 k

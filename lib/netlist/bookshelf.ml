@@ -120,6 +120,43 @@ let plain_decimal line start stop =
     if !i < stop then min_int else if neg then - !v else !v
   end
 
+(* 10^f for f in [0, 22]: each exact as a double (5^22 < 2^53). *)
+let pow10 = Array.init 23 (fun f -> float_of_string ("1e" ^ string_of_int f))
+
+let max_mantissa = 1 lsl 53
+
+(* The value of the span [line.[start] .. line.[stop - 1]] when it is a
+   plain decimal fraction: an optional '-', digits, then optionally '.'
+   and at most 22 digits, all its digits reading as one integer m <= 2^53.
+   The value is [float m /. 10^f] for f fraction digits, negated for a
+   '-'.  Both operands are exact doubles and IEEE division rounds
+   correctly, as strtod does, so this is [float_of_string]'s result bit
+   for bit.  Any other span (a '+', '_', an exponent, hex, nan, inf, a
+   longer mantissa) gives [nan], which no plain span reaches, and is left
+   to [float_of_string_opt]. *)
+let[@inline] plain_float line start stop =
+  let neg = start < stop && Char.equal line.[start] '-' in
+  let first = if neg then start + 1 else start in
+  let m = ref 0 and i = ref first in
+  while !i < stop && !m <= max_mantissa && line.[!i] >= '0' && line.[!i] <= '9' do
+    m := (10 * !m) + (Char.code line.[!i] - Char.code '0');
+    incr i
+  done;
+  let digits = !i - first and frac = ref 0 in
+  if !i < stop && Char.equal line.[!i] '.' then begin
+    incr i;
+    while !i < stop && !m <= max_mantissa && line.[!i] >= '0' && line.[!i] <= '9' do
+      m := (10 * !m) + (Char.code line.[!i] - Char.code '0');
+      incr i;
+      incr frac
+    done
+  end;
+  if digits = 0 || !i < stop || !m > max_mantissa || !frac > 22 then Float.nan
+  else begin
+    let v = float_of_int !m /. pow10.(!frac) in
+    if neg then -.v else v
+  end
+
 let read_channel ?(name = "from-file") ic =
   let chip = ref None in
   let row_height = ref 1.0 in
@@ -153,12 +190,6 @@ let read_channel ?(name = "from-file") ic =
     | Some f -> f
     | None -> parse_failure ln (Printf.sprintf "bad number %S" s)
   in
-  (* cell/blockage dimensions must be usable by the density and flow models *)
-  let dim_of s ln =
-    let f = float_of s ln in
-    if f < 0.0 then parse_failure ln (Printf.sprintf "negative dimension %S" s);
-    f
-  in
   let int_of s ln =
     match int_of_string_opt s with
     | Some i -> i
@@ -183,6 +214,19 @@ let read_channel ?(name = "from-file") ic =
     if v < 0 then parse_failure ln (Printf.sprintf "negative count %S" (tok line i));
     v
   in
+  (* [float_of] of token [i], read in place when it is a plain decimal
+     fraction *)
+  let float_at line i ln =
+    let v = plain_float line starts.(i) stops.(i) in
+    if Float.is_nan v then float_of (tok line i) ln else v
+  in
+  (* cell dimensions must be usable by the density and flow models *)
+  let dim_at line i ln =
+    let f = float_at line i ln in
+    if f < 0.0 then
+      parse_failure ln (Printf.sprintf "negative dimension %S" (tok line i));
+    f
+  in
   (* the callers check the corners before [Rect.make], which rejects
      an inverted rectangle with an unpositioned [Invalid_argument] *)
   let corners line ln =
@@ -195,7 +239,7 @@ let read_channel ?(name = "from-file") ic =
   (* the two records of nearly every line *)
   let read_net line ln =
     if !pending_pins > 0 then parse_failure ln "previous net incomplete";
-    let w = float_of (tok line 1) ln in
+    let w = float_at line 1 ln in
     if w < 0.0 then parse_failure ln "negative net weight";
     pending_pins := count_at line 2 ln;
     let i = !nets_read in
@@ -212,8 +256,8 @@ let read_channel ?(name = "from-file") ic =
     if !pending_pins <= 0 then parse_failure ln "too many pins for net";
     let cell = int_at line 1 ln in
     if cell < -1 then parse_failure ln "bad pin cell index";
-    let dy = float_of (tok line 3) ln in
-    let dx = float_of (tok line 2) ln in
+    let dy = float_at line 3 ln in
+    let dx = float_at line 2 ln in
     if cell >= !cells_read && cell > !max_candidate then begin
       max_candidate := cell;
       candidates := (cell, ln) :: !candidates
@@ -270,10 +314,10 @@ let read_channel ?(name = "from-file") ic =
            let mv = tok line 6 in
            if not (String.equal mv "fixed" || String.equal mv "movable") then
              parse_failure ln (Printf.sprintf "bad mobility %S (fixed|movable)" mv);
-           let y = float_of (tok line 5) ln in
-           let x = float_of (tok line 4) ln in
-           let h = dim_of (tok line 3) ln in
-           let w = dim_of (tok line 2) ln in
+           let y = float_at line 5 ln in
+           let x = float_at line 4 ln in
+           let h = dim_at line 3 ln in
+           let w = dim_at line 2 ln in
            let c = !cells_read in
            if c = Array.length !widths then begin
              names := ensure !names (c + 1) "";

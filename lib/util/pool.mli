@@ -23,12 +23,17 @@
 val set_default_domains : int -> unit
 val get_default_domains : unit -> int
 
+(** The cap of {!n_chunks} (64), so a caller can size partial arrays
+    once, for any [n]. *)
+val max_chunks : int
+
 (** Number of chunks for [n] items at the given [grain] (target items per
-    chunk), capped so partial arrays stay tiny.  Pure in [n] and [grain] —
-    never a function of the domain count. *)
+    chunk), at most {!max_chunks}, so partial arrays stay tiny.  Pure in
+    [n] and [grain] — never a function of the domain count. *)
 val n_chunks : grain:int -> int -> int
 
-(** [chunk_bounds ~n ~n_chunks c] is the half-open range of chunk [c]. *)
+(** [chunk_bounds ~n ~n_chunks c] is the half-open range of chunk [c]:
+    [(c * n / n_chunks, (c + 1) * n / n_chunks)]. *)
 val chunk_bounds : n:int -> n_chunks:int -> int -> int * int
 
 (** [run_chunks ~domains ~n_chunks body] executes [body c] for every chunk

@@ -810,7 +810,7 @@ let test_realization_assigns_everything () =
    cell.  The second call at one domain is measured, with the cells
    counted by [realization.snapshot_cells]; it takes 77 words per cell. *)
 let test_realization_allocation_budget () =
-  let budget = 84 in
+  let budget = 56 in
   let inst = small_instance ~n_cells:600 ~seed:13 () in
   let design = inst.Fbp_movebound.Instance.design in
   let regions, _, model = build_model ~nx:4 inst in

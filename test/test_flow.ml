@@ -303,7 +303,9 @@ let prop_mcf_unrouted_is_maxflow_gap =
 let mk_problem sizes caps cost =
   let k = Array.length caps in
   {
-    Transport.sizes;
+    Transport.n = Array.length sizes;
+    k;
+    sizes;
     capacities = caps;
     cost = Array.init (Array.length sizes * k) (fun ij -> cost (ij / k) (ij mod k));
   }
@@ -643,6 +645,71 @@ let test_transport_workspace_allocation () =
     Alcotest.failf "a warmed solve allocated %d words at 300 cells, %d at 1 200"
       at_small at_large
 
+(* A problem names its counts, so its arrays may be a caller's longer
+   buffers: padded with values a solve must never read, it solves bit for
+   bit like the exact-length problem, by [solve] and by [solve_exact];
+   an array shorter than its count is rejected. *)
+let test_transport_longer_arrays () =
+  let bits = Int64.bits_of_float in
+  let rng = Fbp_util.Rng.create 4242 in
+  let same ctx (a : Transport.assignment) (b : Transport.assignment) =
+    Alcotest.(check int) (ctx ^ ": cells") a.Transport.n b.Transport.n;
+    Alcotest.(check int) (ctx ^ ": sinks") a.Transport.k b.Transport.k;
+    Alcotest.(check int64) (ctx ^ ": cost") (bits a.Transport.cost) (bits b.Transport.cost);
+    for j = 0 to a.Transport.k - 1 do
+      Alcotest.(check int64) (ctx ^ ": load") (bits a.Transport.load.(j))
+        (bits b.Transport.load.(j));
+      Alcotest.(check int64) (ctx ^ ": price") (bits a.Transport.prices.(j))
+        (bits b.Transport.prices.(j))
+    done;
+    for i = 0 to a.Transport.n - 1 do
+      let chain x = List.map (fun (j, f) -> (j, bits f)) (Transport.fractions x i) in
+      Alcotest.(check (list (pair int int64))) (ctx ^ ": chain") (chain a) (chain b)
+    done
+  in
+  let pad a extra fill = Array.append a (Array.make extra fill) in
+  for trial = 1 to 40 do
+    let p = random_transport_instance rng in
+    let n = p.Transport.n and k = p.Transport.k in
+    let long =
+      { p with
+        Transport.sizes = pad p.Transport.sizes 7 1e9;
+        capacities = pad p.Transport.capacities 3 (-5.0);
+        cost = pad p.Transport.cost (5 * k + 11) (-1e9) }
+    in
+    let ctx = Printf.sprintf "trial %d (%d cells, %d sinks)" trial n k in
+    (match (Transport.solve p, Transport.solve long) with
+     | Ok a, Ok b ->
+       same ctx a b;
+       (match Transport.audit long b with
+        | Ok () -> ()
+        | Error e -> Alcotest.failf "%s: audit of the long problem: %s" ctx e)
+     | Error e, Error e' -> Alcotest.(check string) ctx e e'
+     | _ -> Alcotest.failf "%s: one solve failed, the other did not" ctx);
+    if n <= 60 then
+      match (Transport.solve_exact p, Transport.solve_exact long) with
+      | Ok a, Ok b -> same (ctx ^ " exact") a b
+      | Error e, Error e' -> Alcotest.(check string) ctx e e'
+      | _ -> Alcotest.failf "%s: one exact solve failed, the other did not" ctx
+  done;
+  let p = random_transport_instance rng in
+  let n = p.Transport.n and k = p.Transport.k in
+  let rejected what q =
+    (match Transport.solve q with
+     | exception Invalid_argument _ -> ()
+     | _ -> Alcotest.failf "a short %s array was accepted" what);
+    match Transport.solve p with
+    | Error _ -> ()
+    | Ok a -> (
+      match Transport.audit q a with
+      | Error _ -> ()
+      | Ok () -> Alcotest.failf "the audit accepted a short %s array" what)
+  in
+  rejected "cost" { p with Transport.cost = Array.sub p.Transport.cost 0 ((n * k) - 1) };
+  rejected "sizes" { p with Transport.sizes = Array.sub p.Transport.sizes 0 (n - 1) };
+  rejected "capacities"
+    { p with Transport.capacities = Array.sub p.Transport.capacities 0 (k - 1) }
+
 let suite =
   [
     Alcotest.test_case "graph arcs and twins" `Quick test_graph_arcs;
@@ -671,4 +738,6 @@ let suite =
       test_transport_allocation_flat;
     Alcotest.test_case "transport workspace allocation" `Quick
       test_transport_workspace_allocation;
+    Alcotest.test_case "transport arrays longer than the counts" `Quick
+      test_transport_longer_arrays;
   ]

@@ -351,6 +351,157 @@ let test_cg_lockstep_equals_two_solves () =
        (random_vec rng m 20.0) (random_vec rng m 1.0) (random_vec rng m 0.5)
        (random_vec rng m 1.0))
 
+(* ---------- reductions into caller-owned partials ---------- *)
+
+(* The reductions as they were while each call made its own partials: a
+   fresh array per call, the chunk loop passed as a closure, and the fused
+   kernels returning (r.z, r.r) tuples.  The reference for the shape the
+   partials-buffer reductions must keep. *)
+module Reference_vec = struct
+  module Pool = Fbp_util.Pool
+
+  let grain = 4096
+
+  let rec tree (parts : float array) w lo hi =
+    if hi - lo > 1 then begin
+      let mid = lo + (((hi - lo) + 1) / 2) in
+      tree parts w lo mid;
+      tree parts w mid hi;
+      let at = (2 * lo) + w in
+      parts.(at) <- parts.(at) +. parts.((2 * mid) + w)
+    end
+
+  let sums n body =
+    let k = max 1 (Pool.n_chunks ~grain n) in
+    let parts = Array.make (2 * k) 0.0 in
+    for c = 0 to k - 1 do
+      let lo, hi = Pool.chunk_bounds ~n ~n_chunks:k c in
+      body parts c lo hi
+    done;
+    tree parts 0 0 k;
+    tree parts 1 0 k;
+    parts
+
+  let dot ~n (a : float array) (b : float array) =
+    (sums n (fun parts c lo hi ->
+         let acc = ref 0.0 in
+         for i = lo to hi - 1 do
+           acc := !acc +. (a.(i) *. b.(i))
+         done;
+         parts.(2 * c) <- !acc)).(0)
+
+  let precond_dot2 ~n (d : float array) (r : float array) (z : float array) =
+    let parts =
+      sums n (fun parts c lo hi ->
+          let rz = ref 0.0 and rr = ref 0.0 in
+          for i = lo to hi - 1 do
+            let ri = r.(i) in
+            let zi = d.(i) *. ri in
+            z.(i) <- zi;
+            rz := !rz +. (ri *. zi);
+            rr := !rr +. (ri *. ri)
+          done;
+          parts.(2 * c) <- !rz;
+          parts.((2 * c) + 1) <- !rr)
+    in
+    (parts.(0), parts.(1))
+
+  let update_residual ~n ~alpha (ap : float array) (r : float array)
+      (d : float array) (z : float array) =
+    let parts =
+      sums n (fun parts c lo hi ->
+          let rz = ref 0.0 and rr = ref 0.0 in
+          for i = lo to hi - 1 do
+            let ri = r.(i) -. (alpha *. ap.(i)) in
+            r.(i) <- ri;
+            let zi = d.(i) *. ri in
+            z.(i) <- zi;
+            rz := !rz +. (ri *. zi);
+            rr := !rr +. (ri *. ri)
+          done;
+          parts.(2 * c) <- !rz;
+          parts.((2 * c) + 1) <- !rr)
+    in
+    (parts.(0), parts.(1))
+end
+
+(* Every reduction equals the reference bit for bit at the chunking's edge
+   sizes and at 6 chunks (whose tree halves have odd lengths), through one
+   partials buffer reused from size to size (a larger reduction's stale
+   partials must not leak into a smaller one), with vectors three entries
+   longer than [n]. *)
+let test_vec_reductions_into_partials () =
+  let rng = Fbp_util.Rng.create 31 in
+  let parts = Vec.partials () in
+  let check ctx expected got =
+    if bits expected <> bits got then
+      Alcotest.failf "%s: %h, the reference gives %h" ctx got expected
+  in
+  let check_vec ctx expected got n =
+    for i = 0 to n - 1 do
+      check (Printf.sprintf "%s entry %d" ctx i) expected.(i) got.(i)
+    done
+  in
+  List.iter
+    (fun n ->
+      let v scale = Array.init (n + 3) (fun _ -> scale *. Fbp_util.Rng.range rng (-1.0) 1.0) in
+      let a = v 3.0 and b = v 7.0 and d = v 0.5 and ap = v 2.0 in
+      let ctx name = Printf.sprintf "%s at n = %d" name n in
+      Vec.dot_into parts ~n a b;
+      check (ctx "dot_into") (Reference_vec.dot ~n a b) parts.(0);
+      check (ctx "dot") (Reference_vec.dot ~n a b) (Vec.dot ~n a b);
+      check (ctx "sqnorm2") (Reference_vec.dot ~n a a) (Vec.sqnorm2 ~n a);
+      check (ctx "norm2") (sqrt (Reference_vec.dot ~n a a)) (Vec.norm2 ~n a);
+      let z_ref = Array.make (n + 3) 0.0 and z = Array.make (n + 3) 0.0 in
+      let rz, rr = Reference_vec.precond_dot2 ~n d a z_ref in
+      Vec.precond_dot2 parts ~n d a z;
+      check (ctx "precond_dot2 r.z") rz parts.(0);
+      check (ctx "precond_dot2 r.r") rr parts.(1);
+      check_vec (ctx "precond_dot2 z") z_ref z n;
+      let alpha = 0.37 in
+      let r_ref = Array.copy b and r = Array.copy b in
+      let rz, rr = Reference_vec.update_residual ~n ~alpha ap r_ref d z_ref in
+      Vec.update_residual parts ~n ~alpha ap r d z;
+      check (ctx "update_residual r.z") rz parts.(0);
+      check (ctx "update_residual r.r") rr parts.(1);
+      check_vec (ctx "update_residual r") r_ref r n;
+      check_vec (ctx "update_residual z") z_ref z n)
+    [ 64 * 4096; 64 * 4096 + 5; 0; 1; 4095; 4096; 4097; (3 * 4096) + 1;
+      (5 * 4096) + 7 ];
+  match Vec.dot_into (Array.make 3 0.0) ~n:4097 (Array.make 4097 1.0) (Array.make 4097 1.0) with
+  | exception Invalid_argument _ -> ()
+  | () -> Alcotest.fail "a partials buffer shorter than two per chunk was accepted"
+
+(* A warmed lockstep solve allocates no partials, tuple or boxed scalar per
+   iteration: what is left is the boxed alpha and beta each axis passes to
+   [Vec.axpy], [Vec.update_residual] and [Vec.xpby] (under [-opaque]),
+   plus a per-solve constant (the axis and stats records). *)
+let test_cg_allocation_budget () =
+  let per_solve = 200 and per_axis_iteration = 8 in
+  List.iter
+    (fun n ->
+      let rng = Fbp_util.Rng.create n in
+      let a = random_laplacian rng n in
+      let bx = random_vec rng n 50.0 and by = random_vec rng n 20.0 in
+      let x0 = random_vec rng n 3.0 and y0 = random_vec rng n 1.0 in
+      let x = Array.copy x0 and y = Array.copy y0 in
+      let workspace = Cg.create_workspace () in
+      let solve () =
+        Array.blit x0 0 x 0 n;
+        Array.blit y0 0 y 0 n;
+        Cg.iterate2 ~workspace ~stagnate:(false, false) ~max_iter:150 ~tol:1e-30 a
+          bx x by y
+      in
+      ignore (solve ());
+      let (sx, sy), words = Test_core.allocated_words solve in
+      let iters = sx.Cg.iterations + sy.Cg.iterations in
+      if iters < 200 then Alcotest.failf "n = %d: only %d axis-iterations" n iters;
+      if words > per_solve + (per_axis_iteration * iters) then
+        Alcotest.failf "n = %d: a warmed solve allocated %d words over %d axis-iterations (%.1f each)"
+          n words iters
+          (float_of_int words /. float_of_int iters))
+    [ 2_606; 10_099 ]
+
 let suite =
   [
     Alcotest.test_case "vec ops" `Quick test_vec_ops;
@@ -368,4 +519,7 @@ let suite =
     Prop.qcheck prop_csr_mul_matches_dense;
     Alcotest.test_case "cg lockstep equals two solves" `Quick
       test_cg_lockstep_equals_two_solves;
+    Alcotest.test_case "vec reductions into partials" `Quick
+      test_vec_reductions_into_partials;
+    Alcotest.test_case "cg allocation budget" `Quick test_cg_allocation_budget;
   ]

@@ -376,6 +376,86 @@ let test_bookshelf_integer_spans () =
    and no keyword or index substring for a pin or a net.  This design
    reads at 42 words per line; cutting out every keyword and index and
    making two closures per line took 59. *)
+(* Cell coordinates and dimensions, pin offsets and net weights are read
+   in place when they are plain decimal fractions that fit in 2^53 with at
+   most 22 fraction digits; every other spelling still goes through
+   [float_of_string_opt].  Either way each field is [float_of_string]'s
+   value bit for bit: random doubles at three precisions, the 2^53 edge,
+   signed zeros, the fraction-digit edge and spellings only
+   [float_of_string] reads. *)
+let test_bookshelf_float_spans () =
+  let rng = Random.State.make [| 29 |] in
+  let random () =
+    let mag = Random.State.float rng 1.0 *. (10.0 ** float_of_int (Random.State.int rng 31 - 12)) in
+    if Random.State.bool rng then -.mag else mag
+  in
+  let corpus =
+    List.concat
+      [ List.concat_map
+          (fun _ ->
+            let v = random () in
+            [ Printf.sprintf "%.17g" v; Printf.sprintf "%.15g" v; Printf.sprintf "%.3f" v ])
+          (List.init 400 Fun.id);
+        [ "9007199254740991"; "9007199254740992"; "9007199254740993";
+          "-9007199254740992"; "-9007199254740993"; "900719925474099.2";
+          "900719925474099.3"; "0.9007199254740993"; "-0"; "0"; "0."; "-0.";
+          "-0.0"; ".5"; "-.5"; "1."; "007.25"; "-000.5";
+          "0.0000000000000000000001"; "0.00000000000000000000001";
+          "1.0000000000000000000000"; "1.00000000000000000000000";
+          "1_0"; "+1"; "1e5"; "-1e5"; "1.5e-3"; "0x1p3"; "1E2" ] ]
+  in
+  let n = List.length corpus in
+  let nonneg s = if String.length s > 0 && Char.equal s.[0] '-' then "1" else s in
+  let b = Buffer.create 65536 in
+  Buffer.add_string b "chip -10 -10 10 10\n";
+  Buffer.add_string b (Printf.sprintf "cells %d\n" n);
+  List.iteri
+    (fun i s ->
+      Buffer.add_string b
+        (Printf.sprintf "cell c%d %s %s %s %s movable -\n" i (nonneg s) (nonneg s) s s))
+    corpus;
+  Buffer.add_string b (Printf.sprintf "nets %d\n" n);
+  List.iter
+    (fun s -> Buffer.add_string b (Printf.sprintf "net %s 1\npin 0 %s %s\n" (nonneg s) s s))
+    corpus;
+  Buffer.add_string b "blockages 0\n";
+  let d = read_text (Buffer.contents b) in
+  let nl = d.Design.netlist and p = d.Design.initial in
+  let bits = Int64.bits_of_float in
+  List.iteri
+    (fun i s ->
+      let expected field s got =
+        let want = float_of_string s in
+        if bits want <> bits got then
+          Alcotest.failf "%s %S read as %h, float_of_string gives %h" field s got want
+      in
+      expected "cell x" s p.Placement.x.(i);
+      expected "cell y" s p.Placement.y.(i);
+      expected "cell width" (nonneg s) nl.Netlist.widths.(i);
+      expected "cell height" (nonneg s) nl.Netlist.heights.(i);
+      expected "pin dx" s nl.Netlist.pin_dx.(i);
+      expected "pin dy" s nl.Netlist.pin_dy.(i);
+      expected "net weight" (nonneg s) nl.Netlist.net_weight.(i))
+    corpus;
+  (* the messages of the fields read in place are unchanged *)
+  let cells = "chip 0 0 10 10\ncells 1\n" in
+  let failure text =
+    match read_text text with
+    | _ -> None
+    | exception Bookshelf.Parse_error (line, msg) -> Some (line, msg)
+  in
+  let outcome_t = Alcotest.(option (pair int string)) in
+  Alcotest.check outcome_t "negative width" (Some (3, "negative dimension \"-1.5\""))
+    (failure (cells ^ "cell a -1.5 1 0 0 movable -\n"));
+  Alcotest.check outcome_t "negative height in hex" (Some (3, "negative dimension \"-0x1\""))
+    (failure (cells ^ "cell a 1 -0x1 0 0 movable -\n"));
+  Alcotest.check outcome_t "bad coordinate" (Some (3, "bad number \"1.5.\""))
+    (failure (cells ^ "cell a 1 1 1.5. 0 movable -\n"));
+  Alcotest.check outcome_t "nan offset" (Some (6, "NaN value \"nan\""))
+    (failure (cells ^ "cell a 1 1 0 0 movable -\nnets 1\nnet 1 1\npin 0 nan 0\n"));
+  Alcotest.check outcome_t "negative weight" (Some (5, "negative net weight"))
+    (failure (cells ^ "cell a 1 1 0 0 movable -\nnets 1\nnet -2.5 1\npin 0 0 0\n"))
+
 let test_bookshelf_read_allocation () =
   let d = Generator.quick ~seed:3 ~name:"reader" 1500 in
   let path = Filename.temp_file "fbp" ".book" in
@@ -487,4 +567,5 @@ let suite =
     Alcotest.test_case "bookshelf rejects garbage" `Quick test_bookshelf_rejects_garbage;
     Alcotest.test_case "bookshelf integer spans" `Quick test_bookshelf_integer_spans;
     Alcotest.test_case "bookshelf read allocation" `Quick test_bookshelf_read_allocation;
+    Alcotest.test_case "bookshelf floats read in place" `Quick test_bookshelf_float_spans;
   ]

@@ -158,7 +158,9 @@ let test_certificate_catches_suboptimal_flow () =
 
 let transport_problem () =
   {
-    Transport.sizes = [| 1.0; 2.0; 1.5; 0.5 |];
+    Transport.n = 4;
+    k = 2;
+    sizes = [| 1.0; 2.0; 1.5; 0.5 |];
     capacities = [| 3.0; 3.0 |];
     cost =
       Array.init 8 (fun ij ->
