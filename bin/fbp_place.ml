@@ -156,10 +156,6 @@ let place_cmd =
       Obs.reset ();
       Obs.enable ()
     end;
-    if record <> None then begin
-      Rec.reset ();
-      Rec.enable ()
-    end;
     (* FBP_PROFILE=1 arms the domain profiler alongside whatever other
        exporters are on; its summary lands in the run record's [profile]
        section and its GC pauses in the trace's per-domain tracks *)
@@ -167,13 +163,12 @@ let place_cmd =
     if profile_armed then Fbp_obs.Profiler.start ();
     (* export whatever was recorded on every exit path, including typed
        failures — a trace of a failed run is the one you want most *)
-    let finish code =
+    let finish run_record code =
       (* stop first: the final drain injects gc.* intervals into the trace
-         and the summary must be attached before the record is written *)
-      if profile_armed then begin
-        let s = Fbp_obs.Profiler.stop () in
-        if Rec.enabled () then Rec.set_profile s
-      end;
+         and the summary belongs in the record *)
+      let profile =
+        if profile_armed then Some (Fbp_obs.Profiler.stop ()) else None
+      in
       (match trace with
        | Some f -> Obs.write_trace f; Printf.printf "wrote %s\n" f
        | None -> ());
@@ -182,18 +177,17 @@ let place_cmd =
        | None -> ());
       (match record with
        | Some f ->
-         Rec.set_metrics (Obs.metrics ());
-         Rec.write_current f;
-         Rec.disable ();
+         Rec.write_file f
+           { run_record with Rec.metrics = Some (Obs.metrics ()); profile };
          Printf.printf "wrote %s\n" f
        | None -> ());
       code
     in
     match read_design input with
-    | Error e -> finish (fail_typed e)
+    | Error e -> finish Rec.empty (fail_typed e)
     | Ok d ->
       let inst = instance_of d ~movebounds in
-      Rec.set_provenance
+      let provenance =
         {
           Rec.design = input;
           cells = Fbp_netlist.Netlist.n_cells d.Fbp_netlist.Design.netlist;
@@ -209,8 +203,10 @@ let place_cmd =
                | Some dl -> [ ("deadline", Printf.sprintf "%g" dl) ]
                | None -> []);
           host = None;  (* filled by Runner once the pool resolves *)
-        };
-      let result =
+        }
+      in
+      let unrecorded = { Rec.empty with provenance } in
+      let result, run_record =
         (* belt and braces: nothing may bypass [finish] — an exception
            escaping any engine (e.g. a sanitizer violation raised past a
            result boundary) still becomes a typed exit with the trace,
@@ -219,16 +215,17 @@ let place_cmd =
           Obs.span "cli.place"
             ~args:(fun () -> [ ("design", input) ])
             (fun () ->
+              let config = { Fbp_core.Config.default with domains; deadline; strict } in
               match tool with
-              | `Fbp ->
-                Fbp_workloads.Runner.run_fbp
-                  ~config:{ Fbp_core.Config.default with domains; deadline; strict } inst
-              | `Rql -> Fbp_workloads.Runner.run_rql inst
-              | `Kw -> Fbp_workloads.Runner.run_kraftwerk inst)
-        with e -> Error (Err.of_exn ~site:"cli.place" e)
+              | `Fbp when Option.is_some record ->
+                Fbp_workloads.Runner.run_fbp_recorded ~config ~provenance inst
+              | `Fbp -> (Fbp_workloads.Runner.run_fbp ~config inst, unrecorded)
+              | `Rql -> (Fbp_workloads.Runner.run_rql inst, unrecorded)
+              | `Kw -> (Fbp_workloads.Runner.run_kraftwerk inst, unrecorded))
+        with e -> (Error (Err.of_exn ~site:"cli.place" e), unrecorded)
       in
       (match result with
-       | Error e -> finish (fail_typed e)
+       | Error e -> finish run_record (fail_typed e)
        | Ok m ->
          Printf.printf "%s: HPWL %.6e  time %.2fs (global %.2fs + legalize %.2fs)\n"
            m.Fbp_workloads.Runner.tool m.Fbp_workloads.Runner.hpwl
@@ -249,7 +246,7 @@ let place_cmd =
               (Fbp_viz.Draw.placement inst_n m.Fbp_workloads.Runner.placement);
             Printf.printf "wrote %s\n" path
           | None -> ());
-         finish 0)
+         finish run_record 0)
   in
   Cmd.v (Cmd.info "place" ~doc:"Place a design.")
     Term.(const run $ input $ tool $ movebounds $ domains $ svg $ deadline $ strict
@@ -514,17 +511,6 @@ let fuzz_cmd =
           | Fuzz.Typed e -> Err.exit_code e
           | Fuzz.Invariant _ | Fuzz.Uncaught _ -> 1))
     | None ->
-      (* CI smoke mode: a short, seed-pinned, hard-capped campaign *)
-      let smoke =
-        match Sys.getenv_opt "FBP_FUZZ_SMOKE" with
-        | Some "1" -> true
-        | Some _ | None -> false
-      in
-      let count = if smoke then min count 50 else count in
-      let time_cap =
-        if smoke then Some (match time_cap with Some c -> c | None -> 120.0)
-        else time_cap
-      in
       let report =
         Fuzz.run ~matrix ?time_cap ?out_dir ~seed ~count ()
       in
@@ -554,7 +540,7 @@ let tables_cmd =
                  designs, Tables IV/VI on rabe/ashraf/erhard, Table V on \
                  rabe/ashraf, Table VII on its first two specs.")
   in
-  let run which quick =
+  let tables which quick =
     let quick_names = if quick then Some Fbp_workloads.Designs.quick_names else None in
     let want n = match which with None -> true | Some w -> w = n in
     if want 1 then begin
@@ -595,6 +581,8 @@ let tables_cmd =
     if Option.is_none which then print_table (Fbp_workloads.Tables.ablations ());
     0
   in
+  (* a bad FBP_BENCH_SCALE is a typed error from the first design built *)
+  let run which quick = try tables which quick with Err.Error e -> fail_typed e in
   Cmd.v
     (Cmd.info "tables"
        ~doc:"Reproduce the paper's tables; without $(b,--table), also the \

@@ -114,6 +114,17 @@ $fbp place "$tmp/worse.book" --movebounds 2 --record "$tmp/worse.json" >/dev/nul
 if $fbp diff-record "$tmp/run.json" "$tmp/worse.json" >/dev/null 2>&1; then
   echo "diff-record failed to flag a regressed run"; exit 1
 fi
+# a failing run writes its record too: a strict run out of time exits 4,
+# and its record (no levels completed) renders and self-diffs clean
+code=0
+$fbp place "$tmp/smoke.book" --movebounds 2 --strict --deadline 0 \
+  --record "$tmp/fail.json" >/dev/null 2>&1 || code=$?
+[ "$code" -eq 4 ] \
+  || { echo "strict --deadline 0 must exit 4, got $code"; exit 1; }
+$fbp report "$tmp/fail.json" -o "$tmp/fail.html" >/dev/null \
+  || { echo "failed run's record does not render"; exit 1; }
+$fbp diff-record "$tmp/fail.json" "$tmp/fail.json" >/dev/null \
+  || { echo "failed run's record does not self-diff clean"; exit 1; }
 
 echo "== profile smoke (fbp_place profile + FBP_PROFILE record)"
 # the profile subcommand must emit a valid trace, a schema-tagged JSON
@@ -185,14 +196,14 @@ $fbp diff-record "$tmp/prun.json" "$tmp/prun.json" --max-gc-regress 0.5 >/dev/nu
   || { echo "diff-record with GC gate regressed against itself"; exit 1; }
 
 echo "== fuzz smoke (seed-pinned campaign, twice: zero failures + same digest; then the full corpus)"
-# FBP_FUZZ_SMOKE=1 clamps the campaign to 50 scenarios under a hard
-# wall-clock cap; the matrix crosses each scenario with every fault cell.
-# Two runs must be byte-identical (the digest line folds every outcome), and
-# a failure exits 1: any escaped exception, invariant violation, or
-# escaped corruption fails the push gate with a shrunk repro in the log.
-FBP_FUZZ_SMOKE=1 $fbp fuzz --seed 42 --count 50 --matrix --time-cap 120 \
+# 50 scenarios under a hard wall-clock cap; the matrix crosses each
+# scenario with every fault cell.  Two runs must be byte-identical (the
+# digest line folds every outcome), and a failure exits 1: any escaped
+# exception, invariant violation, or escaped corruption fails the push gate
+# with a shrunk repro in the log.
+$fbp fuzz --seed 42 --count 50 --matrix --time-cap 120 \
   > "$tmp/fuzz1.txt" || { echo "fuzz smoke found failures:"; cat "$tmp/fuzz1.txt"; exit 1; }
-FBP_FUZZ_SMOKE=1 $fbp fuzz --seed 42 --count 50 --matrix --time-cap 120 \
+$fbp fuzz --seed 42 --count 50 --matrix --time-cap 120 \
   > "$tmp/fuzz2.txt" || { echo "fuzz smoke found failures on rerun"; exit 1; }
 cmp -s "$tmp/fuzz1.txt" "$tmp/fuzz2.txt" \
   || { echo "fuzz campaign is not reproducible:"; diff "$tmp/fuzz1.txt" "$tmp/fuzz2.txt" || true; exit 1; }

@@ -74,12 +74,6 @@ let load_baseline = function
              if String.equal line "" || line.[0] = '#' then None else Some line)
     )
 
-let baseline_of diags =
-  let keys =
-    List.sort_uniq String.compare (List.map Diagnostic.key diags)
-  in
-  String.concat "" (List.map (fun k -> k ^ "\n") keys)
-
 (* ------------------------------------------------------------------- run *)
 
 (* The interprocedural pass reports source paths as the compiler recorded

@@ -46,9 +46,6 @@ val gather_files : string list -> string list
 val run_paths :
   ?baseline:string -> ?cmt_roots:string list -> string list -> report
 
-(** Baseline file content for the given findings. *)
-val baseline_of : Diagnostic.t list -> string
-
 type ratchet = {
   kept : string list;  (** old keys still firing: the new baseline *)
   retired : string list;  (** old keys no longer firing *)

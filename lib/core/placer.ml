@@ -42,6 +42,7 @@ type level_report = {
   mcf_cost : float;
   mcf_rounds : int;
   realization : Realization.stats;
+  gc : Fbp_obs.Obs.gc_delta;
 }
 
 type degradation =
@@ -392,6 +393,9 @@ let place ?(config = Config.default) ?on_level ?fallback
                 final_grid := Some grid;
                 blit_placement ~src:pos ~dst:!anchor_pos;
                 let hpwl = Hpwl.total nl pos in
+                (* level boundary: the level's GC delta (also the metrics'
+                   gc.* gauges) *)
+                let gc = Fbp_obs.Obs.sample_gc () in
                 let rep =
                   {
                     level;
@@ -411,51 +415,14 @@ let place ?(config = Config.default) ?on_level ?fallback
                     mcf_cost;
                     mcf_rounds = sol.Fbp_model.mcf_rounds;
                     realization = r.Realization.stats;
+                    gc;
                   }
                 in
                 levels := rep :: !levels;
-                (* level boundary: the level's GC delta (also the metrics'
-                   gc.* gauges), and a flight-recorder snapshot when
-                   [--record] armed it (the density/legality audits only run
-                   in that case) *)
-                let gc = Fbp_obs.Obs.sample_gc () in
                 (* drain the runtime-events ring at each level so overflow
                    stays bounded and trace injection is incremental *)
                 Fbp_obs.Profiler.poll ();
-                if Fbp_obs.Recorder.enabled () then begin
-                  let module R = Fbp_obs.Recorder in
-                  R.record_level
-                    {
-                      R.level;
-                      nx;
-                      ny;
-                      n_windows = rep.n_windows;
-                      n_pieces = rep.n_pieces;
-                      flow_nodes = rep.flow_nodes;
-                      flow_edges = rep.flow_edges;
-                      hpwl;
-                      density_overflow =
-                        Density.overflow_fraction design pos ~nx ~ny;
-                      mb_violations =
-                        (Fbp_movebound.Legality.check inst pos)
-                          .Fbp_movebound.Legality.n_violations;
-                      cg_iterations = qp_stats.Qp.cg_iterations;
-                      cg_residual = qp_stats.Qp.residual;
-                      cg_converged = qp_stats.Qp.converged;
-                      mcf_cost;
-                      mcf_rounds = sol.Fbp_model.mcf_rounds;
-                      waves = r.Realization.stats.Realization.n_waves;
-                      shipped_cells =
-                        r.Realization.stats.Realization.n_shipped_cells;
-                      fallback_cells =
-                        r.Realization.stats.Realization.n_fallback_cells;
-                      qp_time;
-                      flow_time;
-                      realization_time;
-                      gc;
-                    }
-                end;
-                (match on_level with Some f -> f rep | None -> ()))
+                (match on_level with Some f -> f rep pos | None -> ()))
             with
             | Abort reason -> handle_failure level reason
             | Inject.Injected msg ->

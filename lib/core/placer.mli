@@ -21,6 +21,10 @@ type level_report = {
   mcf_cost : float;  (** MinCostFlow objective ([nan] before level 1) *)
   mcf_rounds : int;  (** network simplex pivots *)
   realization : Realization.stats;
+  gc : Fbp_obs.Obs.gc_delta;
+      (** GC activity from the previous level's boundary (or from
+          {!Fbp_obs.Obs.reset}, for the first level) to this one's, as
+          {!Fbp_obs.Obs.sample_gc} measured it *)
 }
 
 (** One graceful-degradation event.  The ladder on MinCostFlow
@@ -68,6 +72,9 @@ val n_levels : Config.t -> Fbp_netlist.Design.t -> int
     {!Fbp_baselines.Recursive.place}, wired in by
     {!Fbp_workloads.Runner.run_fbp}) is consulted when the *first* level's
     flow is infeasible, where no realized checkpoint exists yet.
+    [on_level] runs after each completed level with its report and the
+    level's positions (the placer's live array: copy what must outlive the
+    call); an exception it raises fails the level like a solver's.
 
     With [Config.strict] set, any degradation beyond the capacity-margin
     drop is reported as a typed [Error] instead — including the Theorem 3
@@ -76,7 +83,7 @@ val n_levels : Config.t -> Fbp_netlist.Design.t -> int
     bisection fallback itself fails. *)
 val place :
   ?config:Config.t ->
-  ?on_level:(level_report -> unit) ->
+  ?on_level:(level_report -> Fbp_netlist.Placement.t -> unit) ->
   ?fallback:(unit -> (Fbp_netlist.Placement.t, string) result) ->
   Fbp_movebound.Instance.t ->
   (report, Fbp_resilience.Fbp_error.t) result

@@ -19,8 +19,6 @@ let dist_l2 a b =
   let dx = a.x -. b.x and dy = a.y -. b.y in
   sqrt ((dx *. dx) +. (dy *. dy))
 
-let lerp t a b = { x = a.x +. (t *. (b.x -. a.x)); y = a.y +. (t *. (b.y -. a.y)) }
-
 let equal ?(eps = 1e-9) a b =
   Float.abs (a.x -. b.x) <= eps && Float.abs (a.y -. b.y) <= eps
 

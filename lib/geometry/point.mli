@@ -13,9 +13,6 @@ val dist_l1 : t -> t -> float
 
 val dist_l2 : t -> t -> float
 
-(** [lerp t a b] interpolates: [t = 0] gives [a], [t = 1] gives [b]. *)
-val lerp : float -> t -> t -> t
-
 (** Componentwise equality within [eps] (default 1e-9). *)
 val equal : ?eps:float -> t -> t -> bool
 

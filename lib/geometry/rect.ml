@@ -65,7 +65,6 @@ let clamp_point r (p : Point.t) =
   Point.make (Float.max r.x0 (Float.min r.x1 p.x)) (Float.max r.y0 (Float.min r.y1 p.y))
 
 let dist_l1_point r p = Point.dist_l1 p (clamp_point r p)
-let dist_l2_point r p = Point.dist_l2 p (clamp_point r p)
 
 (* [subtract a b]: decompose [a] minus [b] into at most four disjoint
    rectangles (left, right strips full-height; bottom, top strips between). *)

@@ -47,7 +47,6 @@ val inflate : t -> float -> t
 val clamp_point : t -> Point.t -> Point.t
 
 val dist_l1_point : t -> Point.t -> float
-val dist_l2_point : t -> Point.t -> float
 
 (** [subtract a b] decomposes [a \ b] into at most 4 disjoint rectangles. *)
 val subtract : t -> t -> t list

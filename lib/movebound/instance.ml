@@ -20,20 +20,6 @@ let movebound_of_cell t c =
   let id = t.design.Fbp_netlist.Design.netlist.Fbp_netlist.Netlist.movebound.(c) in
   if id < 0 then None else Some t.movebounds.(id)
 
-(* Cells per movebound class; class index |M| is the unconstrained class. *)
-let cells_by_class t =
-  let nl = t.design.Fbp_netlist.Design.netlist in
-  let k = n_movebounds t in
-  let classes = Array.make (k + 1) [] in
-  for c = nl.Fbp_netlist.Netlist.n_cells - 1 downto 0 do
-    if not nl.Fbp_netlist.Netlist.fixed.(c) then begin
-      let id = nl.Fbp_netlist.Netlist.movebound.(c) in
-      let idx = if id < 0 then k else id in
-      classes.(idx) <- c :: classes.(idx)
-    end
-  done;
-  classes
-
 (* Total movable cell area per class (last entry = unconstrained). *)
 let area_by_class t =
   let nl = t.design.Fbp_netlist.Design.netlist in
@@ -105,23 +91,6 @@ let normalize t =
   match !bad with
   | Some msg -> Error msg
   | None -> Ok { t with movebounds }
-
-(* The admissible area of a cell: A(mu(c)), minus every foreign exclusive
-   movebound (the paper's legality condition after normalization). *)
-let admissible_area t c =
-  let chip_set = Rect_set.of_rect t.design.Fbp_netlist.Design.chip in
-  let base =
-    match movebound_of_cell t c with
-    | Some m -> m.Movebound.area
-    | None -> chip_set
-  in
-  Array.fold_left
-    (fun acc (m : Movebound.t) ->
-      match movebound_of_cell t c with
-      | Some own when own.Movebound.id = m.Movebound.id -> acc
-      | _ ->
-        if Movebound.is_exclusive m then Rect_set.subtract acc m.Movebound.area else acc)
-    base t.movebounds
 
 (* Instance without movebounds (every placement problem is a movebounded one
    with A(mu(c)) = chip — Section II). *)

@@ -1,7 +1,5 @@
 (** A movebounded placement instance: design + movebound table. *)
 
-open Fbp_geometry
-
 type t = {
   design : Fbp_netlist.Design.t;
   movebounds : Movebound.t array;  (** index = movebound id *)
@@ -11,11 +9,8 @@ val n_movebounds : t -> int
 
 val movebound_of_cell : t -> int -> Movebound.t option
 
-(** Movable cells per movebound class; entry [n_movebounds t] holds the
-    unconstrained cells. *)
-val cells_by_class : t -> int list array
-
-(** Movable cell area per class (same indexing as {!cells_by_class}). *)
+(** Movable cell area per movebound class; entry [n_movebounds t] holds
+    the unconstrained cells' area. *)
 val area_by_class : t -> float array
 
 (** Structural checks, including the paper's preprocessing assumption that
@@ -25,10 +20,6 @@ val validate : t -> (unit, string) result
 (** Subtract exclusive areas from all other movebounds (the modification the
     paper assumes done "at the input"); [Error] if a movebound vanishes. *)
 val normalize : t -> (t, string) result
-
-(** A(μ(c)) minus all foreign exclusive areas — where cell [c] may legally
-    be placed. *)
-val admissible_area : t -> int -> Rect_set.t
 
 (** Wrap a plain design as an instance with no movebounds. *)
 val unconstrained : Fbp_netlist.Design.t -> t

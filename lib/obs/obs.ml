@@ -115,7 +115,7 @@ type gc_delta = {
   heap_words : int;
 }
 
-(* Always measured, so the run record gets its delta with the registry
+(* Always measured, so a level report gets its delta with the registry
    off; the gauges are ordinary probes.  Their totals are the sums of the
    deltas since [reset]. *)
 let sample_gc () =

@@ -77,8 +77,8 @@ type gc_delta = {
 
 (** The one GC sampler: the delta since the previous call (or since
     {!reset}), which then becomes the new mark.  It always measures, so the
-    run record gets its per-level [gc] delta whether or not the registry is
-    on.  When enabled, it also adds the delta to the counters
+    placer's level reports (and the run record) get their per-level [gc]
+    delta whether or not the registry is on.  When enabled, it also adds the delta to the counters
     [gc.major_collections] / [gc.compactions] (so they total the
     collections since {!reset}) and observes [heap_words] in the
     [gc.heap_words] histogram.  The placer calls it once per level. *)

@@ -1,11 +1,10 @@
 (* Quality flight recorder: per-level placement snapshots, serialized as a
    versioned run-record JSON.
 
-   Same discipline as [Obs]: one atomic flag guards every hook, one mutex
-   guards all mutation (hooks fire at level granularity, far too rarely for
-   the lock to matter).  Serialization goes through [Fbp_util.Json] in both
-   directions so write -> parse round-trips exactly (floats are emitted with
-   enough digits; non-finite values print as JSON null and decode to nan). *)
+   A record is a plain value; whoever runs the placer builds it.
+   Serialization goes through [Fbp_util.Json] in both directions so
+   write -> parse round-trips exactly (floats are emitted with enough
+   digits; non-finite values print as JSON null and decode to nan). *)
 
 type gc_delta = Obs.gc_delta = {
   minor_words : float;
@@ -102,69 +101,19 @@ type t = {
 let schema_name = "fbp-run-record"
 let schema_version = 1
 
-let no_provenance =
-  { design = ""; cells = 0; nets = 0; movebounds = 0; seed = None; tool = "";
-    config = []; host = None }
-
-(* ------------------------------------------- process-global recorder *)
-
-let enabled_flag = Atomic.make false
-let lock = Mutex.create ()
-
-let with_lock f =
-  Mutex.lock lock;
-  Fun.protect ~finally:(fun () -> Mutex.unlock lock) f
-
-let provenance_r = ref no_provenance
-let levels_r : level list ref = ref []  (* reversed *)
-let legalization_r : legalization option ref = ref None
-let density_r : density_map option ref = ref None
-let totals_r : totals option ref = ref None
-let metrics_r : Fbp_util.Json.t option ref = ref None
-let profile_r : Profiler.summary option ref = ref None
-
-let enabled () = Atomic.get enabled_flag
-let enable () = Atomic.set enabled_flag true
-let disable () = Atomic.set enabled_flag false
-
-let reset () =
-  with_lock (fun () ->
-      provenance_r := no_provenance;
-      levels_r := [];
-      legalization_r := None;
-      density_r := None;
-      totals_r := None;
-      metrics_r := None;
-      profile_r := None)
-
-let set_provenance p = if enabled () then with_lock (fun () -> provenance_r := p)
-
-let set_host h =
-  if enabled () then
-    with_lock (fun () -> provenance_r := { !provenance_r with host = Some h })
-
-let record_level l = if enabled () then with_lock (fun () -> levels_r := l :: !levels_r)
-
-let record_legalization l =
-  if enabled () then with_lock (fun () -> legalization_r := Some l)
-
-let set_density d = if enabled () then with_lock (fun () -> density_r := Some d)
-let set_totals t = if enabled () then with_lock (fun () -> totals_r := Some t)
-let set_metrics m = if enabled () then with_lock (fun () -> metrics_r := Some m)
-let set_profile p = if enabled () then with_lock (fun () -> profile_r := Some p)
-
-let current () =
-  with_lock (fun () ->
-      {
-        version = schema_version;
-        provenance = !provenance_r;
-        levels = List.rev !levels_r;
-        legalization = !legalization_r;
-        density = !density_r;
-        totals = !totals_r;
-        metrics = !metrics_r;
-        profile = !profile_r;
-      })
+let empty =
+  {
+    version = schema_version;
+    provenance =
+      { design = ""; cells = 0; nets = 0; movebounds = 0; seed = None;
+        tool = ""; config = []; host = None };
+    levels = [];
+    legalization = None;
+    density = None;
+    totals = None;
+    metrics = None;
+    profile = None;
+  }
 
 (* ------------------------------------------------------- serialization *)
 
@@ -444,8 +393,6 @@ let write_file path t =
   let oc = open_out path in
   Fun.protect ~finally:(fun () -> close_out oc) (fun () ->
       output_string oc (to_json t))
-
-let write_current path = write_file path (current ())
 
 let read_file path =
   let ic = open_in_bin path in

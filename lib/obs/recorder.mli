@@ -7,9 +7,12 @@
     for legalization, plus run provenance and end-of-run totals — the
     trajectory Tables I–VII are made of.
 
-    Like {!Obs}, the global recorder is disabled by default behind one
-    atomic flag: every hook reads the flag first, so a fully-instrumented
-    pipeline costs nothing until [fbp_place place --record] arms it.
+    A record is a value.  [Fbp_workloads.Runner.run_fbp_recorded] builds
+    its levels, legalization, density map, totals and host from the
+    placer's level reports and the legalizer's result; the caller
+    ([fbp_place place --record], the fuzzer's artifacts) adds the rest of
+    the provenance, the {!Obs.metrics} object and the profile.  A run that
+    records nothing builds nothing.
 
     Records serialize as a versioned run-record JSON ({!to_json} /
     {!of_json} round-trip exactly), render as a self-contained HTML report
@@ -118,34 +121,9 @@ type t = {
 
 val schema_version : int
 
-(** {2 The process-global recorder} *)
-
-val enabled : unit -> bool
-val enable : unit -> unit
-val disable : unit -> unit
-
-(** Drop everything recorded.  Does not change the enabled flag. *)
-val reset : unit -> unit
-
-val set_provenance : provenance -> unit
-
-(** Attach the execution environment to the current provenance (keeps the
-    rest of the provenance intact — callers set it late, after the pool
-    has resolved its domain count). *)
-val set_host : host -> unit
-
-val record_level : level -> unit
-val record_legalization : legalization -> unit
-val set_density : density_map -> unit
-val set_totals : totals -> unit
-val set_metrics : Fbp_util.Json.t -> unit
-
-(** Attach the run's {!Profiler.summary} (serialized into the record's
-    [profile] section). *)
-val set_profile : Profiler.summary -> unit
-
-(** Snapshot of everything recorded so far. *)
-val current : unit -> t
+(** A record with no provenance, levels or sections: the start every run
+    record is built from. *)
+val empty : t
 
 (** {2 Serialization} *)
 
@@ -156,9 +134,6 @@ val to_json : t -> string
 val of_json : string -> (t, string) result
 
 val write_file : string -> t -> unit
-
-(** [write_file path (current ())]. *)
-val write_current : string -> unit
 
 val read_file : string -> (t, string) result
 

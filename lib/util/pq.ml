@@ -70,5 +70,3 @@ let pop t =
     end;
     Some (key, v)
   end
-
-let peek t = if t.size = 0 then None else Some (t.keys.(0), t.data.(0))

@@ -17,6 +17,3 @@ val push : 'a t -> float -> 'a -> unit
 
 (** Remove and return the minimum-key entry. *)
 val pop : 'a t -> (float * 'a) option
-
-(** Return (without removing) the minimum-key entry. *)
-val peek : 'a t -> (float * 'a) option

@@ -78,9 +78,7 @@ let render t =
   Buffer.contents buf
 
 (* Common cell formatters. *)
-let fmt_float ?(digits = 2) v = Printf.sprintf "%.*f" digits v
 let fmt_pct v = Printf.sprintf "%.1f%%" (100.0 *. v)
-let fmt_int v = string_of_int v
 let fmt_k v =
   if v >= 1_000_000 then Printf.sprintf "%.1fM" (float_of_int v /. 1e6)
   else if v >= 1000 then Printf.sprintf "%dk" (v / 1000)

@@ -18,12 +18,8 @@ val add_sep : t -> unit
     caller decides where it goes — lib code never prints. *)
 val render : t -> string
 
-val fmt_float : ?digits:int -> float -> string
-
 (** [fmt_pct 0.993] is ["99.3%"]. *)
 val fmt_pct : float -> string
-
-val fmt_int : int -> string
 
 (** Compact thousands formatting: [fmt_k 2578246] is ["2578k"]. *)
 val fmt_k : int -> string

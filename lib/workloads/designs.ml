@@ -46,18 +46,25 @@ let table2_specs =
 let find_spec name =
   Array.to_list table2_specs |> List.find_opt (fun s -> s.name = name)
 
-(* Cells per paper kilocell.  At the default 5.0, erik becomes ~46.6k
+(* Cells per paper kilocell.  At the default 2.0, erik becomes 18.6k
    cells; FBP_BENCH_SCALE overrides (e.g. 1.0 for a very quick pass,
-   10.0 for erik at 93k). *)
+   10.0 for erik at 93k).  A value that is not a finite positive number is
+   a typed [Invalid_input], never a silent default. *)
 let scale () =
   match Sys.getenv_opt "FBP_BENCH_SCALE" with
-  | Some s -> (try Float.max 0.2 (float_of_string s) with _ -> 2.0)
   | None -> 2.0
+  | Some s -> (
+    match float_of_string_opt s with
+    | Some v when Float.is_finite v && v > 0.0 -> v
+    | Some _ | None ->
+      Fbp_resilience.Fbp_error.raise_error
+        (Invalid_input
+           (Printf.sprintf "FBP_BENCH_SCALE=%S: want a finite positive number" s)))
 
 (* Sizes are floored at 1500 cells: below that the multilevel structure the
    comparison probes does not exist (the paper's smallest design is 50k). *)
-let n_cells_of_spec ?scale:(sc = -1.0) (s : spec) =
-  let sc = if sc > 0.0 then sc else scale () in
+let n_cells_of_spec ?scale:sc (s : spec) =
+  let sc = match sc with Some v -> v | None -> scale () in
   max 1500 (int_of_float (float_of_int s.paper_kcells *. sc))
 
 let instantiate ?scale (s : spec) =

@@ -17,9 +17,12 @@ val table2_specs : spec array
 
 val find_spec : string -> spec option
 
-(** Current scale (cells per paper-kilocell). *)
+(** Current scale (cells per paper-kilocell): [FBP_BENCH_SCALE], default
+    2.0.  Raises [Fbp_error.Error (Invalid_input _)] when the variable is
+    not a finite positive number. *)
 val scale : unit -> float
 
+(** Cells of a spec's design at [scale] (default {!scale}[ ()]). *)
 val n_cells_of_spec : ?scale:float -> spec -> int
 val instantiate : ?scale:float -> spec -> Fbp_netlist.Design.t
 

@@ -383,7 +383,9 @@ let check_invariants (s : scenario) ~feasible ~checks_before
          m.Runner.violations)
   else Passed
 
-let run_scenario (s : scenario) =
+(* [place] runs the FBP pipeline; {!write_artifacts} passes one that
+   also keeps the run record. *)
+let run_scenario_with ~place (s : scenario) =
   let was_sanitize = Sanitize.enabled () in
   Inject.reset ();
   Sanitize.set_enabled true;
@@ -436,7 +438,7 @@ let run_scenario (s : scenario) =
             }
           in
           let checks_before = Sanitize.checks_run () in
-          match Runner.run_fbp ~config ~repartition:0 inst with
+          match place ~config inst with
           | Ok m -> check_invariants s ~feasible ~checks_before m
           | Error e ->
             (* the Theorems 1–3 promise: a feasible instance run gracefully
@@ -448,6 +450,10 @@ let run_scenario (s : scenario) =
       in
       note_fired ();
       { outcome; fault_fired = !fired })
+
+let run_scenario s =
+  run_scenario_with s ~place:(fun ~config inst ->
+      Runner.run_fbp ~config ~repartition:0 inst)
 
 (* ------------------------------------------------------------- verdicts *)
 
@@ -689,10 +695,7 @@ let write_artifacts ~dir (f : finding) =
     Filename.concat dir (Printf.sprintf "record-%d.json" f.shrunk.seed)
   in
   let module Rec = Fbp_obs.Recorder in
-  let rec_was = Rec.enabled () in
-  Rec.reset ();
-  Rec.enable ();
-  Rec.set_provenance
+  let provenance =
     {
       Rec.design = Printf.sprintf "fuzz-%d" f.shrunk.seed;
       cells = f.shrunk.n_cells;
@@ -702,10 +705,17 @@ let write_artifacts ~dir (f : finding) =
       tool = "fbp-fuzz";
       config = [ ("signature", f.signature) ];
       host = None;
-    };
-  ignore (run_scenario f.shrunk);
-  Rec.write_current record;
-  if not rec_was then Rec.disable ();
+    }
+  in
+  let run_record = ref { Rec.empty with provenance } in
+  ignore
+    (run_scenario_with f.shrunk ~place:(fun ~config inst ->
+         let result, r =
+           Runner.run_fbp_recorded ~config ~repartition:0 ~provenance inst
+         in
+         run_record := r;
+         result));
+  Rec.write_file record !run_record;
   { f with artifacts = [ repro; record ] }
 
 (* ------------------------------------------------------------- campaign *)

@@ -34,7 +34,10 @@ let normalized inst =
   | Ok i -> i
   | Error _ -> inst (* caller deals with infeasibility downstream *)
 
-let run_fbp ?(config = Fbp_core.Config.default) ?(repartition = 1)
+(* The FBP pipeline: place (with the bisection fallback), repartition,
+   legalize, audit.  Returns the metrics beside the legalizer's stats;
+   [on_level] is the placer's per-level hook. *)
+let pipeline ?(config = Fbp_core.Config.default) ?(repartition = 1) ?on_level
     (inst : Fbp_movebound.Instance.t) =
   let nl = inst.Fbp_movebound.Instance.design.Design.netlist in
   (* last rung of the degradation ladder: classic recursive bisection for
@@ -83,50 +86,9 @@ let run_fbp ?(config = Fbp_core.Config.default) ?(repartition = 1)
         placement = pos;
       }
     in
-    (* flight recorder: the legalization snapshot, the final-placement
-       density heatmap, and the run totals (only when [--record] armed it) *)
-    if Fbp_obs.Recorder.enabled () then begin
-      let module R = Fbp_obs.Recorder in
-      let design = inst_n.Fbp_movebound.Instance.design in
-      let hnx, hny = (24, 24) in
-      let usage, capacity =
-        Fbp_core.Density.bin_utilization design pos ~nx:hnx ~ny:hny
-      in
-      R.record_legalization
-        {
-          R.leg_hpwl = m.hpwl;
-          leg_density_overflow =
-            Fbp_core.Density.overflow_fraction design pos ~nx:hnx ~ny:hny;
-          leg_mb_violations = violations;
-          leg_time = lst.Fbp_legalize.Legalizer.time;
-          spilled = lst.Fbp_legalize.Legalizer.n_spilled;
-          failed = lst.Fbp_legalize.Legalizer.n_failed;
-          avg_displacement = lst.Fbp_legalize.Legalizer.avg_displacement;
-          max_displacement = lst.Fbp_legalize.Legalizer.max_displacement;
-        };
-      R.set_density { R.dnx = hnx; dny = hny; usage; capacity };
-      (* host provenance last: Pool.hardware_domains and VmHWM are only
-         meaningful once the run has actually exercised the pool *)
-      R.set_host
-        {
-          R.hw_clamp = config.Fbp_core.Config.hw_clamp;
-          hardware_domains = Fbp_util.Pool.hardware_domains;
-          eff_domains = Fbp_core.Config.effective_domains config;
-          peak_rss_kb = Fbp_util.Rss.peak_rss_kb ();
-        };
-      R.set_totals
-        {
-          R.hpwl = m.hpwl;
-          global_time = m.global_time;
-          legalize_time = m.legalize_time;
-          total_time = m.total_time;
-          legal = m.legal;
-          violations = m.violations;
-        }
-    end;
-    Ok m
+    Ok (m, lst)
   in
-  match Fbp_core.Placer.place ~config ~fallback inst with
+  match Fbp_core.Placer.place ~config ?on_level ~fallback inst with
   | Error e -> Error e
   | Ok rep -> (
     (* The post-place phase runs outside the placer's own exception
@@ -135,6 +97,101 @@ let run_fbp ?(config = Fbp_core.Config.default) ?(repartition = 1)
        so callers still see a [result] and the recorder/trace exit paths
        still run. *)
     try post_place rep with e -> Error (Err.of_exn ~site:"runner.post_place" e))
+
+let run_fbp ?config ?repartition inst =
+  Result.map fst (pipeline ?config ?repartition inst)
+
+module R = Fbp_obs.Recorder
+
+(* The level's snapshot; the density-overflow and movebound audits of its
+   positions are the per-level work only a record needs. *)
+let level_snapshot (inst_n : Fbp_movebound.Instance.t)
+    (l : Fbp_core.Placer.level_report) pos =
+  let rs = l.Fbp_core.Placer.realization in
+  {
+    R.level = l.level;
+    nx = l.nx;
+    ny = l.ny;
+    n_windows = l.n_windows;
+    n_pieces = l.n_pieces;
+    flow_nodes = l.flow_nodes;
+    flow_edges = l.flow_edges;
+    hpwl = l.hpwl;
+    density_overflow =
+      Fbp_core.Density.overflow_fraction inst_n.Fbp_movebound.Instance.design
+        pos ~nx:l.nx ~ny:l.ny;
+    mb_violations =
+      (Fbp_movebound.Legality.check inst_n pos).Fbp_movebound.Legality.n_violations;
+    cg_iterations = l.cg_iterations;
+    cg_residual = l.cg_residual;
+    cg_converged = l.cg_converged;
+    mcf_cost = l.mcf_cost;
+    mcf_rounds = l.mcf_rounds;
+    waves = rs.Fbp_core.Realization.n_waves;
+    shipped_cells = rs.Fbp_core.Realization.n_shipped_cells;
+    fallback_cells = rs.Fbp_core.Realization.n_fallback_cells;
+    qp_time = l.qp_time;
+    flow_time = l.flow_time;
+    realization_time = l.realization_time;
+    gc = l.gc;
+  }
+
+let run_fbp_recorded ?(config = Fbp_core.Config.default) ?repartition
+    ~provenance inst =
+  let inst_n = normalized inst in
+  let levels = ref [] in
+  let on_level l pos = levels := level_snapshot inst_n l pos :: !levels in
+  let result = pipeline ~config ?repartition ~on_level inst in
+  let record = { R.empty with provenance; levels = List.rev !levels } in
+  match result with
+  | Error e -> (Error e, record)
+  | Ok (m, lst) ->
+    (* the legalization snapshot, the final-placement density heatmap, the
+       totals, and the host (last: Pool.hardware_domains and VmHWM are only
+       meaningful once the run has exercised the pool) *)
+    let design = inst_n.Fbp_movebound.Instance.design in
+    let hnx, hny = (24, 24) in
+    let usage, capacity =
+      Fbp_core.Density.bin_utilization design m.placement ~nx:hnx ~ny:hny
+    in
+    let host =
+      {
+        R.hw_clamp = config.Fbp_core.Config.hw_clamp;
+        hardware_domains = Fbp_util.Pool.hardware_domains;
+        eff_domains = Fbp_core.Config.effective_domains config;
+        peak_rss_kb = Fbp_util.Rss.peak_rss_kb ();
+      }
+    in
+    ( Ok m,
+      {
+        record with
+        R.provenance = { provenance with R.host = Some host };
+        legalization =
+          Some
+            {
+              R.leg_hpwl = m.hpwl;
+              leg_density_overflow =
+                Fbp_core.Density.overflow_fraction design m.placement ~nx:hnx
+                  ~ny:hny;
+              leg_mb_violations = m.violations;
+              leg_time = lst.Fbp_legalize.Legalizer.time;
+              spilled = lst.Fbp_legalize.Legalizer.n_spilled;
+              failed = lst.Fbp_legalize.Legalizer.n_failed;
+              avg_displacement = lst.Fbp_legalize.Legalizer.avg_displacement;
+              max_displacement = lst.Fbp_legalize.Legalizer.max_displacement;
+            };
+        density = Some { R.dnx = hnx; dny = hny; usage; capacity };
+        totals =
+          Some
+            {
+              R.hpwl = m.hpwl;
+              global_time = m.global_time;
+              legalize_time = m.legalize_time;
+              total_time = m.total_time;
+              legal = m.legal;
+              violations = m.violations;
+            };
+      } )
 
 let run_rql ?params (inst : Fbp_movebound.Instance.t) =
   match Fbp_baselines.Rql.place ?params inst with

@@ -26,6 +26,17 @@ val run_fbp :
   ?config:Fbp_core.Config.t -> ?repartition:int -> Fbp_movebound.Instance.t ->
   (metrics, Fbp_resilience.Fbp_error.t) result
 
+(** {!run_fbp}, also returning the run's record: [provenance] (its host
+    filled in on success), one snapshot per level completed — including
+    those before a failure — and, on success, the legalization snapshot,
+    the final 24×24 density map and the totals.  Each level additionally
+    audits density overflow and movebound violations of its positions,
+    work {!run_fbp} does not do.  The caller adds metrics and profile. *)
+val run_fbp_recorded :
+  ?config:Fbp_core.Config.t -> ?repartition:int ->
+  provenance:Fbp_obs.Recorder.provenance -> Fbp_movebound.Instance.t ->
+  (metrics, Fbp_resilience.Fbp_error.t) result * Fbp_obs.Recorder.t
+
 val run_rql :
   ?params:Fbp_baselines.Rql.params -> Fbp_movebound.Instance.t ->
   (metrics, Fbp_resilience.Fbp_error.t) result

@@ -1,23 +1,18 @@
 (* Tests for the quality flight recorder: JSON schema round-trip (exact,
    including non-finite floats), schema/version rejection, the diff-record
    regression gate, the HTML report renderer, metrics validation, and the
-   GC sampling hooks — plus one end-to-end placer run with the recorder
-   armed.  Every test resets the global recorder in a [finally]. *)
+   GC sampler — plus end-to-end recorded runs.  Every test that arms the
+   Obs registry disables and resets it in a [finally]. *)
 
 module R = Fbp_obs.Recorder
 module Obs = Fbp_obs.Obs
 
-let with_recorder f =
+let with_obs f =
   Fun.protect
     ~finally:(fun () ->
-      R.disable ();
-      R.reset ();
       Obs.disable ();
       Obs.reset ())
-    (fun () ->
-      R.reset ();
-      R.enable ();
-      f ())
+    f
 
 (* ---------- fixtures ---------- *)
 
@@ -133,7 +128,7 @@ let test_roundtrip () =
          [| 0.5; 0.25; 0.0; 1.75 |] d.R.usage)
 
 let test_roundtrip_with_metrics () =
-  with_recorder (fun () ->
+  with_obs (fun () ->
       Obs.reset ();
       Obs.enable ();
       Obs.count ~n:3 "cg.solves";
@@ -267,7 +262,7 @@ let test_validate_metrics () =
   | Error _ -> ()
 
 let test_sample_gc () =
-  with_recorder (fun () ->
+  with_obs (fun () ->
       Obs.reset ();
       Obs.enable ();
       ignore (Obs.sample_gc ());
@@ -285,7 +280,7 @@ let test_sample_gc () =
 (* The sampler measures with the registry off too: the run record's
    per-level delta does not depend on --metrics. *)
 let test_sample_gc_delta () =
-  with_recorder (fun () ->
+  with_obs (fun () ->
       Obs.disable ();
       let _first = Obs.sample_gc () in
       (* small boxed values land in the minor heap, whose allocation count
@@ -297,38 +292,24 @@ let test_sample_gc_delta () =
         (d.R.minor_words > 0.0 || d.R.major_words > 0.0);
       Alcotest.(check bool) "heap size is absolute" true (d.R.heap_words > 0))
 
-let test_disabled_recorder_is_empty () =
-  R.disable ();
-  R.reset ();
-  R.record_level (level_fixture ~level:1 ());
-  R.set_totals
-    {
-      R.hpwl = 1.0;
-      global_time = 0.0;
-      legalize_time = 0.0;
-      total_time = 0.0;
-      legal = true;
-      violations = 0;
-    };
-  let r = R.current () in
-  Alcotest.(check int) "no levels recorded while disabled" 0
-    (List.length r.R.levels);
-  Alcotest.(check bool) "no totals recorded while disabled" true
-    (r.R.totals = None)
-
 (* ---------- end-to-end ---------- *)
 
+let record ?config inst =
+  Fbp_workloads.Runner.run_fbp_recorded ?config
+    ~provenance:R.empty.R.provenance inst
+
+let placer_failed e =
+  Alcotest.failf "placer failed: %s" (Fbp_resilience.Fbp_error.to_string e)
+
 let test_end_to_end_placer_run () =
-  with_recorder (fun () ->
+  with_obs (fun () ->
       Obs.reset ();
       Obs.enable ();
       let d = Fbp_netlist.Generator.quick ~seed:11 ~name:"rec_e2e" 300 in
       let inst = Fbp_movebound.Instance.unconstrained d in
-      match Fbp_workloads.Runner.run_fbp inst with
-      | Error e ->
-        Alcotest.failf "placer failed: %s" (Fbp_resilience.Fbp_error.to_string e)
-      | Ok m ->
-        let r = R.current () in
+      match record inst with
+      | Error e, _ -> placer_failed e
+      | Ok m, r ->
         Alcotest.(check bool) "levels recorded" true (r.R.levels <> []);
         List.iter
           (fun (l : R.level) ->
@@ -362,26 +343,30 @@ let test_end_to_end_placer_run () =
         Alcotest.(check int) "report rows = levels" (List.length r.R.levels)
           (count_substring html "class=\"level-row\""))
 
-(* One sampler feeds both exports, so the record's per-level GC deltas
-   sum to the metrics' gc.* counters.  A full major collection after each
-   level makes the sums non-zero. *)
+(* One sampler feeds both exports, so the level reports' GC deltas, which
+   the record copies (see the level-snapshot test below), sum to the
+   metrics' gc.* counters.  A full major collection after each level makes
+   the sums non-zero. *)
 let test_gc_levels_sum_to_metrics () =
-  with_recorder (fun () ->
+  with_obs (fun () ->
       Obs.reset ();
       Obs.enable ();
       let d = Fbp_netlist.Generator.quick ~seed:11 ~name:"rec_gc" 300 in
       let inst = Fbp_movebound.Instance.unconstrained d in
-      match Fbp_core.Placer.place ~on_level:(fun _ -> Gc.full_major ()) inst with
-      | Error e ->
-        Alcotest.failf "placer failed: %s" (Fbp_resilience.Fbp_error.to_string e)
-      | Ok _ ->
-        let levels = (R.current ()).R.levels in
+      match Fbp_core.Placer.place ~on_level:(fun _ _ -> Gc.full_major ()) inst with
+      | Error e -> placer_failed e
+      | Ok rep ->
+        let levels = rep.Fbp_core.Placer.levels in
         let counter k =
           match Option.bind (Obs.Json.member "counters" (Obs.metrics ())) (Obs.Json.member k) with
           | Some (Obs.Json.Num v) -> int_of_float v
           | _ -> Alcotest.failf "metrics lack counter %s" k
         in
-        let sum f = List.fold_left (fun acc (l : R.level) -> acc + f l.R.gc) 0 levels in
+        let sum f =
+          List.fold_left
+            (fun acc (l : Fbp_core.Placer.level_report) -> acc + f l.Fbp_core.Placer.gc)
+            0 levels
+        in
         Alcotest.(check bool) "several levels" true (List.length levels >= 2);
         Alcotest.(check bool) "major collections observed" true
           (sum (fun g -> g.R.major_collections) > 0);
@@ -394,22 +379,98 @@ let test_gc_levels_sum_to_metrics () =
    [Config.effective_domains], so a request above the core count under
    [hw_clamp] records the core count. *)
 let test_host_records_effective_domains () =
-  with_recorder (fun () ->
-      let d = Fbp_netlist.Generator.quick ~seed:11 ~name:"rec_host" 200 in
-      let inst = Fbp_movebound.Instance.unconstrained d in
-      let hw = Fbp_util.Pool.hardware_domains in
+  let d = Fbp_netlist.Generator.quick ~seed:11 ~name:"rec_host" 200 in
+  let inst = Fbp_movebound.Instance.unconstrained d in
+  let hw = Fbp_util.Pool.hardware_domains in
+  let config =
+    { Fbp_core.Config.default with domains = hw + 1; hw_clamp = true }
+  in
+  match record ~config inst with
+  | Error e, _ -> placer_failed e
+  | Ok _, r -> (
+    match r.R.provenance.R.host with
+    | None -> Alcotest.fail "host section missing"
+    | Some h ->
+      Alcotest.(check int) "eff_domains is the clamped budget" hw
+        h.R.eff_domains)
+
+(* The record's level snapshots are the runner's level reports, field for
+   field (floats bit for bit), so the record and the result cannot
+   disagree. *)
+let test_levels_match_metrics () =
+  let d = Fbp_netlist.Generator.quick ~seed:7 ~name:"rec_levels" 1500 in
+  let inst =
+    Fbp_workloads.Mb_gen.attach
+      {
+        Fbp_workloads.Mb_gen.design = "rec_levels";
+        shape = Fbp_workloads.Mb_gen.Flatten 2;
+        coverage = 0.5;
+        max_density = 0.75;
+        kind = Fbp_movebound.Movebound.Inclusive;
+      }
+      d
+  in
+  match record inst with
+  | Error e, _ -> placer_failed e
+  | Ok m, r ->
+    let module P = Fbp_core.Placer in
+    let reports = m.Fbp_workloads.Runner.levels in
+    Alcotest.(check int) "one snapshot per level" (List.length reports)
+      (List.length r.R.levels);
+    Alcotest.(check bool) "several levels" true (List.length reports >= 2);
+    let bits = Int64.bits_of_float in
+    List.iter2
+      (fun (p : P.level_report) (l : R.level) ->
+        let ints = Alcotest.(check (list int)) in
+        let floats = Alcotest.(check (list int64)) in
+        let rs = p.P.realization in
+        ints "integer fields"
+          [ p.P.level; p.P.nx; p.P.ny; p.P.n_windows; p.P.n_pieces;
+            p.P.flow_nodes; p.P.flow_edges; p.P.cg_iterations; p.P.mcf_rounds;
+            rs.Fbp_core.Realization.n_waves;
+            rs.Fbp_core.Realization.n_shipped_cells;
+            rs.Fbp_core.Realization.n_fallback_cells ]
+          [ l.R.level; l.R.nx; l.R.ny; l.R.n_windows; l.R.n_pieces;
+            l.R.flow_nodes; l.R.flow_edges; l.R.cg_iterations; l.R.mcf_rounds;
+            l.R.waves; l.R.shipped_cells; l.R.fallback_cells ];
+        floats "float fields"
+          (List.map bits
+             [ p.P.hpwl; p.P.cg_residual; p.P.mcf_cost; p.P.qp_time;
+               p.P.flow_time; p.P.realization_time ])
+          (List.map bits
+             [ l.R.hpwl; l.R.cg_residual; l.R.mcf_cost; l.R.qp_time;
+               l.R.flow_time; l.R.realization_time ]);
+        Alcotest.(check bool) "cg_converged" p.P.cg_converged l.R.cg_converged;
+        Alcotest.(check bool) "gc delta" true (p.P.gc = l.R.gc))
+      reports r.R.levels
+
+(* A strict run stopped by its deadline at level 2 returns its record
+   beside the error, holding level 1, and the record reads back. *)
+let test_failed_run_keeps_levels () =
+  let module Inject = Fbp_resilience.Inject in
+  Fun.protect ~finally:Inject.reset (fun () ->
+      (* three Level hits per level: the fourth starts level 2 *)
+      Inject.arm ~after:3 Inject.Level (Inject.Delay 100.0);
+      let d = Fbp_netlist.Generator.quick ~seed:3 ~name:"rec_fail" 400 in
       let config =
-        { Fbp_core.Config.default with domains = hw + 1; hw_clamp = true }
+        { Fbp_core.Config.default with deadline = Some 0.5; strict = true }
       in
-      match Fbp_workloads.Runner.run_fbp ~config inst with
-      | Error e ->
-        Alcotest.failf "placer failed: %s" (Fbp_resilience.Fbp_error.to_string e)
-      | Ok _ -> (
-        match (R.current ()).R.provenance.R.host with
-        | None -> Alcotest.fail "host section missing"
-        | Some h ->
-          Alcotest.(check int) "eff_domains is the clamped budget" hw
-            h.R.eff_domains))
+      match record ~config (Fbp_movebound.Instance.unconstrained d) with
+      | Ok _, _ -> Alcotest.fail "strict mode must surface the deadline"
+      | Error e, r ->
+        Alcotest.(check int) "deadline exit code" 4
+          (Fbp_resilience.Fbp_error.exit_code e);
+        Alcotest.(check (list int)) "level 1 kept" [ 1 ]
+          (List.map (fun (l : R.level) -> l.R.level) r.R.levels);
+        Alcotest.(check bool) "no legalization" true (r.R.legalization = None);
+        let path = Filename.temp_file "fbp_record" ".json" in
+        Fun.protect
+          ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
+          (fun () ->
+            R.write_file path r;
+            match R.read_file path with
+            | Error msg -> Alcotest.failf "record must read back: %s" msg
+            | Ok r' -> Alcotest.(check bool) "file round-trip" true (R.equal r r')))
 
 let suite =
   [
@@ -427,11 +488,13 @@ let suite =
     Alcotest.test_case "validate_metrics" `Quick test_validate_metrics;
     Alcotest.test_case "sample_gc" `Quick test_sample_gc;
     Alcotest.test_case "sample_gc delta" `Quick test_sample_gc_delta;
-    Alcotest.test_case "disabled recorder records nothing" `Quick
-      test_disabled_recorder_is_empty;
     Alcotest.test_case "end-to-end placer run" `Quick test_end_to_end_placer_run;
     Alcotest.test_case "gc level deltas sum to metrics" `Quick
       test_gc_levels_sum_to_metrics;
     Alcotest.test_case "host records effective domains" `Quick
       test_host_records_effective_domains;
+    Alcotest.test_case "level snapshots equal runner levels" `Quick
+      test_levels_match_metrics;
+    Alcotest.test_case "failed run keeps its levels" `Quick
+      test_failed_run_keeps_levels;
   ]

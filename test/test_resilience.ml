@@ -144,7 +144,7 @@ let test_cg_stagnation_restart () =
       (* arm from the level-1 report callback so the fault lands exactly on
          level 2's first x/y pair, whatever realization's own CG usage is;
          the safeguarded restart from the checkpoint is real and converges *)
-      let arm_on_level (l : Placer.level_report) =
+      let arm_on_level (l : Placer.level_report) _ =
         if l.Placer.level = 1 then Inject.arm ~times:2 Inject.Cg Inject.Stagnate
       in
       match Placer.place ~on_level:arm_on_level (small_instance ()) with
@@ -172,7 +172,7 @@ let test_cg_stagnation_restart () =
    iterations plus the converged x solve's, fewer than two stagnations. *)
 let test_cg_stagnation_one_axis () =
   with_inject (fun () ->
-      let arm_on_level (l : Placer.level_report) =
+      let arm_on_level (l : Placer.level_report) _ =
         if l.Placer.level = 1 then
           Inject.arm ~after:1 ~times:1 Inject.Cg Inject.Stagnate
       in

@@ -443,31 +443,32 @@ let test_record_written_on_sanitizer_violation () =
   (* regression: a sanitizer violation raised from the post-placement
      stages (legalization) must come back as a typed [Error] value from the
      runner — not an exception unwinding past the CLI's record-writing exit
-     path — and the flight record must still be writable afterwards *)
+     path — and the run record returned beside it must keep the levels
+     completed before the failure and read back from its file *)
   with_sanitize (fun () ->
       with_inject (fun () ->
           let module Rec = Fbp_obs.Recorder in
-          Rec.reset ();
-          Rec.enable ();
-          Fun.protect ~finally:Rec.disable (fun () ->
-              Inject.arm Inject.Legalize Inject.Corrupt;
-              let inst = small_instance () in
-              (match Fbp_workloads.Runner.run_fbp inst with
-              | Ok _ -> Alcotest.fail "corruption must not yield metrics"
-              | Error (Err.Sanitizer_violation { site; _ }) ->
-                Alcotest.(check string) "legalize site" "legalize.run" site
-              | Error e -> Alcotest.fail ("wrong error: " ^ Err.to_string e));
-              let path = Filename.temp_file "fbp-record" ".json" in
-              Fun.protect
-                ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
-                (fun () ->
-                  Rec.write_current path;
-                  match Rec.read_file path with
-                  | Ok r ->
-                    Alcotest.(check bool) "record has levels" true
-                      (List.length r.Rec.levels > 0)
-                  | Error msg ->
-                    Alcotest.fail ("record must read back: " ^ msg)))))
+          Inject.arm Inject.Legalize Inject.Corrupt;
+          let inst = small_instance () in
+          let result, record =
+            Fbp_workloads.Runner.run_fbp_recorded
+              ~provenance:Rec.empty.Rec.provenance inst
+          in
+          (match result with
+          | Ok _ -> Alcotest.fail "corruption must not yield metrics"
+          | Error (Err.Sanitizer_violation { site; _ }) ->
+            Alcotest.(check string) "legalize site" "legalize.run" site
+          | Error e -> Alcotest.fail ("wrong error: " ^ Err.to_string e));
+          let path = Filename.temp_file "fbp-record" ".json" in
+          Fun.protect
+            ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
+            (fun () ->
+              Rec.write_file path record;
+              match Rec.read_file path with
+              | Ok r ->
+                Alcotest.(check bool) "record has levels" true
+                  (List.length r.Rec.levels > 0)
+              | Error msg -> Alcotest.fail ("record must read back: " ^ msg))))
 
 let suite =
   [

@@ -29,6 +29,29 @@ let test_designs_scale_monotone () =
   Alcotest.(check bool) "floor respected" true
     (Designs.n_cells_of_spec ~scale:0.2 (Option.get (Designs.find_spec "dagmar")) >= 1500)
 
+(* FBP_BENCH_SCALE takes a finite positive number as given; anything else
+   is a typed Invalid_input, never a silent default or clamp. *)
+let test_scale_env_validated () =
+  let saved = Sys.getenv_opt "FBP_BENCH_SCALE" in
+  let scale_of v =
+    Unix.putenv "FBP_BENCH_SCALE" v;
+    Designs.scale ()
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      (* the stdlib cannot unset a variable; "2" is the default *)
+      Unix.putenv "FBP_BENCH_SCALE" (Option.value saved ~default:"2"))
+    (fun () ->
+      check_float "a positive value is used as given" 0.1 (scale_of "0.1");
+      List.iter
+        (fun v ->
+          match scale_of v with
+          | s -> Alcotest.failf "FBP_BENCH_SCALE=%S accepted as %g" v s
+          | exception
+              Fbp_resilience.Fbp_error.Error
+                (Fbp_resilience.Fbp_error.Invalid_input _) -> ())
+        [ "abc"; "-3"; "0"; "nan"; "inf"; "" ])
+
 let test_scenarios_feasible () =
   (* every Table III scenario must be movebound-feasible (Theorem 2) *)
   List.iter
@@ -135,6 +158,7 @@ let suite =
     Alcotest.test_case "specs complete" `Quick test_specs_complete;
     Alcotest.test_case "designs deterministic" `Quick test_designs_deterministic;
     Alcotest.test_case "scale monotone + floored" `Quick test_designs_scale_monotone;
+    Alcotest.test_case "scale variable validated" `Quick test_scale_env_validated;
     Alcotest.test_case "table-3 scenarios feasible" `Slow test_scenarios_feasible;
     Alcotest.test_case "scenario stats shape" `Quick test_scenario_stats_shape;
     Alcotest.test_case "(O) scenarios overlap" `Quick test_overlapping_scenarios_overlap;
