@@ -124,8 +124,7 @@ let place_cmd =
                  boundaries (MCF conservation and capacity bounds, \
                  transport row/column balance, CSR well-formedness, \
                  post-realization movebound containment); a violation \
-                 stops the run with exit code 8.  Also enabled by \
-                 $(b,FBP_SANITIZE=1).")
+                 stops the run with exit code 8.")
   in
   let trace =
     Arg.(value & opt (some string) None
@@ -216,12 +215,19 @@ let place_cmd =
             ~args:(fun () -> [ ("design", input) ])
             (fun () ->
               let config = { Fbp_core.Config.default with domains; deadline; strict } in
+              (* a comparator's record: its totals, density map and host *)
+              let baseline result =
+                match result with
+                | Ok m when Option.is_some record ->
+                  (result, Fbp_workloads.Runner.record_outcome inst m unrecorded)
+                | _ -> (result, unrecorded)
+              in
               match tool with
               | `Fbp when Option.is_some record ->
                 Fbp_workloads.Runner.run_fbp_recorded ~config ~provenance inst
               | `Fbp -> (Fbp_workloads.Runner.run_fbp ~config inst, unrecorded)
-              | `Rql -> (Fbp_workloads.Runner.run_rql inst, unrecorded)
-              | `Kw -> (Fbp_workloads.Runner.run_kraftwerk inst, unrecorded))
+              | `Rql -> baseline (Fbp_workloads.Runner.run_rql inst)
+              | `Kw -> baseline (Fbp_workloads.Runner.run_kraftwerk inst))
         with e -> (Error (Err.of_exn ~site:"cli.place" e), unrecorded)
       in
       (match result with

@@ -86,8 +86,6 @@ globals="$(grep -o '"name":"qp\.global","cat":"[^"]*","ph":"B"' "$tmp/trace.json
   || { echo "netmodel refreezes ($refreezes) != qp.global spans ($globals)"; exit 1; }
 
 echo "== sanitizer smoke (--sanitize clean run + exit code 8 on corruption)"
-FBP_SANITIZE=1 $fbp place "$tmp/smoke.book" --movebounds 2 >/dev/null \
-  || { echo "sanitized placement failed"; exit 1; }
 $fbp place "$tmp/smoke.book" --movebounds 2 --sanitize >/dev/null \
   || { echo "--sanitize placement failed"; exit 1; }
 
@@ -114,6 +112,18 @@ $fbp place "$tmp/worse.book" --movebounds 2 --record "$tmp/worse.json" >/dev/nul
 if $fbp diff-record "$tmp/run.json" "$tmp/worse.json" >/dev/null 2>&1; then
   echo "diff-record failed to flag a regressed run"; exit 1
 fi
+# a comparator's record carries totals too, so the same gate holds for it:
+# clean against itself, exit 1 against the worse design's RQL record
+$fbp place "$tmp/smoke.book" --movebounds 2 --tool rql --record "$tmp/rql.json" >/dev/null
+grep -q '"totals"' "$tmp/rql.json" \
+  || { echo "rql record has no totals"; exit 1; }
+$fbp diff-record "$tmp/rql.json" "$tmp/rql.json" >/dev/null \
+  || { echo "rql record does not self-diff clean"; exit 1; }
+$fbp place "$tmp/worse.book" --movebounds 2 --tool rql --record "$tmp/rql-worse.json" >/dev/null
+code=0
+$fbp diff-record "$tmp/rql.json" "$tmp/rql-worse.json" >/dev/null 2>&1 || code=$?
+[ "$code" -eq 1 ] \
+  || { echo "diff-record of the worse rql run must exit 1, got $code"; exit 1; }
 # a failing run writes its record too: a strict run out of time exits 4,
 # and its record (no levels completed) renders and self-diffs clean
 code=0
@@ -170,7 +180,7 @@ scratches="$(grep -o '"realization\.scratches":{[^}]*}' "$tmp/budget2.metrics.js
 # the sanitizer at two domains: the parallel waves check every per-domain
 # view (a local system's matrix, a transport assignment) with CSR
 # validation and the transport audit
-FBP_SANITIZE=1 $fbp place "$tmp/budget.book" --domains 2 >/dev/null \
+$fbp place "$tmp/budget.book" --domains 2 --sanitize >/dev/null \
   || { echo "sanitized placement at --domains 2 failed"; exit 1; }
 # the degraded path (no runtime events) must still produce a summary
 FBP_PROFILE_FORCE_UNAVAILABLE=1 $fbp profile "$tmp/smoke.book" --movebounds 2 \

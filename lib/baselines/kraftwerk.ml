@@ -12,26 +12,14 @@
 open Fbp_geometry
 open Fbp_netlist
 
-type params = {
-  max_iterations : int;
-  step : float;  (* force-to-distance scaling *)
-  anchor_weight : float;
-  stop_overflow : float;
-  bins_per_axis : int;  (* 0 = auto *)
-  gs_sweeps : int;  (* Gauss-Seidel sweeps per iteration *)
-}
+(* The comparator's one configuration. *)
+let max_iterations = 40
+let step = 0.9  (* force-to-distance scaling *)
+let anchor_weight = 0.06
+let stop_overflow = 1.04
+let gs_sweeps = 60  (* Gauss-Seidel sweeps per iteration *)
 
-let default_params =
-  {
-    max_iterations = 40;
-    step = 0.9;
-    anchor_weight = 0.06;
-    stop_overflow = 1.04;
-    bins_per_axis = 0;
-    gs_sweeps = 60;
-  }
-
-type report = {
+type report = Rql.report = {
   placement : Placement.t;
   iterations : int;
   global_time : float;
@@ -40,10 +28,10 @@ type report = {
 }
 
 (* Solve laplacian(phi) = rho on an nx*ny grid (Dirichlet 0 boundary) by
-   Gauss-Seidel; returns phi. *)
-let poisson ~nx ~ny ~sweeps (rho : float array) =
+   [gs_sweeps] Gauss-Seidel sweeps; returns phi. *)
+let poisson ~nx ~ny (rho : float array) =
   let phi = Array.make (nx * ny) 0.0 in
-  for _ = 1 to sweeps do
+  for _ = 1 to gs_sweeps do
     for j = 0 to ny - 1 do
       for i = 0 to nx - 1 do
         let idx = (j * nx) + i in
@@ -60,7 +48,7 @@ let poisson ~nx ~ny ~sweeps (rho : float array) =
   done;
   phi
 
-let place ?(params = default_params) (inst0 : Fbp_movebound.Instance.t) =
+let place (inst0 : Fbp_movebound.Instance.t) =
   match Fbp_movebound.Instance.normalize inst0 with
   | Error e -> Error e
   | Ok inst ->
@@ -68,27 +56,23 @@ let place ?(params = default_params) (inst0 : Fbp_movebound.Instance.t) =
     let nl = design.Design.netlist in
     let chip = design.Design.chip in
     let t0 = Fbp_util.Timer.now () in
-    let nb =
-      if params.bins_per_axis > 0 then params.bins_per_axis
-      else max 8 (min 48 (Design.n_rows design / 10))
-    in
+    let nb = max 8 (min 48 (Design.n_rows design / 10)) in
     let pos = Placement.copy design.Design.initial in
     let cfg = Fbp_core.Config.default in
     let bw = Rect.width chip /. float_of_int nb in
     let bh = Rect.height chip /. float_of_int nb in
-    let k = Fbp_movebound.Instance.n_movebounds inst in
     let iter = ref 0 in
     let converged = ref false in
     let targets_x = ref (Array.copy pos.Placement.x) in
     let targets_y = ref (Array.copy pos.Placement.y) in
     let have_force = ref false in
-    while (not !converged) && !iter < params.max_iterations do
+    while (not !converged) && !iter < max_iterations do
       incr iter;
       let txs = !targets_x and tys = !targets_y and forced = !have_force in
       ignore
         (Fbp_core.Qp.solve_global cfg nl pos ~anchor:(fun c ->
              if not forced then None
-             else Some (params.anchor_weight, txs.(c), params.anchor_weight, tys.(c)))
+             else Some (anchor_weight, txs.(c), anchor_weight, tys.(c)))
            ());
       (* demand - supply *)
       let bins = Spread.compute_bins design pos ~nx:nb ~ny:nb in
@@ -100,7 +84,7 @@ let place ?(params = default_params) (inst0 : Fbp_movebound.Instance.t) =
             (u -. c) /. Float.max 1.0 (bw *. bh))
           bins.Spread.usage
       in
-      let phi = poisson ~nx:nb ~ny:nb ~sweeps:params.gs_sweeps rho in
+      let phi = poisson ~nx:nb ~ny:nb rho in
       (* force = -grad(phi): move cells downhill *)
       let tx = Array.copy pos.Placement.x and ty = Array.copy pos.Placement.y in
       for c = 0 to Netlist.n_cells nl - 1 do
@@ -115,8 +99,8 @@ let place ?(params = default_params) (inst0 : Fbp_movebound.Instance.t) =
           in
           let gx = (p 1 0 -. p (-1) 0) /. (2.0 *. bw) in
           let gy = (p 0 1 -. p 0 (-1)) /. (2.0 *. bh) in
-          let x' = x -. (params.step *. gx *. bw *. float_of_int nb) in
-          let y' = y -. (params.step *. gy *. bh *. float_of_int nb) in
+          let x' = x -. (step *. gx *. bw *. float_of_int nb) in
+          let y' = y -. (step *. gy *. bh *. float_of_int nb) in
           (* keep on chip; soft movebound clip like the RQL baseline *)
           let x' = Float.max chip.Rect.x0 (Float.min chip.Rect.x1 x') in
           let y' = Float.max chip.Rect.y0 (Float.min chip.Rect.y1 y') in
@@ -135,8 +119,7 @@ let place ?(params = default_params) (inst0 : Fbp_movebound.Instance.t) =
       targets_x := tx;
       targets_y := ty;
       have_force := true;
-      ignore k;
-      if Spread.max_overflow_ratio bins <= params.stop_overflow then converged := true
+      if Spread.max_overflow_ratio bins <= stop_overflow then converged := true
     done;
     let global_time = Fbp_util.Timer.now () -. t0 in
     let t1 = Fbp_util.Timer.now () in

@@ -4,18 +4,8 @@
 
 open Fbp_netlist
 
-type params = {
-  max_iterations : int;
-  step : float;
-  anchor_weight : float;
-  stop_overflow : float;
-  bins_per_axis : int;  (** 0 = auto *)
-  gs_sweeps : int;
-}
-
-val default_params : params
-
-type report = {
+(** The RQL baseline's report: both comparators report the same. *)
+type report = Rql.report = {
   placement : Placement.t;
   iterations : int;
   global_time : float;
@@ -23,7 +13,4 @@ type report = {
   hpwl : float;
 }
 
-(** Solve ∇²φ = ρ on a grid (Dirichlet boundary), for tests. *)
-val poisson : nx:int -> ny:int -> sweeps:int -> float array -> float array
-
-val place : ?params:params -> Fbp_movebound.Instance.t -> (report, string) result
+val place : Fbp_movebound.Instance.t -> (report, string) result

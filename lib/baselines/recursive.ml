@@ -40,10 +40,7 @@ let place ?(config = Fbp_core.Config.default) (inst0 : Fbp_movebound.Instance.t)
     let assigned = Array.make (Netlist.n_cells nl) (Rect.of_corner ~x:design.Design.chip.Rect.x0 ~y:design.Design.chip.Rect.y0 ~w:(Rect.width design.Design.chip) ~h:(Rect.height design.Design.chip)) in
     let anchor_pos = ref (Placement.copy pos) in
     for level = 1 to max_level do
-      let anchor_w =
-        config.Fbp_core.Config.anchor_base
-        *. (config.Fbp_core.Config.anchor_growth ** float_of_int level)
-      in
+      let anchor_w = Fbp_core.Placer.anchor_weight level in
       if level > 1 then begin
         let ap = !anchor_pos in
         ignore

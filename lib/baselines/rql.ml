@@ -16,22 +16,11 @@
 
 open Fbp_netlist
 
-type params = {
-  max_iterations : int;
-  theta : float;  (* spreading damping *)
-  anchor_base : float;
-  stop_overflow : float;  (* stop when max bin utilization ratio below *)
-  bins_per_axis : int;  (* 0 = auto *)
-}
-
-let default_params =
-  {
-    max_iterations = 60;
-    theta = 0.8;
-    anchor_base = 0.05;
-    stop_overflow = 1.03;
-    bins_per_axis = 0;
-  }
+(* The comparator's one configuration. *)
+let max_iterations = 60
+let theta = 0.8  (* spreading damping *)
+let anchor_base = 0.05
+let stop_overflow = 1.03  (* stop when the worst bin ratio is below *)
 
 type report = {
   placement : Placement.t;
@@ -46,16 +35,14 @@ type report = {
 let auto_bins (design : Design.t) =
   max 8 (min 64 (Design.n_rows design / 10))
 
-let place ?(params = default_params) (inst0 : Fbp_movebound.Instance.t) =
+let place (inst0 : Fbp_movebound.Instance.t) =
   match Fbp_movebound.Instance.normalize inst0 with
   | Error e -> Error e
   | Ok inst ->
     let design = inst.Fbp_movebound.Instance.design in
     let nl = design.Design.netlist in
     let t0 = Fbp_util.Timer.now () in
-    let nb =
-      if params.bins_per_axis > 0 then params.bins_per_axis else auto_bins design
-    in
+    let nb = auto_bins design in
     let pos = Placement.copy design.Design.initial in
     let cfg = Fbp_core.Config.default in
     (* admissible area per class, for the soft clip *)
@@ -83,7 +70,7 @@ let place ?(params = default_params) (inst0 : Fbp_movebound.Instance.t) =
     let anchor_weight = ref 0.0 in
     let iter = ref 0 in
     let converged = ref false in
-    while (not !converged) && !iter < params.max_iterations do
+    while (not !converged) && !iter < max_iterations do
       incr iter;
       (* quadratic solve with linearized pseudo-net anchors *)
       let ax = !anchors_x and ay = !anchors_y and aw = !anchor_weight in
@@ -100,7 +87,7 @@ let place ?(params = default_params) (inst0 : Fbp_movebound.Instance.t) =
                Some (w, ax.(c), w, ay.(c))
              end) ());
       (* spreading *)
-      let tx, ty, bins = Spread.targets design pos ~nx:nb ~ny:nb ~theta:params.theta in
+      let tx, ty, bins = Spread.targets design pos ~nx:nb ~ny:nb ~theta in
       (* soft movebound clip *)
       for c = 0 to Netlist.n_cells nl - 1 do
         if not nl.Netlist.fixed.(c) then begin
@@ -114,7 +101,7 @@ let place ?(params = default_params) (inst0 : Fbp_movebound.Instance.t) =
       anchors_x := tx;
       anchors_y := ty;
       anchor_weight :=
-        params.anchor_base *. (1.0 +. (0.3 *. float_of_int !iter));
+        anchor_base *. (1.0 +. (0.3 *. float_of_int !iter));
       (* move cells toward their targets (damped) *)
       for c = 0 to Netlist.n_cells nl - 1 do
         if not nl.Netlist.fixed.(c) then begin
@@ -122,7 +109,7 @@ let place ?(params = default_params) (inst0 : Fbp_movebound.Instance.t) =
           pos.Placement.y.(c) <- ty.(c)
         end
       done;
-      if Spread.max_overflow_ratio bins <= params.stop_overflow then converged := true
+      if Spread.max_overflow_ratio bins <= stop_overflow then converged := true
     done;
     let global_time = Fbp_util.Timer.now () -. t0 in
     (* legalization: row-based, grouped by current position, spills ignore

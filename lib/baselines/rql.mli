@@ -4,16 +4,6 @@
 
 open Fbp_netlist
 
-type params = {
-  max_iterations : int;
-  theta : float;  (** spreading damping *)
-  anchor_base : float;
-  stop_overflow : float;  (** stop when the worst bin ratio is below this *)
-  bins_per_axis : int;  (** 0 = auto (≈10 rows per bin) *)
-}
-
-val default_params : params
-
 type report = {
   placement : Placement.t;
   iterations : int;
@@ -22,4 +12,4 @@ type report = {
   hpwl : float;  (** legal placement HPWL *)
 }
 
-val place : ?params:params -> Fbp_movebound.Instance.t -> (report, string) result
+val place : Fbp_movebound.Instance.t -> (report, string) result

@@ -1,11 +1,12 @@
-(** Tuning knobs of the global placer. *)
+(** Settings of the global placer that callers vary.  The tuned values no
+    caller varies are constants of [Placer], which reads them: the QP
+    anchor schedule ({!Placer.anchor_weight}) and the capacity margin of
+    the flow model. *)
 
 type t = {
   max_levels : int;  (** hard cap on grid refinement levels *)
   min_window_rows : float;  (** stop refining when windows get this short *)
   clique_max_degree : int;  (** nets up to this degree use the clique model *)
-  anchor_base : float;  (** QP anchor weight at level 1 *)
-  anchor_growth : float;  (** multiplicative anchor growth per level *)
   cg_tol : float;
   cg_max_iter : int;
   domains : int;
@@ -19,9 +20,6 @@ type t = {
           wakeup latency.  Results are bit-identical either way; disable
           to force parallel code paths on small machines (tests do). *)
   local_qp : bool;  (** run the local QP connectivity step in realization *)
-  capacity_margin : float;
-      (** flow capacities derated for legalizability; automatic fallback to
-          1.0 when the margin makes a movebound class infeasible *)
   deadline : float option;
       (** wall-clock budget in seconds for global placement; when it runs
           out the placer returns the last-good per-level checkpoint (or, in

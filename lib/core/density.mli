@@ -16,9 +16,6 @@ val capacity_rect : t -> Rect.t -> float
 
 val capacity_set : t -> Rect_set.t -> float
 
-(** Non-blocked sub-area. *)
-val free_area : t -> Rect_set.t -> Rect_set.t
-
 (** Centroid of the free area (region-node embedding, Section IV-A);
     falls back to the raw centroid when fully blocked. *)
 val free_centroid : t -> Rect_set.t -> Point.t

@@ -134,6 +134,16 @@ let blit_placement ~(src : Placement.t) ~(dst : Placement.t) =
   Array.blit src.Placement.x 0 dst.Placement.x 0 (Array.length src.Placement.x);
   Array.blit src.Placement.y 0 dst.Placement.y 0 (Array.length src.Placement.y)
 
+(* The QP anchor weight of [level], 0.02 * 2.6^level: it grows 2.6-fold
+   per level, so each finer level's QP stays closer to the previous
+   level's realization. *)
+let anchor_weight level = 0.02 *. (2.6 ** float_of_int level)
+
+(* Flow capacities are derated to this fraction of the free area, leaving
+   legalization headroom; the placer drops the margin (to 1.0) for the
+   rest of the run when it makes a level's flow infeasible. *)
+let capacity_margin = 0.94
+
 (* How much stronger the anchors get on a safeguarded CG restart: the extra
    diagonal mass reconditions the system while pulling toward the last-good
    positions the restart resumes from. *)
@@ -281,10 +291,7 @@ let place ?(config = Config.default) ?on_level ?fallback
                   raise (Abort (Err.Deadline_exceeded { elapsed = elapsed (); budget; level }))
                 | _ -> ()
               in
-              let anchor_w =
-                config.Config.anchor_base
-                *. (config.Config.anchor_growth ** float_of_int level)
-              in
+              let anchor_w = anchor_weight level in
               (* QP anchored to the previous level's realization.  A diverged
                  solve is restarted from the checkpoint with stronger anchors
                  (safeguarded restart); a second divergence is fatal only in
@@ -350,9 +357,8 @@ let place ?(config = Config.default) ?on_level ?fallback
                     let attempt =
                       if not !margin_ok then build_and_solve 1.0 0.0
                       else
-                        match build_and_solve config.Config.capacity_margin slack with
-                        | (_, _, { Fbp_model.verdict = Fbp_flow.Mcf.Infeasible _; _ })
-                          when config.Config.capacity_margin < 1.0 || slack > 0.0 ->
+                        match build_and_solve capacity_margin slack with
+                        | (_, _, { Fbp_model.verdict = Fbp_flow.Mcf.Infeasible _; _ }) ->
                           (* margins make this instance infeasible: drop them
                              for the remaining levels too (avoids re-solving
                              twice each level) *)

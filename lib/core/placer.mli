@@ -58,6 +58,10 @@ type report = {
   hpwl : float;
 }
 
+(** The QP anchor weight of a level: [0.02 *. 2.6 ** level].  The
+    recursive-bisection baseline shares the schedule. *)
+val anchor_weight : int -> float
+
 (** Planned number of refinement levels for a design under a config. *)
 val n_levels : Config.t -> Fbp_netlist.Design.t -> int
 

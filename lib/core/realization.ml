@@ -27,14 +27,6 @@ open Fbp_geometry
 open Fbp_netlist
 open Fbp_flow
 
-type step = {
-  node_w : int;
-  node_m : int;
-  n_cells : int;
-  shipped : float;  (* area sent over external arcs *)
-  stayed : float;
-}
-
 type stats = {
   n_steps : int;
   n_waves : int;
@@ -128,7 +120,7 @@ let sorted_members (buf : int array) len =
   done;
   if !k = len then a else Array.sub a 0 !k
 
-let realize ?(on_step : (step -> unit) option) (cfg : Config.t)
+let realize (cfg : Config.t)
     (inst : Fbp_movebound.Instance.t) (regions : Fbp_movebound.Regions.t)
     (sol : Fbp_model.solution) (pos : Placement.t) =
   let t_start = Fbp_util.Timer.now () in
@@ -529,32 +521,23 @@ let realize ?(on_step : (step -> unit) option) (cfg : Config.t)
     if n > 0 then begin
       incr n_steps;
       let m = ni.nid mod n_classes in
-      let shipped = ref 0.0 and stayed = ref 0.0 in
       for i = 0 to n - 1 do
         let c = cells.(i) in
         pos.Placement.x.(c) <- ni.nqx.(i);
         pos.Placement.y.(c) <- ni.nqy.(i);
-        let size = widths.(c) *. heights.(c) in
         let d = res.dest.(i) in
         if d >= -1 then begin
           piece_of_cell.(c) <- d;
-          if d >= 0 then piece_load.(d) <- piece_load.(d) +. size;
-          stayed := !stayed +. size
+          if d >= 0 then piece_load.(d) <- piece_load.(d) +. (widths.(c) *. heights.(c))
         end
         else begin
           incr n_shipped;
-          shipped := !shipped +. size;
           push (((-2 - d) * n_classes) + m) c
         end
       done;
       n_fallback := !n_fallback + res.n_fallback;
       (* this node's members are consumed *)
-      mem_len.(ni.nid) <- 0;
-      match on_step with
-      | Some f ->
-        f { node_w = ni.nid / n_classes; node_m = m; n_cells = n;
-            shipped = !shipped; stayed = !stayed }
-      | None -> ()
+      mem_len.(ni.nid) <- 0
     end
   in
   Fun.protect

@@ -12,14 +12,6 @@
     transport set-up and assignment are views of it that do not outlive
     the node. *)
 
-type step = {
-  node_w : int;
-  node_m : int;
-  n_cells : int;
-  shipped : float;  (** area sent over external arcs *)
-  stayed : float;
-}
-
 type stats = {
   n_steps : int;
   n_waves : int;
@@ -41,8 +33,7 @@ type result = {
 val snapshot :
   Fbp_netlist.Placement.t -> int array -> float array * float array
 
-(** Realize the flow, updating [pos] in place; [on_step] is the Figure-4
-    trace hook.  With [Config.effective_domains cfg > 1], each wave large
+(** Realize the flow, updating [pos] in place.  With [Config.effective_domains cfg > 1], each wave large
     enough to pay for a wakeup is one {!Fbp_util.Pool.run_chunks} batch;
     commits stay in wave order on the calling domain, so results are
     bit-identical at any domain count.  The calling domain also draws
@@ -52,7 +43,6 @@ val snapshot :
     [realization.seq_s]: the seconds the calling domain spent outside
     [run_chunks] (node inputs, commits, waves run sequentially). *)
 val realize :
-  ?on_step:(step -> unit) ->
   Config.t ->
   Fbp_movebound.Instance.t ->
   Fbp_movebound.Regions.t ->

@@ -2,8 +2,8 @@
    [27], discussed in Sections III-IV).
 
    After the flow-based partitioning has produced a feasible assignment,
-   quality can still be recovered locally: for every 2x2 (or 3x3) block of
-   windows, re-solve a local QP over the block's cells and re-run the
+   quality can still be recovered locally: for every 2x2 block of windows,
+   re-solve a local QP over the block's cells and re-run the
    movebound-aware transportation among the block's region pieces.  Unlike
    the historic reflow this is a *post-pass* — the global feasibility is
    already guaranteed by the flow, so every block step preserves it (piece
@@ -26,13 +26,15 @@ type stats = {
   time : float;
 }
 
+let span = 2
+
 (* One sweep over all [span] x [span] window blocks (stride = span so each
    window is visited once per sweep), on flat arrays (DESIGN §9, "Flat
    repartition").  The blocks of one sweep are disjoint, and a block moves
    cells only between its own pieces, so no block reads what an earlier
    block of the sweep moved: the members of every piece are counted once,
    at the start of the sweep, from [piece_of_cell]. *)
-let sweep ?(span = 2) (cfg : Config.t) (inst : Fbp_movebound.Instance.t)
+let sweep (cfg : Config.t) (inst : Fbp_movebound.Instance.t)
     (regions : Fbp_movebound.Regions.t) (grid : Grid.t) (pos : Placement.t)
     ~(piece_of_cell : int array) =
   Fbp_obs.Obs.span "repartition.sweep" @@ fun () ->
@@ -181,11 +183,11 @@ let sweep ?(span = 2) (cfg : Config.t) (inst : Fbp_movebound.Instance.t)
 (* Run [sweeps] repartition passes over a finished placer report.  Every
    sweep tiles the grid from the same origin, so a later sweep re-solves
    the same blocks starting from the previous sweep's result. *)
-let refine ?(sweeps = 1) ?(span = 2) (cfg : Config.t)
+let refine ?(sweeps = 1) (cfg : Config.t)
     (inst : Fbp_movebound.Instance.t) (report : Placer.report) =
   match report.Placer.final_grid with
   | None -> []
   | Some grid ->
     List.init sweeps (fun _ ->
-        sweep ~span cfg inst report.Placer.regions grid report.Placer.placement
+        sweep cfg inst report.Placer.regions grid report.Placer.placement
           ~piece_of_cell:report.Placer.piece_of_cell)

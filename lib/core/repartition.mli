@@ -1,4 +1,4 @@
-(** Repartitioning ("reflow") post-pass over 2×2 / 3×3 window blocks: local
+(** Repartitioning ("reflow") post-pass over 2×2 window blocks: local
     QP + movebound-aware transportation among the block's pieces.  Global
     feasibility from the flow is preserved (piece capacities respected per
     block); each sweep trades runtime for a few percent of HPWL. *)
@@ -11,10 +11,9 @@ type stats = {
   time : float;
 }
 
-(** One sweep over all [span]×[span] blocks; updates positions and
+(** One sweep over all 2×2 blocks; updates positions and
     [piece_of_cell] in place. *)
 val sweep :
-  ?span:int ->
   Config.t ->
   Fbp_movebound.Instance.t ->
   Fbp_movebound.Regions.t ->
@@ -27,7 +26,6 @@ val sweep :
     {!Placer.place} report (no-op when the report has no final grid). *)
 val refine :
   ?sweeps:int ->
-  ?span:int ->
   Config.t ->
   Fbp_movebound.Instance.t ->
   Placer.report ->

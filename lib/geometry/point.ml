@@ -6,8 +6,6 @@ type t = { x : float; y : float }
 
 let make x y = { x; y }
 
-let origin = { x = 0.0; y = 0.0 }
-
 let add a b = { x = a.x +. b.x; y = a.y +. b.y }
 let sub a b = { x = a.x -. b.x; y = a.y -. b.y }
 let scale s a = { x = s *. a.x; y = s *. a.y }

@@ -3,7 +3,6 @@
 type t = { x : float; y : float }
 
 val make : float -> float -> t
-val origin : t
 val add : t -> t -> t
 val sub : t -> t -> t
 val scale : float -> t -> t

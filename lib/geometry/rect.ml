@@ -54,9 +54,6 @@ let bbox a b =
     x1 = Float.max a.x1 b.x1;
     y1 = Float.max a.y1 b.y1 }
 
-let translate r ~dx ~dy =
-  { x0 = r.x0 +. dx; y0 = r.y0 +. dy; x1 = r.x1 +. dx; y1 = r.y1 +. dy }
-
 let inflate r d = { x0 = r.x0 -. d; y0 = r.y0 -. d; x1 = r.x1 +. d; y1 = r.y1 +. d }
 
 (* Nearest point of [r] to [p] (the projection used for L1 distances from a

@@ -38,8 +38,6 @@ val intersection_area : t -> t -> float
 (** Smallest rectangle containing both. *)
 val bbox : t -> t -> t
 
-val translate : t -> dx:float -> dy:float -> t
-
 (** Grow (or shrink, if negative) by [d] on every side. *)
 val inflate : t -> float -> t
 

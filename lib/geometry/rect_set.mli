@@ -27,7 +27,6 @@ val add : t -> Rect.t -> t
 
 val union : t -> t -> t
 val area : t -> float
-val subtract_rect : t -> Rect.t -> t
 val subtract : t -> t -> t
 val intersect_rect : t -> Rect.t -> t
 val intersect : t -> t -> t

@@ -87,7 +87,7 @@ let plain_capacity ~density (r : Regions.region) =
 
 (* End-to-end convenience used by the CLI and the examples: normalize,
    decompose, check. *)
-let check_instance ?(capacity_of = None) (inst : Instance.t) =
+let check_instance ?capacity_of (inst : Instance.t) =
   match Instance.normalize inst with
   | Error e -> Error e
   | Ok inst ->

@@ -17,11 +17,10 @@ type verdict =
 val check :
   Instance.t -> Regions.t -> capacity_of:(Regions.region -> float) -> verdict
 
-(** Region area times a uniform density target. *)
-val plain_capacity : density:float -> Regions.region -> float
-
-(** Normalize → decompose → check; returns the verdict and the regions. *)
+(** Normalize → decompose → check; returns the verdict and the regions.
+    [capacity_of] defaults to region area times the design's target
+    density. *)
 val check_instance :
-  ?capacity_of:(Regions.region -> float) option ->
+  ?capacity_of:(Regions.region -> float) ->
   Instance.t ->
   (verdict * Regions.t, string) result

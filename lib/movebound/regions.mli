@@ -8,9 +8,6 @@ type signature = {
   inclusive : int list;  (** sorted ids of inclusive movebounds covering *)
 }
 
-val default_signature : signature
-val signature_equal : signature -> signature -> bool
-
 type region = {
   id : int;
   area : Rect_set.t;

@@ -24,7 +24,7 @@ type t = {
 
 (* Union-find with cluster area and generation counters for lazy heap
    entries. *)
-let best_choice ?(ratio = 5.0) ?(max_cluster_area = infinity) (nl : Netlist.t) =
+let best_choice ?(ratio = 5.0) (nl : Netlist.t) =
   let n = Netlist.n_cells nl in
   let target = max 1 (int_of_float (float_of_int n /. Float.max 1.0 ratio)) in
   let uf = Union_find.create n in
@@ -73,7 +73,6 @@ let best_choice ?(ratio = 5.0) ?(max_cluster_area = infinity) (nl : Netlist.t) =
       let ru = find u and rv = find v in
       if ru <> rv && generation.(ru) = gu && generation.(rv) = gv
          && ru = u && rv = v
-         && area.(u) +. area.(v) <= max_cluster_area
       then begin
         (* commit the merge: u absorbs v *)
         ignore neg_score;

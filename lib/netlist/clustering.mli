@@ -11,9 +11,8 @@ type t = {
   members : int list array;  (** coarse cell → original cells *)
 }
 
-(** [best_choice ~ratio nl] clusters to ~[n/ratio] cells.
-    [max_cluster_area] bounds individual clusters. *)
-val best_choice : ?ratio:float -> ?max_cluster_area:float -> Netlist.t -> t
+(** [best_choice ~ratio nl] clusters to ~[n/ratio] cells. *)
+val best_choice : ?ratio:float -> Netlist.t -> t
 
 (** Cluster positions = area-weighted member centroids. *)
 val coarse_placement : t -> Netlist.t -> Placement.t -> Placement.t

@@ -34,8 +34,8 @@ type t =
   | Internal of { site : string; msg : string }
       (** Unexpected exception escaping stage [site]. *)
   | Sanitizer_violation of { site : string; invariant : string; detail : string }
-      (** A checked runtime invariant (sanitizer mode, [--sanitize] /
-          [FBP_SANITIZE=1]) failed at [site]: the named [invariant] does
+      (** A checked runtime invariant (sanitizer mode, [--sanitize])
+          failed at [site]: the named [invariant] does
           not hold, with the offending numbers in [detail].  Always a
           bug report, never degradable. *)
 

@@ -2,11 +2,7 @@
    runs worker domains, and a test may flip the switch around a parallel
    region. *)
 
-let enabled_flag =
-  Atomic.make
-    (match Sys.getenv_opt "FBP_SANITIZE" with
-    | Some ("1" | "true" | "yes" | "on") -> true
-    | Some _ | None -> false)
+let enabled_flag = Atomic.make false
 
 let counter = Atomic.make 0
 

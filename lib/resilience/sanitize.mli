@@ -1,7 +1,7 @@
 (** Flow-invariant sanitizer mode.
 
-    When enabled ([fbp_place place --sanitize], env [FBP_SANITIZE=1], or
-    {!set_enabled}), solver stages run checked invariants at their
+    When enabled by {!set_enabled} ([fbp_place place --sanitize] and the
+    fuzzer call it), solver stages run checked invariants at their
     boundaries — MCF flow conservation and capacity bounds, transport
     row/column balance, CSR well-formedness, post-realization movebound
     containment — and a failure is raised as
@@ -10,8 +10,7 @@
     When disabled, {!check} is one atomic read; the invariant thunk is not
     evaluated, so production runs pay no traversal cost. *)
 
-(** True when sanitizer checks run (initially from [FBP_SANITIZE]:
-    ["1"], ["true"], ["yes"] or ["on"] enable it). *)
+(** True when sanitizer checks run (initially false). *)
 val enabled : unit -> bool
 
 val set_enabled : bool -> unit

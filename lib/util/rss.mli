@@ -4,6 +4,3 @@
     [None] off Linux or when the field is unreadable — callers must treat
     it as an optional gauge, never a hard requirement. *)
 val peak_rss_kb : unit -> int option
-
-(** Parse one [/proc/self/status] line; exposed for tests. *)
-val parse_vmhwm : string -> int option

@@ -3,42 +3,8 @@
 
 let now () = Unix.gettimeofday ()
 
-type t = {
-  mutable started : float;
-  mutable accumulated : float;
-  mutable running : bool;
-}
-
-let create () = { started = 0.0; accumulated = 0.0; running = false }
-
-let start t =
-  if not t.running then begin
-    t.started <- now ();
-    t.running <- true
-  end
-
-let stop t =
-  if t.running then begin
-    t.accumulated <- t.accumulated +. (now () -. t.started);
-    t.running <- false
-  end
-
-let reset t =
-  t.accumulated <- 0.0;
-  t.running <- false
-
-let elapsed t =
-  if t.running then t.accumulated +. (now () -. t.started) else t.accumulated
-
 (* Time a thunk, returning its result and the wall time it took. *)
 let time f =
   let t0 = now () in
   let r = f () in
   (r, now () -. t0)
-
-(* Accumulate the thunk's wall time into [t]. *)
-let record t f =
-  let t0 = now () in
-  let r = f () in
-  t.accumulated <- t.accumulated +. (now () -. t0);
-  r

@@ -1,25 +1,7 @@
 (** Wall-clock phase timers (Tables I and VI instrumentation). *)
 
-type t
-
 (** Current wall-clock time in seconds. *)
 val now : unit -> float
 
-val create : unit -> t
-
-(** Start (or resume) the timer; no-op if already running. *)
-val start : t -> unit
-
-(** Pause the timer, adding the running span to the accumulated total. *)
-val stop : t -> unit
-
-val reset : t -> unit
-
-(** Accumulated seconds, including the currently running span if any. *)
-val elapsed : t -> float
-
 (** [time f] runs [f ()] and returns its result with its wall time. *)
 val time : (unit -> 'a) -> 'a * float
-
-(** [record t f] runs [f ()], adding its wall time to [t]. *)
-val record : t -> (unit -> 'a) -> 'a

@@ -521,8 +521,10 @@ let shrink_candidates (s : scenario) =
   if s.n_cells > 16 then add { s with n_cells = s.n_cells - (s.n_cells / 4) };
   List.rev !cands
 
-let shrink ~max_attempts (s : scenario) signature =
-  Shrink.minimize ~max_attempts ~steps:shrink_candidates
+let shrink_attempts = 24
+
+let shrink (s : scenario) signature =
+  Shrink.minimize ~max_attempts:shrink_attempts ~steps:shrink_candidates
     ~still_fails:(fun c ->
       match signature_of_verdict (verdict_of c (run_scenario c)) with
       | Some sig' -> String.equal sig' signature
@@ -686,14 +688,17 @@ let write_text path text =
   close_out oc
 
 (* Write the repro JSON plus a flight-recorder run record of the shrunk
-   scenario (the post-mortem pair: what to replay and what happened). *)
-let write_artifacts ~dir (f : finding) =
+   scenario (the post-mortem pair: what to replay and what happened).  The
+   names carry the finding's number in the campaign, [index], beside the
+   shrunk seed: distinct findings often shrink to the same scenario seed. *)
+let write_artifacts ~dir ~index (f : finding) =
   ensure_dir dir;
-  let repro = Filename.concat dir (Printf.sprintf "repro-%d.json" f.shrunk.seed) in
-  write_text repro (repro_to_json f);
-  let record =
-    Filename.concat dir (Printf.sprintf "record-%d.json" f.shrunk.seed)
+  let name kind =
+    Filename.concat dir (Printf.sprintf "%s-%03d-%d.json" kind index f.shrunk.seed)
   in
+  let repro = name "repro" in
+  write_text repro (repro_to_json f);
+  let record = name "record" in
   let module Rec = Fbp_obs.Recorder in
   let provenance =
     {
@@ -720,8 +725,7 @@ let write_artifacts ~dir (f : finding) =
 
 (* ------------------------------------------------------------- campaign *)
 
-let run ?(matrix = false) ?time_cap ?out_dir ?(max_shrink_attempts = 24)
-    ~seed ~count () =
+let run ?(matrix = false) ?time_cap ?out_dir ~seed ~count () =
   let rng = Rng.create seed in
   let t0 = Fbp_util.Timer.now () in
   let out_of_time () =
@@ -740,8 +744,10 @@ let run ?(matrix = false) ?time_cap ?out_dir ?(max_shrink_attempts = 24)
      shrink, controls only up to this cap (they are confirmations, not
      bugs — the cap keeps big campaigns bounded) *)
   let control_budget = ref 8 in
+  let n_findings = ref 0 in
   let finish_finding ~collect s signature =
-    let m = shrink ~max_attempts:max_shrink_attempts s signature in
+    incr n_findings;
+    let m = shrink s signature in
     let shrunk = m.Shrink.value in
     let detail =
       outcome_label (run_scenario shrunk).outcome
@@ -756,7 +762,11 @@ let run ?(matrix = false) ?time_cap ?out_dir ?(max_shrink_attempts = 24)
         artifacts = [];
       }
     in
-    let f = match out_dir with Some dir -> write_artifacts ~dir f | None -> f in
+    let f =
+      match out_dir with
+      | Some dir -> write_artifacts ~dir ~index:!n_findings f
+      | None -> f
+    in
     collect := f :: !collect
   in
   let handle s =

@@ -115,13 +115,14 @@ val outcome_label : outcome -> string
 (** Run a fuzzing campaign.  [matrix] additionally runs every generated
     scenario against all {!matrix_cells}.  [time_cap] is a wall-clock
     bound in seconds — generation stops early (reported as [truncated])
-    but never mid-scenario.  [out_dir] enables repro/record artifact
-    writing.  [max_shrink_attempts] bounds each finding's shrink budget. *)
+    but never mid-scenario.  [out_dir] enables artifact writing: the
+    [n]th finding of the campaign writes [repro-NNN-SEED.json] and
+    [record-NNN-SEED.json], [NNN] being [n] (from 1, zero-padded to three
+    digits) and [SEED] the shrunk scenario's seed. *)
 val run :
   ?matrix:bool ->
   ?time_cap:float ->
   ?out_dir:string ->
-  ?max_shrink_attempts:int ->
   seed:int ->
   count:int ->
   unit ->

@@ -50,9 +50,8 @@ let specs =
   |]
 
 (* ISPD instances are scaled like the Table II designs. *)
-let instantiate ?scale (s : spec) =
-  let sc = match scale with Some v -> v | None -> Designs.scale () in
-  let n = max 1500 (int_of_float (float_of_int s.paper_kcells *. sc)) in
+let instantiate (s : spec) =
+  let n = max 1500 (int_of_float (float_of_int s.paper_kcells *. Designs.scale ())) in
   Generator.generate
     {
       Generator.default_params with

@@ -17,7 +17,9 @@ type spec = {
 (** ad5-s, nb1-s … nb7-s. *)
 val specs : spec array
 
-val instantiate : ?scale:float -> spec -> Design.t
+(** The spec's design at {!Designs.scale} (raises like it on a bad
+    [FBP_BENCH_SCALE]). *)
+val instantiate : spec -> Design.t
 
 (** Mean relative overflow of the worst 10% of 10-row bins. *)
 val density_penalty : Design.t -> Placement.t -> float

@@ -261,7 +261,7 @@ let attach_feasible (scenario : scenario) (design : Design.t) =
     let inst = attach { scenario with coverage } design in
     if tries = 0 then (inst, coverage)
     else
-      match Fbp_movebound.Feasibility.check_instance ~capacity_of:(Some capacity_of) inst with
+      match Fbp_movebound.Feasibility.check_instance ~capacity_of inst with
       | Ok (Fbp_movebound.Feasibility.Feasible, _) -> (inst, coverage)
       | Ok (Fbp_movebound.Feasibility.Infeasible _, _) | Error _ ->
         go (coverage *. 0.75) (tries - 1)

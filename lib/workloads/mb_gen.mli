@@ -23,7 +23,6 @@ val table5_designs : string list
 
 val shape_count : shape -> int
 val is_overlapping : shape -> bool
-val is_flattened : shape -> bool
 
 (** Attach a scenario to a design (mutates the netlist's movebound column);
     deterministic per (design, scenario). *)

@@ -103,6 +103,9 @@ let run_fbp ?config ?repartition inst =
 
 module R = Fbp_obs.Recorder
 
+(* Bins per axis of a record's final density map. *)
+let density_bins = 24
+
 (* The level's snapshot; the density-overflow and movebound audits of its
    positions are the per-level work only a record needs. *)
 let level_snapshot (inst_n : Fbp_movebound.Instance.t)
@@ -136,6 +139,39 @@ let level_snapshot (inst_n : Fbp_movebound.Instance.t)
     gc = l.gc;
   }
 
+(* The record sections any engine's metrics give: the totals, the final
+   placement's 24x24 density map, and the host (last: Pool.hardware_domains
+   and VmHWM are only meaningful once the run has exercised the pool). *)
+let record_outcome ?(config = Fbp_core.Config.default)
+    (inst : Fbp_movebound.Instance.t) (m : metrics) (record : R.t) =
+  let usage, capacity =
+    Fbp_core.Density.bin_utilization inst.Fbp_movebound.Instance.design
+      m.placement ~nx:density_bins ~ny:density_bins
+  in
+  let host =
+    {
+      R.hw_clamp = config.Fbp_core.Config.hw_clamp;
+      hardware_domains = Fbp_util.Pool.hardware_domains;
+      eff_domains = Fbp_core.Config.effective_domains config;
+      peak_rss_kb = Fbp_util.Rss.peak_rss_kb ();
+    }
+  in
+  {
+    record with
+    R.provenance = { record.R.provenance with R.host = Some host };
+    density = Some { R.dnx = density_bins; dny = density_bins; usage; capacity };
+    totals =
+      Some
+        {
+          R.hpwl = m.hpwl;
+          global_time = m.global_time;
+          legalize_time = m.legalize_time;
+          total_time = m.total_time;
+          legal = m.legal;
+          violations = m.violations;
+        };
+  }
+
 let run_fbp_recorded ?(config = Fbp_core.Config.default) ?repartition
     ~provenance inst =
   let inst_n = normalized inst in
@@ -146,33 +182,17 @@ let run_fbp_recorded ?(config = Fbp_core.Config.default) ?repartition
   match result with
   | Error e -> (Error e, record)
   | Ok (m, lst) ->
-    (* the legalization snapshot, the final-placement density heatmap, the
-       totals, and the host (last: Pool.hardware_domains and VmHWM are only
-       meaningful once the run has exercised the pool) *)
     let design = inst_n.Fbp_movebound.Instance.design in
-    let hnx, hny = (24, 24) in
-    let usage, capacity =
-      Fbp_core.Density.bin_utilization design m.placement ~nx:hnx ~ny:hny
-    in
-    let host =
-      {
-        R.hw_clamp = config.Fbp_core.Config.hw_clamp;
-        hardware_domains = Fbp_util.Pool.hardware_domains;
-        eff_domains = Fbp_core.Config.effective_domains config;
-        peak_rss_kb = Fbp_util.Rss.peak_rss_kb ();
-      }
-    in
     ( Ok m,
       {
-        record with
-        R.provenance = { provenance with R.host = Some host };
-        legalization =
+        (record_outcome ~config inst m record) with
+        R.legalization =
           Some
             {
               R.leg_hpwl = m.hpwl;
               leg_density_overflow =
-                Fbp_core.Density.overflow_fraction design m.placement ~nx:hnx
-                  ~ny:hny;
+                Fbp_core.Density.overflow_fraction design m.placement
+                  ~nx:density_bins ~ny:density_bins;
               leg_mb_violations = m.violations;
               leg_time = lst.Fbp_legalize.Legalizer.time;
               spilled = lst.Fbp_legalize.Legalizer.n_spilled;
@@ -180,60 +200,34 @@ let run_fbp_recorded ?(config = Fbp_core.Config.default) ?repartition
               avg_displacement = lst.Fbp_legalize.Legalizer.avg_displacement;
               max_displacement = lst.Fbp_legalize.Legalizer.max_displacement;
             };
-        density = Some { R.dnx = hnx; dny = hny; usage; capacity };
-        totals =
-          Some
-            {
-              R.hpwl = m.hpwl;
-              global_time = m.global_time;
-              legalize_time = m.legalize_time;
-              total_time = m.total_time;
-              legal = m.legal;
-              violations = m.violations;
-            };
       } )
 
-let run_rql ?params (inst : Fbp_movebound.Instance.t) =
-  match Fbp_baselines.Rql.place ?params inst with
+(* A comparator run: the baselines place and legalize themselves; the
+   runner audits the result. *)
+let run_baseline ~tool place (inst : Fbp_movebound.Instance.t) =
+  match place inst with
   | Error e -> Error (Err.Invalid_input e)
-  | Ok rep ->
-    let inst_n = normalized inst in
-    let legal, violations = audit_of inst_n rep.Fbp_baselines.Rql.placement in
+  | Ok (rep : Fbp_baselines.Rql.report) ->
+    let pos = rep.Fbp_baselines.Rql.placement in
+    let legal, violations = audit_of (normalized inst) pos in
+    let global_time = rep.Fbp_baselines.Rql.global_time
+    and legalize_time = rep.Fbp_baselines.Rql.legalize_time in
     Ok
       {
-        tool = "RQL (repro)";
+        tool;
         hpwl = rep.Fbp_baselines.Rql.hpwl;
         hpwl_global = rep.Fbp_baselines.Rql.hpwl;
-        global_time = rep.Fbp_baselines.Rql.global_time;
-        legalize_time = rep.Fbp_baselines.Rql.legalize_time;
-        total_time =
-          rep.Fbp_baselines.Rql.global_time +. rep.Fbp_baselines.Rql.legalize_time;
+        global_time;
+        legalize_time;
+        total_time = global_time +. legalize_time;
         violations;
         legal;
         levels = [];
         degradations = [];
-        placement = rep.Fbp_baselines.Rql.placement;
+        placement = pos;
       }
 
-let run_kraftwerk ?params (inst : Fbp_movebound.Instance.t) =
-  match Fbp_baselines.Kraftwerk.place ?params inst with
-  | Error e -> Error (Err.Invalid_input e)
-  | Ok rep ->
-    let inst_n = normalized inst in
-    let legal, violations = audit_of inst_n rep.Fbp_baselines.Kraftwerk.placement in
-    Ok
-      {
-        tool = "Kraftwerk2 (repro)";
-        hpwl = rep.Fbp_baselines.Kraftwerk.hpwl;
-        hpwl_global = rep.Fbp_baselines.Kraftwerk.hpwl;
-        global_time = rep.Fbp_baselines.Kraftwerk.global_time;
-        legalize_time = rep.Fbp_baselines.Kraftwerk.legalize_time;
-        total_time =
-          rep.Fbp_baselines.Kraftwerk.global_time
-          +. rep.Fbp_baselines.Kraftwerk.legalize_time;
-        violations;
-        legal;
-        levels = [];
-        degradations = [];
-        placement = rep.Fbp_baselines.Kraftwerk.placement;
-      }
+let run_rql inst = run_baseline ~tool:"RQL (repro)" Fbp_baselines.Rql.place inst
+
+let run_kraftwerk inst =
+  run_baseline ~tool:"Kraftwerk2 (repro)" Fbp_baselines.Kraftwerk.place inst

@@ -28,8 +28,9 @@ val run_fbp :
 
 (** {!run_fbp}, also returning the run's record: [provenance] (its host
     filled in on success), one snapshot per level completed — including
-    those before a failure — and, on success, the legalization snapshot,
-    the final 24×24 density map and the totals.  Each level additionally
+    those before a failure — and, on success, the legalization snapshot
+    and {!record_outcome}'s sections: the final 24×24 density map, the
+    totals and the host.  Each level additionally
     audits density overflow and movebound violations of its positions,
     work {!run_fbp} does not do.  The caller adds metrics and profile. *)
 val run_fbp_recorded :
@@ -37,10 +38,22 @@ val run_fbp_recorded :
   provenance:Fbp_obs.Recorder.provenance -> Fbp_movebound.Instance.t ->
   (metrics, Fbp_resilience.Fbp_error.t) result * Fbp_obs.Recorder.t
 
+(** The comparators, placed and legalized by
+    {!Fbp_baselines.Rql.place} and {!Fbp_baselines.Kraftwerk.place} in
+    their one configuration; [levels] and [degradations] are empty. *)
 val run_rql :
-  ?params:Fbp_baselines.Rql.params -> Fbp_movebound.Instance.t ->
-  (metrics, Fbp_resilience.Fbp_error.t) result
+  Fbp_movebound.Instance.t -> (metrics, Fbp_resilience.Fbp_error.t) result
 
 val run_kraftwerk :
-  ?params:Fbp_baselines.Kraftwerk.params -> Fbp_movebound.Instance.t ->
-  (metrics, Fbp_resilience.Fbp_error.t) result
+  Fbp_movebound.Instance.t -> (metrics, Fbp_resilience.Fbp_error.t) result
+
+(** [record_outcome inst m record] fills [record]'s totals from [m], its
+    24×24 density map from [m.placement], and its provenance's host from
+    [config] (default {!Fbp_core.Config.default}, the configuration the
+    comparators run under).  {!run_fbp_recorded} builds those sections
+    with it; a comparator's record gets them the same way, so
+    [fbp_place diff-record] gates its HPWL, time, violations and
+    legality. *)
+val record_outcome :
+  ?config:Fbp_core.Config.t -> Fbp_movebound.Instance.t -> metrics ->
+  Fbp_obs.Recorder.t -> Fbp_obs.Recorder.t

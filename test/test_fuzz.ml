@@ -284,12 +284,12 @@ let test_campaign_reproducible () =
   Alcotest.(check (list string)) "no unshrunk failures" []
     (List.map (fun f -> f.Fuzz.signature) a.Fuzz.failures)
 
-let test_campaign_writes_replayable_artifacts () =
-  (* find a corruption control deterministically and check the artifact it
-     writes replays to the same signature *)
+(* Run a campaign writing its artifacts into a fresh directory, hand [k]
+   the report and the directory, and remove the directory afterwards. *)
+let with_artifacts ~seed ~count k =
   let dir = Filename.temp_file "fbp-fuzz-out" "" in
   Sys.remove dir;
-  let r = Fuzz.run ~matrix:true ~out_dir:dir ~seed:3 ~count:2 () in
+  let r = Fuzz.run ~matrix:true ~out_dir:dir ~seed ~count () in
   Fun.protect
     ~finally:(fun () ->
       if Sys.file_exists dir then begin
@@ -298,7 +298,12 @@ let test_campaign_writes_replayable_artifacts () =
           (Sys.readdir dir);
         Sys.rmdir dir
       end)
-    (fun () ->
+    (fun () -> k r dir)
+
+let test_campaign_writes_replayable_artifacts () =
+  (* find a corruption control deterministically and check the artifact it
+     writes replays to the same signature *)
+  with_artifacts ~seed:3 ~count:2 (fun r _ ->
       Alcotest.(check bool) "matrix campaign caught controls" true
         (r.Fuzz.n_controls > 0);
       match r.Fuzz.controls with
@@ -318,7 +323,42 @@ let test_campaign_writes_replayable_artifacts () =
           let rr = Fuzz.run_scenario s in
           Alcotest.(check string) "replay reproduces the control signature"
             f.Fuzz.detail
-            (Fuzz.outcome_label rr.Fuzz.outcome)))
+            (Fuzz.outcome_label rr.Fuzz.outcome)));
+  (* Several findings of this campaign shrink to the same scenario seed
+     (the mcf, transport and legalize corruption controls of one scenario
+     among them); each still keeps its own repro and record. *)
+  with_artifacts ~seed:42 ~count:6 (fun r dir ->
+      let findings = r.Fuzz.controls @ r.Fuzz.failures in
+      let seeds = List.map (fun f -> f.Fuzz.shrunk.Fuzz.seed) findings in
+      Alcotest.(check bool) "findings share a shrunk seed" true
+        (List.length (List.sort_uniq Int.compare seeds) < List.length seeds);
+      List.iter
+        (fun f ->
+          match List.map Filename.basename f.Fuzz.artifacts with
+          | [ repro; record ] ->
+            Alcotest.(check bool) ("repro name " ^ repro) true
+              (String.starts_with ~prefix:"repro-" repro);
+            Alcotest.(check bool) ("record name " ^ record) true
+              (String.starts_with ~prefix:"record-" record)
+          | names ->
+            Alcotest.failf "a finding wrote %s, want one repro and one record"
+              (String.concat ", " names))
+        findings;
+      let written = List.concat_map (fun f -> f.Fuzz.artifacts) findings in
+      Alcotest.(check int) "one distinct pair per finding"
+        (2 * List.length findings)
+        (List.length (List.sort_uniq String.compare written));
+      Alcotest.(check int) "every pair on disk" (2 * List.length findings)
+        (Array.length (Sys.readdir dir));
+      (* each repro holds its own finding *)
+      List.iter
+        (fun f ->
+          let ic = open_in_bin (List.hd f.Fuzz.artifacts) in
+          let text = really_input_string ic (in_channel_length ic) in
+          close_in ic;
+          Alcotest.(check string) "repro holds its finding"
+            (Fuzz.repro_to_json f) text)
+        findings)
 
 let test_campaign_time_cap_truncates () =
   let r = Fuzz.run ~time_cap:0.0 ~seed:9 ~count:50 () in

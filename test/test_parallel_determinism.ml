@@ -476,10 +476,8 @@ let test_realization_counters_and_bitwise () =
         let pos = Placement.copy design.Design.initial in
         Fbp_obs.Obs.enable ();
         Fbp_obs.Obs.reset ();
-        let stepped = ref 0 in
         let r =
           Realization.realize
-            ~on_step:(fun s -> stepped := !stepped + s.Realization.n_cells)
             { Config.default with domains; hw_clamp = false }
             inst regions sol pos
         in
@@ -496,10 +494,18 @@ let test_realization_counters_and_bitwise () =
           if n < 1.0 || n > float_of_int domains then
             Alcotest.failf "%g scratches at %d domains" n domains
         | _ -> Alcotest.fail "one realization.scratches value per call");
-        (pos, r, !stepped, snap, disp))
+        (pos, r, snap, disp))
   in
-  let p1, r1, s1, snap1, _ = run 1 in
-  let same_as_one domains (p, (r : Realization.result), s) =
+  let p1, r1, snap1, _ = run 1 in
+  let counts (r : Realization.result) =
+    let s = r.Realization.stats in
+    [ s.Realization.n_steps; s.Realization.n_waves; s.Realization.n_shipped_cells;
+      s.Realization.n_fallback_cells ]
+  in
+  let overfill (r : Realization.result) =
+    Int64.bits_of_float r.Realization.stats.Realization.max_piece_overfill
+  in
+  let same_as_one domains (p, (r : Realization.result)) =
     let ctx = Printf.sprintf " at %d domains" domains in
     Alcotest.(check (array (float 0.0)))
       ("x bit-identical" ^ ctx) p1.Placement.x p.Placement.x;
@@ -507,24 +513,31 @@ let test_realization_counters_and_bitwise () =
       ("y bit-identical" ^ ctx) p1.Placement.y p.Placement.y;
     Alcotest.(check (array int)) ("piece assignment identical" ^ ctx)
       r1.Realization.piece_of_cell r.Realization.piece_of_cell;
-    Alcotest.(check int) ("on_step streams equal" ^ ctx) s1 s
+    Alcotest.(check (list int)) ("stats counts identical" ^ ctx) (counts r1)
+      (counts r);
+    Alcotest.(check int64) ("stats overfill identical" ^ ctx) (overfill r1)
+      (overfill r)
   in
   List.iter
     (fun domains ->
-      let p, r, s, _, disp = run domains in
+      let p, r, _, disp = run domains in
       if disp = 0 then
         Alcotest.failf "no parallel wave at %d domains (%d waves)" domains
           r.Realization.stats.Realization.n_waves;
-      same_as_one domains (p, r, s))
+      same_as_one domains (p, r))
     [ 2; 4 ];
-  let p8, r8, s8, snap8, disp8 = run 8 in
-  same_as_one 8 (p8, r8, s8);
+  let p8, r8, snap8, disp8 = run 8 in
+  same_as_one 8 (p8, r8);
   Alcotest.(check bool) "flow shipped cells" true
     (r1.Realization.stats.Realization.n_shipped_cells > 0);
   (* snapshot cost is O(wave): exactly the wave member cells (= the cells
-     the steps commit), domain-count-invariant, and far below the seed's
-     full-copy cost of n_waves * n_cells *)
-  Alcotest.(check int) "snapshot_cells = committed step cells" s1 snap1;
+     the steps commit: each model cell once where it starts, and once more
+     per external arc it is shipped over), domain-count-invariant, and far
+     below the seed's full-copy cost of n_waves * n_cells *)
+  Alcotest.(check int) "snapshot_cells = committed step cells"
+    (Array.length model.Fbp_model.cells
+     + r1.Realization.stats.Realization.n_shipped_cells)
+    snap1;
   Alcotest.(check int) "snapshot_cells domain-invariant" snap1 snap8;
   Alcotest.(check bool) "snapshot cheaper than per-wave full copies" true
     (snap1 < r1.Realization.stats.Realization.n_waves * Netlist.n_cells nl);

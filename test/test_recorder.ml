@@ -472,6 +472,39 @@ let test_failed_run_keeps_levels () =
             | Error msg -> Alcotest.failf "record must read back: %s" msg
             | Ok r' -> Alcotest.(check bool) "file round-trip" true (R.equal r r')))
 
+(* A comparator's record carries the sections the gate reads (totals,
+   density map, host), so diff-record compares two RQL runs: against
+   itself it is clean, against a larger design's run it flags the HPWL. *)
+let test_baseline_record_gates () =
+  let rql ~seed cells =
+    let d = Fbp_netlist.Generator.quick ~seed ~name:"rec_rql" cells in
+    let inst = Fbp_movebound.Instance.unconstrained d in
+    match Fbp_workloads.Runner.run_rql inst with
+    | Error e -> placer_failed e
+    | Ok m -> (m, Fbp_workloads.Runner.record_outcome inst m R.empty)
+  in
+  let m, base = rql ~seed:7 600 in
+  (match base.R.totals with
+   | None -> Alcotest.fail "baseline record has no totals"
+   | Some t ->
+     Alcotest.(check int64) "totals hpwl is the run's"
+       (Int64.bits_of_float m.Fbp_workloads.Runner.hpwl)
+       (Int64.bits_of_float t.R.hpwl);
+     Alcotest.(check int) "totals violations" m.Fbp_workloads.Runner.violations
+       t.R.violations);
+  Alcotest.(check bool) "density map" true (Option.is_some base.R.density);
+  Alcotest.(check bool) "host" true (Option.is_some base.R.provenance.R.host);
+  Alcotest.(check bool) "no FBP legalization snapshot" true
+    (base.R.legalization = None);
+  let gate ~cand =
+    regressed_metrics
+      (R.diff ~max_hpwl_regress:0.02 ~max_time_regress:1e9 ~base ~cand ())
+  in
+  Alcotest.(check (list string)) "self-diff clean" [] (gate ~cand:base);
+  let _, worse = rql ~seed:8 900 in
+  Alcotest.(check bool) "worse run regresses hpwl" true
+    (List.mem "hpwl" (gate ~cand:worse))
+
 let suite =
   [
     Alcotest.test_case "json round-trip exact" `Quick test_roundtrip;
@@ -497,4 +530,5 @@ let suite =
       test_levels_match_metrics;
     Alcotest.test_case "failed run keeps its levels" `Quick
       test_failed_run_keeps_levels;
+    Alcotest.test_case "baseline record gates" `Quick test_baseline_record_gates;
   ]

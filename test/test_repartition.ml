@@ -112,9 +112,11 @@ module Reference = struct
   open Fbp_core
   open Repartition
 
+  let span = 2
+
   (* One sweep over all [span] x [span] window blocks (stride = span so each
      window is visited once per sweep). *)
-  let sweep ?(span = 2) (cfg : Config.t) (inst : Fbp_movebound.Instance.t)
+  let sweep (cfg : Config.t) (inst : Fbp_movebound.Instance.t)
       (regions : Fbp_movebound.Regions.t) (grid : Grid.t) (pos : Placement.t)
       ~(piece_of_cell : int array) =
     let t0 = Fbp_util.Timer.now () in
@@ -238,13 +240,13 @@ module Reference = struct
       time = Fbp_util.Timer.now () -. t0;
     }
 
-  let refine ?(sweeps = 1) ?(span = 2) (cfg : Config.t)
+  let refine ?(sweeps = 1) (cfg : Config.t)
       (inst : Fbp_movebound.Instance.t) (report : Placer.report) =
     match report.Placer.final_grid with
     | None -> []
     | Some grid ->
       List.init sweeps (fun _ ->
-          sweep ~span cfg inst report.Placer.regions grid report.Placer.placement
+          sweep cfg inst report.Placer.regions grid report.Placer.placement
             ~piece_of_cell:report.Placer.piece_of_cell)
 end
 
@@ -285,10 +287,10 @@ let island_design ~kind ~seed n =
 let test_flat_matches_reference () =
   let bits = Int64.bits_of_float in
   let moved = ref 0 in
-  let compare ctx ?(cfg = Fbp_core.Config.default) ?sweeps ?span inst rep =
+  let compare ctx ?(cfg = Fbp_core.Config.default) ?sweeps inst rep =
     let ref_rep = copy_report rep and flat_rep = copy_report rep in
-    let expected = Reference.refine ?sweeps ?span cfg inst ref_rep in
-    let got = Fbp_core.Repartition.refine ?sweeps ?span cfg inst flat_rep in
+    let expected = Reference.refine ?sweeps cfg inst ref_rep in
+    let got = Fbp_core.Repartition.refine ?sweeps cfg inst flat_rep in
     Alcotest.(check int) (ctx ^ ": sweeps") (List.length expected) (List.length got);
     List.iter2
       (fun (e : Fbp_core.Repartition.stats) (g : Fbp_core.Repartition.stats) ->
@@ -318,7 +320,6 @@ let test_flat_matches_reference () =
   in
   let _, plain_inst, plain = run_placer 1500 86 in
   compare "plain" plain_inst plain;
-  compare "plain, span 3" ~span:3 plain_inst plain;
   let inst, rep = island_design ~kind:Fbp_movebound.Movebound.Inclusive ~seed:82 1500 in
   compare "island" inst rep;
   compare "island, two sweeps" ~sweeps:2 inst rep;

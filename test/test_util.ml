@@ -218,17 +218,6 @@ let test_parallel_empty_and_small () =
   Alcotest.(check (array int)) "singleton" [| 7 |]
     (pool_map ~domains:4 (fun x -> x + 1) [| 6 |])
 
-let test_timer_monotone () =
-  let t = Timer.create () in
-  Timer.start t;
-  ignore (Sys.opaque_identity (Array.init 10000 (fun i -> i * i)));
-  Timer.stop t;
-  Alcotest.(check bool) "elapsed >= 0" true (Timer.elapsed t >= 0.0);
-  let before = Timer.elapsed t in
-  (* stopped timer does not advance *)
-  ignore (Sys.opaque_identity (Array.init 10000 (fun i -> i * i)));
-  check_float "frozen when stopped" before (Timer.elapsed t)
-
 let suite =
   [
     Alcotest.test_case "rng deterministic" `Quick test_rng_deterministic;
@@ -252,5 +241,4 @@ let suite =
     Alcotest.test_case "table formatters" `Quick test_table_formatters;
     Alcotest.test_case "parallel map = sequential" `Quick test_parallel_map_matches_sequential;
     Alcotest.test_case "parallel edge cases" `Quick test_parallel_empty_and_small;
-    Alcotest.test_case "timer" `Quick test_timer_monotone;
   ]

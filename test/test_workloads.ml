@@ -62,10 +62,8 @@ let test_scenarios_feasible () =
       let density = Fbp_core.Density.create d in
       match
         Fbp_movebound.Feasibility.check_instance
-          ~capacity_of:
-            (Some
-               (fun (r : Fbp_movebound.Regions.region) ->
-                 Fbp_core.Density.capacity_set density r.Fbp_movebound.Regions.area))
+          ~capacity_of:(fun (r : Fbp_movebound.Regions.region) ->
+            Fbp_core.Density.capacity_set density r.Fbp_movebound.Regions.area)
           inst
       with
       | Error e -> Alcotest.failf "%s: %s" sc.Mb_gen.design e
