@@ -6,6 +6,7 @@
      fbp_place place design.book --tool fbp --svg out.svg
      fbp_place place design.book --deadline 30 --strict
      fbp_place tables --table 2 --quick
+     fbp_place quality --seeds 0-4 --json q.json
 
    Failures exit with the typed error's class code (see
    Fbp_resilience.Fbp_error.exit_code): infeasible/capacity 2, parse 3,
@@ -102,7 +103,11 @@ let place_cmd =
     Arg.(value & opt int 0 & info [ "movebounds" ] ~doc:"Attach N movebounds first.")
   in
   let domains =
-    Arg.(value & opt int 1 & info [ "domains"; "j" ] ~doc:"Parallel domains (FBP).")
+    Arg.(value & opt int 1
+         & info [ "domains"; "j" ]
+           ~doc:"Parallel domains of an FBP run.  The comparators (rql, \
+                 kraftwerk) ignore it and run at the default budget, which \
+                 their record reports.")
   in
   let svg = Arg.(value & opt (some string) None & info [ "svg" ] ~doc:"Plot output.") in
   let deadline =
@@ -186,6 +191,7 @@ let place_cmd =
     | Error e -> finish Rec.empty (fail_typed e)
     | Ok d ->
       let inst = instance_of d ~movebounds in
+      let config = { Fbp_core.Config.default with domains; deadline; strict } in
       let provenance =
         {
           Rec.design = input;
@@ -195,12 +201,7 @@ let place_cmd =
           seed = None;
           tool = (match tool with `Fbp -> "fbp" | `Rql -> "rql" | `Kw -> "kraftwerk");
           config =
-            [ ("domains", string_of_int domains);
-              ("strict", string_of_bool strict);
-              ("sanitize", string_of_bool (Fbp_resilience.Sanitize.enabled ())) ]
-            @ (match deadline with
-               | Some dl -> [ ("deadline", Printf.sprintf "%g" dl) ]
-               | None -> []);
+            Fbp_workloads.Runner.provenance_config ~baseline:(tool <> `Fbp) config;
           host = None;  (* filled by Runner once the pool resolves *)
         }
       in
@@ -214,7 +215,6 @@ let place_cmd =
           Obs.span "cli.place"
             ~args:(fun () -> [ ("design", input) ])
             (fun () ->
-              let config = { Fbp_core.Config.default with domains; deadline; strict } in
               (* a comparator's record: its totals, density map and host *)
               let baseline result =
                 match result with
@@ -533,6 +533,93 @@ let fuzz_cmd =
              seed.")
     Term.(const run $ seed $ count $ matrix $ replay $ out_dir $ time_cap)
 
+(* ------------------------------------------------------------- quality *)
+
+(* "0-4" is 0 1 2 3 4; "0,3,7" lists them; "5" is one seed. *)
+let seeds_conv =
+  let parse s =
+    let ints l = List.map int_of_string_opt l in
+    let all l = if List.for_all Option.is_some l then Some (List.map Option.get l) else None in
+    match String.split_on_char '-' s with
+    | [ a; b ] -> (
+      match all (ints [ a; b ]) with
+      | Some [ lo; hi ] when lo <= hi -> Ok (List.init (hi - lo + 1) (fun i -> lo + i))
+      | _ -> Error (`Msg ("bad seed range " ^ s)))
+    | _ -> (
+      match all (ints (String.split_on_char ',' s)) with
+      | Some l -> Ok l
+      | None -> Error (`Msg ("bad seed list " ^ s)))
+  in
+  let print ppf l = Format.pp_print_string ppf (String.concat "," (List.map string_of_int l)) in
+  Arg.conv (parse, print)
+
+let quality_cmd =
+  let seeds =
+    Arg.(value & opt seeds_conv [ 0; 1; 2; 3; 4 ]
+         & info [ "seeds" ] ~docv:"SEEDS"
+           ~doc:"Seeds added to every design's generator seed: a range \
+                 ($(b,0-4), the default), a list ($(b,0,3)) or one seed.")
+  in
+  let quick =
+    Arg.(value & flag
+         & info [ "quick" ] ~doc:"Only the designs of the quick subset (dagmar, rabe, max).")
+  in
+  let json =
+    Arg.(value & opt (some string) None
+         & info [ "json" ] ~docv:"FILE"
+           ~doc:"Write the document to $(docv) (default: standard output).")
+  in
+  let paired =
+    Arg.(value & flag
+         & info [ "compare" ]
+           ~doc:"Compare two documents, $(i,BASE) then $(i,CANDIDATE): the \
+                 median and worst paired HPWL ratio, the runs worse by more \
+                 than 1% and 2%, the legal runs, and every legality or \
+                 violation regression (exit 1 when there is one).")
+  in
+  let docs = Arg.(value & pos_all string [] & info [] ~docv:"DOC") in
+  let module Q = Fbp_workloads.Quality in
+  let read path =
+    match In_channel.with_open_bin path In_channel.input_all with
+    | exception Sys_error msg -> Error (Err.Invalid_input msg)
+    | text -> (
+      match Q.of_string text with
+      | Ok runs -> Ok runs
+      | Error msg -> Error (Err.Parse_error { file = path; line = 0; msg }))
+  in
+  let run seeds quick json paired docs =
+    match (paired, docs) with
+    | true, [ a; b ] -> (
+      match (read a, read b) with
+      | Error e, _ | _, Error e -> fail_typed e
+      | Ok base, Ok cand ->
+        Printf.printf "quality: %s vs %s\n" a b;
+        let c = Q.compare ~base ~cand in
+        List.iter print_endline c.Q.lines;
+        if c.Q.regressions = 0 then 0 else 1)
+    | true, _ -> fail_typed (Err.Invalid_input "--compare takes two documents")
+    | false, _ :: _ -> fail_typed (Err.Invalid_input "documents are read only with --compare")
+    | false, [] -> (
+      match Q.to_string ~seeds (Q.runs ~quick ~seeds ()) with
+      | exception Err.Error e -> fail_typed e
+      | doc ->
+        (match json with
+         | Some f ->
+           Out_channel.with_open_bin f (fun oc -> output_string oc doc);
+           Printf.printf "wrote %s\n" f
+         | None -> print_string doc);
+        0)
+  in
+  Cmd.v
+    (Cmd.info "quality"
+       ~doc:"Paired quality runs: FBP at one domain over the 21 Table II \
+             designs and the 13 Table IV/V movebound scenarios at each seed, \
+             recording final and global HPWL, legality, movebound \
+             violations and degradations, with no timing (two runs give \
+             byte-identical documents); or, with $(b,--compare), the paired \
+             comparison of two such documents.")
+    Term.(const run $ seeds $ quick $ json $ paired $ docs)
+
 (* -------------------------------------------------------------- tables *)
 
 let tables_cmd =
@@ -601,5 +688,5 @@ let () =
     (Cmd.eval'
        (Cmd.group info
           [ generate_cmd; check_cmd; place_cmd; profile_cmd; fuzz_cmd;
-            report_cmd; diff_record_cmd; metrics_check_cmd; tables_cmd;
-            trace_check_cmd ]))
+            report_cmd; diff_record_cmd; metrics_check_cmd; quality_cmd;
+            tables_cmd; trace_check_cmd ]))

@@ -63,7 +63,7 @@ for span in place.level place.qp place.flow place.realization realization.wave \
     || { echo "trace missing span: $span"; exit 1; }
 done
 for metric in cg.iterations mcf.dijkstra_rounds mcf.priced_arcs transport.pivots \
-              realization.shipped_cells realization.wave_width \
+              qp.escaped_cells realization.shipped_cells realization.wave_width \
               realization.seq_s realization.scratches netmodel.triplets \
               legalize.scanned_intervals repartition.blocks \
               gc.major_collections gc.heap_words; do
@@ -240,6 +240,21 @@ if [ -n "$repro" ]; then
   [ "$replay_code" -eq 8 ] \
     || { echo "control repro must replay to the sanitizer exit (8), got $replay_code"; exit 1; }
 fi
+
+echo "== quality smoke (fbp_place quality: byte-identical reruns, self-compare at ratio 1)"
+# no timing enters the document, so two runs of the quick set at one seed
+# must be byte-identical, and a document compared with itself pairs every
+# run at HPWL ratio 1 with no regression
+$fbp quality --quick --seeds 0 --json "$tmp/quality1.json" >/dev/null \
+  || { echo "fbp_place quality failed"; exit 1; }
+$fbp quality --quick --seeds 0 --json "$tmp/quality2.json" >/dev/null \
+  || { echo "fbp_place quality failed on rerun"; exit 1; }
+cmp -s "$tmp/quality1.json" "$tmp/quality2.json" \
+  || { echo "quality documents differ between two runs"; exit 1; }
+$fbp quality --compare "$tmp/quality1.json" "$tmp/quality2.json" > "$tmp/quality-self.txt" \
+  || { echo "quality self-compare reported a regression:"; cat "$tmp/quality-self.txt"; exit 1; }
+grep -q "median 1.000, worst 1.000" "$tmp/quality-self.txt" \
+  || { echo "quality self-compare is not at ratio 1:"; cat "$tmp/quality-self.txt"; exit 1; }
 
 echo "== example figures (regenerates out/fig*.svg)"
 dune exec examples/figures.exe >/dev/null \

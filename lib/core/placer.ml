@@ -1,11 +1,14 @@
 (* The BonnPlace-FBP global placement driver.
 
    Multilevel loop: at level l the chip is divided into a 2^l x 2^l window
-   grid; a global QP (anchored to the previous level's realization) restores
-   connectivity, then the flow-based partitioning assigns cells to region
-   pieces respecting capacities and movebounds, and the realization turns
-   the flow into concrete positions.  Levels refine until windows are a few
-   rows tall; the result feeds the legalizer.
+   grid; a global QP restores connectivity, then the flow-based
+   partitioning assigns cells to region pieces respecting capacities and
+   movebounds, and the realization turns the flow into concrete positions.
+   From level 2 on, the QP starts from the previous level's realization and
+   keeps its partition: each (window, movebound class) group of cells
+   keeps its area-weighted centre of gravity (GORDIAN's constraints), and
+   weak anchors only condition the solve.  Levels refine until windows are
+   a few rows tall; the result feeds the legalizer.
 
    Every level records the Table I instrumentation: flow-model size (|V|,
    |E|), window and region-piece counts, and the wall-clock split between
@@ -134,10 +137,52 @@ let blit_placement ~(src : Placement.t) ~(dst : Placement.t) =
   Array.blit src.Placement.x 0 dst.Placement.x 0 (Array.length src.Placement.x);
   Array.blit src.Placement.y 0 dst.Placement.y 0 (Array.length src.Placement.y)
 
-(* The QP anchor weight of [level], 0.02 * 2.6^level: it grows 2.6-fold
+(* The QP anchor weight of [level], 0.01 * 2.6^level: it grows 2.6-fold
    per level, so each finer level's QP stays closer to the previous
-   level's realization. *)
-let anchor_weight level = 0.02 *. (2.6 ** float_of_int level)
+   level's realization.  The centre-of-gravity groups hold the partition,
+   so the anchors only condition CG. *)
+let anchor_weight level = 0.01 *. (2.6 ** float_of_int level)
+
+(* The centre-of-gravity groups of a level QP: one per (window of the
+   cell's previous piece, movebound class), numbered in order of first
+   cell, weighted by cell area.  Starting from the previous realization,
+   the QP keeps each group's realized centre of gravity. *)
+let window_groups (nl : Netlist.t) (grid : Grid.t) (piece_of_cell : int array) =
+  let n = Netlist.n_cells nl in
+  let n_classes = Array.fold_left max (-1) nl.Netlist.movebound + 2 in
+  let id = Array.make (Grid.n_windows grid * n_classes) (-1) in
+  let group = Array.make n (-1) and weight = Array.make n 0.0 in
+  let n_groups = ref 0 in
+  for c = 0 to n - 1 do
+    let p = piece_of_cell.(c) in
+    if (not nl.Netlist.fixed.(c)) && p >= 0 then begin
+      let key =
+        (grid.Grid.pieces.(p).Grid.window * n_classes) + nl.Netlist.movebound.(c) + 1
+      in
+      if id.(key) < 0 then begin
+        id.(key) <- !n_groups;
+        incr n_groups
+      end;
+      group.(c) <- id.(key);
+      weight.(c) <- Netlist.size nl c
+    end
+  done;
+  { Fbp_linalg.Cg.group; weight; n_groups = !n_groups }
+
+(* Movable cells whose position lies outside the window of their previous
+   piece: the cells a level QP moved across the partition. *)
+let escaped_cells (nl : Netlist.t) (grid : Grid.t) (piece_of_cell : int array)
+    (pos : Placement.t) =
+  let n = ref 0 in
+  for c = 0 to Netlist.n_cells nl - 1 do
+    let p = piece_of_cell.(c) in
+    if (not nl.Netlist.fixed.(c)) && p >= 0 then begin
+      let r = grid.Grid.windows.(grid.Grid.pieces.(p).Grid.window).Grid.rect in
+      let x = pos.Placement.x.(c) and y = pos.Placement.y.(c) in
+      if x < r.Rect.x0 || x > r.Rect.x1 || y < r.Rect.y0 || y > r.Rect.y1 then incr n
+    end
+  done;
+  !n
 
 (* Flow capacities are derated to this fraction of the free area, leaving
    legalization headroom; the placer drops the margin (to 1.0) for the
@@ -292,32 +337,41 @@ let place ?(config = Config.default) ?on_level ?fallback
                 | _ -> ()
               in
               let anchor_w = anchor_weight level in
-              (* QP anchored to the previous level's realization.  A diverged
-                 solve is restarted from the checkpoint with stronger anchors
-                 (safeguarded restart); a second divergence is fatal only in
-                 strict mode. *)
+              (* QP from the previous level's realization, keeping each of
+                 its (window, class) groups' centre of gravity, weakly
+                 anchored there; level 1 has no previous realization and
+                 skips the QP.  A diverged solve is restarted from the
+                 checkpoint with stronger anchors (safeguarded restart); a
+                 second divergence is fatal only in strict mode. *)
               let qp_stats, qp_time =
                 Fbp_util.Timer.time (fun () ->
                     Fbp_obs.Profiler.with_phase "qp" @@ fun () ->
                     Fbp_obs.Obs.span "place.qp"
                       ~args:(fun () -> [ ("level", string_of_int level) ])
                       (fun () ->
-                    if level > 1 then begin
+                    match !final_grid with
+                    | Some prev_grid ->
+                      let groups = window_groups nl prev_grid !piece_of_cell in
                       let solve w =
-                        Qp.solve_global config nl pos ~cache:qp_cache
+                        Qp.solve_global config nl pos ~cache:qp_cache ~groups
                           ~anchor:(fun c ->
                             Some (w, !anchor_pos.Placement.x.(c), w,
                                   !anchor_pos.Placement.y.(c))) ()
                       in
                       let s = solve anchor_w in
-                      if s.Qp.converged then s
-                      else begin
-                        degrade (Cg_restarted { level; stats = cg_stats_of s });
-                        blit_placement ~src:!anchor_pos ~dst:pos;
-                        solve (anchor_w *. cg_restart_factor)
-                      end
-                    end
-                    else
+                      let s =
+                        if s.Qp.converged then s
+                        else begin
+                          degrade (Cg_restarted { level; stats = cg_stats_of s });
+                          blit_placement ~src:!anchor_pos ~dst:pos;
+                          solve (anchor_w *. cg_restart_factor)
+                        end
+                      in
+                      if Fbp_obs.Obs.enabled () then
+                        Fbp_obs.Obs.count "qp.escaped_cells"
+                          ~n:(escaped_cells nl prev_grid !piece_of_cell pos);
+                      s
+                    | None ->
                       { Qp.vars = 0; cg_iterations = 0; residual = 0.0; converged = true }))
               in
               check_deadline ();

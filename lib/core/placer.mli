@@ -58,8 +58,12 @@ type report = {
   hpwl : float;
 }
 
-(** The QP anchor weight of a level: [0.02 *. 2.6 ** level].  The
-    recursive-bisection baseline shares the schedule. *)
+(** The QP anchor weight of a level: [0.01 *. 2.6 ** level].  From level
+    2 on, the level QP keeps the previous level's partition through
+    centre-of-gravity groups (one per window of a cell's previous piece
+    and movebound class, weighted by cell area), so the anchors only
+    condition CG.  The recursive-bisection baseline shares the
+    schedule. *)
 val anchor_weight : int -> float
 
 (** Planned number of refinement levels for a design under a config. *)

@@ -100,12 +100,14 @@ let iterates ?scratch (sys : Netmodel.system) (pos : Placement.t) =
    its own [Cg.solve]. *)
 let qp_seq_vars = 4096
 
-let solve_axes ?scratch ~stagnate ~max_iter ~tol (sys : Netmodel.system) x y =
+let solve_axes ?scratch ?groups ~stagnate ~max_iter ~tol (sys : Netmodel.system)
+    x y =
   Fbp_linalg.Cg.iterate2
     ?workspace:(Option.map (fun s -> s.cg) scratch)
-    ~stagnate ~max_iter ~tol sys.Netmodel.ax sys.Netmodel.bx x sys.Netmodel.by y
+    ?groups ~stagnate ~max_iter ~tol sys.Netmodel.ax sys.Netmodel.bx x
+    sys.Netmodel.by y
 
-let solve_system ?scratch (cfg : Config.t) (sys : Netmodel.system)
+let solve_system ?scratch ?groups (cfg : Config.t) (sys : Netmodel.system)
     (pos : Placement.t) =
   let nv = sys.Netmodel.n_vars in
   let x, y = iterates ?scratch sys pos in
@@ -117,17 +119,19 @@ let solve_system ?scratch (cfg : Config.t) (sys : Netmodel.system)
      so both axes' faults are drawn here first, x then y, on either path.
      Metrics are deferred and recorded after the join in fixed x-then-y
      order, keeping observation streams deterministic regardless of
-     interleaving. *)
+     interleaving.  Grouped or not, both paths run the same per-axis
+     iteration, so the bits do not depend on the path. *)
   let max_iter = cfg.Config.cg_max_iter and tol = cfg.Config.cg_tol in
   let domains = Config.effective_domains cfg in
   let stag_x = Fbp_linalg.Cg.draw_fault () in
   let stag_y = Fbp_linalg.Cg.draw_fault () in
   let sx, sy =
     if nv < qp_seq_vars || domains < 2 then
-      solve_axes ?scratch ~stagnate:(stag_x, stag_y) ~max_iter ~tol sys x y
+      solve_axes ?scratch ?groups ~stagnate:(stag_x, stag_y) ~max_iter ~tol sys x
+        y
     else begin
       let solve stagnate b v () =
-        Fbp_linalg.Cg.iterate ~stagnate ~max_iter ~tol sys.Netmodel.ax b v
+        Fbp_linalg.Cg.iterate ?groups ~stagnate ~max_iter ~tol sys.Netmodel.ax b v
       in
       Fbp_util.Pool.fork2 ~domains
         (solve stag_x sys.Netmodel.bx x)
@@ -165,9 +169,23 @@ let all_movable (nl : Netlist.t) =
   done;
   out
 
+(* Cell groups as groups of [sys]'s variables: a cell variable takes its
+   cell's group and weight, a star variable stays free.  Made per solve. *)
+let var_groups (sys : Netmodel.system) (g : Fbp_linalg.Cg.groups) =
+  let nv = sys.Netmodel.n_vars in
+  let group = Array.make nv (-1) and weight = Array.make nv 0.0 in
+  for v = 0 to nv - 1 do
+    let c = sys.Netmodel.cells.(v) in
+    if c >= 0 then begin
+      group.(v) <- g.Fbp_linalg.Cg.group.(c);
+      weight.(v) <- g.Fbp_linalg.Cg.weight.(c)
+    end
+  done;
+  { g with Fbp_linalg.Cg.group; weight }
+
 (* Global QP over every movable cell. *)
 let solve_global (cfg : Config.t) (nl : Netlist.t) (pos : Placement.t) ?cache
-    ~anchor () =
+    ?groups ~anchor () =
   Fbp_obs.Obs.span "qp.global"
     ~args:(fun () -> [ ("cells", string_of_int (Netlist.n_cells nl)) ])
     (fun () ->
@@ -176,7 +194,7 @@ let solve_global (cfg : Config.t) (nl : Netlist.t) (pos : Placement.t) ?cache
         Netmodel.assemble nl pos ?cache ~movable
           ~clique_max_degree:cfg.Config.clique_max_degree ~anchor ()
       in
-      solve_system cfg sys pos)
+      solve_system ?groups:(Option.map (var_groups sys) groups) cfg sys pos)
 
 (* Deduplicated, sorted ids of every net incident to [cells], read from
    the netlist's incidence, as the first entries of [scratch.buf]; returns

@@ -48,11 +48,12 @@ val iterates :
     the one shared matrix, on the calling domain, with [scratch]'s CG
     vectors (fresh ones otherwise).  [stagnate] holds the x and y faults
     the caller drew ({!Fbp_linalg.Cg.draw_fault}, x then y); no site is
-    polled here, so it may run on any domain.  Returns the x and the y
-    stats, unrecorded. *)
+    polled here, so it may run on any domain.  [groups] (over [sys]'s
+    variables) constrain both axes ({!Fbp_linalg.Cg.groups}).  Returns
+    the x and the y stats, unrecorded. *)
 val solve_axes :
-  ?scratch:scratch -> stagnate:bool * bool -> max_iter:int -> tol:float ->
-  Netmodel.system -> float array -> float array ->
+  ?scratch:scratch -> ?groups:Fbp_linalg.Cg.groups -> stagnate:bool * bool ->
+  max_iter:int -> tol:float -> Netmodel.system -> float array -> float array ->
   Fbp_linalg.Cg.stats * Fbp_linalg.Cg.stats
 
 (** Solve an assembled system, writing cell positions back into the
@@ -63,11 +64,13 @@ val solve_axes :
     variables, or at one domain, they run in lockstep ({!solve_axes},
     with [scratch]'s vectors); from 4096 variables on at two or more
     domains ({!Config.effective_domains}) they run concurrently on the
-    domain pool, one {!Fbp_linalg.Cg.iterate} each.
-    Metrics are recorded after the solves in fixed x-then-y order, so
-    observation streams stay deterministic. *)
+    domain pool, one {!Fbp_linalg.Cg.iterate} each.  [groups] (over
+    [sys]'s variables) constrain both axes on either path, with the same
+    bits.  Metrics are recorded after the solves in fixed x-then-y order,
+    so observation streams stay deterministic. *)
 val solve_system :
-  ?scratch:scratch -> Config.t -> Netmodel.system -> Placement.t -> stats
+  ?scratch:scratch -> ?groups:Fbp_linalg.Cg.groups -> Config.t ->
+  Netmodel.system -> Placement.t -> stats
 
 (** All movable cell ids of a netlist, ascending. *)
 val all_movable : Netlist.t -> int array
@@ -75,10 +78,14 @@ val all_movable : Netlist.t -> int array
 (** Global QP over every movable cell.  [cache] enables symbolic-structure
     reuse across rounds (see {!Netmodel.cache}).  [anchor] follows
     {!Netmodel.assemble}'s contract: equal x and y weights, or
-    [Invalid_argument]. *)
+    [Invalid_argument].  [groups] are centre-of-gravity groups over cell
+    ids (a fixed cell's entry is never read): each movable cell's
+    variable takes its cell's group and weight, star variables stay free,
+    and the solve keeps every group's weighted position sum at its value
+    in [pos] ({!Fbp_linalg.Cg.groups}). *)
 val solve_global :
   Config.t -> Netlist.t -> Placement.t ->
-  ?cache:Netmodel.cache ->
+  ?cache:Netmodel.cache -> ?groups:Fbp_linalg.Cg.groups ->
   anchor:(int -> (float * float * float * float) option) -> unit -> stats
 
 (** The local system over [cells], everything else fixed: the sorted,

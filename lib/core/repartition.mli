@@ -11,19 +11,10 @@ type stats = {
   time : float;
 }
 
-(** One sweep over all 2×2 blocks; updates positions and
-    [piece_of_cell] in place. *)
-val sweep :
-  Config.t ->
-  Fbp_movebound.Instance.t ->
-  Fbp_movebound.Regions.t ->
-  Grid.t ->
-  Fbp_netlist.Placement.t ->
-  piece_of_cell:int array ->
-  stats
-
 (** [refine cfg inst report] runs [sweeps] passes over a finished
-    {!Placer.place} report (no-op when the report has no final grid). *)
+    {!Placer.place} report (no-op when the report has no final grid).  A
+    pass is one sweep over all 2×2 window blocks; it updates the report's
+    positions and [piece_of_cell] in place. *)
 val refine :
   ?sweeps:int ->
   Config.t ->

@@ -11,13 +11,33 @@
     a reusable {!workspace}.  Each axis keeps its own recurrence, stop
     test and iteration count, and both functions run the same iteration
     body, so each axis of {!iterate2} is bit-identical to a {!solve} call
-    with the same arguments. *)
+    with the same arguments.
+
+    Every solve takes optional centre-of-gravity {!groups}: it then
+    minimizes ½xᵀAx − bᵀx subject to each group's Σ c_i x_i keeping its
+    starting value (projected CG: each preconditioned residual is
+    projected per group, so every search direction keeps the sums).  A
+    solve without groups runs the unconstrained iteration, bit for bit. *)
 
 type stats = {
   iterations : int;
-  residual : float;  (** final ||Ax − b|| / max(1, ||b||) *)
+  residual : float;
+      (** final ||Ax − b|| / max(1, ||b||); with groups, of the projected
+          residual r − Cᵀλ *)
   converged : bool;
 }
+
+(** Centre-of-gravity groups over a system's variables: variable [i]
+    belongs to group [group.(i)] ([< 0]: free) with weight [weight.(i)]
+    (the c_i); ids lie below [n_groups].  The arrays hold at least the
+    system's n entries (only the first n are read).  A grouped solve
+    projects the preconditioned residual z = D⁻¹r per group,
+    λ_g = Σ c_i z_i / Σ c_i² D⁻¹_ii and z_i −= D⁻¹_ii c_i λ_g, with the
+    group sums taken in index order on the calling domain, and stops on
+    ‖r − Cᵀλ‖ / max(1, ‖b‖).  A group whose weights all vanish is left
+    unconstrained.  Raises [Invalid_argument] for short arrays or an id
+    at or past [n_groups]. *)
+type groups = { group : int array; weight : float array; n_groups : int }
 
 (** [solve a b x] improves [x] in place toward A x = b.
     [max_iter] defaults to max(100, 2n) (as does any value <= 0); [tol]
@@ -26,10 +46,11 @@ type stats = {
     afterwards in a deterministic order.  Polls the
     {!Fbp_resilience.Inject.Cg} site once: [solve] is {!draw_fault}, then
     {!iterate}.  The vectors hold at least n entries (only the first n
-    are read or written); a shorter one raises [Invalid_argument]. *)
+    are read or written); a shorter one raises [Invalid_argument].  With
+    [groups], the solve keeps each group's Σ c_i x_i. *)
 val solve :
-  ?record:bool -> ?max_iter:int -> ?tol:float -> Csr.t -> float array ->
-  float array -> stats
+  ?record:bool -> ?groups:groups -> ?max_iter:int -> ?tol:float -> Csr.t ->
+  float array -> float array -> stats
 
 (** Poll the {!Fbp_resilience.Inject.Cg} site once, for one axis: [true]
     when that axis must stagnate; raises
@@ -43,10 +64,10 @@ val draw_fault : unit -> bool
     its fault already drawn: with [stagnate] it returns the stagnated
     stats and leaves [x] untouched.  Polls no site and records no
     metrics, so it may run on any domain.  Same [max_iter], [tol] and
-    length rules as {!solve}. *)
+    length and [groups] rules as {!solve}. *)
 val iterate :
-  stagnate:bool -> max_iter:int -> tol:float -> Csr.t -> float array ->
-  float array -> stats
+  ?groups:groups -> stagnate:bool -> max_iter:int -> tol:float -> Csr.t ->
+  float array -> float array -> stats
 
 (** Grow-only vectors of {!iterate2}: the inverse diagonal and four
     vectors per axis, reallocated only when a larger system arrives, and
@@ -69,11 +90,14 @@ val create_workspace : unit -> workspace
     stagnated stats and keeps its iterate.  [workspace] holds the vectors
     (a fresh one otherwise).  Polls no site and records no metrics, so it
     may run on any domain: call {!record_stats} on the x, then the y
-    stats.  Same [max_iter], [tol] and length rules as {!solve}. *)
+    stats.  [groups] constrain both axes, each keeping its own sums, so
+    each axis still equals a grouped {!solve} bit for bit; their
+    per-group arrays are made per call, never kept in [workspace].  Same
+    [max_iter], [tol], length and [groups] rules as {!solve}. *)
 val iterate2 :
-  ?workspace:workspace -> stagnate:bool * bool -> max_iter:int -> tol:float ->
-  Csr.t -> float array -> float array -> float array -> float array ->
-  stats * stats
+  ?workspace:workspace -> ?groups:groups -> stagnate:bool * bool ->
+  max_iter:int -> tol:float -> Csr.t -> float array -> float array ->
+  float array -> float array -> stats * stats
 
 (** Record the per-solve metrics ([cg.solves] / [cg.nonconverged] counters,
     [cg.iterations] histogram) for a solve run with [~record:false], by

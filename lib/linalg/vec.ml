@@ -185,3 +185,57 @@ let update_residual parts ~n ~alpha ap r d z =
   done;
   tree parts 0 0 k;
   tree parts 1 0 k
+
+(* r <- r - alpha * ap;  z <- d * r;  sums.(g) += c.(i) * z.(i) for each
+   i of a group g = group.(i) >= 0, in index order — the residual update
+   of a grouped CG step, whose dot products [project_dot2] then takes. *)
+let update_residual_sums ~n ~alpha ap r d z group c (sums : t) =
+  check2 "update_residual_sums" n ap r;
+  check2 "update_residual_sums" n d z;
+  check1 "update_residual_sums" n c;
+  if Array.length group < n then short "update_residual_sums";
+  for i = 0 to n - 1 do
+    let ri = Array.unsafe_get r i -. (alpha *. Array.unsafe_get ap i) in
+    Array.unsafe_set r i ri;
+    let zi = Array.unsafe_get d i *. ri in
+    Array.unsafe_set z i zi;
+    let g = Array.unsafe_get group i in
+    if g >= 0 then sums.(g) <- sums.(g) +. (Array.unsafe_get c i *. zi)
+  done
+
+let[@inline never] project_chunk (group : int array) (c : t) (lambda : t) (d : t)
+    (r : t) (z : t) (parts : float array) k lo hi =
+  let rz = ref 0.0 and rr = ref 0.0 in
+  for i = lo to hi - 1 do
+    let g = Array.unsafe_get group i in
+    let ri = Array.unsafe_get r i and zi = Array.unsafe_get z i in
+    if g >= 0 then begin
+      let l = Array.unsafe_get c i *. lambda.(g) in
+      let zi = zi -. (Array.unsafe_get d i *. l) and ri = ri -. l in
+      Array.unsafe_set z i zi;
+      rz := !rz +. (ri *. zi);
+      rr := !rr +. (ri *. ri)
+    end
+    else begin
+      rz := !rz +. (ri *. zi);
+      rr := !rr +. (ri *. ri)
+    end
+  done;
+  parts.(2 * k) <- !rz;
+  parts.((2 * k) + 1) <- !rr
+
+(* For i in a group g = group.(i) >= 0, with l = c.(i) * lambda.(g):
+   z.(i) <- z.(i) - d.(i) * l and r^_i = r.(i) - l; elsewhere r^_i =
+   r.(i).  r^.z into [parts.(0)] and r^.r^ into [parts.(1)], in one
+   sweep: CG's centre-of-gravity projection.  [lambda] is read with a
+   bounds check, so a group id past it raises. *)
+let project_dot2 parts ~n group c lambda d r z =
+  if n < 0 || Array.length group < n then short "project_dot2";
+  check2 "project_dot2" n c d;
+  check2 "project_dot2" n r z;
+  let k = chunks "project_dot2" parts n in
+  for ch = 0 to k - 1 do
+    project_chunk group c lambda d r z parts ch (ch * n / k) ((ch + 1) * n / k)
+  done;
+  tree parts 0 0 k;
+  tree parts 1 0 k

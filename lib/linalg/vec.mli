@@ -64,3 +64,21 @@ val precond_dot2 : float array -> n:int -> t -> t -> t -> unit
     pass for the whole CG residual update. *)
 val update_residual :
   float array -> n:int -> alpha:float -> t -> t -> t -> t -> unit
+
+(** [update_residual_sums ~n ~alpha ap r d group c sums]: r <- r -
+    alpha*ap and z <- d*r, as {!update_residual} computes them, and for
+    each [i] of a group [g = group.(i) >= 0], sums.(g) += c.(i) * z.(i),
+    in index order (a group id past [sums] raises).  No reduction: the
+    grouped CG step takes its dot products from {!project_dot2}. *)
+val update_residual_sums :
+  n:int -> alpha:float -> t -> t -> t -> t -> int array -> t -> t -> unit
+
+(** [project_dot2 parts ~n group c lambda d r z]: for each [i] with
+    [g = group.(i) >= 0] and [l = c.(i) *. lambda.(g)],
+    z.(i) <- z.(i) - d.(i)*l and r^_i = r.(i) - l; elsewhere r^_i = r.(i)
+    and z.(i) is kept.  r^.z into [parts.(0)] and r^.r^ into [parts.(1)],
+    in one sweep (CG's centre-of-gravity projection; [r] is read, not
+    written).  Raises [Invalid_argument] when a group id reaches past
+    [lambda]. *)
+val project_dot2 :
+  float array -> n:int -> int array -> t -> t -> t -> t -> t -> unit

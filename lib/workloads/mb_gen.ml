@@ -58,6 +58,13 @@ let table5_designs = [ "rabe"; "ashraf"; "erhard"; "andre"; "erik" ]
 
 let shape_count = function Islands n | Flatten n | Overlapping n -> n
 
+(* Exclusive movebounds must not tile the chip (they are blockages to
+   everyone else), so Table V runs a scenario's bounds as disjoint
+   islands; the paper likewise notes that the nested/overlapping designs
+   are infeasible in the exclusive case. *)
+let exclusive_variant sc =
+  { sc with shape = Islands (shape_count sc.shape); kind = Fbp_movebound.Movebound.Exclusive }
+
 let is_overlapping = function Overlapping _ -> true | Islands _ | Flatten _ -> false
 let is_flattened = function Flatten _ | Overlapping _ -> true | Islands _ -> false
 

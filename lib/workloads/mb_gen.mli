@@ -22,6 +22,10 @@ val table3_scenarios : scenario list
 val table5_designs : string list
 
 val shape_count : shape -> int
+
+(** A scenario's Table V form: its bounds as that many disjoint islands,
+    exclusive. *)
+val exclusive_variant : scenario -> scenario
 val is_overlapping : shape -> bool
 
 (** Attach a scenario to a design (mutates the netlist's movebound column);

@@ -229,5 +229,20 @@ let run_baseline ~tool place (inst : Fbp_movebound.Instance.t) =
 
 let run_rql inst = run_baseline ~tool:"RQL (repro)" Fbp_baselines.Rql.place inst
 
+(* A comparator ignores the caller's config and runs under
+   [Config.default], so its record names the domains that budget gives. *)
+let provenance_config ~baseline (config : Fbp_core.Config.t) =
+  let domains =
+    if baseline then Fbp_core.Config.effective_domains Fbp_core.Config.default
+    else config.Fbp_core.Config.domains
+  in
+  [ ("domains", string_of_int domains);
+    ("strict", string_of_bool config.Fbp_core.Config.strict);
+    ("sanitize", string_of_bool (Fbp_resilience.Sanitize.enabled ())) ]
+  @
+  match config.Fbp_core.Config.deadline with
+  | Some dl -> [ ("deadline", Printf.sprintf "%g" dl) ]
+  | None -> []
+
 let run_kraftwerk inst =
   run_baseline ~tool:"Kraftwerk2 (repro)" Fbp_baselines.Kraftwerk.place inst

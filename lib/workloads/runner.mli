@@ -47,6 +47,16 @@ val run_rql :
 val run_kraftwerk :
   Fbp_movebound.Instance.t -> (metrics, Fbp_resilience.Fbp_error.t) result
 
+(** The [config] entries of a run's provenance, in emission order: the
+    domain count, strictness, whether the sanitizer is on, and the
+    deadline when [config] sets one.  An FBP run ([~baseline:false])
+    records [config]'s [domains]; a comparator ([~baseline:true]) ignores
+    [config] and runs under {!Fbp_core.Config.default}, so it records
+    {!Fbp_core.Config.effective_domains} of that default, the count its
+    host section reports. *)
+val provenance_config :
+  baseline:bool -> Fbp_core.Config.t -> (string * string) list
+
 (** [record_outcome inst m record] fills [record]'s totals from [m], its
     24×24 density map from [m.placement], and its provenance's host from
     [config] (default {!Fbp_core.Config.default}, the configuration the

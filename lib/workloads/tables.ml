@@ -274,17 +274,13 @@ let table4 ?(scenarios = Mb_gen.table3_scenarios) () =
     rows )
 
 let table5 ?(designs = Mb_gen.table5_designs) () =
-  (* Exclusive movebounds must not tile the chip (they are blockages to
-     everyone else), so Table V runs each design's scenario with the bounds
-     turned into disjoint *islands* — the paper likewise notes that the
-     nested/overlapping designs are infeasible in the exclusive case. *)
+  (* each design's scenario with its bounds as exclusive islands *)
   let scenarios =
     List.filter_map
       (fun name ->
         List.find_opt (fun (sc : Mb_gen.scenario) -> sc.Mb_gen.design = name)
           Mb_gen.table3_scenarios
-        |> Option.map (fun (sc : Mb_gen.scenario) ->
-               { sc with Mb_gen.shape = Mb_gen.Islands (Mb_gen.shape_count sc.Mb_gen.shape) }))
+        |> Option.map Mb_gen.exclusive_variant)
       designs
   in
   let rows = run_movebound_rows ~kind:Fbp_movebound.Movebound.Exclusive scenarios in

@@ -351,6 +351,198 @@ let test_cg_lockstep_equals_two_solves () =
        (random_vec rng m 20.0) (random_vec rng m 1.0) (random_vec rng m 0.5)
        (random_vec rng m 1.0))
 
+(* FNV-1a over the bits of every lockstep case above (same generator, same
+   order), each axis's iterate and stats.  Pinned: a solve without groups
+   keeps the bits it had before the centre-of-gravity projection existed. *)
+let lockstep_digest () =
+  let h = ref 0xcbf29ce484222325L in
+  let mix v =
+    h := Int64.mul (Int64.logxor !h v) 0x100000001b3L
+  in
+  let run ?workspace ?(max_iter = 0) a bx x0 by y0 =
+    let x = Array.copy x0 and y = Array.copy y0 in
+    let sx, sy =
+      Cg.iterate2 ?workspace ~stagnate:(false, false) ~max_iter ~tol:1e-9 a bx x
+        by y
+    in
+    List.iter
+      (fun ((st : Cg.stats), v) ->
+        mix (Int64.of_int st.Cg.iterations);
+        mix (bits st.Cg.residual);
+        Array.iter (fun f -> mix (bits f)) v)
+      [ (sx, x); (sy, y) ]
+  in
+  let rng = Fbp_util.Rng.create 97 in
+  let n = 60 in
+  let a = random_laplacian rng n in
+  let zero = Array.make n 0.0 in
+  let bx = random_vec rng n 50.0 and by = random_vec rng n 1e-6 in
+  let x0 = random_vec rng n 3.0 in
+  run a bx x0 by zero;
+  run a bx x0 zero zero;
+  run a zero zero by zero;
+  run ~max_iter:25 a bx x0 by zero;
+  let workspace = Cg.create_workspace () in
+  run ~workspace a bx x0 by zero;
+  let m = 23 in
+  let small = random_laplacian rng m in
+  run ~workspace small (random_vec rng m 20.0) (random_vec rng m 1.0)
+    (random_vec rng m 0.5) (random_vec rng m 1.0);
+  !h
+
+let test_cg_lockstep_bits_pinned () =
+  Alcotest.(check int64) "lockstep bits" 590127063039809696L (lockstep_digest ())
+
+(* ---------- centre-of-gravity groups ---------- *)
+
+(* [a]'s dense matrix, column by column. *)
+let dense_of a n =
+  let m = Array.make_matrix n n 0.0 in
+  let e = Array.make n 0.0 and col = Array.make n 0.0 in
+  for j = 0 to n - 1 do
+    e.(j) <- 1.0;
+    Csr.mul a e col;
+    e.(j) <- 0.0;
+    for i = 0 to n - 1 do
+      m.(i).(j) <- col.(i)
+    done
+  done;
+  m
+
+(* Gaussian elimination with partial pivoting: the KKT matrix is
+   symmetric but indefinite. *)
+let dense_solve m rhs =
+  let k = Array.length rhs in
+  let m = Array.map Array.copy m and v = Array.copy rhs in
+  for c = 0 to k - 1 do
+    let piv = ref c in
+    for r = c + 1 to k - 1 do
+      if Float.abs m.(r).(c) > Float.abs m.(!piv).(c) then piv := r
+    done;
+    let t = m.(c) in
+    m.(c) <- m.(!piv);
+    m.(!piv) <- t;
+    let t = v.(c) in
+    v.(c) <- v.(!piv);
+    v.(!piv) <- t;
+    for r = c + 1 to k - 1 do
+      let f = m.(r).(c) /. m.(c).(c) in
+      if f <> 0.0 then begin
+        for j = c to k - 1 do
+          m.(r).(j) <- m.(r).(j) -. (f *. m.(c).(j))
+        done;
+        v.(r) <- v.(r) -. (f *. v.(c))
+      end
+    done
+  done;
+  for c = k - 1 downto 0 do
+    let acc = ref v.(c) in
+    for j = c + 1 to k - 1 do
+      acc := !acc -. (m.(c).(j) *. v.(j))
+    done;
+    v.(c) <- !acc /. m.(c).(c)
+  done;
+  v
+
+(* Random groups over [n] variables: about a fifth free, the rest spread
+   over [n_groups] groups with weights in [0.5, 4]; every group gets at
+   least one variable. *)
+let random_groups rng n =
+  let n_groups = 1 + Fbp_util.Rng.int rng (max 1 (n / 3)) in
+  let group =
+    Array.init n (fun i ->
+        if i < n_groups then i
+        else if Fbp_util.Rng.int rng 5 = 0 then -1
+        else Fbp_util.Rng.int rng n_groups)
+  in
+  let weight = Array.init n (fun _ -> Fbp_util.Rng.range rng 0.5 4.0) in
+  { Cg.group; weight; n_groups }
+
+let group_sums (g : Cg.groups) x =
+  let s = Array.make g.Cg.n_groups 0.0 and scale = Array.make g.Cg.n_groups 0.0 in
+  Array.iteri
+    (fun i k ->
+      if k >= 0 then begin
+        s.(k) <- s.(k) +. (g.Cg.weight.(i) *. x.(i));
+        scale.(k) <- scale.(k) +. Float.abs (g.Cg.weight.(i) *. x.(i))
+      end)
+    g.Cg.group;
+  (s, scale)
+
+(* Projected CG equals the dense KKT solve of
+   [A C'; C 0] [x; lambda] = [b; C x0] to 1e-8 relative, keeps every
+   group's sum to 1e-12 of its scale, and its lockstep run equals two
+   grouped solves bit for bit. *)
+let test_cg_groups_match_kkt () =
+  let rng = Fbp_util.Rng.create 2024 in
+  for trial = 1 to 40 do
+    let n = 4 + Fbp_util.Rng.int rng 45 in
+    let a = random_laplacian rng n in
+    let g = random_groups rng n in
+    let m = g.Cg.n_groups in
+    let b = random_vec rng n 10.0 and x0 = random_vec rng n 5.0 in
+    let x = Array.copy x0 in
+    let st = Cg.solve ~record:false ~groups:g ~tol:1e-13 ~max_iter:(20 * n) a b x in
+    if not st.Cg.converged then
+      Alcotest.failf "trial %d (n = %d): no convergence, residual %g" trial n
+        st.Cg.residual;
+    let ad = dense_of a n in
+    let kkt = Array.make_matrix (n + m) (n + m) 0.0 in
+    let rhs = Array.make (n + m) 0.0 in
+    for i = 0 to n - 1 do
+      Array.blit ad.(i) 0 kkt.(i) 0 n;
+      rhs.(i) <- b.(i);
+      let k = g.Cg.group.(i) in
+      if k >= 0 then begin
+        kkt.(i).(n + k) <- g.Cg.weight.(i);
+        kkt.(n + k).(i) <- g.Cg.weight.(i);
+        rhs.(n + k) <- rhs.(n + k) +. (g.Cg.weight.(i) *. x0.(i))
+      end
+    done;
+    let sol = dense_solve kkt rhs in
+    let err = ref 0.0 and big = ref 1.0 in
+    for i = 0 to n - 1 do
+      err := Float.max !err (Float.abs (x.(i) -. sol.(i)));
+      big := Float.max !big (Float.abs sol.(i))
+    done;
+    if !err /. !big > 1e-8 then
+      Alcotest.failf "trial %d (n = %d, %d groups): off the KKT solution by %g" trial
+        n m (!err /. !big);
+    let s0, scale = group_sums g x0 and s1, _ = group_sums g x in
+    Array.iteri
+      (fun k s ->
+        if Float.abs (s1.(k) -. s) > 1e-12 *. Float.max 1.0 scale.(k) then
+          Alcotest.failf "trial %d: group %d's sum moved from %h to %h" trial k s
+            s1.(k))
+      s0;
+    (* lockstep: each axis equals its own grouped solve, bit for bit *)
+    let by = random_vec rng n 1e-3 and y0 = random_vec rng n 2.0 in
+    let x' = Array.copy x0 and y' = Array.copy y0 in
+    let sx, sy =
+      Cg.iterate2 ~groups:g ~stagnate:(false, false) ~max_iter:(20 * n) ~tol:1e-9 a
+        b x' by y'
+    in
+    let alone rhs v0 =
+      let v = Array.copy v0 in
+      let st = Cg.solve ~record:false ~groups:g ~max_iter:(20 * n) ~tol:1e-9 a rhs v in
+      (st, v)
+    in
+    check_axis (Printf.sprintf "trial %d grouped x" trial) (sx, x') (alone b x0);
+    check_axis (Printf.sprintf "trial %d grouped y" trial) (sy, y') (alone by y0)
+  done;
+  (* every variable a singleton group: nothing may move *)
+  let n = 12 in
+  let a = random_laplacian rng n in
+  let g = { Cg.group = Array.init n Fun.id; weight = Array.make n 1.0; n_groups = n } in
+  let x0 = random_vec rng n 1.0 in
+  let x = Array.copy x0 in
+  let st = Cg.solve ~record:false ~groups:g a (random_vec rng n 5.0) x in
+  Alcotest.(check int) "pinned: done at iteration 0" 0 st.Cg.iterations;
+  Alcotest.(check (array (float 0.0))) "pinned: nothing moved" x0 x;
+  match Cg.solve ~groups:{ g with Cg.n_groups = 3 } a x0 (Array.copy x0) with
+  | exception Invalid_argument _ -> ()
+  | _ -> Alcotest.fail "a group id past n_groups was accepted"
+
 (* ---------- reductions into caller-owned partials ---------- *)
 
 (* The reductions as they were while each call made its own partials: a
@@ -519,6 +711,8 @@ let suite =
     Prop.qcheck prop_csr_mul_matches_dense;
     Alcotest.test_case "cg lockstep equals two solves" `Quick
       test_cg_lockstep_equals_two_solves;
+    Alcotest.test_case "cg lockstep bits pinned" `Quick test_cg_lockstep_bits_pinned;
+    Alcotest.test_case "cg groups match dense kkt" `Quick test_cg_groups_match_kkt;
     Alcotest.test_case "vec reductions into partials" `Quick
       test_vec_reductions_into_partials;
     Alcotest.test_case "cg allocation budget" `Quick test_cg_allocation_budget;

@@ -137,48 +137,96 @@ let test_kernels_stay_on_caller () =
       Alcotest.(check bool) "cg converged" true st.Fbp_linalg.Cg.converged;
       Alcotest.(check int64) "dot in the chunk-tree shape" (bits expected) (bits dot))
 
+(* Centre-of-gravity groups like the level QP's, over a 4 x 4 window
+   grid of [pos]: one group per window, weighted by cell area. *)
+let window_groups (d : Design.t) (pos : Placement.t) =
+  let nl = d.Design.netlist and chip = d.Design.chip in
+  let cell v lo hi = min 3 (max 0 (int_of_float (4.0 *. (v -. lo) /. (hi -. lo)))) in
+  let n = Netlist.n_cells nl in
+  let group =
+    Array.init n (fun c ->
+        if nl.Netlist.fixed.(c) then -1
+        else
+          (4 * cell pos.Placement.y.(c) chip.Fbp_geometry.Rect.y0 chip.Fbp_geometry.Rect.y1)
+          + cell pos.Placement.x.(c) chip.Fbp_geometry.Rect.x0 chip.Fbp_geometry.Rect.x1)
+  in
+  { Fbp_linalg.Cg.group; weight = Array.init n (Netlist.size nl); n_groups = 16 }
+
+(* Each group's weighted coordinate sum, x then y. *)
+let group_sums (g : Fbp_linalg.Cg.groups) (pos : Placement.t) =
+  let s = Array.make (2 * g.Fbp_linalg.Cg.n_groups) 0.0 in
+  Array.iteri
+    (fun c k ->
+      if k >= 0 then begin
+        let w = g.Fbp_linalg.Cg.weight.(c) in
+        s.(2 * k) <- s.(2 * k) +. (w *. pos.Placement.x.(c));
+        s.((2 * k) + 1) <- s.((2 * k) + 1) +. (w *. pos.Placement.y.(c))
+      end)
+    g.Fbp_linalg.Cg.group;
+  s
+
 (* [Config.domains] bounds every region a placement opens, the global QP's
    x/y fork included: at one domain a system of 4096 or more variables
    solves on the caller whatever the pool default, and at two (unclamped)
-   the fork is the only dispatch. *)
+   the fork is the only dispatch.  The same holds with centre-of-gravity
+   groups, which keep their sums on either path. *)
 let test_config_domains_bound_global_qp () =
   let d = Generator.quick ~seed:9 ~name:"qp" 5000 in
   let nl = d.Design.netlist in
-  let dispatches domains =
+  let groups = window_groups d d.Design.initial in
+  let dispatches ?groups domains =
     with_domains 4 (fun () ->
         let pos = Placement.copy d.Design.initial in
         let d0 = Pool.n_dispatches () in
         let st =
           Qp.solve_global { Config.default with domains; hw_clamp = false } nl pos
-            ~anchor:(fun _ -> None) ()
+            ?groups ~anchor:(fun _ -> None) ()
         in
         Alcotest.(check bool) "at least 4096 variables" true (st.Qp.vars >= 4096);
+        Alcotest.(check bool) "converged" true st.Qp.converged;
         (Pool.n_dispatches () - d0, pos))
   in
-  let one, p1 = dispatches 1 and two, p2 = dispatches 2 in
-  Alcotest.(check int) "domains = 1: no dispatch" 0 one;
-  Alcotest.(check int) "domains = 2: the fork only" 1 two;
-  Alcotest.(check (array (float 0.0))) "x bit-identical" p1.Placement.x p2.Placement.x;
-  Alcotest.(check (array (float 0.0))) "y bit-identical" p1.Placement.y p2.Placement.y
+  let check ctx (one, p1) (two, p2) =
+    Alcotest.(check int) (ctx ^ "domains = 1: no dispatch") 0 one;
+    Alcotest.(check int) (ctx ^ "domains = 2: the fork only") 1 two;
+    Alcotest.(check (array (float 0.0))) (ctx ^ "x bit-identical") p1.Placement.x
+      p2.Placement.x;
+    Alcotest.(check (array (float 0.0))) (ctx ^ "y bit-identical") p1.Placement.y
+      p2.Placement.y
+  in
+  let free1 = dispatches 1 in
+  check "" free1 (dispatches 2);
+  let grouped1 = dispatches ~groups 1 in
+  check "grouped: " grouped1 (dispatches ~groups 2);
+  let s0 = group_sums groups d.Design.initial
+  and s1 = group_sums groups (snd grouped1) in
+  Array.iteri
+    (fun k s ->
+      if Float.abs (s1.(k) -. s) > 1e-9 *. Float.max 1.0 (Float.abs s) then
+        Alcotest.failf "group sum %d moved from %g to %g" k s s1.(k))
+    s0;
+  Alcotest.(check bool) "the groups change the solution" false
+    ((snd free1).Placement.x = (snd grouped1).Placement.x)
 
 (* The global QP's x ‖ y fork draws both axes' Cg faults on the calling
    domain before it forks, x then y, as the lockstep solve draws them:
    armed to skip one hit and fire once, the fault stagnates the y axis
    (its positions stay put) at one domain and at two, the site counts two
-   hits per solve, and the positions agree bit for bit. *)
+   hits per solve, and the positions agree bit for bit; with
+   centre-of-gravity groups (the level QP's path) as without. *)
 let test_global_qp_faults_drawn_before_fork () =
   let module Inject = Fbp_resilience.Inject in
   let d = Generator.quick ~seed:9 ~name:"qp" 5000 in
   let nl = d.Design.netlist in
   let init = d.Design.initial in
-  let run domains =
+  let run ?groups domains =
     with_domains 4 (fun () ->
         Fun.protect ~finally:Inject.reset (fun () ->
             Inject.arm ~after:1 ~times:1 Inject.Cg Inject.Stagnate;
             let pos = Placement.copy init in
             let solve () =
               Qp.solve_global { Config.default with domains; hw_clamp = false }
-                nl pos ~anchor:(fun _ -> None) ()
+                nl pos ?groups ~anchor:(fun _ -> None) ()
             in
             let st = solve () in
             Alcotest.(check bool) "at least 4096 variables" true (st.Qp.vars >= 4096);
@@ -192,9 +240,14 @@ let test_global_qp_faults_drawn_before_fork () =
             Alcotest.(check int) "two more for the second" 4 (Inject.hits Inject.Cg);
             pos))
   in
-  let p1 = run 1 and p2 = run 2 in
-  Alcotest.(check (array (float 0.0))) "x bit-identical" p1.Placement.x p2.Placement.x;
-  Alcotest.(check (array (float 0.0))) "y bit-identical" p1.Placement.y p2.Placement.y
+  List.iter
+    (fun groups ->
+      let p1 = run ?groups 1 and p2 = run ?groups 2 in
+      Alcotest.(check (array (float 0.0))) "x bit-identical" p1.Placement.x
+        p2.Placement.x;
+      Alcotest.(check (array (float 0.0))) "y bit-identical" p1.Placement.y
+        p2.Placement.y)
+    [ None; Some (window_groups d init) ]
 
 (* Realization draws each node's CG x, CG y and transport faults on the
    coordinating domain, in node order, before the wave runs, and hands

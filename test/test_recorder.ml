@@ -476,14 +476,36 @@ let test_failed_run_keeps_levels () =
    density map, host), so diff-record compares two RQL runs: against
    itself it is clean, against a larger design's run it flags the HPWL. *)
 let test_baseline_record_gates () =
+  (* a comparator ignores the caller's domains: its provenance names the
+     default budget it ran at, whatever [place --domains] said *)
+  let asked = { Fbp_core.Config.default with domains = 7; strict = true } in
+  let config = Fbp_workloads.Runner.provenance_config ~baseline:true asked in
+  let ran = Fbp_core.Config.effective_domains Fbp_core.Config.default in
+  Alcotest.(check (list (pair string string))) "rql provenance"
+    [ ("domains", string_of_int ran); ("strict", "true"); ("sanitize", "false") ]
+    config;
+  Alcotest.(check (list (pair string string))) "fbp provenance keeps the flag"
+    [ ("domains", "7"); ("strict", "true"); ("sanitize", "false");
+      ("deadline", "2.5") ]
+    (Fbp_workloads.Runner.provenance_config ~baseline:false
+       { asked with deadline = Some 2.5 });
   let rql ~seed cells =
     let d = Fbp_netlist.Generator.quick ~seed ~name:"rec_rql" cells in
     let inst = Fbp_movebound.Instance.unconstrained d in
+    let unrecorded =
+      { R.empty with provenance = { R.empty.R.provenance with R.config } }
+    in
     match Fbp_workloads.Runner.run_rql inst with
     | Error e -> placer_failed e
-    | Ok m -> (m, Fbp_workloads.Runner.record_outcome inst m R.empty)
+    | Ok m -> (m, Fbp_workloads.Runner.record_outcome inst m unrecorded)
   in
   let m, base = rql ~seed:7 600 in
+  (match base.R.provenance.R.host with
+   | None -> Alcotest.fail "baseline record has no host"
+   | Some h ->
+     Alcotest.(check string) "provenance domains = host eff_domains"
+       (string_of_int h.R.eff_domains)
+       (List.assoc "domains" base.R.provenance.R.config));
   (match base.R.totals with
    | None -> Alcotest.fail "baseline record has no totals"
    | Some t ->

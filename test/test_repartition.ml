@@ -103,8 +103,8 @@ let test_runner_reflow_ablation () =
    its transportation problem names its counts): cells per piece in lists
    updated on every move, the block's pieces and cells as lists, costs
    from [Rect_set.dist_l1_point] at a [Point] per cell, and a [Point] per
-   projection.  The reference that [Repartition.sweep] must reproduce bit
-   for bit. *)
+   projection.  The reference that each [Repartition.refine] pass must
+   reproduce bit for bit. *)
 module Reference = struct
   open Fbp_geometry
   open Fbp_netlist

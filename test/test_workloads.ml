@@ -151,6 +151,53 @@ let test_runner_rql_metrics () =
     Alcotest.(check bool) "legal" true m.Runner.legal;
     Alcotest.(check bool) "hpwl positive" true (m.Runner.hpwl > 0.0)
 
+(* The quality document is a pure function of the runs: two runs of the
+   quick set give the same bytes, the document parses back to the same
+   runs, a self-compare pairs every run at ratio 1 with no regression, and
+   a candidate that loses legality, gains a violation or fails is
+   counted, while HPWL 3% worse is listed but is no regression. *)
+let test_quality_document () =
+  let runs () = Quality.runs ~quick:true ~seeds:[ 0 ] () in
+  let a = runs () in
+  Alcotest.(check int) "3 designs, 1 inclusive and 1 exclusive scenario" 5
+    (List.length a);
+  let doc = Quality.to_string ~seeds:[ 0 ] a in
+  Alcotest.(check string) "byte-identical rerun" doc
+    (Quality.to_string ~seeds:[ 0 ] (runs ()));
+  let back =
+    match Quality.of_string doc with
+    | Ok r -> r
+    | Error msg -> Alcotest.failf "document does not parse back: %s" msg
+  in
+  Alcotest.(check string) "round trip" doc (Quality.to_string ~seeds:[ 0 ] back);
+  let self = Quality.compare ~base:a ~cand:back in
+  Alcotest.(check int) "self: no regression" 0 self.Quality.regressions;
+  Alcotest.(check bool) "self: median and worst ratio 1" true
+    (List.exists
+       (String.starts_with
+          ~prefix:"hpwl ratio (candidate / base): median 1.000, worst 1.000")
+       self.Quality.lines);
+  let with_outcome f (r : Quality.run) =
+    match r.Quality.outcome with
+    | Ok o -> { r with Quality.outcome = Ok (f o) }
+    | Error _ -> Alcotest.fail "a quick run failed"
+  in
+  let cand =
+    List.mapi
+      (fun j (r : Quality.run) ->
+        match j with
+        | 0 -> with_outcome (fun o -> { o with Quality.hpwl = 1.03 *. o.Quality.hpwl }) r
+        | 1 -> with_outcome (fun o -> { o with Quality.legal = false }) r
+        | 2 -> with_outcome (fun o -> { o with Quality.violations = o.Quality.violations + 1 }) r
+        | 3 -> { r with Quality.outcome = Error "boom" }
+        | _ -> r)
+      a
+  in
+  let c = Quality.compare ~base:a ~cand in
+  Alcotest.(check int) "illegal, violation and failure regress" 3 c.Quality.regressions;
+  Alcotest.(check bool) "3% worse is counted above 2%" true
+    (List.mem "worse by > 1%: 1, by > 2%: 1" c.Quality.lines)
+
 let suite =
   [
     Alcotest.test_case "specs complete" `Quick test_specs_complete;
@@ -165,4 +212,5 @@ let suite =
       test_density_penalty_zero_when_spread;
     Alcotest.test_case "runner fbp metrics" `Slow test_runner_fbp_metrics;
     Alcotest.test_case "runner rql metrics" `Quick test_runner_rql_metrics;
+    Alcotest.test_case "quality document" `Quick test_quality_document;
   ]
