@@ -58,12 +58,13 @@ type report = {
   hpwl : float;
 }
 
-(** The QP anchor weight of a level: [0.01 *. 2.6 ** level].  From level
-    2 on, the level QP keeps the previous level's partition through
-    centre-of-gravity groups (one per window of a cell's previous piece
-    and movebound class, weighted by cell area), so the anchors only
-    condition CG.  The recursive-bisection baseline shares the
-    schedule. *)
+(** The anchor weight of a level QP without centre-of-gravity groups:
+    [0.02 *. 2.6 ** level].  From level 2 on, an instance without
+    movebounds solves its level QP with one group per window of a cell's
+    previous piece (weighted by cell area), keeping the previous level's
+    partition, under one anchor weight for every level; an instance with
+    movebounds solves it unconstrained with this schedule.  The
+    recursive-bisection baseline shares the schedule. *)
 val anchor_weight : int -> float
 
 (** Planned number of refinement levels for a design under a config. *)

@@ -22,17 +22,18 @@
    equal a [solve] call's bit for bit.  When one axis stops, the other
    goes on with [Csr.mul].
 
-   Centre-of-gravity groups turn each solve into an equality-constrained
-   one: minimize 1/2 x'Ax - b'x subject to C x = C x0, where row g of C
-   holds the weights c_i of group g's variables (GORDIAN's per-window
-   constraints).  Projected preconditioned CG keeps every search direction
-   in the null space of C: after the preconditioner writes z = D^-1 r,
-   [project] removes, per group, the D^-1-weighted component along c,
-   lambda_g = sum c_i z_i / sum c_i^2 D^-1_ii and z_i -= D^-1_ii c_i
-   lambda_g.  The groups are disjoint, so C D^-1 C' is diagonal and the
-   projection is exact in one pass.  The projected residual is
-   r - C'lambda, and the stop test reads its norm.  A solve without
-   groups runs none of this and keeps its bits. *)
+   Centre-of-gravity groups (taken by [iterate] and [iterate2]) turn a
+   solve into an equality-constrained one: minimize 1/2 x'Ax - b'x
+   subject to C x = C x0, where row g of C holds the weights c_i of group
+   g's variables (GORDIAN's per-window constraints).  Projected
+   preconditioned CG keeps every search direction in the null space of
+   C: after the preconditioner writes z = D^-1 r, [project] removes, per
+   group, the D^-1-weighted component along c, lambda_g = sum c_i z_i /
+   sum c_i^2 D^-1_ii and z_i -= D^-1_ii c_i lambda_g.  The groups are
+   disjoint, so C D^-1 C' is diagonal and the projection is exact in one
+   pass.  The projected residual is r - C'lambda, and the stop test reads
+   its norm.  A solve without groups runs none of this and keeps its
+   bits. *)
 
 type stats = {
   iterations : int;
@@ -245,10 +246,10 @@ let iterate ?groups ~stagnate ~max_iter ~tol a b x =
 (* [record:false] defers metric recording to the caller (via
    [record_stats]): solves that run concurrently must be observed in a
    deterministic order. *)
-let solve ?(record = true) ?groups ?(max_iter = 0) ?(tol = 1e-7) (a : Csr.t)
+let solve ?(record = true) ?(max_iter = 0) ?(tol = 1e-7) (a : Csr.t)
     (b : float array) (x : float array) =
-  let n, max_iter = prepare "solve" ?groups ~max_iter a [ b; x ] in
-  let st = run ?groups ~stagnate:(draw_fault ()) ~n ~max_iter ~tol a b x in
+  let n, max_iter = prepare "solve" ~max_iter a [ b; x ] in
+  let st = run ~stagnate:(draw_fault ()) ~n ~max_iter ~tol a b x in
   if record then record_stats st;
   st
 

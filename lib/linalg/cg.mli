@@ -13,11 +13,12 @@
     body, so each axis of {!iterate2} is bit-identical to a {!solve} call
     with the same arguments.
 
-    Every solve takes optional centre-of-gravity {!groups}: it then
-    minimizes ½xᵀAx − bᵀx subject to each group's Σ c_i x_i keeping its
-    starting value (projected CG: each preconditioned residual is
-    projected per group, so every search direction keeps the sums).  A
-    solve without groups runs the unconstrained iteration, bit for bit. *)
+    {!iterate} and {!iterate2} take optional centre-of-gravity {!groups}:
+    they then minimize ½xᵀAx − bᵀx subject to each group's Σ c_i x_i
+    keeping its starting value (projected CG: each preconditioned
+    residual is projected per group, so every search direction keeps the
+    sums).  A run without groups is the unconstrained iteration, bit for
+    bit. *)
 
 type stats = {
   iterations : int;
@@ -46,11 +47,10 @@ type groups = { group : int array; weight : float array; n_groups : int }
     afterwards in a deterministic order.  Polls the
     {!Fbp_resilience.Inject.Cg} site once: [solve] is {!draw_fault}, then
     {!iterate}.  The vectors hold at least n entries (only the first n
-    are read or written); a shorter one raises [Invalid_argument].  With
-    [groups], the solve keeps each group's Σ c_i x_i. *)
+    are read or written); a shorter one raises [Invalid_argument]. *)
 val solve :
-  ?record:bool -> ?groups:groups -> ?max_iter:int -> ?tol:float -> Csr.t ->
-  float array -> float array -> stats
+  ?record:bool -> ?max_iter:int -> ?tol:float -> Csr.t -> float array ->
+  float array -> stats
 
 (** Poll the {!Fbp_resilience.Inject.Cg} site once, for one axis: [true]
     when that axis must stagnate; raises
@@ -64,7 +64,8 @@ val draw_fault : unit -> bool
     its fault already drawn: with [stagnate] it returns the stagnated
     stats and leaves [x] untouched.  Polls no site and records no
     metrics, so it may run on any domain.  Same [max_iter], [tol] and
-    length and [groups] rules as {!solve}. *)
+    length rules as {!solve}; with [groups], it keeps each group's
+    Σ c_i x_i ({!groups}' rules). *)
 val iterate :
   ?groups:groups -> stagnate:bool -> max_iter:int -> tol:float -> Csr.t ->
   float array -> float array -> stats
@@ -91,9 +92,9 @@ val create_workspace : unit -> workspace
     (a fresh one otherwise).  Polls no site and records no metrics, so it
     may run on any domain: call {!record_stats} on the x, then the y
     stats.  [groups] constrain both axes, each keeping its own sums, so
-    each axis still equals a grouped {!solve} bit for bit; their
-    per-group arrays are made per call, never kept in [workspace].  Same
-    [max_iter], [tol], length and [groups] rules as {!solve}. *)
+    each axis equals a grouped {!iterate} bit for bit; their per-group
+    arrays are made per call, never kept in [workspace].  Same
+    [max_iter], [tol] and length rules as {!solve}. *)
 val iterate2 :
   ?workspace:workspace -> ?groups:groups -> stagnate:bool * bool ->
   max_iter:int -> tol:float -> Csr.t -> float array -> float array ->

@@ -472,7 +472,7 @@ let group_sums (g : Cg.groups) x =
 (* Projected CG equals the dense KKT solve of
    [A C'; C 0] [x; lambda] = [b; C x0] to 1e-8 relative, keeps every
    group's sum to 1e-12 of its scale, and its lockstep run equals two
-   grouped solves bit for bit. *)
+   grouped single-axis runs ({!Cg.iterate}) bit for bit. *)
 let test_cg_groups_match_kkt () =
   let rng = Fbp_util.Rng.create 2024 in
   for trial = 1 to 40 do
@@ -482,7 +482,7 @@ let test_cg_groups_match_kkt () =
     let m = g.Cg.n_groups in
     let b = random_vec rng n 10.0 and x0 = random_vec rng n 5.0 in
     let x = Array.copy x0 in
-    let st = Cg.solve ~record:false ~groups:g ~tol:1e-13 ~max_iter:(20 * n) a b x in
+    let st = Cg.iterate ~groups:g ~stagnate:false ~tol:1e-13 ~max_iter:(20 * n) a b x in
     if not st.Cg.converged then
       Alcotest.failf "trial %d (n = %d): no convergence, residual %g" trial n
         st.Cg.residual;
@@ -515,7 +515,7 @@ let test_cg_groups_match_kkt () =
           Alcotest.failf "trial %d: group %d's sum moved from %h to %h" trial k s
             s1.(k))
       s0;
-    (* lockstep: each axis equals its own grouped solve, bit for bit *)
+    (* lockstep: each axis equals its own grouped run, bit for bit *)
     let by = random_vec rng n 1e-3 and y0 = random_vec rng n 2.0 in
     let x' = Array.copy x0 and y' = Array.copy y0 in
     let sx, sy =
@@ -524,7 +524,9 @@ let test_cg_groups_match_kkt () =
     in
     let alone rhs v0 =
       let v = Array.copy v0 in
-      let st = Cg.solve ~record:false ~groups:g ~max_iter:(20 * n) ~tol:1e-9 a rhs v in
+      let st =
+        Cg.iterate ~groups:g ~stagnate:false ~max_iter:(20 * n) ~tol:1e-9 a rhs v
+      in
       (st, v)
     in
     check_axis (Printf.sprintf "trial %d grouped x" trial) (sx, x') (alone b x0);
@@ -536,10 +538,15 @@ let test_cg_groups_match_kkt () =
   let g = { Cg.group = Array.init n Fun.id; weight = Array.make n 1.0; n_groups = n } in
   let x0 = random_vec rng n 1.0 in
   let x = Array.copy x0 in
-  let st = Cg.solve ~record:false ~groups:g a (random_vec rng n 5.0) x in
+  let st =
+    Cg.iterate ~groups:g ~stagnate:false ~max_iter:0 ~tol:1e-7 a (random_vec rng n 5.0) x
+  in
   Alcotest.(check int) "pinned: done at iteration 0" 0 st.Cg.iterations;
   Alcotest.(check (array (float 0.0))) "pinned: nothing moved" x0 x;
-  match Cg.solve ~groups:{ g with Cg.n_groups = 3 } a x0 (Array.copy x0) with
+  match
+    Cg.iterate ~groups:{ g with Cg.n_groups = 3 } ~stagnate:false ~max_iter:0 ~tol:1e-7 a
+      x0 (Array.copy x0)
+  with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "a group id past n_groups was accepted"
 
